@@ -7,8 +7,8 @@ GO ?= go
 	spec-smoke quota-smoke check-docs
 
 # The fault-servicing hot-path microbenchmarks (channel deque, EPC page
-# table, end-to-end HandleFault).
-BENCH_MICRO = BenchmarkPendingQueue|BenchmarkPendingMembership|BenchmarkEPCLookup|BenchmarkEPCPresent|BenchmarkHandleFault
+# table, owned victim scan, end-to-end HandleFault).
+BENCH_MICRO = BenchmarkPendingQueue|BenchmarkPendingMembership|BenchmarkEPCLookup|BenchmarkEPCPresent|BenchmarkSelectVictimOwned|BenchmarkHandleFault
 
 build:
 	$(GO) build ./...

@@ -29,6 +29,8 @@ package arbiter
 
 import (
 	"fmt"
+	"slices"
+	"sort"
 
 	"sgxpreload/internal/epc"
 )
@@ -178,33 +180,86 @@ func (a *Arbiter) splitByWeight(weight []uint64) {
 	a.repairSum(a.quota, total)
 }
 
-// repairSum nudges quotas so they sum to capacity: trimming the largest
-// first (never below one frame) when over, padding the smallest first
-// when under. Ties break toward the lowest index, keeping the result a
-// pure function of the inputs.
+// repairSum nudges quotas so they sum to capacity, with the outcome of
+// moving one frame at a time: trimming the largest quota first (never
+// below one frame) when over, padding the smallest first when under, ties
+// toward the lowest index. It computes that outcome directly from a water
+// level, in O(N log capacity) rather than O(N) per frame moved.
 func (a *Arbiter) repairSum(quota []int, total int) {
-	for total > a.capacity {
-		best := -1
-		for i, q := range quota {
-			if q > 1 && (best < 0 || q > quota[best]) {
-				best = i
-			}
-		}
-		if best < 0 {
-			return // everyone at the floor; capacity < N, nothing to trim
-		}
-		quota[best]--
-		total--
+	switch {
+	case total > a.capacity:
+		trim(quota, total-a.capacity)
+	case total < a.capacity:
+		pad(quota, a.capacity-total)
 	}
-	for total < a.capacity {
-		best := 0
-		for i, q := range quota {
-			if q < quota[best] {
-				best = i
+}
+
+// trim takes excess frames off quota as repeatedly decrementing the
+// largest quota above one would: every quota above a level h drops to h,
+// and the leftover frames come one each off the lowest-index quotas at h.
+// If even a floor of one frame each leaves an excess (capacity < N),
+// every quota ends at the floor.
+func trim(quota []int, excess int) {
+	above := func(h int) int {
+		n := 0
+		for _, q := range quota {
+			if q > h {
+				n += q - h
 			}
 		}
-		quota[best]++
-		total++
+		return n
+	}
+	if above(1) <= excess {
+		for i, q := range quota {
+			if q > 1 {
+				quota[i] = 1
+			}
+		}
+		return
+	}
+	// The smallest level h >= 2 whose surplus fits in excess; the level
+	// below it would take too much.
+	top := slices.Max(quota)
+	h := 2 + sort.Search(top-1, func(k int) bool { return above(2+k) <= excess })
+	left := excess - above(h)
+	for i, q := range quota {
+		if q >= h {
+			quota[i] = h
+			if left > 0 {
+				quota[i]--
+				left--
+			}
+		}
+	}
+}
+
+// pad adds deficit frames to quota as repeatedly incrementing the
+// smallest quota would: every quota below a level l rises to l, and the
+// leftover frames go one each to the lowest-index quotas at l.
+func pad(quota []int, deficit int) {
+	below := func(l int) int {
+		n := 0
+		for _, q := range quota {
+			if q < l {
+				n += l - q
+			}
+		}
+		return n
+	}
+	// The largest level l whose shortfall fits in deficit; it lies in
+	// [min, min+deficit], since lifting the minimum past that alone
+	// takes more.
+	low := slices.Min(quota)
+	l := low + sort.Search(deficit, func(k int) bool { return below(low+k+1) > deficit })
+	left := deficit - below(l)
+	for i, q := range quota {
+		if q <= l {
+			quota[i] = l
+			if left > 0 {
+				quota[i]++
+				left--
+			}
+		}
 	}
 }
 
@@ -219,13 +274,12 @@ func (a *Arbiter) NoteFault(owner int) {
 
 // NoteScan feeds the adaptive estimator at one enclave's scan boundary:
 // accessed is the number of the enclave's resident frames with the access
-// bit set (from epc.OwnerScanStats, sampled before the service scan
-// clears bits). Demand observed this period is accessed plus the demand
-// faults since the previous scan; the estimate is an integer EWMA halfway
-// toward it. It reports whether the quota vector changed, in which case
-// the caller emits the rebalance trace event. Non-adaptive policies
-// never rebalance.
-func (a *Arbiter) NoteScan(owner, accessed, resident int) bool {
+// bit set (from epc.OwnerAccessed). Demand observed this period is
+// accessed plus the demand faults since the previous scan; the estimate
+// is an integer EWMA halfway toward it. It reports whether the quota
+// vector changed, in which case the caller emits the rebalance trace
+// event. Non-adaptive policies never rebalance.
+func (a *Arbiter) NoteScan(owner, accessed int) bool {
 	if a.policy != Adaptive || owner < 0 || owner >= len(a.quota) {
 		return false
 	}

@@ -1,6 +1,8 @@
 package arbiter
 
 import (
+	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"sgxpreload/internal/epc"
@@ -172,10 +174,10 @@ func TestAdaptiveRebalanceTowardHog(t *testing.T) {
 		for i := 0; i < 48; i++ {
 			a.NoteFault(0)
 		}
-		if a.NoteScan(0, 30, 32) {
+		if a.NoteScan(0, 30) {
 			rebalanced = true
 		}
-		a.NoteScan(1, 0, 1) // idle: nothing touched, nothing faulting
+		a.NoteScan(1, 0) // idle: nothing touched, nothing faulting
 	}
 	if !rebalanced {
 		t.Fatal("adaptive policy never rebalanced under sustained skew")
@@ -200,13 +202,13 @@ func TestAdaptiveHysteresis(t *testing.T) {
 	// Warm the estimators in from the declared-footprint prior until the
 	// EWMA has converged on the true symmetric demand.
 	for scan := 0; scan < 20; scan++ {
-		a.NoteScan(0, 100, 128)
-		a.NoteScan(1, 100, 128)
+		a.NoteScan(0, 100)
+		a.NoteScan(1, 100)
 	}
 	q0, q1 := a.Quota(0), a.Quota(1)
 	for scan := 0; scan < 50; scan++ {
 		// Both enclaves report near-identical demand, wobbling by one.
-		if a.NoteScan(0, 100+scan%2, 128) || a.NoteScan(1, 100, 128) {
+		if a.NoteScan(0, 100+scan%2) || a.NoteScan(1, 100) {
 			t.Fatalf("scan %d: rebalanced inside the deadband", scan)
 		}
 	}
@@ -225,7 +227,7 @@ func TestAdaptiveBoundedStep(t *testing.T) {
 		a.NoteFault(0)
 	}
 	before := a.Quota(0)
-	a.NoteScan(0, 32, 32)
+	a.NoteScan(0, 32)
 	if d := a.Quota(0) - before; d > 8 {
 		t.Fatalf("one rebalance moved quota by %d frames, bound is 8", d)
 	}
@@ -239,8 +241,63 @@ func TestNonAdaptiveNeverRebalances(t *testing.T) {
 		a.AddEnclave(64)
 		a.AddEnclave(64)
 		a.NoteFault(0)
-		if a.NoteScan(0, 16, 16) {
+		if a.NoteScan(0, 16) {
 			t.Fatalf("%v policy rebalanced", p)
+		}
+	}
+}
+
+// stepwiseRepairSum is the frame-at-a-time quota repair that repairSum's
+// water-level computation replaced, kept as its oracle.
+func stepwiseRepairSum(capacity int, quota []int, total int) {
+	for total > capacity {
+		best := -1
+		for i, q := range quota {
+			if q > 1 && (best < 0 || q > quota[best]) {
+				best = i
+			}
+		}
+		if best < 0 {
+			return
+		}
+		quota[best]--
+		total--
+	}
+	for total < capacity {
+		best := 0
+		for i, q := range quota {
+			if q < quota[best] {
+				best = i
+			}
+		}
+		quota[best]++
+		total++
+	}
+}
+
+// TestRepairSumMatchesStepwise: over random quota vectors above and below
+// capacity, with heavy ties and capacities below N, the water-level
+// repair produces exactly the stepwise result.
+func TestRepairSumMatchesStepwise(t *testing.T) {
+	r := rand.New(rand.NewPCG(1, 2))
+	for trial := 0; trial < 20000; trial++ {
+		n := 1 + r.IntN(40)
+		spread := 1 + r.IntN(1+r.IntN(200))
+		quota := make([]int, n)
+		total := 0
+		for i := range quota {
+			quota[i] = 1 + r.IntN(spread)
+			total += quota[i]
+		}
+		capacity := 1 + r.IntN(2*total+n)
+		a := mustNew(t, Static, capacity)
+		got := slices.Clone(quota)
+		a.repairSum(got, total)
+		want := slices.Clone(quota)
+		stepwiseRepairSum(capacity, want, total)
+		if !slices.Equal(got, want) {
+			t.Fatalf("trial %d: capacity %d, quotas %v: repairSum gave %v, stepwise %v",
+				trial, capacity, quota, got, want)
 		}
 	}
 }

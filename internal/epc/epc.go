@@ -17,6 +17,7 @@ package epc
 
 import (
 	"fmt"
+	"math/bits"
 
 	"sgxpreload/internal/mem"
 )
@@ -99,6 +100,14 @@ type EPC struct {
 	// degenerate case, where ownership is pure bookkeeping.
 	ownerHi    []mem.PageID
 	resByOwner []int // resident frame count per owner
+	// ownedBits[o] is owner o's frame membership bitset: bit f%64 of word
+	// f/64 is set while frame f holds one of o's pages. Owner-scoped scans
+	// walk it with bits.TrailingZeros64 in frame order, so they cost
+	// O(owner frames + capacity/64) instead of O(capacity).
+	ownedBits [][]uint64
+	// preloaded mirrors every frame's preload bit in the same layout, so
+	// the service thread's preload-bit scan visits only preloaded frames.
+	preloaded []uint64
 }
 
 // New returns an EPC with capacity physical frames serving an enclave
@@ -127,8 +136,11 @@ func NewWithPolicy(capacity int, elrangePages uint64, policy Policy) (*EPC, erro
 		pages:   elrangePages,
 		policy:  policy,
 		rnd:     0x2545f4914f6cdd1d,
-		// One counter for the implicit owner 0 until AddOwner is called.
+		// One counter and bitset for the implicit owner 0 until AddOwner
+		// is called.
 		resByOwner: make([]int, 1),
+		ownedBits:  [][]uint64{make([]uint64, (capacity+63)/64)},
+		preloaded:  make([]uint64, (capacity+63)/64),
 	}
 	for i := range e.frames {
 		e.frames[i].page = mem.NoPage
@@ -181,6 +193,7 @@ func (e *EPC) AddOwner(hi uint64) error {
 	e.ownerHi = append(e.ownerHi, mem.PageID(hi))
 	if len(e.ownerHi) > 1 {
 		e.resByOwner = append(e.resByOwner, 0)
+		e.ownedBits = append(e.ownedBits, make([]uint64, (len(e.frames)+63)/64))
 	}
 	return nil
 }
@@ -216,21 +229,31 @@ func (e *EPC) OwnerResident(owner int) int {
 	return e.resByOwner[owner]
 }
 
-// OwnerScanStats counts owner's resident frames and how many of them have
-// the access bit set, without disturbing any bits. The adaptive quota
-// policy samples it at scan boundaries as its working-set signal.
-func (e *EPC) OwnerScanStats(owner int) (accessed, resident int) {
-	for i := range e.frames {
-		fr := &e.frames[i]
-		if fr.page == mem.NoPage || int(fr.owner) != owner {
-			continue
-		}
-		resident++
-		if fr.accessed {
-			accessed++
+// ownerBound returns the exclusive upper page bound of owner o's range:
+// unbounded for the implicit owner 0 when no ranges are registered.
+func (e *EPC) ownerBound(o int32) mem.PageID {
+	if len(e.ownerHi) == 0 {
+		return mem.NoPage
+	}
+	return e.ownerHi[o]
+}
+
+// OwnerAccessed counts owner's resident frames with the access bit set,
+// without disturbing any bits. The adaptive quota policy samples it at
+// scan boundaries as its working-set signal.
+func (e *EPC) OwnerAccessed(owner int) int {
+	if owner < 0 || owner >= len(e.ownedBits) {
+		return 0
+	}
+	accessed := 0
+	for w, m := range e.ownedBits[owner] {
+		for ; m != 0; m &= m - 1 {
+			if e.frames[w<<6|bits.TrailingZeros64(m)].accessed {
+				accessed++
+			}
 		}
 	}
-	return accessed, resident
+	return accessed
 }
 
 // Capacity returns the number of physical frames.
@@ -298,6 +321,10 @@ func (e *EPC) Load(page mem.PageID, preloaded bool) error {
 		touchedAt: e.seq,
 	}
 	e.resByOwner[owner]++
+	e.ownedBits[owner][f>>6] |= 1 << (f & 63)
+	if preloaded {
+		e.preloaded[f>>6] |= 1 << (f & 63)
+	}
 	e.pt.set(page, f)
 	e.present.Set(uint64(page))
 	return nil
@@ -310,7 +337,10 @@ func (e *EPC) Evict(page mem.PageID) bool {
 	if !ok {
 		return false
 	}
-	e.resByOwner[e.frames[f].owner]--
+	owner := e.frames[f].owner
+	e.resByOwner[owner]--
+	e.ownedBits[owner][f>>6] &^= 1 << (f & 63)
+	e.preloaded[f>>6] &^= 1 << (f & 63)
 	e.frames[f] = frame{page: mem.NoPage}
 	e.free = append(e.free, f)
 	e.pt.remove(page)
@@ -362,10 +392,12 @@ func (e *EPC) SelectVictim() mem.PageID {
 //
 // The filtered CLOCK shares the global hand but gives other owners'
 // frames a free pass — their access bits are NOT cleared, so arbitrated
-// and global runs age foreign frames identically. The filtered Random
-// scan draws from the same xorshift stream as the global one (acceptable
-// because the two are never mixed within one run: a run either uses the
-// arbiter everywhere or nowhere).
+// and global runs age foreign frames identically. It visits only owner's
+// frames, in the order a frame-by-frame sweep from the hand would, so the
+// victim, the final hand and every access bit match that sweep. The
+// filtered Random scan draws from the same xorshift stream as the global
+// one (acceptable because the two are never mixed within one run: a run
+// either uses the arbiter everywhere or nowhere).
 func (e *EPC) SelectVictimOwned(owner int) mem.PageID {
 	if e.OwnerResident(owner) == 0 {
 		return mem.NoPage
@@ -379,34 +411,53 @@ func (e *EPC) SelectVictimOwned(owner int) mem.PageID {
 	case PolicyRandom:
 		return e.victimRandomOwned(o)
 	}
-	for sweep := 0; sweep < 2*len(e.frames); sweep++ {
-		fr := &e.frames[e.hand]
-		e.hand = (e.hand + 1) % len(e.frames)
-		if fr.page == mem.NoPage || fr.owner != o {
-			continue
+	// Terminates: owner holds >= 1 frame, and one lap around its frames
+	// clears every access bit it meets.
+	owned := e.ownedBits[o]
+	for f := e.hand; ; {
+		g := nextOwned(owned, f)
+		if g < 0 {
+			g = nextOwned(owned, 0) // wrap past the last frame
 		}
+		fr := &e.frames[g]
 		if fr.accessed {
 			fr.accessed = false
+			f = g + 1
 			continue
 		}
+		e.hand = (g + 1) % len(e.frames)
 		return fr.page
 	}
-	// Unreachable: owner holds >= 1 frame, and two sweeps must find one
-	// whose bit was cleared on the first pass.
-	panic("epc: owned CLOCK failed to select a victim")
 }
 
-// victimByMinOwned scans for owner's occupied frame minimizing key.
+// nextOwned returns the first frame at or after from whose bit is set in
+// the membership bitset owned, or -1 when there is none.
+func nextOwned(owned []uint64, from int) int {
+	w := from >> 6
+	if w >= len(owned) {
+		return -1
+	}
+	m := owned[w] &^ (1<<(uint(from)&63) - 1)
+	for m == 0 {
+		if w++; w == len(owned) {
+			return -1
+		}
+		m = owned[w]
+	}
+	return w<<6 | bits.TrailingZeros64(m)
+}
+
+// victimByMinOwned returns owner's frame minimizing key, the first in
+// frame order on ties.
 func (e *EPC) victimByMinOwned(owner int32, key func(*frame) uint64) mem.PageID {
 	victim := mem.NoPage
 	best := uint64(0)
-	for i := range e.frames {
-		fr := &e.frames[i]
-		if fr.page == mem.NoPage || fr.owner != owner {
-			continue
-		}
-		if k := key(fr); victim == mem.NoPage || k < best {
-			victim, best = fr.page, k
+	for w, m := range e.ownedBits[owner] {
+		for ; m != 0; m &= m - 1 {
+			fr := &e.frames[w<<6|bits.TrailingZeros64(m)]
+			if k := key(fr); victim == mem.NoPage || k < best {
+				victim, best = fr.page, k
+			}
 		}
 	}
 	return victim
@@ -480,16 +531,30 @@ func (e *EPC) ScanPreloadBits(clear bool, visit func(page mem.PageID, accessed b
 
 // ScanPreloadBitsRange is ScanPreloadBits restricted to pages in
 // [lo, hi). In multi-enclave mode each enclave's service scan covers only
-// its own ELRANGE slice of the shared EPC.
+// its own ELRANGE slice of the shared EPC. Pages are visited in frame
+// order, and only preloaded frames are walked: those of one owner when
+// [lo, hi) lies inside that owner's range (every kernel's own slice, solo
+// runs included), else every owner's.
 func (e *EPC) ScanPreloadBitsRange(lo, hi mem.PageID, clear bool, visit func(page mem.PageID, accessed bool)) {
-	for i := range e.frames {
-		fr := &e.frames[i]
-		if fr.page == mem.NoPage || !fr.preload || fr.page < lo || fr.page >= hi {
-			continue
+	var owned []uint64
+	if o := e.ownerOf(lo); int(o) < len(e.ownedBits) && hi <= e.ownerBound(o) {
+		owned = e.ownedBits[o]
+	}
+	for w, m := range e.preloaded {
+		if owned != nil {
+			m &= owned[w]
 		}
-		visit(fr.page, fr.accessed)
-		if clear && fr.accessed {
-			fr.preload = false
+		for ; m != 0; m &= m - 1 {
+			f := w<<6 | bits.TrailingZeros64(m)
+			fr := &e.frames[f]
+			if fr.page < lo || fr.page >= hi {
+				continue
+			}
+			visit(fr.page, fr.accessed)
+			if clear && fr.accessed {
+				fr.preload = false
+				e.preloaded[w] &^= 1 << (f & 63)
+			}
 		}
 	}
 }
@@ -507,8 +572,8 @@ func (e *EPC) ResidentPages() []mem.PageID {
 }
 
 // CheckInvariants verifies internal consistency: the page table, frame
-// table, free list, and presence bitmap must agree. Tests call it after
-// random operation sequences.
+// table, free list, presence bitmap, per-owner membership bitsets and
+// preload bitset must agree. Tests call it after random operation sequences.
 func (e *EPC) CheckInvariants() error {
 	occupied := 0
 	seen := make(map[FrameID]bool, len(e.frames))
@@ -547,6 +612,46 @@ func (e *EPC) CheckInvariants() error {
 	if ownedTotal != occupied {
 		return fmt.Errorf("epc: per-owner counts sum to %d, %d frames occupied",
 			ownedTotal, occupied)
+	}
+	// Each owner's bitset holds exactly the frames stamped with that owner,
+	// so its popcount is the owner's resident counter.
+	if len(e.ownedBits) != len(e.resByOwner) {
+		return fmt.Errorf("epc: %d owner bitsets for %d owners", len(e.ownedBits), len(e.resByOwner))
+	}
+	for o, owned := range e.ownedBits {
+		for i := range e.frames {
+			set := owned[i>>6]&(1<<(i&63)) != 0
+			if stamped := e.frames[i].page != mem.NoPage && int(e.frames[i].owner) == o; set != stamped {
+				return fmt.Errorf("epc: owner %d bitset says frame %d held = %v, frame says %v",
+					o, i, set, stamped)
+			}
+		}
+		n := 0
+		for _, w := range owned {
+			n += bits.OnesCount64(w)
+		}
+		if n != e.resByOwner[o] {
+			return fmt.Errorf("epc: owner %d bitset holds %d frames, counter says %d",
+				o, n, e.resByOwner[o])
+		}
+	}
+	preloaded := 0
+	for i := range e.frames {
+		set := e.preloaded[i>>6]&(1<<(i&63)) != 0
+		if set != e.frames[i].preload {
+			return fmt.Errorf("epc: preload bitset says frame %d = %v, frame says %v",
+				i, set, e.frames[i].preload)
+		}
+		if set {
+			preloaded++
+		}
+	}
+	n := 0
+	for _, w := range e.preloaded {
+		n += bits.OnesCount64(w)
+	}
+	if n != preloaded {
+		return fmt.Errorf("epc: preload bitset holds %d bits past the last frame", n-preloaded)
 	}
 	// Entry counts matching plus every occupied frame resolving back to
 	// itself rules out stale or duplicated page-table entries.

@@ -119,3 +119,38 @@ func TestGrowDenseStaysDense(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestGrowThenAddOwner: an owner registered after growth gets its own
+// membership bitset, and owner-scoped scans see only its frames.
+func TestGrowThenAddOwner(t *testing.T) {
+	e, err := New(4, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.AddOwner(8); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []mem.PageID{1, 5} {
+		if err := e.Load(p, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := e.Grow(16); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.AddOwner(16); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Load(9, false); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if got := e.OwnerAccessed(1); got != 1 {
+		t.Fatalf("OwnerAccessed(1) = %d, want 1", got)
+	}
+	if v := e.SelectVictimOwned(1); v != 9 {
+		t.Fatalf("owner 1 victim = %d, want 9", v)
+	}
+}

@@ -219,7 +219,7 @@ func TestOwnedScanDegenerateMatchesGlobal(t *testing.T) {
 	}
 }
 
-func TestOwnerScanStats(t *testing.T) {
+func TestOwnerAccessed(t *testing.T) {
 	e := mustNew(t, 8, 64)
 	addOwners(t, e, 2)
 	// Owner 0: two demand loads (accessed) + one preload (not accessed).
@@ -232,14 +232,52 @@ func TestOwnerScanStats(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if acc, res := e.OwnerScanStats(0); acc != 2 || res != 3 {
-		t.Fatalf("owner 0 stats = (%d, %d), want (2, 3)", acc, res)
+	if acc := e.OwnerAccessed(0); acc != 2 {
+		t.Fatalf("owner 0 accessed = %d, want 2", acc)
 	}
-	if acc, res := e.OwnerScanStats(1); acc != 0 || res != 1 {
-		t.Fatalf("owner 1 stats = (%d, %d), want (0, 1)", acc, res)
+	if acc := e.OwnerAccessed(1); acc != 0 {
+		t.Fatalf("owner 1 accessed = %d, want 0", acc)
 	}
-	// The stats scan is read-only: access bits survive it.
+	if acc := e.OwnerAccessed(2); acc != 0 {
+		t.Fatalf("unregistered owner 2 accessed = %d, want 0", acc)
+	}
+	// The count is read-only: access bits survive it.
 	if !e.Accessed(0) || !e.Accessed(1) {
-		t.Fatal("OwnerScanStats disturbed access bits")
+		t.Fatal("OwnerAccessed disturbed access bits")
+	}
+}
+
+// TestCheckInvariantsCatchesBitsetDrift: an owner bitset that disagrees
+// with the frame stamps or holds a bit past the last frame, and a preload
+// bitset that disagrees with the frame bits, are reported.
+func TestCheckInvariantsCatchesBitsetDrift(t *testing.T) {
+	e := mustNew(t, 8, 64)
+	addOwners(t, e, 2)
+	for _, p := range []mem.PageID{0, 1, 32} {
+		if err := e.Load(p, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := e.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	// Frame 0 holds owner 0's page 0; claim it for owner 1 too.
+	e.ownedBits[1][0] |= 1
+	if err := e.CheckInvariants(); err == nil {
+		t.Fatal("frame claimed by two owners' bitsets not reported")
+	}
+	e.ownedBits[1][0] &^= 1
+	// A stray bit past the 8 frames escapes the per-frame walk but not
+	// the popcount.
+	e.ownedBits[0][0] |= 1 << 9
+	if err := e.CheckInvariants(); err == nil {
+		t.Fatal("bitset bit past the last frame not reported")
+	}
+	e.ownedBits[0][0] &^= 1 << 9
+	// Frame 0 holds a demand-loaded page; mark it preloaded in the
+	// bitset only.
+	e.preloaded[0] |= 1
+	if err := e.CheckInvariants(); err == nil {
+		t.Fatal("preload bitset disagreeing with the frame not reported")
 	}
 }

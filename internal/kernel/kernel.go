@@ -587,8 +587,7 @@ func (k *Kernel) arbiterScan(now uint64) {
 	if arb == nil {
 		return
 	}
-	acc, res := k.epc.OwnerScanStats(k.cfg.Owner)
-	if !arb.NoteScan(k.cfg.Owner, acc, res) {
+	if !arb.NoteScan(k.cfg.Owner, k.epc.OwnerAccessed(k.cfg.Owner)) {
 		return
 	}
 	k.emitQuotaVector(now)

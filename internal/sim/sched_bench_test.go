@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"sgxpreload/internal/epc/arbiter"
 	"sgxpreload/internal/mem"
 )
 
@@ -36,26 +37,28 @@ func benchFleetStream(pages, seed uint64) mem.Stream {
 	})
 }
 
-// benchFleetEngine builds an e-enclave engine whose total footprint
-// fits the EPC (after the cold sweep the run is hit-dominated) and
-// warms it until every page is resident.
-func benchFleetEngine(b *testing.B, e int) *Engine {
+// benchPages is each benchmark enclave's footprint.
+const benchPages = 32
+
+// benchFleetEngine builds an e-enclave engine over an EPC of epcPages
+// frames under the given quota policy and warms it with two sweeps of
+// every enclave's pages.
+func benchFleetEngine(b *testing.B, e, epcPages int, quota arbiter.Policy) *Engine {
 	b.Helper()
-	const pages = 32
 	encs := make([]Enclave, e)
 	for i := range encs {
 		encs[i] = Enclave{
 			Name:   fmt.Sprintf("enc%d", i),
-			Stream: benchFleetStream(pages, uint64(i)*7919),
-			Pages:  pages,
+			Stream: benchFleetStream(benchPages, uint64(i)*7919),
+			Pages:  benchPages,
 			Scheme: Baseline,
 		}
 	}
-	eng, err := New(encs, SharedConfig{EPCPages: e*pages + 64})
+	eng, err := New(encs, SharedConfig{EPCPages: epcPages, Quota: quota})
 	if err != nil {
 		b.Fatal(err)
 	}
-	for i := 0; i < 2*e*pages; i++ { // cold sweep: fault every page in
+	for i := 0; i < 2*e*benchPages; i++ { // cold sweep: fault every page in
 		if _, err := eng.Step(); err != nil {
 			b.Fatal(err)
 		}
@@ -77,7 +80,9 @@ func benchShardedStep(b *testing.B, e, shards int) {
 		if s < e%shards {
 			n++
 		}
-		engines[s] = benchFleetEngine(b, n)
+		// The footprint fits the EPC: after the cold sweep the run is
+		// hit-dominated.
+		engines[s] = benchFleetEngine(b, n, n*benchPages+64, arbiter.Global)
 	}
 	var next atomic.Int64
 	b.ReportAllocs()
@@ -92,11 +97,32 @@ func benchShardedStep(b *testing.B, e, shards int) {
 	})
 }
 
+// benchQuotaStep runs e enclaves on one EPC under the adaptive quota
+// policy with the EPC oversubscribed: each enclave sweeps 32 pages
+// against an even share of 24 frames, so accesses keep faulting and every
+// eviction goes through the arbiter and an owned victim scan, and every
+// service scan feeds the arbiter an owner's access-bit count.
+func benchQuotaStep(b *testing.B, e int) {
+	eng := benchFleetEngine(b, e, e*24, arbiter.Adaptive)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := eng.Step(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkStep measures one engine access at fleet population sizes —
-// the scheduler's O(log E) claim made falsifiable. Both populations
-// run sharded (16 and 160 domains, ~62 enclaves each), mirroring how
-// RunSharded actually deploys a fleet this size.
+// the scheduler's O(log E) claim made falsifiable. Both sharded
+// populations run 16 and 160 domains of ~62 enclaves each, mirroring how
+// RunSharded actually deploys a fleet this size. The adaptive cells run
+// one oversubscribed EPC domain under quotas, where per-step cost also
+// includes arbitration and owner-scoped scans.
 func BenchmarkStep(b *testing.B) {
 	b.Run("E=1000-sharded16", func(b *testing.B) { benchShardedStep(b, 1000, 16) })
 	b.Run("E=10000-sharded160", func(b *testing.B) { benchShardedStep(b, 10000, 160) })
+	for _, e := range []int{8, 64, 1024} {
+		b.Run(fmt.Sprintf("E=%d-adaptive", e), func(b *testing.B) { benchQuotaStep(b, e) })
+	}
 }
