@@ -62,7 +62,7 @@ func all() []experiment {
 		{"ablation-eviction", "EPC eviction policies", wrap(experiments.EvictionAblation)},
 		{"ablation-loadcost", "ELDU cost sensitivity", wrap(experiments.CostSensitivity)},
 		{"ablation-shared", "multi-enclave EPC sharing (paper §5.6)", wrap(experiments.SharedEPC)},
-		{"fleet-sharded", "fleet over independent EPC domains (sharded runner)", wrap(experiments.ShardedFleet)},
+		{"fleet-sharded", "fleet over independent EPC domains (t=0 round-robin fleet)", wrap(experiments.ShardedFleet)},
 		{"fleet-policies", "cluster placement policies vs p99 fault latency (fleet layer)", wrap(experiments.FleetPolicies)},
 		{"epc-partition", "per-enclave EPC quota policies on a hog-skewed co-run", wrap(experiments.EPCPartition)},
 		{"saturation", "arrival-spec rate sweep to the admission/latency knee", wrap(experiments.Saturation)},

@@ -16,7 +16,7 @@
 //	sgxsim -bench lbm -stream -repeat 0 -serve :8080  # unbounded, watch live
 //	sgxsim -bench lbm,deepsjeng -scheme dfp     # shared-EPC co-run
 //	sgxsim -stream -bench lbm,deepsjeng -scheme dfp-stop  # streamed co-run
-//	sgxsim -bench lbm,mcf,deepsjeng,x264 -shards 2  # fleet: 2 EPC domains
+//	sgxsim -bench lbm,mcf,deepsjeng,x264 -fleet 2 -arrival-period 0  # static: 2 EPC domains
 //	sgxsim -bench lbm,leela,nab,leela -fleet 2 -fleet-policy pressure  # cluster: timed arrivals
 //	sgxsim -spec workload.json -fleet 4             # cluster: spec-compiled arrival cohorts
 //	sgxsim -spec workload.json -fleet 4 -rate-scale 2  # same spec at twice the load
@@ -62,13 +62,12 @@ func main() {
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("sgxsim", flag.ContinueOnError)
 	var (
-		bench      = fs.String("bench", "microbenchmark", "benchmark name, or a comma-separated list for a shared-EPC co-run (-list to enumerate)")
-		shards     = fs.Int("shards", 1, "with a multi-benchmark -bench list, split the enclaves round-robin over this many independent EPC domains simulated in parallel")
-		fleetHosts = fs.Int("fleet", 0, "simulate a cluster of this many SGX hosts on one shared clock: the -bench list arrives over time (one launch per -arrival-period) and is placed by -fleet-policy")
+		bench      = fs.String("bench", "microbenchmark", "benchmark name, or a comma-separated list for a shared-EPC co-run: a one-host fleet with every launch at t=0 (-list to enumerate)")
+		fleetHosts = fs.Int("fleet", 0, "simulate a cluster of this many SGX hosts on one shared clock: the -bench list arrives over time (one launch per -arrival-period; 0 launches all at t=0, static round-robin sharding) and is placed by -fleet-policy")
 		specPath   = fs.String("spec", "", "with -fleet, compile this JSON workload spec (cohorts with arrival processes; see WORKLOADS.md) into the cluster's arrival stream instead of the -bench list")
 		rateScale  = fs.Float64("rate-scale", 1, "with -spec, multiply every cohort's arrival rate (the saturation knob)")
 		fleetPol   = fs.String("fleet-policy", "round-robin", "with -fleet, the placement policy: round-robin | least-loaded | pressure | affinity")
-		arrPeriod  = fs.Int("arrival-period", 1_000_000, "with -fleet, cycles between enclave launches at the fleet front door")
+		arrPeriod  = fs.Int("arrival-period", 1_000_000, "with -fleet, cycles between enclave launches at the fleet front door (0 = every launch at t=0: static sharding)")
 		admPeriod  = fs.Int("admit-period", 0, "with -fleet, token-bucket admission: cycles per admitted launch (0 = admit everything)")
 		admBurst   = fs.Int("admit-burst", 1, "with -fleet and -admit-period, how many launches may be admitted back-to-back")
 		scheme     = fs.String("scheme", "baseline", "baseline | dfp | dfp-stop | sip | hybrid")
@@ -85,7 +84,7 @@ func run(args []string, out io.Writer) error {
 		compare    = fs.Bool("compare", false, "also run the baseline and report the improvement")
 		tracePath  = fs.String("trace", "", "write the run's event timeline (JSONL; a .csv extension selects CSV)")
 		metricsOut = fs.String("metrics-out", "", "write derived metrics (text report; a .svg extension renders the timeline chart)")
-		parallel   = fs.Int("parallel", 0, "worker pool for -compare runs and -fleet host advancement (0 = GOMAXPROCS; output is identical at any setting)")
+		parallel   = fs.Int("parallel", 0, "worker pool for -compare runs and fleet host advancement (0 = GOMAXPROCS; output is identical at any setting)")
 		progress   = fs.Bool("progress", false, "report each completed run on stderr")
 		replayPath = fs.String("replay", "", "replay a recorded trace (JSONL, or CSV for .csv) instead of simulating")
 		diffMode   = fs.Bool("diff", false, "diff two recorded traces given as positional args: -diff a.jsonl b.jsonl")
@@ -147,18 +146,18 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 
-	// -fleet is the cluster path: the -bench list (or a compiled -spec)
-	// becomes a timed arrival stream placed onto -fleet hosts on one
-	// shared clock.
-	if *fleetHosts > 0 {
+	if *specPath != "" && *fleetHosts <= 0 {
+		return fmt.Errorf("-spec compiles a cluster arrival stream; pair it with -fleet N")
+	}
+
+	// Every multi-enclave run is a fleet: -fleet N places the -bench list
+	// (or a compiled -spec) onto N hosts as a timed arrival stream, and a
+	// plain -bench a,b co-run is the one-host fleet with every launch at
+	// t = 0 — the shared-EPC engine, reached through the same tail.
+	// Streamed or materialized exactly like the single-bench path.
+	if names := strings.Split(*bench, ","); *fleetHosts > 0 || len(names) > 1 {
 		if *compare {
 			return fmt.Errorf("-compare applies to single-benchmark runs")
-		}
-		if *shards != 1 {
-			return fmt.Errorf("-shards and -fleet are different fleet shapes; pick one")
-		}
-		if *metricsOut != "" || *serveAddr != "" {
-			return fmt.Errorf("-metrics-out/-serve record one engine's timeline; with -fleet use -trace for per-host trace files")
 		}
 		if *arrPeriod < 0 || *admPeriod < 0 {
 			return fmt.Errorf("-arrival-period and -admit-period must be >= 0")
@@ -184,41 +183,20 @@ func run(args []string, out io.Writer) error {
 			reclaim:       *reclaim,
 			threshold:     *threshold,
 			tracePath:     *tracePath,
+			metricsOut:    *metricsOut,
+			serveAddr:     *serveAddr,
 			workers:       *parallel,
+		}
+		if *fleetHosts <= 0 {
+			o.hosts, o.arrivalPeriod = 1, 0
+		}
+		if (o.metricsOut != "" || o.serveAddr != "") && o.hosts > 1 {
+			return fmt.Errorf("-metrics-out/-serve record one host's timeline; use a co-run or -fleet 1 (-trace writes per-host files at any host count)")
 		}
 		if *specPath != "" {
 			return runSpecFleet(*specPath, *rateScale, o, out)
 		}
-		return runClusterFleet(strings.Split(*bench, ","), o, out)
-	}
-	if *specPath != "" {
-		return fmt.Errorf("-spec compiles a cluster arrival stream; pair it with -fleet N")
-	}
-
-	// A comma-separated -bench list (or an explicit -shards) is a
-	// multi-enclave run: every benchmark becomes one enclave, co-running
-	// on shared EPC domains, streamed or materialized exactly like the
-	// single-bench path.
-	if names := strings.Split(*bench, ","); len(names) > 1 || *shards != 1 {
-		if *compare {
-			return fmt.Errorf("-compare applies to single-benchmark runs")
-		}
-		return runFleet(names, fleetOpts{
-			scheme:     sch,
-			dfp:        d,
-			predictor:  core.Kind(strings.ToLower(*predictor)),
-			policy:     pol,
-			quota:      quota,
-			epcPages:   *epcPages,
-			shards:     *shards,
-			stream:     *streamMode,
-			repeat:     *repeat,
-			reclaim:    *reclaim,
-			threshold:  *threshold,
-			tracePath:  *tracePath,
-			metricsOut: *metricsOut,
-			serveAddr:  *serveAddr,
-		}, out)
+		return runClusterFleet(names, o, out)
 	}
 
 	w, err := workload.ByName(*bench)
@@ -382,173 +360,7 @@ func buildSelection(w *workload.Workload, epcPages int, d dfp.Config, threshold 
 	return sip.Select(cl.Profile(), threshold, 32), nil
 }
 
-// fleetOpts carries the flag values of a multi-enclave run.
-type fleetOpts struct {
-	scheme     sim.Scheme
-	dfp        dfp.Config
-	predictor  core.Kind
-	policy     epc.Policy
-	quota      arbiter.Policy
-	epcPages   int
-	shards     int
-	stream     bool
-	repeat     int
-	reclaim    bool
-	threshold  float64
-	tracePath  string
-	metricsOut string
-	serveAddr  string
-}
-
-// runFleet co-simulates one enclave per benchmark name over o.shards
-// independent EPC domains (round-robin placement, o.epcPages frames per
-// domain) and prints a per-enclave result table. Shards simulate on
-// worker goroutines with a deterministic merge, so the table is
-// identical at any parallelism; a one-shard run is byte-identical to
-// the plain shared-EPC engine. -metrics-out and -serve attach one hook
-// at engine level, so they remain limited to single-shard runs; -trace
-// works at any shard count — each EPC domain streams its own timeline
-// to <path>.shard<N>, mirroring the cluster fleet's per-host traces,
-// and each domain is single-goroutine so every per-shard trace is
-// byte-identical at any worker count.
-func runFleet(names []string, o fleetOpts, out io.Writer) error {
-	if o.shards < 1 {
-		return fmt.Errorf("-shards must be >= 1, got %d", o.shards)
-	}
-	if (o.metricsOut != "" || o.serveAddr != "") && o.shards > 1 {
-		return fmt.Errorf("-metrics-out/-serve record one engine's timeline; use -shards 1 (-trace writes per-shard files at any shard count)")
-	}
-	encs := make([]sim.Enclave, len(names))
-	for i, name := range names {
-		w, err := workload.ByName(strings.TrimSpace(name))
-		if err != nil {
-			return err
-		}
-		enc := sim.Enclave{
-			Name:              w.Name,
-			Pages:             w.ELRangePages(),
-			Scheme:            o.scheme,
-			DFP:               o.dfp,
-			Predictor:         o.predictor,
-			BackgroundReclaim: o.reclaim,
-		}
-		if o.scheme.UsesSIP() {
-			sel, err := buildSelection(w, o.epcPages, o.dfp, o.threshold, o.stream)
-			if err != nil {
-				return err
-			}
-			enc.Selection = sel
-			fmt.Fprintf(out, "SIP profile (%s):  %d instrumentation points at threshold %.0f%%\n",
-				w.Name, sel.Points(), o.threshold*100)
-		}
-		if o.stream {
-			enc.Stream = repeatStream(w, o.repeat)
-		} else {
-			enc.Trace = w.Generate(workload.Ref)
-		}
-		encs[i] = enc
-	}
-	groups, err := sim.ShardRoundRobin(encs, o.shards)
-	if err != nil {
-		return err
-	}
-	scfg := sim.SharedConfig{EPCPages: o.epcPages, EvictPolicy: o.policy, Quota: o.quota}
-
-	// -trace streams per shard: one sink per EPC domain, resolved through
-	// the per-shard HookFactory. A single-shard run keeps the flat path
-	// (no .shard0 tag) and may tee -metrics-out/-serve hooks beside it.
-	var rec *obs.Recorder
-	var hooks []obs.Hook
-	var sinks []*obs.StreamSink
-	var sinkPaths []string
-	closeSinks := func() {
-		for _, s := range sinks {
-			s.Close()
-		}
-	}
-	if o.tracePath != "" {
-		paths := []string{o.tracePath}
-		if len(groups) > 1 {
-			paths = paths[:0]
-			for i := range groups {
-				paths = append(paths, taggedTracePath(o.tracePath, fmt.Sprintf("shard%d", i)))
-			}
-		}
-		for _, path := range paths {
-			s, err := obs.NewStreamSinkFile(path)
-			if err != nil {
-				closeSinks()
-				return err
-			}
-			sinks = append(sinks, s)
-			sinkPaths = append(sinkPaths, path)
-		}
-		if len(groups) == 1 {
-			hooks = append(hooks, sinks[0])
-		} else {
-			scfg.HookFactory = func(shard int) obs.Hook { return sinks[shard] }
-		}
-	}
-	if o.metricsOut != "" {
-		rec = obs.NewRecorder()
-		hooks = append(hooks, rec)
-	}
-	if o.serveAddr != "" {
-		ring := obs.NewRing(0)
-		hooks = append(hooks, ring)
-		stop, err := serveMetrics(o.serveAddr, ring, out)
-		if err != nil {
-			closeSinks()
-			return err
-		}
-		defer stop()
-	}
-	if len(hooks) > 0 {
-		scfg.Hook = obs.Tee(hooks...)
-	}
-
-	results, err := sim.RunSharded(groups, scfg, 0)
-	if err != nil {
-		closeSinks()
-		return err
-	}
-
-	fmt.Fprintf(out, "fleet:            %d enclaves over %d shard(s), EPC %d pages per shard, scheme %s%s\n",
-		len(encs), len(groups), o.epcPages, o.scheme, quotaTag(o.quota))
-	tbl := &stats.Table{Header: []string{
-		"shard", "enclave", "cycles", "accesses", "hits", "faults", "preloads", "fault-cycles",
-	}}
-	for s, shard := range results {
-		for _, r := range shard {
-			tbl.Add(s, r.Name, r.Cycles, r.Accesses, r.Hits, r.Kernel.DemandFaults,
-				r.Kernel.PreloadsStarted,
-				fmt.Sprintf("%.1f%%", 100*float64(r.FaultCycles())/float64(r.Cycles)))
-		}
-	}
-	fmt.Fprint(out, tbl.String())
-
-	for i, s := range sinks {
-		if err := s.Close(); err != nil {
-			closeSinks()
-			return fmt.Errorf("trace %s: %w", sinkPaths[i], err)
-		}
-		if len(sinks) == 1 {
-			fmt.Fprintf(out, "trace:            %d events -> %s\n", s.Events(), sinkPaths[i])
-		} else {
-			fmt.Fprintf(out, "trace shard %d:    %d events -> %s\n", i, s.Events(), sinkPaths[i])
-		}
-	}
-	if rec != nil {
-		title := fmt.Sprintf("fleet of %d / %s", len(encs), o.scheme)
-		if err := writeMetrics(rec, title, o.metricsOut); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "metrics:          %s\n", o.metricsOut)
-	}
-	return nil
-}
-
-// clusterOpts carries the flag values of a -fleet cluster run.
+// clusterOpts carries the flag values of a multi-enclave (fleet) run.
 type clusterOpts struct {
 	hosts         int
 	placement     fleet.Policy
@@ -566,6 +378,8 @@ type clusterOpts struct {
 	reclaim       bool
 	threshold     float64
 	tracePath     string
+	metricsOut    string
+	serveAddr     string
 	workers       int
 }
 
@@ -575,9 +389,9 @@ type clusterOpts struct {
 // by the selected policy at each arrival barrier, launches past the
 // token bucket's rate shed at the front door. The fleet advances hosts
 // in parallel between barriers with a deterministic merge, so the
-// report is identical at any parallelism. With -trace, each host
-// records its own timeline to <path>.host<N> — the per-host counterpart
-// of the single-engine trace.
+// report is identical at any parallelism. A zero arrival period
+// launches everything at t = 0: with round-robin placement that is
+// static sharding, and on one host it is the shared-EPC co-run.
 func runClusterFleet(names []string, o clusterOpts, out io.Writer) error {
 	arrivals := make([]fleet.Arrival, len(names))
 	for i, name := range names {
@@ -638,8 +452,11 @@ func runSpecFleet(path string, rateScale float64, o clusterOpts, out io.Writer) 
 	return runFleetArrivals(arrivals, o, out)
 }
 
-// runFleetArrivals is the shared cluster tail: place the arrival stream
-// onto o.hosts hosts, run to completion, and print the per-host report.
+// runFleetArrivals is the one multi-enclave tail: place the arrival
+// stream onto o.hosts hosts, run to completion, and print the per-host
+// report. With -trace every host streams its own timeline — the flat
+// path on one host, <path>.host<N> otherwise. -metrics-out and -serve
+// observe a one-host run's engine through the platform hook.
 func runFleetArrivals(arrivals []fleet.Arrival, o clusterOpts, out io.Writer) error {
 	cfg := fleet.Config{
 		Hosts:       o.hosts,
@@ -660,18 +477,48 @@ func runFleetArrivals(arrivals []fleet.Arrival, o clusterOpts, out io.Writer) er
 			s.Close()
 		}
 	}
+	fail := func(err error) error {
+		closeSinks()
+		fleet.CloseArrivals(arrivals)
+		return err
+	}
 	if o.tracePath != "" {
 		for h := 0; h < o.hosts; h++ {
-			path := taggedTracePath(o.tracePath, fmt.Sprintf("host%d", h))
+			path := o.tracePath
+			if o.hosts > 1 {
+				path = taggedTracePath(o.tracePath, fmt.Sprintf("host%d", h))
+			}
 			s, err := obs.NewStreamSinkFile(path)
 			if err != nil {
-				closeSinks()
-				fleet.CloseArrivals(arrivals)
-				return err
+				return fail(err)
 			}
 			sinks = append(sinks, s)
 			sinkPaths = append(sinkPaths, path)
 		}
+	}
+	var rec *obs.Recorder
+	if o.hosts == 1 {
+		// One host: the trace sink, the -metrics-out recorder and the
+		// live ring share the platform hook.
+		var hooks []obs.Hook
+		if len(sinks) == 1 {
+			hooks = append(hooks, sinks[0])
+		}
+		if o.metricsOut != "" {
+			rec = obs.NewRecorder()
+			hooks = append(hooks, rec)
+		}
+		if o.serveAddr != "" {
+			ring := obs.NewRing(0)
+			hooks = append(hooks, ring)
+			stop, err := serveMetrics(o.serveAddr, ring, out)
+			if err != nil {
+				return fail(err)
+			}
+			defer stop()
+		}
+		cfg.Platform.Hook = obs.Tee(hooks...)
+	} else if len(sinks) > 0 {
 		cfg.Platform.HookFactory = func(h int) obs.Hook { return sinks[h] }
 	}
 	res, err := fleet.Run(arrivals, cfg)
@@ -680,6 +527,7 @@ func runFleetArrivals(arrivals []fleet.Arrival, o clusterOpts, out io.Writer) er
 		return err
 	}
 
+	fmt.Fprintf(out, "platform:         EPC %d pages per host, scheme %s%s\n", o.epcPages, o.scheme, quotaTag(o.quota))
 	fmt.Fprint(out, res.String())
 	tbl := &stats.Table{Header: []string{
 		"host", "enclave", "cycles", "accesses", "hits", "faults", "preloads", "resident", "quota",
@@ -704,7 +552,18 @@ func runFleetArrivals(arrivals []fleet.Arrival, o clusterOpts, out io.Writer) er
 			closeSinks()
 			return fmt.Errorf("trace %s: %w", sinkPaths[h], err)
 		}
-		fmt.Fprintf(out, "trace host %d:     %d events -> %s\n", h, s.Events(), sinkPaths[h])
+		if len(sinks) == 1 {
+			fmt.Fprintf(out, "trace:            %d events -> %s\n", s.Events(), sinkPaths[h])
+		} else {
+			fmt.Fprintf(out, "trace host %d:     %d events -> %s\n", h, s.Events(), sinkPaths[h])
+		}
+	}
+	if rec != nil {
+		title := fmt.Sprintf("fleet of %d / %s", len(arrivals), o.scheme)
+		if err := writeMetrics(rec, title, o.metricsOut); err != nil {
+			return err
+		}
+		fmt.Fprintf(out, "metrics:          %s\n", o.metricsOut)
 	}
 	return nil
 }
@@ -718,9 +577,8 @@ func quotaTag(q arbiter.Policy) string {
 	return fmt.Sprintf(", quota %s", q)
 }
 
-// taggedTracePath inserts a per-domain tag before the path's extension:
-// (run.jsonl, host2) -> run.host2.jsonl, (run.jsonl, shard0) ->
-// run.shard0.jsonl.
+// taggedTracePath inserts a per-host tag before the path's extension:
+// (run.jsonl, host2) -> run.host2.jsonl.
 func taggedTracePath(path, tag string) string {
 	if i := strings.LastIndex(path, "."); i > 0 {
 		return fmt.Sprintf("%s.%s%s", path[:i], tag, path[i:])

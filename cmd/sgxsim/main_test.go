@@ -5,6 +5,7 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"regexp"
 	"runtime"
 	"strings"
 	"sync"
@@ -358,9 +359,9 @@ func TestStreamFlagErrors(t *testing.T) {
 }
 
 func TestMultiBenchSharedEPC(t *testing.T) {
-	// The carry-over fix: -stream -bench a,b must run a shared-EPC
-	// co-simulation, and must not change a byte versus the same
-	// multi-enclave run materialized.
+	// -bench a,b is a shared-EPC co-simulation — the one-host fleet with
+	// every launch at t=0 — and -stream must not change a byte versus
+	// the same multi-enclave run materialized.
 	mk := func(extra ...string) string {
 		var buf strings.Builder
 		args := append([]string{"-bench", "lbm,deepsjeng", "-scheme", "dfp-stop"}, extra...)
@@ -370,7 +371,7 @@ func TestMultiBenchSharedEPC(t *testing.T) {
 		return buf.String()
 	}
 	mat, str := mk(), mk("-stream")
-	for _, want := range []string{"lbm", "deepsjeng", "fleet:", "2 enclaves over 1 shard"} {
+	for _, want := range []string{"lbm/0", "deepsjeng/1", "Fleet: 1 hosts", "2 launches"} {
 		if !strings.Contains(mat, want) {
 			t.Errorf("multi-bench output missing %q:\n%s", want, mat)
 		}
@@ -380,35 +381,42 @@ func TestMultiBenchSharedEPC(t *testing.T) {
 	}
 }
 
+// TestFleetShards: -fleet N -arrival-period 0 is static sharding — every
+// launch at t=0, placed round-robin, so enclave i lands on host i mod N.
 func TestFleetShards(t *testing.T) {
 	mk := func() string {
 		var buf strings.Builder
-		args := []string{"-bench", "lbm,mcf,deepsjeng,microbenchmark", "-scheme", "dfp", "-shards", "2"}
+		args := []string{"-bench", "lbm,mcf,deepsjeng,microbenchmark", "-scheme", "dfp",
+			"-fleet", "2", "-arrival-period", "0"}
 		if err := run(args, &buf); err != nil {
 			t.Fatal(err)
 		}
 		return buf.String()
 	}
 	out := mk()
-	for _, want := range []string{"4 enclaves over 2 shard(s)", "lbm", "mcf", "deepsjeng", "microbenchmark"} {
+	for _, want := range []string{"Fleet: 2 hosts", "4 launches (0 shed)"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("fleet output missing %q:\n%s", want, out)
 		}
 	}
-	// Shards simulate on worker goroutines; the merged table must be
+	for i, name := range []string{"lbm/0", "mcf/1", "deepsjeng/2", "microbenchmark/3"} {
+		if !regexp.MustCompile(fmt.Sprintf(`(?m)^%d +%s `, i%2, name)).MatchString(out) {
+			t.Errorf("%s not on host %d:\n%s", name, i%2, out)
+		}
+	}
+	// Hosts simulate on worker goroutines; the merged table must be
 	// deterministic run to run.
 	if again := mk(); again != out {
-		t.Errorf("sharded fleet output is not deterministic:\n--- first\n%s--- second\n%s", out, again)
+		t.Errorf("static fleet output is not deterministic:\n--- first\n%s--- second\n%s", out, again)
 	}
 }
 
 func TestFleetFlagErrors(t *testing.T) {
 	for _, args := range [][]string{
-		{"-bench", "lbm,deepsjeng", "-compare"},                      // compare is single-bench
-		{"-bench", "lbm,deepsjeng", "-shards", "0"},                  // invalid shard count
-		{"-bench", "lbm,mcf", "-shards", "2", "-metrics-out", "x.txt"}, // one-engine report needs one shard
-		{"-bench", "lbm,nope"},                                       // unknown member
-		{"-bench", "lbm,bwaves", "-scheme", "sip"},                   // uninstrumentable member
+		{"-bench", "lbm,deepsjeng", "-compare"},                       // compare is single-bench
+		{"-bench", "lbm,mcf", "-fleet", "2", "-metrics-out", "x.txt"}, // one-host report needs one host
+		{"-bench", "lbm,nope"},                                        // unknown member
+		{"-bench", "lbm,bwaves", "-scheme", "sip"},                    // uninstrumentable member
 	} {
 		var buf strings.Builder
 		if err := run(args, &buf); err == nil {
@@ -417,29 +425,29 @@ func TestFleetFlagErrors(t *testing.T) {
 	}
 }
 
-// TestShardedTrace: -trace at -shards N>1 writes one independently
-// replayable trace per EPC domain, deterministically.
+// TestShardedTrace: -trace on a static N>1-host fleet writes one
+// independently replayable trace per EPC domain, deterministically.
 func TestShardedTrace(t *testing.T) {
 	dir := t.TempDir()
 	tracePath := filepath.Join(dir, "run.jsonl")
 	args := []string{"-bench", "lbm,mcf,deepsjeng,microbenchmark", "-scheme", "dfp-stop",
-		"-shards", "2", "-trace", tracePath}
+		"-fleet", "2", "-arrival-period", "0", "-trace", tracePath}
 	var buf strings.Builder
 	if err := run(args, &buf); err != nil {
 		t.Fatal(err)
 	}
 	var contents []string
 	for s := 0; s < 2; s++ {
-		path := filepath.Join(dir, fmt.Sprintf("run.shard%d.jsonl", s))
+		path := filepath.Join(dir, fmt.Sprintf("run.host%d.jsonl", s))
 		if !strings.Contains(buf.String(), path) {
 			t.Errorf("summary does not mention %s:\n%s", path, buf.String())
 		}
 		events, err := replay.ReadFile(path)
 		if err != nil {
-			t.Fatalf("shard %d trace does not replay: %v", s, err)
+			t.Fatalf("host %d trace does not replay: %v", s, err)
 		}
 		if len(events) == 0 {
-			t.Fatalf("shard %d trace is empty", s)
+			t.Fatalf("host %d trace is empty", s)
 		}
 		raw, err := os.ReadFile(path)
 		if err != nil {
@@ -447,40 +455,43 @@ func TestShardedTrace(t *testing.T) {
 		}
 		contents = append(contents, string(raw))
 	}
-	// Each shard is its own single-goroutine engine, so per-shard traces
+	// Each host is its own single-goroutine engine, so per-host traces
 	// must be byte-identical run to run at any worker count.
 	var again strings.Builder
 	if err := run(args, &again); err != nil {
 		t.Fatal(err)
 	}
 	for s := 0; s < 2; s++ {
-		raw, err := os.ReadFile(filepath.Join(dir, fmt.Sprintf("run.shard%d.jsonl", s)))
+		raw, err := os.ReadFile(filepath.Join(dir, fmt.Sprintf("run.host%d.jsonl", s)))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if string(raw) != contents[s] {
-			t.Errorf("shard %d trace differs between identical runs", s)
+			t.Errorf("host %d trace differs between identical runs", s)
 		}
 	}
 	if _, err := os.Stat(tracePath); !os.IsNotExist(err) {
-		t.Errorf("multi-shard run should not write the untagged path %s", tracePath)
+		t.Errorf("multi-host run should not write the untagged path %s", tracePath)
 	}
 }
 
 func TestFleetTraceSingleShard(t *testing.T) {
-	// A one-shard fleet run records a normal engine timeline.
-	dir := t.TempDir()
-	tracePath := filepath.Join(dir, "fleet.jsonl")
-	var buf strings.Builder
-	args := []string{"-bench", "lbm,deepsjeng", "-scheme", "dfp-stop", "-trace", tracePath}
-	if err := run(args, &buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "trace:") {
-		t.Fatalf("no trace line in:\n%s", buf.String())
-	}
-	if fi, err := os.Stat(tracePath); err != nil || fi.Size() == 0 {
-		t.Fatalf("fleet trace missing or empty: %v", err)
+	// A one-host run — a co-run or -fleet 1 — records a normal engine
+	// timeline at the flat path.
+	for _, extra := range [][]string{nil, {"-fleet", "1"}} {
+		dir := t.TempDir()
+		tracePath := filepath.Join(dir, "fleet.jsonl")
+		var buf strings.Builder
+		args := append([]string{"-bench", "lbm,deepsjeng", "-scheme", "dfp-stop", "-trace", tracePath}, extra...)
+		if err := run(args, &buf); err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(buf.String(), "trace:            ") {
+			t.Fatalf("%v: no trace line in:\n%s", extra, buf.String())
+		}
+		if fi, err := os.Stat(tracePath); err != nil || fi.Size() == 0 {
+			t.Fatalf("%v: fleet trace missing or empty: %v", extra, err)
+		}
 	}
 }
 
@@ -542,9 +553,8 @@ func TestClusterFleetTraces(t *testing.T) {
 func TestClusterFleetErrors(t *testing.T) {
 	for _, args := range [][]string{
 		{"-bench", "leela,nab", "-fleet", "2", "-fleet-policy", "nope"}, // unknown policy
-		{"-bench", "leela,nab", "-fleet", "2", "-compare"},             // compare is single-bench
-		{"-bench", "leela,nab", "-fleet", "2", "-shards", "2"},         // two fleet shapes
-		{"-bench", "leela,nab", "-fleet", "2", "-serve", ":0"},         // serve is single-engine
+		{"-bench", "leela,nab", "-fleet", "2", "-compare"},              // compare is single-bench
+		{"-bench", "leela,nab", "-fleet", "2", "-serve", ":0"},          // serve is one-host
 		{"-bench", "leela,nab", "-fleet", "2", "-arrival-period", "-1"},
 	} {
 		var buf strings.Builder
@@ -686,24 +696,6 @@ func TestSpecFleet(t *testing.T) {
 	}
 }
 
-// TestSpecFleetDeterministicAcrossParallelism: the whole report must be
-// byte-identical whether hosts advance sequentially or 8-way.
-func TestSpecFleetDeterministicAcrossParallelism(t *testing.T) {
-	var outs []string
-	for _, par := range []string{"1", "8"} {
-		var buf strings.Builder
-		err := run([]string{"-spec", fixtureSpec, "-fleet", "3", "-fleet-policy", "least-loaded",
-			"-scheme", "dfp", "-parallel", par}, &buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		outs = append(outs, buf.String())
-	}
-	if outs[0] != outs[1] {
-		t.Errorf("-spec fleet output differs across -parallel:\n%s\nvs\n%s", outs[0], outs[1])
-	}
-}
-
 // TestSpecRateScale: doubling -rate-scale must grow the launch count.
 func TestSpecRateScale(t *testing.T) {
 	count := func(scale string) string {
@@ -726,7 +718,7 @@ func TestSpecRateScale(t *testing.T) {
 
 func TestSpecFlagErrors(t *testing.T) {
 	for _, args := range [][]string{
-		{"-spec", fixtureSpec},                      // no -fleet
+		{"-spec", fixtureSpec}, // no -fleet
 		{"-spec", "no/such/spec.json", "-fleet", "2"},
 		{"-spec", fixtureSpec, "-fleet", "2", "-rate-scale", "-1"},
 	} {
@@ -737,31 +729,10 @@ func TestSpecFlagErrors(t *testing.T) {
 	}
 }
 
-// TestQuotaFlag covers the -quota surface: explicit global is the
-// default byte-for-byte, arbitrated cluster runs fill the quota column,
-// the shared-EPC header tags the policy, and bad names are rejected.
+// TestQuotaFlag covers the -quota surface on a shared-EPC co-run: the
+// header tags the policy, explicit global is the default byte-for-byte,
+// and bad names are rejected. TestDeterminismMatrix covers the cluster.
 func TestQuotaFlag(t *testing.T) {
-	cluster := func(extra ...string) string {
-		var buf strings.Builder
-		args := append([]string{"-bench", "leela,nab,exchange2,leela", "-fleet", "2",
-			"-arrival-period", "500000"}, extra...)
-		if err := run(args, &buf); err != nil {
-			t.Fatal(err)
-		}
-		return buf.String()
-	}
-	base := cluster()
-	if got := cluster("-quota", "global"); got != base {
-		t.Errorf("-quota global changed the cluster report:\n--- default\n%s--- global\n%s", base, got)
-	}
-	if !strings.Contains(base, "quota") || !strings.Contains(base, "resident") {
-		t.Errorf("cluster table missing quota/resident columns:\n%s", base)
-	}
-	adaptive := cluster("-quota", "adaptive")
-	if adaptive == base {
-		t.Error("-quota adaptive left the cluster report unchanged")
-	}
-
 	shared := func(extra ...string) string {
 		var buf strings.Builder
 		args := append([]string{"-bench", "lbm,deepsjeng", "-scheme", "dfp-stop"}, extra...)
@@ -783,8 +754,9 @@ func TestQuotaFlag(t *testing.T) {
 	}
 }
 
-// TestQuotaServeReport: a -serve run under an arbitration policy
-// surfaces the per-enclave quota partition in the /report endpoint.
+// TestQuotaServeReport: -serve and -metrics-out work on one-host runs —
+// a co-run and -fleet 1 — and under an arbitration policy the derived
+// report carries the per-enclave quota partition.
 func TestQuotaServeReport(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -793,9 +765,17 @@ func TestQuotaServeReport(t *testing.T) {
 	addr := ln.Addr().String()
 	ln.Close()
 	var buf strings.Builder
-	if err := run([]string{"-bench", "lbm,deepsjeng", "-scheme", "dfp-stop", "-shards", "1",
+	if err := run([]string{"-bench", "lbm,deepsjeng", "-scheme", "dfp-stop",
 		"-quota", "prop", "-serve", addr}, &buf); err != nil {
 		t.Fatal(err)
+	}
+	buf.Reset()
+	if err := run([]string{"-bench", "leela,nab", "-fleet", "1", "-serve", "127.0.0.1:0"}, &buf); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), "serving metrics:  http://127.0.0.1:") ||
+		!strings.Contains(buf.String(), "Fleet: 1 hosts") {
+		t.Errorf("-fleet 1 -serve run incomplete:\n%s", buf.String())
 	}
 	// The server stops with the run; hit the report via the recorded
 	// metrics path instead: re-run with -metrics-out and check the
@@ -803,7 +783,7 @@ func TestQuotaServeReport(t *testing.T) {
 	dir := t.TempDir()
 	metrics := filepath.Join(dir, "report.txt")
 	buf.Reset()
-	if err := run([]string{"-bench", "lbm,deepsjeng", "-scheme", "dfp-stop", "-shards", "1",
+	if err := run([]string{"-bench", "lbm,deepsjeng", "-scheme", "dfp-stop",
 		"-quota", "prop", "-metrics-out", metrics}, &buf); err != nil {
 		t.Fatal(err)
 	}

@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"errors"
-	"fmt"
 	"runtime"
 	"sync"
 	"testing"
@@ -13,8 +11,9 @@ import (
 	"sgxpreload/internal/workload"
 )
 
-// Scheduler semantics: results land by cell index, errors surface in
-// sequential order, and worker counts are clamped sanely.
+// Sweep's own semantics: results land by cell index and an empty sweep
+// is (nil, nil). Dispatch and error ordering are the pool's, tested in
+// internal/pool.
 
 func TestSweepOrdering(t *testing.T) {
 	for _, workers := range []int{0, 1, 3, 64} {
@@ -34,41 +33,6 @@ func TestSweepEmpty(t *testing.T) {
 	out, err := Sweep(4, 0, func(i int) (int, error) { return 0, nil })
 	if out != nil || err != nil {
 		t.Fatalf("Sweep(_, 0) = (%v, %v), want (nil, nil)", out, err)
-	}
-}
-
-func TestSweepLowestIndexError(t *testing.T) {
-	// Every cell from 5 up fails with an index-tagged error. Dispatch is
-	// contiguous from zero, so regardless of completion order the caller
-	// must see cell 5's error — the one a sequential loop would hit first.
-	for _, workers := range []int{1, 4} {
-		_, err := Sweep(workers, 50, func(i int) (int, error) {
-			if i >= 5 {
-				return 0, fmt.Errorf("cell %d failed", i)
-			}
-			return i, nil
-		})
-		if err == nil || err.Error() != "cell 5 failed" {
-			t.Fatalf("workers=%d: err = %v, want cell 5's error", workers, err)
-		}
-	}
-}
-
-func TestSweepSequentialStopsEarly(t *testing.T) {
-	calls := 0
-	sentinel := errors.New("boom")
-	_, err := Sweep(1, 100, func(i int) (int, error) {
-		calls++
-		if i == 2 {
-			return 0, sentinel
-		}
-		return i, nil
-	})
-	if !errors.Is(err, sentinel) {
-		t.Fatalf("err = %v, want sentinel", err)
-	}
-	if calls != 3 {
-		t.Fatalf("sequential sweep made %d calls after failure at cell 2, want 3", calls)
 	}
 }
 

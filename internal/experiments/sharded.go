@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"sgxpreload/internal/fleet"
 	"sgxpreload/internal/sim"
 	"sgxpreload/internal/stats"
 	"sgxpreload/internal/workload"
@@ -14,9 +15,10 @@ import (
 // physical EPC; at shards == enclaves every enclave runs isolated, the
 // solo reference. The settings in between are what a multi-host
 // deployment looks like, and the sweep quantifies how much of the
-// contention slowdown each added EPC domain buys back. Shards simulate
-// on the runner's worker pool via sim.RunSharded; the table is
-// byte-identical at any parallelism.
+// contention slowdown each added EPC domain buys back. Each setting is
+// a static fleet — fleet.Run with every launch at t = 0 and RoundRobin
+// placement — whose hosts advance on the runner's worker pool; the
+// table is byte-identical at any parallelism.
 
 // shardedFleetBenches is the fleet's composition: two regular, one
 // irregular, one fault-dominated benchmark, replicated twice — eight
@@ -27,8 +29,8 @@ var shardedFleetBenches = []string{
 }
 
 // ShardedFleetResult holds per-enclave cycles at each shard setting,
-// re-ordered back to fleet (placement) order so settings are
-// comparable row by row.
+// re-ordered back to fleet (arrival) order so settings are comparable
+// row by row.
 type ShardedFleetResult struct {
 	Names  []string   // enclave names in fleet order
 	Shards []int      // shard settings swept
@@ -37,43 +39,44 @@ type ShardedFleetResult struct {
 }
 
 // ShardedFleet sweeps the eight-enclave fleet over 1, 2, 4, and 8 EPC
-// domains. Each domain has the runner's EPCPages frames, every enclave
-// runs DFP-stop, and placement is the sharded runner's deterministic
-// round-robin.
+// domains. Each domain has the runner's EPCPages frames and every
+// enclave runs DFP-stop.
 func ShardedFleet(r *Runner) (ShardedFleetResult, error) {
 	out := ShardedFleetResult{Shards: []int{1, 2, 4, 8}}
-	encs := make([]sim.Enclave, len(shardedFleetBenches))
+	arrivals := make([]fleet.Arrival, len(shardedFleetBenches))
 	for i, name := range shardedFleetBenches {
 		w, err := mustWorkload(name)
 		if err != nil {
 			return out, err
 		}
-		encs[i] = sim.Enclave{
+		arrivals[i].Enclave = sim.Enclave{
 			Name:   fmt.Sprintf("%s/%d", name, i/4),
 			Trace:  r.Trace(w, workload.Ref),
 			Pages:  w.ELRangePages(),
 			Scheme: sim.DFPStop,
 		}
-		out.Names = append(out.Names, encs[i].Name)
+		out.Names = append(out.Names, arrivals[i].Enclave.Name)
 	}
 	for _, shards := range out.Shards {
-		groups, err := sim.ShardRoundRobin(encs, shards)
+		res, err := fleet.Run(arrivals, fleet.Config{
+			Hosts:    shards,
+			Policy:   fleet.RoundRobin,
+			Platform: sim.SharedConfig{EPCPages: r.p.EPCPages},
+			Workers:  r.workers,
+		})
 		if err != nil {
-			return out, err
+			return out, fmt.Errorf("fleet-sharded/%d: %w", shards, err)
 		}
-		res, err := sim.RunSharded(groups, sim.SharedConfig{EPCPages: r.p.EPCPages}, r.workers)
-		if err != nil {
-			return out, err
-		}
-		// Round-robin placement put fleet index i into group[i%S][i/S];
-		// invert it so every setting's row is in fleet order.
-		cycles := make([]uint64, len(encs))
+		// Hosts list their enclaves in admission order; walking the
+		// placement maps every result back to its fleet index.
+		cycles := make([]uint64, len(arrivals))
+		admitted := make([]int, shards)
 		var faults uint64
-		for s, shard := range res {
-			for j, sr := range shard {
-				cycles[s+j*shards] = sr.Cycles
-				faults += sr.Kernel.DemandFaults
-			}
+		for i, h := range res.Placement {
+			er := res.Hosts[h].Enclaves[admitted[h]]
+			admitted[h]++
+			cycles[i] = er.Cycles
+			faults += er.Kernel.DemandFaults
 		}
 		out.Cycles = append(out.Cycles, cycles)
 		out.Faults = append(out.Faults, faults)
@@ -101,6 +104,6 @@ func (a ShardedFleetResult) String() string {
 		mean /= float64(len(iso))
 		t.Add(shards, sum, fmt.Sprintf("%.2fx", mean), fmt.Sprintf("%.2fx", worst), a.Faults[si])
 	}
-	return fmt.Sprintf("Fleet: %d enclaves over independent EPC domains (sharded runner)\n", len(a.Names)) +
+	return fmt.Sprintf("Fleet: %d enclaves over independent EPC domains (t=0 round-robin fleet)\n", len(a.Names)) +
 		t.String()
 }

@@ -43,8 +43,8 @@ func TestShardedFleet(t *testing.T) {
 }
 
 // TestShardedFleetDeterministic: the study must render identically at
-// any worker-pool size — the sharded runner's merge is by index, so
-// parallelism never leaks into the table.
+// any worker-pool size — fleet hosts advance in parallel only between
+// arrival barriers, so parallelism never leaks into the table.
 func TestShardedFleetDeterministic(t *testing.T) {
 	render := func(workers int) string {
 		r := NewRunner(Default())

@@ -1,14 +1,16 @@
 // Package fleet simulates a cluster of SGX hosts on one shared virtual
 // clock. The paper's §5.6 scales contention to many enclaves on one
-// EPC; the sharded runner (sim.RunSharded) scales that to many
-// *independent* EPC domains with static placement. This package closes
-// the remaining gap to a deployment: hosts that receive work over time.
-// An open-loop front door admits enclave-launch requests from a
-// deterministic arrival stream, a token-bucket admission controller
-// sheds launches past a configured sustained rate, and a pluggable
-// placement policy assigns each admitted enclave to a host using the
-// hosts' live signals — so placement reacts to the contention the
-// earlier launches created, which static round-robin cannot.
+// EPC; this package scales that to many *independent* EPC domains —
+// hosts that receive work over time. An open-loop front door admits
+// enclave-launch requests from a deterministic arrival stream, a
+// token-bucket admission controller sheds launches past a configured
+// sustained rate, and a pluggable placement policy assigns each
+// admitted enclave to a host using the hosts' live signals — so
+// placement reacts to the contention the earlier launches created.
+// Static sharding is the special case: RoundRobin placement with every
+// arrival at t = 0 partitions the population i mod H before anything
+// runs, and each host then simulates exactly the sim.RunShared domain
+// of its group.
 //
 // Shared clock, deterministic schedule. Every host is its own EPC
 // domain — own epc.EPC, own load-channel group, own dynamic engine
@@ -31,14 +33,12 @@ package fleet
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"sgxpreload/internal/epc/arbiter"
 	"sgxpreload/internal/mem"
 	"sgxpreload/internal/obs"
+	"sgxpreload/internal/pool"
 	"sgxpreload/internal/sim"
 	"sgxpreload/internal/stats"
 )
@@ -224,6 +224,18 @@ func Run(arrivals []Arrival, cfg Config) (Result, error) {
 		}
 	}
 
+	// advance runs step on every host on the worker pool; a failure names
+	// its host, and the lowest-index host's error wins at any worker
+	// count.
+	advance := func(step func(*sim.Engine) error) error {
+		return pool.Run(cfg.Workers, len(hosts), func(h int) error {
+			if err := step(hosts[h]); err != nil {
+				return fmt.Errorf("fleet: host %d: %w", h, err)
+			}
+			return nil
+		})
+	}
+
 	bucket := newTokenBucket(cfg.AdmitPeriod, cfg.AdmitBurst)
 	res := Result{Policy: cfg.Policy, Placement: make([]int, 0, len(arrivals))}
 	pl := &placer{policy: cfg.Policy, affinity: make(map[string]int)}
@@ -233,9 +245,7 @@ func Run(arrivals []Arrival, cfg Config) (Result, error) {
 		t := arrivals[i].At
 		// Barrier: settle every host at t so the batch's placement
 		// decisions read signals no later arrival could change.
-		if err := forEachHost(len(hosts), cfg.Workers, func(h int) error {
-			return hosts[h].RunUntil(t)
-		}); err != nil {
+		if err := advance(func(e *sim.Engine) error { return e.RunUntil(t) }); err != nil {
 			closeHosts()
 			closeArrivalStreams(arrivals[i:])
 			return Result{}, err
@@ -264,18 +274,16 @@ func Run(arrivals []Arrival, cfg Config) (Result, error) {
 		}
 	}
 	// The stream is exhausted; drain every host to completion.
-	if err := forEachHost(len(hosts), cfg.Workers, func(h int) error {
-		return hosts[h].Drain()
-	}); err != nil {
+	if err := advance((*sim.Engine).Drain); err != nil {
 		closeHosts()
 		return Result{}, err
 	}
 
 	// Assemble the reports: per-host and fleet-wide pooled percentiles.
-	var pool []float64
+	pooled := obs.NewFaultLatencySampler()
 	for h, eng := range hosts {
-		samples := samplers[h].Samples()
-		pool = append(pool, samples...)
+		s := samplers[h]
+		pooled.Merge(s)
 		enclaves := eng.Results()
 		resident := make([]int, len(enclaves))
 		for i := range resident {
@@ -293,16 +301,16 @@ func Run(arrivals []Arrival, cfg Config) (Result, error) {
 			EPCResident: eng.EPCResident(),
 			Resident:    resident,
 			Quota:       quota,
-			Faults:      len(samples),
-			FaultP50:    stats.Percentile(samples, 50),
-			FaultP95:    stats.Percentile(samples, 95),
-			FaultP99:    stats.Percentile(samples, 99),
+			Faults:      s.Count(),
+			FaultP50:    s.Percentile(50),
+			FaultP95:    s.Percentile(95),
+			FaultP99:    s.Percentile(99),
 		})
 	}
-	res.Faults = len(pool)
-	res.FaultP50 = stats.Percentile(pool, 50)
-	res.FaultP95 = stats.Percentile(pool, 95)
-	res.FaultP99 = stats.Percentile(pool, 99)
+	res.Faults = pooled.Count()
+	res.FaultP50 = pooled.Percentile(50)
+	res.FaultP95 = pooled.Percentile(95)
+	res.FaultP99 = pooled.Percentile(99)
 	return res, nil
 }
 
@@ -418,57 +426,6 @@ func (b *tokenBucket) take(t uint64) bool {
 	}
 	b.tokens--
 	return true
-}
-
-// forEachHost runs fn(h) for every host on up to workers goroutines.
-// Hosts are dispatched contiguously from zero (the RunSharded idiom),
-// so on failure the lowest-index error — the one a sequential loop
-// would have hit first — is returned.
-func forEachHost(n, workers int, fn func(int) error) error {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers == 1 {
-		for h := 0; h < n; h++ {
-			if err := fn(h); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	errs := make([]error, n)
-	var (
-		next   atomic.Int64
-		failed atomic.Bool
-		wg     sync.WaitGroup
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				h := int(next.Add(1)) - 1
-				if h >= n || failed.Load() {
-					return
-				}
-				if err := fn(h); err != nil {
-					errs[h] = err
-					failed.Store(true)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // CloseArrivals releases the closeable streams of arrivals that will

@@ -339,6 +339,19 @@ func TestFleetHookFactory(t *testing.T) {
 		!strings.Contains(err.Error(), "hook") {
 		t.Errorf("shared hook on 2 hosts: want rejection, got %v", err)
 	}
+	// Both Hook and HookFactory set is ambiguous — rejected.
+	both := Config{Hosts: 1, Platform: sim.SharedConfig{EPCPages: 96, Hook: obs.NewRecorder(),
+		HookFactory: func(int) obs.Hook { return nil }}}
+	if _, err := Run(atTimeZero(enclaves(2)), both); err == nil ||
+		!strings.Contains(err.Error(), "not both") {
+		t.Errorf("Hook+HookFactory: want rejection, got %v", err)
+	}
+	// An unresolved factory must not reach an engine silently.
+	if _, err := sim.RunShared(enclaves(2), sim.SharedConfig{EPCPages: 96,
+		HookFactory: func(int) obs.Hook { return nil }}); err == nil ||
+		!strings.Contains(err.Error(), "HookFactory") {
+		t.Errorf("engine-level HookFactory: want rejection, got %v", err)
+	}
 }
 
 // TestFleetValidation: empty stream, out-of-order arrivals, zero hosts.
@@ -389,6 +402,50 @@ func TestFleetLatencyReport(t *testing.T) {
 	}
 	if s := res.String(); !strings.Contains(s, "fleet-wide fault latency") {
 		t.Errorf("Result.String missing the fleet-wide line:\n%s", s)
+	}
+}
+
+// slowFailStream yields delay in-range accesses, then one access outside
+// the enclave's pages-page range — an enclave that fails only after
+// simulating a while.
+func slowFailStream(delay int, pages uint64) mem.Stream {
+	i := 0
+	return mem.StreamFunc(func() (mem.Access, bool) {
+		i++
+		if i <= delay {
+			return mem.Access{Page: mem.PageID(uint64(i) % pages), Compute: 1000}, true
+		}
+		if i == delay+1 {
+			return mem.Access{Page: mem.PageID(pages) + 1, Compute: 1000}, true
+		}
+		return mem.Access{}, false
+	})
+}
+
+// TestFleetErrorNamesHost: a host's mid-run failure comes back naming
+// the host, and when several hosts fail the lowest-index host's error
+// wins at every worker count — host 0 fails after 50k accesses, host 3
+// on its first, yet the report is always host 0's, the error a
+// sequential drain would have hit first. A late fifth arrival moves the
+// failures from the final drain into an arrival barrier; both paths
+// name the host.
+func TestFleetErrorNamesHost(t *testing.T) {
+	bad := func(delay int) sim.Enclave {
+		return sim.Enclave{Name: fmt.Sprintf("bad-after-%d", delay),
+			Stream: slowFailStream(delay, 8), Pages: 8, Scheme: sim.Baseline}
+	}
+	for _, barrier := range []bool{false, true} {
+		for _, workers := range []int{1, 2, 4, 8, 0} {
+			arr := atTimeZero([]sim.Enclave{bad(50_000), enclaves(1)[0], enclaves(1)[0], bad(0)})
+			if barrier {
+				arr = append(arr, Arrival{At: 1 << 40, Enclave: enclaves(1)[0]})
+			}
+			_, err := Run(arr, Config{Hosts: 4, Policy: RoundRobin,
+				Platform: sim.SharedConfig{EPCPages: 64}, Workers: workers})
+			if err == nil || !strings.Contains(err.Error(), "fleet: host 0:") {
+				t.Errorf("barrier=%v workers=%d: want host 0's error, got %v", barrier, workers, err)
+			}
+		}
 	}
 }
 

@@ -10,7 +10,7 @@ import (
 // is emitted and ships full buffers to a background writer goroutine,
 // so a traced run holds two fixed-size buffers instead of the whole
 // timeline. This is what makes `sgxsim -trace` viable on unbounded
-// streamed runs (`-stream -repeat 0`) and keeps fleet/sharded per-host
+// streamed runs (`-stream -repeat 0`) and keeps per-host fleet
 // tracing from accumulating millions of Events in memory.
 //
 // Concurrency contract: Emit must be called from one goroutine at a

@@ -107,7 +107,7 @@ func NewDynamic(cfg SharedConfig) (*Engine, error) {
 func newEngine(enclaves []Enclave, cfg SharedConfig) (*Engine, error) {
 	if cfg.HookFactory != nil {
 		closeEnclaveStreams(enclaves)
-		return nil, fmt.Errorf("sim: SharedConfig.HookFactory is resolved per domain by RunSharded and the fleet layer; an engine takes a concrete Hook")
+		return nil, fmt.Errorf("sim: SharedConfig.HookFactory is resolved per host by the fleet layer; an engine takes a concrete Hook")
 	}
 	if cfg.Costs == (mem.CostModel{}) {
 		cfg.Costs = mem.DefaultCostModel()

@@ -67,8 +67,8 @@ func benchFleetEngine(b *testing.B, e, epcPages int, quota arbiter.Policy) *Engi
 }
 
 // benchShardedStep runs a fleet of e enclaves split round-robin over
-// the given number of independent EPC domains — the sharded runner's
-// shape. Each parallel worker claims one shard engine and steps it, so
+// the given number of independent EPC domains — the shape of a static
+// (t=0 round-robin) fleet. Each parallel worker claims one shard engine and steps it, so
 // ns/op is the fleet's aggregate per-access cost across however many
 // cores the host gives the benchmark. Shards are sized to keep each
 // domain's scheduler state inside cache: that, not the O(log E) sift,
@@ -116,7 +116,7 @@ func benchQuotaStep(b *testing.B, e int) {
 // BenchmarkStep measures one engine access at fleet population sizes —
 // the scheduler's O(log E) claim made falsifiable. Both sharded
 // populations run 16 and 160 domains of ~62 enclaves each, mirroring how
-// RunSharded actually deploys a fleet this size. The adaptive cells run
+// a static fleet.Run deploys a population this size. The adaptive cells run
 // one oversubscribed EPC domain under quotas, where per-step cost also
 // includes arbitration and owner-scoped scans.
 func BenchmarkStep(b *testing.B) {

@@ -79,13 +79,13 @@ type SharedConfig struct {
 	// enclave's slice of the shared space — so the enclaves remain
 	// distinguishable on one timeline.
 	Hook obs.Hook
-	// HookFactory, when non-nil, supplies one hook per EPC domain:
-	// RunSharded calls it once per shard index and the fleet layer once
-	// per host, so each domain records to its own recorder with no
-	// cross-domain interleaving — the multi-domain recording path the
-	// single Hook field cannot provide. Exactly one of Hook and
-	// HookFactory may be set; the factory must be pure (same shard, same
-	// hook) for runs to stay deterministic at any worker count. Engines
+	// HookFactory, when non-nil, supplies one hook per EPC domain: the
+	// fleet layer calls it once per host index, so each domain records
+	// to its own recorder with no cross-domain interleaving — the
+	// multi-domain recording path the single Hook field cannot provide.
+	// Exactly one of Hook and HookFactory may be set; the factory must be
+	// pure (same host, same hook) for runs to stay deterministic at any
+	// worker count. Engines
 	// themselves reject an unresolved factory: by the time a SharedConfig
 	// reaches New, the domain's hook must be concrete.
 	HookFactory func(shard int) obs.Hook

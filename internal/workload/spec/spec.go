@@ -16,8 +16,8 @@
 // recognizer and its safety valve.
 //
 // Compile turns a Spec into []fleet.Arrival with one pull-based
-// mem.Stream per launch, so the streaming engine, the sharded runner,
-// and the fleet layer consume spec-generated traffic unchanged. The
+// mem.Stream per launch, so the streaming engine and the fleet layer
+// consume spec-generated traffic unchanged. The
 // compilation is seeded and uses no wall clock: the same Spec and
 // Options produce the identical arrival stream — timestamps, workload
 // picks, modifiers, and every access of every stream — on every run and
