@@ -34,6 +34,7 @@ import (
 	"net"
 	"net/http"
 	"os"
+	"path/filepath"
 	"strings"
 
 	"sgxpreload/internal/core"
@@ -239,41 +240,15 @@ func run(args []string, out io.Writer) error {
 		bcfg.Selection = nil
 		configs = append(configs, bcfg)
 	}
-	// The hooks observe only the primary run (a baseline comparison
+	// The observers watch only the primary run (a baseline comparison
 	// run stays unhooked), and each run is single-goroutine, so the
-	// recorded timeline is byte-identical at any -parallel setting. The
-	// trace streams through a StreamSink — encoded and flushed as it is
-	// emitted, so a traced run's memory is independent of trace length
-	// and -trace works on unbounded -stream -repeat 0 runs — while
-	// -metrics-out keeps an in-memory recorder (the derived report needs
-	// the whole timeline). The live-metrics ring rides the same hook
-	// slot via Tee; it locks per event, so HTTP scrapers see consistent
-	// snapshots mid-run.
-	var hooks []obs.Hook
-	var rec *obs.Recorder
-	if *metricsOut != "" {
-		rec = obs.NewRecorder()
-		hooks = append(hooks, rec)
+	// recorded timeline is byte-identical at any -parallel setting.
+	obsv, err := openObservers(*tracePath, *metricsOut, *serveAddr, 1, out)
+	if err != nil {
+		return err
 	}
-	var sink *obs.StreamSink
-	if *tracePath != "" {
-		var err error
-		sink, err = obs.NewStreamSinkFile(*tracePath)
-		if err != nil {
-			return err
-		}
-		hooks = append(hooks, sink)
-	}
-	if *serveAddr != "" {
-		ring := obs.NewRing(0)
-		hooks = append(hooks, ring)
-		stop, err := serveMetrics(*serveAddr, ring, out)
-		if err != nil {
-			return err
-		}
-		defer stop()
-	}
-	configs[0].Hook = obs.Tee(hooks...)
+	defer obsv.close()
+	configs[0].Hook = obsv.hook(0)
 	results, err := experiments.Sweep(*parallel, len(configs), func(i int) (sim.Result, error) {
 		var r sim.Result
 		var err error
@@ -290,9 +265,6 @@ func run(args []string, out io.Writer) error {
 		return r, err
 	})
 	if err != nil {
-		if sink != nil {
-			sink.Close()
-		}
 		return err
 	}
 	res := results[0]
@@ -320,20 +292,7 @@ func run(args []string, out io.Writer) error {
 		fmt.Fprintf(out, "improvement:      %+.2f%%\n", stats.ImprovementPct(res.Cycles, base.Cycles))
 	}
 
-	if sink != nil {
-		if err := sink.Close(); err != nil {
-			return fmt.Errorf("trace %s: %w", *tracePath, err)
-		}
-		fmt.Fprintf(out, "trace:            %d events -> %s\n", sink.Events(), *tracePath)
-	}
-	if rec != nil {
-		title := fmt.Sprintf("%s / %s", w.Name, res.Scheme)
-		if err := writeMetrics(rec, title, *metricsOut); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "metrics:          %s\n", *metricsOut)
-	}
-	return nil
+	return obsv.finish(fmt.Sprintf("%s / %s", w.Name, res.Scheme), out)
 }
 
 // buildSelection profiles the workload's Train input and selects SIP
@@ -456,7 +415,7 @@ func runSpecFleet(path string, rateScale float64, o clusterOpts, out io.Writer) 
 // stream onto o.hosts hosts, run to completion, and print the per-host
 // report. With -trace every host streams its own timeline — the flat
 // path on one host, <path>.host<N> otherwise. -metrics-out and -serve
-// observe a one-host run's engine through the platform hook.
+// observe a one-host run's engine through its host hook.
 func runFleetArrivals(arrivals []fleet.Arrival, o clusterOpts, out io.Writer) error {
 	cfg := fleet.Config{
 		Hosts:       o.hosts,
@@ -466,64 +425,15 @@ func runFleetArrivals(arrivals []fleet.Arrival, o clusterOpts, out io.Writer) er
 		AdmitBurst:  o.admitBurst,
 		Workers:     o.workers,
 	}
-	// Per-host traces stream through one sink per host, so a long fleet
-	// run never holds host timelines in memory. The sinks are opened
-	// up-front (the HookFactory cannot surface file errors) and resolved
-	// by host index.
-	var sinks []*obs.StreamSink
-	var sinkPaths []string
-	closeSinks := func() {
-		for _, s := range sinks {
-			s.Close()
-		}
-	}
-	fail := func(err error) error {
-		closeSinks()
+	obsv, err := openObservers(o.tracePath, o.metricsOut, o.serveAddr, o.hosts, out)
+	if err != nil {
 		fleet.CloseArrivals(arrivals)
 		return err
 	}
-	if o.tracePath != "" {
-		for h := 0; h < o.hosts; h++ {
-			path := o.tracePath
-			if o.hosts > 1 {
-				path = taggedTracePath(o.tracePath, fmt.Sprintf("host%d", h))
-			}
-			s, err := obs.NewStreamSinkFile(path)
-			if err != nil {
-				return fail(err)
-			}
-			sinks = append(sinks, s)
-			sinkPaths = append(sinkPaths, path)
-		}
-	}
-	var rec *obs.Recorder
-	if o.hosts == 1 {
-		// One host: the trace sink, the -metrics-out recorder and the
-		// live ring share the platform hook.
-		var hooks []obs.Hook
-		if len(sinks) == 1 {
-			hooks = append(hooks, sinks[0])
-		}
-		if o.metricsOut != "" {
-			rec = obs.NewRecorder()
-			hooks = append(hooks, rec)
-		}
-		if o.serveAddr != "" {
-			ring := obs.NewRing(0)
-			hooks = append(hooks, ring)
-			stop, err := serveMetrics(o.serveAddr, ring, out)
-			if err != nil {
-				return fail(err)
-			}
-			defer stop()
-		}
-		cfg.Platform.Hook = obs.Tee(hooks...)
-	} else if len(sinks) > 0 {
-		cfg.Platform.HookFactory = func(h int) obs.Hook { return sinks[h] }
-	}
+	defer obsv.close()
+	cfg.Platform.HookFactory = obsv.hook
 	res, err := fleet.Run(arrivals, cfg)
 	if err != nil {
-		closeSinks()
 		return err
 	}
 
@@ -547,25 +457,7 @@ func runFleetArrivals(arrivals []fleet.Arrival, o clusterOpts, out io.Writer) er
 		fmt.Fprintf(out, "shed at the front door: %s\n", strings.Join(res.Shed, ", "))
 	}
 
-	for h, s := range sinks {
-		if err := s.Close(); err != nil {
-			closeSinks()
-			return fmt.Errorf("trace %s: %w", sinkPaths[h], err)
-		}
-		if len(sinks) == 1 {
-			fmt.Fprintf(out, "trace:            %d events -> %s\n", s.Events(), sinkPaths[h])
-		} else {
-			fmt.Fprintf(out, "trace host %d:     %d events -> %s\n", h, s.Events(), sinkPaths[h])
-		}
-	}
-	if rec != nil {
-		title := fmt.Sprintf("fleet of %d / %s", len(arrivals), o.scheme)
-		if err := writeMetrics(rec, title, o.metricsOut); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "metrics:          %s\n", o.metricsOut)
-	}
-	return nil
+	return obsv.finish(fmt.Sprintf("fleet of %d / %s", len(arrivals), o.scheme), out)
 }
 
 // quotaTag renders the quota policy for run headers; empty under the
@@ -577,11 +469,13 @@ func quotaTag(q arbiter.Policy) string {
 	return fmt.Sprintf(", quota %s", q)
 }
 
-// taggedTracePath inserts a per-host tag before the path's extension:
-// (run.jsonl, host2) -> run.host2.jsonl.
+// taggedTracePath inserts a per-host tag before the extension of the
+// path's base name: (run.jsonl, host2) -> run.host2.jsonl, and
+// (out.d/run, host2) -> out.d/run.host2.
 func taggedTracePath(path, tag string) string {
-	if i := strings.LastIndex(path, "."); i > 0 {
-		return fmt.Sprintf("%s.%s%s", path[:i], tag, path[i:])
+	dir, base := filepath.Split(path)
+	if i := strings.LastIndex(base, "."); i > 0 {
+		return fmt.Sprintf("%s%s.%s%s", dir, base[:i], tag, base[i:])
 	}
 	return fmt.Sprintf("%s.%s", path, tag)
 }
@@ -607,27 +501,132 @@ func repeatStream(w *workload.Workload, n int) mem.Stream {
 	})
 }
 
-// writeMetrics exports the derived metrics: a text report, or the
-// timeline chart as SVG when path ends in .svg.
-func writeMetrics(rec *obs.Recorder, title, path string) error {
-	return writeEventMetrics(rec.Events(), title, path)
+// observers is the hook set of one run, shared by the solo path and the
+// fleet tail: a -trace StreamSink per host, the -metrics-out fold and
+// the -serve ring. Traces stream to disk as they are emitted, so a
+// traced run's memory is independent of its length. A text
+// -metrics-out folds the run into a Summary (memory grows with the
+// channel's busy runs and the service thread's scans, not the event
+// count); only the .svg timeline records raw events. The shared
+// observers see one timeline, so callers reject -metrics-out and -serve
+// on multi-host runs.
+type observers struct {
+	sinks      []*obs.StreamSink
+	tracePaths []string
+	// shared holds the -metrics-out fold and the -serve ring.
+	shared     []obs.Hook
+	metricsOut string
+	// render produces the -metrics-out file's contents; nil without one.
+	render    func(title string) string
+	stopServe func()
 }
 
-// writeEventMetrics is writeMetrics over a bare event slice (shared by
-// the live and replay paths, so both produce identical report bytes).
-func writeEventMetrics(events []obs.Event, title, path string) error {
-	if strings.HasSuffix(path, ".svg") {
-		chart := obs.Timeline(title, events, 4000)
-		return os.WriteFile(path, []byte(chart.SVG()), 0o644)
+// openObservers opens a run's observers for the given host count: the
+// trace sinks (the flat path on one host, <path>.host<N> otherwise),
+// the -metrics-out fold and the live-metrics server. On error it closes
+// whatever it had opened.
+func openObservers(tracePath, metricsOut, serveAddr string, hosts int, out io.Writer) (*observers, error) {
+	o := &observers{metricsOut: metricsOut}
+	if tracePath != "" {
+		for h := 0; h < hosts; h++ {
+			path := tracePath
+			if hosts > 1 {
+				path = taggedTracePath(tracePath, fmt.Sprintf("host%d", h))
+			}
+			s, err := obs.NewStreamSinkFile(path)
+			if err != nil {
+				o.close()
+				return nil, err
+			}
+			o.sinks = append(o.sinks, s)
+			o.tracePaths = append(o.tracePaths, path)
+		}
 	}
-	report := obs.BuildReport(events)
-	return os.WriteFile(path, []byte(report.String()), 0o644)
+	switch {
+	case strings.HasSuffix(metricsOut, ".svg"):
+		rec := obs.NewRecorder()
+		o.shared = append(o.shared, rec)
+		o.render = func(title string) string { return timelineSVG(title, rec.Events()) }
+	case metricsOut != "":
+		sum := obs.NewSummary()
+		o.shared = append(o.shared, sum)
+		o.render = func(string) string { return sum.Report().String() }
+	}
+	if serveAddr != "" {
+		// The ring locks per event, so HTTP scrapers see consistent
+		// snapshots mid-run.
+		ring := obs.NewRing(0)
+		o.shared = append(o.shared, ring)
+		stop, err := serveMetrics(serveAddr, ring, out)
+		if err != nil {
+			o.close()
+			return nil, err
+		}
+		o.stopServe = stop
+	}
+	return o, nil
+}
+
+// hook returns host h's hook — its trace sink teed with the shared
+// observers — or nil when nothing observes the run.
+func (o *observers) hook(h int) obs.Hook {
+	hooks := o.shared
+	if h < len(o.sinks) {
+		hooks = append([]obs.Hook{o.sinks[h]}, o.shared...)
+	}
+	return obs.Tee(hooks...)
+}
+
+// finish closes the trace sinks, printing one line per trace, and
+// writes -metrics-out titled title.
+func (o *observers) finish(title string, out io.Writer) error {
+	for h, s := range o.sinks {
+		if err := s.Close(); err != nil {
+			return fmt.Errorf("trace %s: %w", o.tracePaths[h], err)
+		}
+		if len(o.sinks) == 1 {
+			fmt.Fprintf(out, "trace:            %d events -> %s\n", s.Events(), o.tracePaths[h])
+		} else {
+			fmt.Fprintf(out, "trace host %d:     %d events -> %s\n", h, s.Events(), o.tracePaths[h])
+		}
+	}
+	if o.render == nil {
+		return nil
+	}
+	return writeMetrics(o.metricsOut, o.render(title), out)
+}
+
+// close releases everything still open — the trace sinks and the
+// live-metrics server. It is safe after finish and on error paths.
+func (o *observers) close() {
+	for _, s := range o.sinks {
+		s.Close()
+	}
+	if o.stopServe != nil {
+		o.stopServe()
+		o.stopServe = nil
+	}
+}
+
+// timelineSVG renders the events as the page-versus-time chart a .svg
+// -metrics-out holds.
+func timelineSVG(title string, events []obs.Event) string {
+	return obs.Timeline(title, events, 4000).SVG()
+}
+
+// writeMetrics writes a -metrics-out file and reports it.
+func writeMetrics(path, data string, out io.Writer) error {
+	if err := os.WriteFile(path, []byte(data), 0o644); err != nil {
+		return err
+	}
+	fmt.Fprintf(out, "metrics:          %s\n", path)
+	return nil
 }
 
 // runReplay loads a recorded trace and re-derives the run's metrics
 // without simulating. The printed Report is byte-identical to what the
-// live run's -metrics-out wrote, because both are obs.BuildReport over
-// the same event timeline.
+// live run's -metrics-out wrote, because both are the obs.Summary fold
+// over the same event timeline.
 func runReplay(path, metricsOut string, jsonOut bool, out io.Writer) error {
 	events, err := replay.ReadFile(path)
 	if err != nil {
@@ -644,13 +643,14 @@ func runReplay(path, metricsOut string, jsonOut bool, out io.Writer) error {
 		fmt.Fprintf(out, "replayed:            %d events from %s\n", len(events), path)
 		fmt.Fprint(out, report.String())
 	}
-	if metricsOut != "" {
-		if err := writeEventMetrics(events, "replay of "+path, metricsOut); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "metrics:          %s\n", metricsOut)
+	if metricsOut == "" {
+		return nil
 	}
-	return nil
+	data := report.String()
+	if strings.HasSuffix(metricsOut, ".svg") {
+		data = timelineSVG("replay of "+path, events)
+	}
+	return writeMetrics(metricsOut, data, out)
 }
 
 // runDiff loads two recorded traces and reports the first divergent

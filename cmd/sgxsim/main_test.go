@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"sgxpreload/internal/obs"
 	"sgxpreload/internal/replay"
 )
 
@@ -547,6 +548,38 @@ func TestClusterFleetTraces(t *testing.T) {
 		if _, err := os.Stat(p); err != nil {
 			t.Errorf("per-host trace missing: %v", err)
 		}
+	}
+}
+
+func TestTaggedTracePath(t *testing.T) {
+	for _, tc := range []struct{ path, want string }{
+		{"run.jsonl", "run.host1.jsonl"},
+		{"run.csv", "run.host1.csv"},
+		{"run", "run.host1"},
+		{"out.d/run", "out.d/run.host1"},
+		{"../run", "../run.host1"},
+	} {
+		if got := taggedTracePath(tc.path, "host1"); got != tc.want {
+			t.Errorf("taggedTracePath(%q) = %q, want %q", tc.path, got, tc.want)
+		}
+	}
+}
+
+// TestTraceClosedOnServeError: when -serve cannot listen, the trace sink
+// opened before it is still closed, so the file holds its schema header.
+func TestTraceClosedOnServeError(t *testing.T) {
+	tracePath := filepath.Join(t.TempDir(), "p")
+	var buf strings.Builder
+	args := []string{"-bench", "lbm", "-trace", tracePath, "-serve", "127.0.0.1:99999"}
+	if err := run(args, &buf); err == nil {
+		t.Fatal("unusable -serve address accepted")
+	}
+	raw, err := os.ReadFile(tracePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := obs.TraceHeaderJSONL() + "\n"; string(raw) != want {
+		t.Fatalf("trace after the serve error = %q, want the schema header %q", raw, want)
 	}
 }
 

@@ -84,7 +84,7 @@ func EPCPartition(r *Runner) (PartitionResult, error) {
 		out.FaultP99 = append(out.FaultP99, faultP99ByEnclave(rec.Events(), bounds))
 		quotas := make([]int, len(encs))
 		if q != arbiter.Global {
-			for _, s := range obs.QuotaShares(rec.Events()) {
+			for _, s := range obs.BuildReport(rec.Events()).Quota {
 				if int(s.Enclave) < len(quotas) {
 					quotas[s.Enclave] = int(s.Quota)
 				}

@@ -3,12 +3,14 @@ package obs
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 	"strings"
 )
 
-// Derived metrics. Every function here consumes a recorded event slice
-// (in emission order, as a Recorder collects it) and produces a compact,
-// deterministic summary; none of them mutate the input.
+// Derived metrics. A Summary folds the event stream into a Report as it
+// is emitted; BuildReport is the same fold over a recorded slice. Both
+// accept events in emission order (as the engine emits them), which is
+// causal, not timestamp, order.
 
 // Point is one sample of a time series.
 type Point struct {
@@ -16,71 +18,6 @@ type Point struct {
 	T uint64
 	// V is the sample value.
 	V float64
-}
-
-// Span returns the run's observed extent: the largest timestamp or
-// transfer-completion cycle in the stream (0 for an empty stream).
-func Span(events []Event) uint64 {
-	var end uint64
-	for _, e := range events {
-		if e.T > end {
-			end = e.T
-		}
-		if e.Kind == KindLoadStart && e.V1 > end {
-			end = e.V1
-		}
-	}
-	return end
-}
-
-// Utilization buckets the run into n equal windows and returns the
-// fraction of each window the load channel spent busy, computed from
-// KindLoadStart events (each carries its completion cycle in V1).
-// Transfers spanning a bucket boundary contribute to every bucket they
-// overlap. Each returned point's T is its bucket's start cycle.
-func Utilization(events []Event, n int) []Point {
-	span := Span(events)
-	if n <= 0 || span == 0 {
-		return nil
-	}
-	busy := make([]uint64, n)
-	width := (span + uint64(n) - 1) / uint64(n)
-	if width == 0 {
-		width = 1
-	}
-	for _, e := range events {
-		if e.Kind != KindLoadStart || e.V1 <= e.T {
-			continue
-		}
-		for b := e.T / width; b < uint64(n) && b*width < e.V1; b++ {
-			lo, hi := b*width, (b+1)*width
-			if e.T > lo {
-				lo = e.T
-			}
-			if e.V1 < hi {
-				hi = e.V1
-			}
-			if hi > lo {
-				busy[b] += hi - lo
-			}
-		}
-	}
-	out := make([]Point, n)
-	for i := range out {
-		out[i] = Point{T: uint64(i) * width, V: float64(busy[i]) / float64(width)}
-	}
-	return out
-}
-
-// BusyCycles returns the total cycles the channel spent transferring.
-func BusyCycles(events []Event) uint64 {
-	var busy uint64
-	for _, e := range events {
-		if e.Kind == KindLoadStart && e.V1 > e.T {
-			busy += e.V1 - e.T
-		}
-	}
-	return busy
 }
 
 // Histogram is a fixed-bound latency histogram. Counts[i] holds samples
@@ -108,58 +45,6 @@ func DefaultLatencyBounds() []uint64 {
 	return []uint64{25_000, 50_000, 65_000, 80_000, 110_000, 150_000, 250_000, 500_000}
 }
 
-// FaultLatencies builds a histogram of fault latencies (KindFaultEnd's
-// V1) over the given ascending bounds.
-func FaultLatencies(events []Event, bounds []uint64) Histogram {
-	h := Histogram{Bounds: bounds, Counts: make([]uint64, len(bounds)+1)}
-	for _, e := range events {
-		if e.Kind != KindFaultEnd {
-			continue
-		}
-		h.Total++
-		h.Sum += e.V1
-		if e.V1 > h.Max {
-			h.Max = e.V1
-		}
-		slot := len(bounds)
-		for i, b := range bounds {
-			if e.V1 <= b {
-				slot = i
-				break
-			}
-		}
-		h.Counts[slot]++
-	}
-	return h
-}
-
-// AccuracySeries returns DFP preload accuracy over time: at every
-// KindAccuracy event (one per service scan), AccPreloadCounter /
-// PreloadCounter. Scans before the first preload are skipped.
-func AccuracySeries(events []Event) []Point {
-	var out []Point
-	for _, e := range events {
-		if e.Kind != KindAccuracy || e.V1 == 0 {
-			continue
-		}
-		out = append(out, Point{T: e.T, V: float64(e.V2) / float64(e.V1)})
-	}
-	return out
-}
-
-// OccupancySeries returns resident EPC frames over time, sampled at
-// every service-thread scan (KindScan carries the resident count in V2).
-func OccupancySeries(events []Event) []Point {
-	var out []Point
-	for _, e := range events {
-		if e.Kind != KindScan {
-			continue
-		}
-		out = append(out, Point{T: e.T, V: float64(e.V2)})
-	}
-	return out
-}
-
 // StreamStats summarizes predictor stream lifecycles.
 type StreamStats struct {
 	// Started counts streams opened (KindStreamStart).
@@ -181,25 +66,6 @@ func (s StreamStats) MeanHits() float64 {
 	return float64(s.Hits) / float64(s.Started)
 }
 
-// Streams derives StreamStats from the event stream.
-func Streams(events []Event) StreamStats {
-	var s StreamStats
-	for _, e := range events {
-		switch e.Kind {
-		case KindStreamStart:
-			s.Started++
-		case KindStreamHit:
-			s.Hits++
-		case KindStreamEnd:
-			s.Evicted++
-			if e.V1 > s.MaxHits {
-				s.MaxHits = e.V1
-			}
-		}
-	}
-	return s
-}
-
 // QuotaShare is one enclave's slice of an arbitrated EPC partition.
 type QuotaShare struct {
 	// Enclave is the enclave index (KindQuotaRebalance's Batch).
@@ -210,33 +76,133 @@ type QuotaShare struct {
 	Resident uint64
 }
 
-// QuotaShares returns the final quota partition: the last
-// KindQuotaRebalance observation per enclave, in enclave-index order.
-// Nil when no arbitrated quota policy was active (the default), so
-// reports over default traces are unchanged.
-func QuotaShares(events []Event) []QuotaShare {
-	var out []QuotaShare
-	for _, e := range events {
-		if e.Kind != KindQuotaRebalance {
-			continue
-		}
-		for uint64(len(out)) <= e.Batch {
-			out = append(out, QuotaShare{Enclave: uint64(len(out))})
-		}
-		out[e.Batch] = QuotaShare{Enclave: e.Batch, Quota: e.V1, Resident: e.V2}
-	}
-	return out
+// utilizationBuckets is the number of time windows a Report splits the
+// channel's busy time into.
+const utilizationBuckets = 20
+
+// busyRun is one stretch of back-to-back channel transfers, [lo, hi):
+// each transfer in it started exactly when the previous one completed.
+type busyRun struct{ lo, hi uint64 }
+
+// Summary is a Hook that folds every event into the Report state as it
+// is emitted, so a run's report needs no recorded timeline: memory grows
+// with the channel's busy runs and the service thread's scans, not with
+// the event count. The channel-utilization buckets need the run's final
+// span, so the channel's transfers are kept as busy runs and bucketed
+// when Report is called. Like Recorder it rides one single-goroutine run
+// and takes no locks.
+type Summary struct {
+	counts    [kindCount]uint64
+	span      uint64
+	runs      []busyRun
+	latency   *FaultLatencySampler
+	accuracy  []Point
+	occupancy []Point
+	streams   StreamStats
+	quota     []QuotaShare
+	stop      uint64
+	stopped   bool
 }
 
-// DFPStopAt returns the cycle the safety valve tripped, or 0 if it
-// never fired.
-func DFPStopAt(events []Event) uint64 {
-	for _, e := range events {
-		if e.Kind == KindDFPStop {
-			return e.T
+// NewSummary returns an empty Summary.
+func NewSummary() *Summary {
+	return &Summary{latency: NewFaultLatencySampler()}
+}
+
+// Emit implements Hook.
+func (s *Summary) Emit(e Event) {
+	s.counts[e.Kind]++
+	if e.T > s.span {
+		s.span = e.T
+	}
+	switch e.Kind {
+	case KindLoadStart:
+		// V1 is the completion cycle, which can outrun every timestamp.
+		if e.V1 > s.span {
+			s.span = e.V1
+		}
+		if e.V1 <= e.T {
+			break
+		}
+		if n := len(s.runs); n > 0 && s.runs[n-1].hi == e.T {
+			s.runs[n-1].hi = e.V1
+		} else {
+			s.runs = append(s.runs, busyRun{e.T, e.V1})
+		}
+	case KindFaultEnd:
+		s.latency.Emit(e)
+	case KindAccuracy:
+		// Scans before the first preload have no accuracy to report.
+		if e.V1 != 0 {
+			s.accuracy = append(s.accuracy, Point{T: e.T, V: float64(e.V2) / float64(e.V1)})
+		}
+	case KindScan:
+		s.occupancy = append(s.occupancy, Point{T: e.T, V: float64(e.V2)})
+	case KindStreamStart:
+		s.streams.Started++
+	case KindStreamHit:
+		s.streams.Hits++
+	case KindStreamEnd:
+		s.streams.Evicted++
+		s.streams.MaxHits = max(s.streams.MaxHits, e.V1)
+	case KindQuotaRebalance:
+		for uint64(len(s.quota)) <= e.Batch {
+			s.quota = append(s.quota, QuotaShare{Enclave: uint64(len(s.quota))})
+		}
+		s.quota[e.Batch] = QuotaShare{Enclave: e.Batch, Quota: e.V1, Resident: e.V2}
+	case KindDFPStop:
+		if !s.stopped {
+			s.stop, s.stopped = e.T, true
 		}
 	}
-	return 0
+}
+
+// Report derives every metric from the events folded so far. The
+// Summary stays usable: later events extend the next Report, never the
+// one already returned.
+func (s *Summary) Report() Report {
+	r := Report{
+		Counts:    s.counts,
+		Span:      s.span,
+		Latency:   s.latency.histogram(DefaultLatencyBounds()),
+		Accuracy:  slices.Clip(s.accuracy),
+		Occupancy: slices.Clip(s.occupancy),
+		Streams:   s.streams,
+		Quota:     slices.Clone(s.quota),
+		StopCycle: s.stop,
+	}
+	for _, run := range s.runs {
+		r.Busy += run.hi - run.lo
+	}
+	if r.Span > 0 {
+		r.Utilization = float64(r.Busy) / float64(r.Span)
+		r.UtilizationBuckets = s.buckets()
+	}
+	return r
+}
+
+// buckets splits [0, span) into utilizationBuckets equal windows and
+// returns the fraction of each window the channel spent busy; a run
+// spanning a window boundary contributes to every window it overlaps.
+// Each point's T is its window's start cycle.
+func (s *Summary) buckets() []Point {
+	const n = utilizationBuckets
+	busy := make([]uint64, n)
+	width := max((s.span+uint64(n)-1)/uint64(n), 1)
+	for _, run := range s.runs {
+		for b := run.lo / width; b < uint64(n) && b*width < run.hi; b++ {
+			lo := max(b*width, run.lo)
+			hi := min((b+1)*width, run.hi)
+			if hi > lo {
+				busy[b] += hi - lo
+			}
+		}
+	}
+	out := make([]Point, n)
+	for i := range out {
+		out[i] = Point{T: uint64(i) * width, V: float64(busy[i]) / float64(width)}
+	}
+	return out
 }
 
 // Report bundles every derived metric of one run for presentation.
@@ -266,26 +232,14 @@ type Report struct {
 	StopCycle uint64
 }
 
-// BuildReport derives every metric from the recorded timeline.
+// BuildReport derives every metric from a recorded timeline: the
+// Summary fold over the slice.
 func BuildReport(events []Event) Report {
-	r := Report{
-		Span:               Span(events),
-		Busy:               BusyCycles(events),
-		UtilizationBuckets: Utilization(events, 20),
-		Latency:            FaultLatencies(events, DefaultLatencyBounds()),
-		Accuracy:           AccuracySeries(events),
-		Occupancy:          OccupancySeries(events),
-		Streams:            Streams(events),
-		Quota:              QuotaShares(events),
-		StopCycle:          DFPStopAt(events),
-	}
+	s := NewSummary()
 	for _, e := range events {
-		r.Counts[e.Kind]++
+		s.Emit(e)
 	}
-	if r.Span > 0 {
-		r.Utilization = float64(r.Busy) / float64(r.Span)
-	}
-	return r
+	return s.Report()
 }
 
 // MarshalJSON renders the report with per-kind counts keyed by wire name

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -12,65 +13,79 @@ func TestSpanAndBusy(t *testing.T) {
 		{T: 0, Kind: KindLoadStart, Page: 1, V1: 50},
 		{T: 60, Kind: KindScan, V2: 3},
 	}
-	if got := Span(events); got != 60 {
+	if got := BuildReport(events).Span; got != 60 {
 		t.Fatalf("Span = %d, want 60", got)
 	}
 	// A transfer's completion can extend the span past every timestamp.
 	events[0].V1 = 90
-	if got := Span(events); got != 90 {
-		t.Fatalf("Span = %d, want 90 (open transfer)", got)
+	r := BuildReport(events)
+	if r.Span != 90 {
+		t.Fatalf("Span = %d, want 90 (open transfer)", r.Span)
 	}
-	if got := BusyCycles(events); got != 90 {
-		t.Fatalf("BusyCycles = %d, want 90", got)
+	if r.Busy != 90 {
+		t.Fatalf("Busy = %d, want 90", r.Busy)
 	}
-	if Span(nil) != 0 || BusyCycles(nil) != 0 {
+	// Back-to-back transfers fold into one busy run; a zero-length one
+	// adds nothing.
+	events = append(events,
+		Event{T: 90, Kind: KindLoadStart, Page: 2, V1: 100},
+		Event{T: 100, Kind: KindLoadStart, Page: 3, V1: 100})
+	if r := BuildReport(events); r.Busy != 100 || r.Span != 100 {
+		t.Fatalf("busy %d span %d, want 100/100", r.Busy, r.Span)
+	}
+	if r := BuildReport(nil); r.Span != 0 || r.Busy != 0 {
 		t.Fatal("empty stream not zero")
 	}
 }
 
 func TestUtilization(t *testing.T) {
+	// Span 200 over 20 buckets: each bucket is 10 cycles wide.
 	events := []Event{
-		{T: 0, Kind: KindLoadStart, Page: 1, V1: 50},
-		{T: 100, Kind: KindScan}, // fixes the span at 100
+		{T: 0, Kind: KindLoadStart, Page: 1, V1: 100},
+		{T: 200, Kind: KindScan}, // fixes the span at 200
 	}
-	u := Utilization(events, 2)
-	if len(u) != 2 {
-		t.Fatalf("got %d buckets, want 2", len(u))
+	u := BuildReport(events).UtilizationBuckets
+	if len(u) != 20 {
+		t.Fatalf("got %d buckets, want 20", len(u))
 	}
-	if u[0].V != 1.0 || u[1].V != 0.0 {
-		t.Fatalf("utilization = %.2f, %.2f; want 1.00, 0.00", u[0].V, u[1].V)
+	if u[9].V != 1.0 || u[10].V != 0.0 {
+		t.Fatalf("utilization = %.2f, %.2f; want 1.00, 0.00", u[9].V, u[10].V)
 	}
-	if u[0].T != 0 || u[1].T != 50 {
-		t.Fatalf("bucket starts = %d, %d; want 0, 50", u[0].T, u[1].T)
+	if u[0].T != 0 || u[10].T != 100 {
+		t.Fatalf("bucket starts = %d, %d; want 0, 100", u[0].T, u[10].T)
 	}
-	// A transfer spanning the boundary contributes to both buckets.
-	events[0] = Event{T: 25, Kind: KindLoadStart, Page: 1, V1: 75}
-	u = Utilization(events, 2)
-	if u[0].V != 0.5 || u[1].V != 0.5 {
-		t.Fatalf("boundary transfer: %.2f, %.2f; want 0.50, 0.50", u[0].V, u[1].V)
+	// A transfer spanning boundaries contributes to every bucket it
+	// overlaps.
+	events[0] = Event{T: 25, Kind: KindLoadStart, Page: 1, V1: 175}
+	u = BuildReport(events).UtilizationBuckets
+	if u[1].V != 0 || u[2].V != 0.5 || u[10].V != 1 || u[17].V != 0.5 || u[18].V != 0 {
+		t.Fatalf("boundary transfer: %.2f %.2f %.2f %.2f %.2f; want 0, 0.5, 1, 0.5, 0",
+			u[1].V, u[2].V, u[10].V, u[17].V, u[18].V)
 	}
-	if Utilization(nil, 4) != nil || Utilization(events, 0) != nil {
-		t.Fatal("degenerate utilization not nil")
+	if BuildReport(nil).UtilizationBuckets != nil {
+		t.Fatal("empty stream has utilization buckets")
 	}
 }
 
 func TestFaultLatencies(t *testing.T) {
-	bounds := []uint64{10, 20}
 	events := []Event{
 		{Kind: KindFaultEnd, V1: 5},
-		{Kind: KindFaultEnd, V1: 15},
-		{Kind: KindFaultEnd, V1: 100},
+		{Kind: KindFaultEnd, V1: 25_000}, // on a bound: counts at or below it
+		{Kind: KindFaultEnd, V1: 30_000},
+		{Kind: KindFaultEnd, V1: 5},
+		{Kind: KindFaultEnd, V1: 600_000},
 		{Kind: KindScan}, // ignored
 	}
-	h := FaultLatencies(events, bounds)
-	if h.Total != 3 || h.Sum != 120 || h.Max != 100 {
+	h := BuildReport(events).Latency
+	if h.Total != 5 || h.Sum != 655_010 || h.Max != 600_000 {
 		t.Fatalf("total %d sum %d max %d", h.Total, h.Sum, h.Max)
 	}
-	if h.Counts[0] != 1 || h.Counts[1] != 1 || h.Counts[2] != 1 {
-		t.Fatalf("counts = %v", h.Counts)
+	want := []uint64{3, 1, 0, 0, 0, 0, 0, 0, 1}
+	if !slices.Equal(h.Counts, want) {
+		t.Fatalf("counts = %v, want %v", h.Counts, want)
 	}
-	if h.Mean() != 40 {
-		t.Fatalf("mean = %v, want 40", h.Mean())
+	if h.Mean() != 131_002 {
+		t.Fatalf("mean = %v, want 131002", h.Mean())
 	}
 	if (Histogram{}).Mean() != 0 {
 		t.Fatal("empty histogram mean not 0")
@@ -85,12 +100,11 @@ func TestAccuracyAndOccupancySeries(t *testing.T) {
 		{T: 20, Kind: KindScan, V1: 1, V2: 7},
 		{T: 30, Kind: KindScan, V1: 0, V2: 9},
 	}
-	acc := AccuracySeries(events)
-	if len(acc) != 2 || acc[0].V != 0.4 || acc[1].V != 0.75 {
+	r := BuildReport(events)
+	if acc := r.Accuracy; len(acc) != 2 || acc[0].V != 0.4 || acc[1].V != 0.75 {
 		t.Fatalf("accuracy = %+v", acc)
 	}
-	occ := OccupancySeries(events)
-	if len(occ) != 2 || occ[0].V != 7 || occ[1].V != 9 {
+	if occ := r.Occupancy; len(occ) != 2 || occ[0].V != 7 || occ[1].V != 9 {
 		t.Fatalf("occupancy = %+v", occ)
 	}
 }
@@ -104,19 +118,39 @@ func TestStreamsAndStop(t *testing.T) {
 		{Kind: KindStreamHit, Batch: 2, V1: 4},
 		{Kind: KindStreamEnd, Batch: 1, V1: 2},
 		{T: 500, Kind: KindDFPStop},
+		{T: 900, Kind: KindDFPStop}, // only the first trip counts
 	}
-	s := Streams(events)
+	r := BuildReport(events)
+	s := r.Streams
 	if s.Started != 2 || s.Hits != 3 || s.Evicted != 1 || s.MaxHits != 2 {
 		t.Fatalf("streams = %+v", s)
 	}
 	if s.MeanHits() != 1.5 {
 		t.Fatalf("mean hits = %v, want 1.5", s.MeanHits())
 	}
-	if got := DFPStopAt(events); got != 500 {
-		t.Fatalf("DFPStopAt = %d, want 500", got)
+	if r.StopCycle != 500 {
+		t.Fatalf("StopCycle = %d, want 500", r.StopCycle)
 	}
-	if DFPStopAt(nil) != 0 {
-		t.Fatal("DFPStopAt of empty stream not 0")
+	if BuildReport(nil).StopCycle != 0 {
+		t.Fatal("StopCycle of empty stream not 0")
+	}
+}
+
+// TestSummaryReportIsSnapshot checks a returned Report does not change
+// when the Summary keeps folding.
+func TestSummaryReportIsSnapshot(t *testing.T) {
+	s := NewSummary()
+	s.Emit(Event{T: 1, Kind: KindQuotaRebalance, Batch: 0, V1: 10})
+	s.Emit(Event{T: 2, Kind: KindScan, V2: 5})
+	r := s.Report()
+	before := r.String()
+	s.Emit(Event{T: 3, Kind: KindQuotaRebalance, Batch: 0, V1: 20})
+	s.Emit(Event{T: 4, Kind: KindScan, V2: 6})
+	if r.String() != before {
+		t.Fatalf("earlier report changed:\n%s\nwant:\n%s", r.String(), before)
+	}
+	if got := s.Report().Quota[0].Quota; got != 20 {
+		t.Fatalf("later report quota = %d, want 20", got)
 	}
 }
 
@@ -208,8 +242,8 @@ func TestDownsampleKeepsEnds(t *testing.T) {
 }
 
 func TestQuotaShares(t *testing.T) {
-	if got := QuotaShares(nil); got != nil {
-		t.Fatalf("QuotaShares(nil) = %v, want nil", got)
+	if got := BuildReport(nil).Quota; got != nil {
+		t.Fatalf("Quota of empty stream = %v, want nil", got)
 	}
 	events := []Event{
 		// Admission-time vector for two enclaves, then a rebalance that
@@ -220,7 +254,8 @@ func TestQuotaShares(t *testing.T) {
 		{T: 1000, Kind: KindQuotaRebalance, Page: mem.NoPage, Batch: 0, V1: 700, V2: 640},
 		{T: 1000, Kind: KindQuotaRebalance, Page: mem.NoPage, Batch: 1, V1: 324, V2: 360},
 	}
-	got := QuotaShares(events)
+	r := BuildReport(events)
+	got := r.Quota
 	want := []QuotaShare{
 		{Enclave: 0, Quota: 700, Resident: 640},
 		{Enclave: 1, Quota: 324, Resident: 360},
@@ -233,7 +268,6 @@ func TestQuotaShares(t *testing.T) {
 			t.Fatalf("share %d = %+v, want %+v", i, got[i], want[i])
 		}
 	}
-	r := BuildReport(events)
 	s := r.String()
 	if !strings.Contains(s, "EPC quota partition: 2 enclaves, 4 rebalance events") ||
 		!strings.Contains(s, "enclave 0    quota 700    resident 640") {

@@ -7,10 +7,11 @@
 // faults stalled behind the channel, or how contended the channel was
 // over the run. This package defines the typed event stream the engine
 // emits (package channel, kernel, dfp, and sim are all instrumented),
-// a Recorder that collects it, deterministic JSONL/CSV exports, and the
-// derived metrics — channel utilization, fault-latency histogram,
-// preload-accuracy series, EPC occupancy, per-stream lifecycles — that
-// make paging-policy behavior debuggable.
+// a Recorder that collects it, deterministic JSONL/CSV exports, and a
+// Summary that folds it, as it is emitted, into the derived metrics —
+// channel utilization, fault-latency histogram, preload-accuracy series,
+// EPC occupancy, per-stream lifecycles — that make paging-policy
+// behavior debuggable.
 //
 // Observability is strictly opt-in: every emission site in the engine is
 // guarded by a nil check on the installed Hook, so a run with no hook

@@ -36,9 +36,11 @@ func TraceHeaderCSV() string {
 // newline) that follows the schema comment.
 const TraceColumnsCSV = "t,kind,page,batch,v1,v2"
 
-// Recorder is the standard Hook: it appends every event to an in-memory
-// timeline in emission order. The engine is single-goroutine per run, so
-// the Recorder needs no locking; one Recorder must observe one run.
+// Recorder is the Hook that keeps raw events: it appends every event to
+// an in-memory timeline in emission order, for exports and charts that
+// need each event (a report alone needs only a Summary). The engine is
+// single-goroutine per run, so the Recorder needs no locking; one
+// Recorder must observe one run.
 //
 // Emission order is causal order, not timestamp order: a completion the
 // kernel retires lazily carries the (earlier) cycle it finished at. The

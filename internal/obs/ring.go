@@ -57,43 +57,6 @@ func (r *Ring) Emit(e Event) {
 	r.start = (r.start + 1) % len(r.buf)
 }
 
-// Total returns the number of events ever emitted (the newest event's
-// sequence number).
-func (r *Ring) Total() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.total
-}
-
-// Dropped returns how many events have slid out of the retained window.
-func (r *Ring) Dropped() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.total - uint64(r.n)
-}
-
-// LastT returns the largest virtual-cycle timestamp (or transfer
-// completion) observed so far — the run's progress gauge.
-func (r *Ring) LastT() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.lastT
-}
-
-// KindCounts returns the per-kind totals over the whole run (not just the
-// retained window), keyed by wire name; zero kinds are omitted.
-func (r *Ring) KindCounts() map[string]uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make(map[string]uint64)
-	for _, k := range Kinds() {
-		if r.counts[k] > 0 {
-			out[k.String()] = r.counts[k]
-		}
-	}
-	return out
-}
-
 // RingStats is a consistent point-in-time view of a Ring's gauges,
 // taken under one lock acquisition.
 type RingStats struct {

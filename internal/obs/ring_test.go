@@ -12,8 +12,8 @@ func TestRingRetainsNewest(t *testing.T) {
 	for i := 1; i <= 10; i++ {
 		r.Emit(Event{T: uint64(i), Kind: KindScan})
 	}
-	if r.Total() != 10 || r.Dropped() != 6 {
-		t.Fatalf("total %d dropped %d, want 10/6", r.Total(), r.Dropped())
+	if s := r.Stats(); s.Total != 10 || s.Retained != 4 || s.Dropped != 6 || s.LastT != 10 {
+		t.Fatalf("stats = %+v, want total 10, retained 4, dropped 6, last 10", s)
 	}
 	window, first := r.Snapshot()
 	if len(window) != 4 || first != 7 {
@@ -120,7 +120,7 @@ func TestRingConcurrentEmitAndRead(t *testing.T) {
 	emitters.Wait()
 	close(stop)
 	readers.Wait()
-	if r.Total() != 10000 {
-		t.Fatalf("total %d, want 10000", r.Total())
+	if s := r.Stats(); s.Total != 10000 || s.Counts["scan"] != 10000 {
+		t.Fatalf("stats = total %d, %d scans; want 10000 of each", s.Total, s.Counts["scan"])
 	}
 }

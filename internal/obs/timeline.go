@@ -14,7 +14,8 @@ import (
 func Timeline(title string, events []Event, maxPoints int) plot.Chart {
 	var faultX, faultY, preX, preY, evX, evY []float64
 	var ymin, ymax float64
-	first := true
+	var stop uint64
+	first, stopped := true, false
 	note := func(p mem.PageID) {
 		y := float64(p)
 		if first {
@@ -29,6 +30,9 @@ func Timeline(title string, events []Event, maxPoints int) plot.Chart {
 		}
 	}
 	for _, e := range events {
+		if e.Kind == KindDFPStop && !stopped {
+			stop, stopped = e.T, true
+		}
 		if e.Page == mem.NoPage {
 			continue
 		}
@@ -66,7 +70,7 @@ func Timeline(title string, events []Event, maxPoints int) plot.Chart {
 	add("fault", faultX, faultY)
 	add("preload", preX, preY)
 	add("evict", evX, evY)
-	if stop := DFPStopAt(events); stop > 0 && !first {
+	if stop > 0 && !first {
 		c.Series = append(c.Series, plot.Series{
 			Name: "DFP-stop",
 			Kind: "line",

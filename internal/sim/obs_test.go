@@ -89,13 +89,11 @@ func TestEventsMatchResultCounters(t *testing.T) {
 	if !res.Kernel.DFPStopped {
 		t.Fatal("deepsjeng under DFP-stop did not trip the safety valve")
 	}
-	if got := obs.DFPStopAt(rec.Events()); got != res.Kernel.DFPStopCycle {
+	report := obs.BuildReport(rec.Events())
+	if got := report.StopCycle; got != res.Kernel.DFPStopCycle {
 		t.Errorf("DFP-stop event at cycle %d, Result says %d", got, res.Kernel.DFPStopCycle)
 	}
-	counts := map[obs.Kind]uint64{}
-	for _, e := range rec.Events() {
-		counts[e.Kind]++
-	}
+	counts := report.Counts
 	faults := res.Kernel.DemandFaults + res.Kernel.PresentOnArrival +
 		res.Kernel.InflightHits + res.Kernel.InWindowAborts
 	if counts[obs.KindFaultBegin] != faults || counts[obs.KindFaultEnd] != faults {
@@ -117,7 +115,7 @@ func TestEventsMatchResultCounters(t *testing.T) {
 	// Fault-end events carry the protocol latency; their sum is bounded
 	// by the run's fault-path time (demand faults pay AEX + wait +
 	// ERESUME, the classes that skip parts of it pay less).
-	h := obs.FaultLatencies(rec.Events(), obs.DefaultLatencyBounds())
+	h := report.Latency
 	if h.Total != faults {
 		t.Errorf("histogram over %d faults, want %d", h.Total, faults)
 	}

@@ -130,9 +130,9 @@ func TestQuotaRebalanceEvents(t *testing.T) {
 				}
 				want = e.Batch + 1
 			}
-			shares := obs.QuotaShares(rec.Events())
+			shares := obs.BuildReport(rec.Events()).Quota
 			if len(shares) != 3 {
-				t.Fatalf("QuotaShares found %d enclaves, want 3", len(shares))
+				t.Fatalf("report found %d enclaves, want 3", len(shares))
 			}
 			sum := 0
 			for _, s := range shares {
