@@ -95,8 +95,10 @@ check-docs:
 
 # The full pre-merge gate. The fleet, spec, quota and replay determinism
 # checks run in plain `go test` (TestDeterminismMatrix in cmd/sgxsim);
-# the two smokes here are the env-gated heap-ceiling runs.
+# the two smokes here are the env-gated heap-ceiling runs. Every Go file,
+# bench/ included, must be gofmt-clean.
 verify: verify-obs stream-smoke trace-smoke check-docs
+	@unformatted=$$(gofmt -l .); [ -z "$$unformatted" ] || { echo "gofmt needed:"; echo "$$unformatted"; exit 1; }
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) test -race ./...

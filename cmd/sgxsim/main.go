@@ -205,14 +205,12 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 
-	cfg := sim.Config{
+	enc := sim.Enclave{
+		Name:              w.Name,
+		Pages:             w.ELRangePages(),
 		Scheme:            sch,
-		EPCPages:          *epcPages,
-		ELRangePages:      w.ELRangePages(),
 		DFP:               d,
 		Predictor:         core.Kind(strings.ToLower(*predictor)),
-		EvictPolicy:       pol,
-		Quota:             quota,
 		BackgroundReclaim: *reclaim,
 	}
 	if sch.UsesSIP() {
@@ -220,7 +218,7 @@ func run(args []string, out io.Writer) error {
 		if err != nil {
 			return err
 		}
-		cfg.Selection = sel
+		enc.Selection = sel
 		fmt.Fprintf(out, "SIP profile: %d instrumentation points at threshold %.0f%%\n",
 			sel.Points(), *threshold*100)
 	}
@@ -233,12 +231,12 @@ func run(args []string, out io.Writer) error {
 	// With -compare, the scheme run and the baseline run are independent
 	// cells; fan them out on the sweep scheduler. Results land by index,
 	// so the report below is identical at any -parallel setting.
-	configs := []sim.Config{cfg}
+	encs := []sim.Enclave{enc}
 	if *compare && sch != sim.Baseline {
-		bcfg := cfg
-		bcfg.Scheme = sim.Baseline
-		bcfg.Selection = nil
-		configs = append(configs, bcfg)
+		base := enc
+		base.Scheme = sim.Baseline
+		base.Selection = nil
+		encs = append(encs, base)
 	}
 	// The observers watch only the primary run (a baseline comparison
 	// run stays unhooked), and each run is single-goroutine, so the
@@ -248,21 +246,27 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 	defer obsv.close()
-	configs[0].Hook = obsv.hook(0)
-	results, err := experiments.Sweep(*parallel, len(configs), func(i int) (sim.Result, error) {
-		var r sim.Result
-		var err error
+	results, err := experiments.Sweep(*parallel, len(encs), func(i int) (sim.Result, error) {
+		enc := encs[i]
+		platform := sim.SharedConfig{EPCPages: *epcPages, EvictPolicy: pol, Quota: quota}
+		if i == 0 {
+			platform.Hook = obsv.hook(0)
+		}
 		if *streamMode {
 			// Each cell pulls its own fresh stream, so -compare cells stay
 			// independent under any -parallel setting.
-			r, err = sim.RunStream(repeatStream(w, *repeat), configs[i])
+			enc.Stream = repeatStream(w, *repeat)
 		} else {
-			r, err = sim.Run(trace, configs[i])
+			enc.Trace = trace
 		}
-		if *progress && err == nil {
-			fmt.Fprintf(os.Stderr, "  %s run done\n", configs[i].Scheme)
+		res, err := sim.RunShared([]sim.Enclave{enc}, platform)
+		if err != nil {
+			return sim.Result{}, err
 		}
-		return r, err
+		if *progress {
+			fmt.Fprintf(os.Stderr, "  %s run done\n", enc.Scheme)
+		}
+		return res[0].Result, nil
 	})
 	if err != nil {
 		return err
@@ -482,23 +486,38 @@ func taggedTracePath(path, tag string) string {
 
 // repeatStream replays the workload's Ref trace n times back-to-back,
 // regenerating the coroutine stream at each cycle boundary (n == 0
-// repeats forever). Memory stays O(1) at any n.
+// repeats forever). Memory stays O(1) at any n, and Close releases the
+// current cycle's coroutine.
 func repeatStream(w *workload.Workload, n int) mem.Stream {
-	cur := w.Stream(workload.Ref)
-	cycle := 1
-	return mem.StreamFunc(func() (mem.Access, bool) {
-		for {
-			a, ok := cur.Next()
-			if ok {
-				return a, true
-			}
-			if n > 0 && cycle >= n {
-				return mem.Access{}, false
-			}
-			cycle++
-			cur = w.Stream(workload.Ref)
+	return &repeated{w: w, n: n, cycle: 1, cur: w.Stream(workload.Ref)}
+}
+
+type repeated struct {
+	w        *workload.Workload
+	n, cycle int
+	cur      mem.Stream // nil once exhausted or closed
+}
+
+func (r *repeated) Next() (mem.Access, bool) {
+	for r.cur != nil {
+		if a, ok := r.cur.Next(); ok {
+			return a, true
 		}
-	})
+		if r.n > 0 && r.cycle >= r.n {
+			r.cur = nil
+			break
+		}
+		r.cycle++
+		r.cur = r.w.Stream(workload.Ref)
+	}
+	return mem.Access{}, false
+}
+
+func (r *repeated) Close() {
+	if c, ok := r.cur.(mem.Closer); ok {
+		c.Close()
+	}
+	r.cur = nil
 }
 
 // observers is the hook set of one run, shared by the solo path and the

@@ -51,11 +51,6 @@ type Predictor interface {
 // The paper's predictor satisfies the contract.
 var _ Predictor = (*dfp.Predictor)(nil)
 
-// Factory constructs a fresh Predictor for one run. Runs must not share
-// predictor state (the experiments re-run traces under many
-// configurations).
-type Factory func() (Predictor, error)
-
 // Kind names a registered predictor strategy.
 type Kind string
 
@@ -98,9 +93,4 @@ func NewPredictor(kind Kind, cfg dfp.Config) (Predictor, error) {
 	default:
 		return nil, fmt.Errorf("core: unknown predictor kind %q (have %v)", kind, Kinds())
 	}
-}
-
-// FactoryFor returns a Factory producing fresh predictors of the kind.
-func FactoryFor(kind Kind, cfg dfp.Config) Factory {
-	return func() (Predictor, error) { return NewPredictor(kind, cfg) }
 }

@@ -49,19 +49,18 @@ func TestNewPredictorInvalidConfig(t *testing.T) {
 	}
 }
 
-func TestFactoryProducesFreshState(t *testing.T) {
-	f := FactoryFor(KindMultiStream, dfp.DefaultConfig())
-	a, err := f()
+func TestNewPredictorFreshState(t *testing.T) {
+	a, err := NewPredictor(KindMultiStream, dfp.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := f()
+	b, err := NewPredictor(KindMultiStream, dfp.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	a.NotePreloaded(100)
 	if b.PreloadCounter() != 0 {
-		t.Fatal("factory shared state between predictors")
+		t.Fatal("NewPredictor shared state between predictors")
 	}
 }
 

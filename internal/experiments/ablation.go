@@ -47,21 +47,21 @@ func EPCSweep(r *Runner) (EPCSweepResult, error) {
 			return fmt.Sprintf("%s epc=%d", out.Benchmarks[i/nP], out.EPCPages[i%nP])
 		},
 		func(i int) (cell, error) {
-			w, err := mustWorkload(out.Benchmarks[i/nP])
+			w, err := workload.ByName(out.Benchmarks[i/nP])
 			if err != nil {
 				return cell{}, err
 			}
-			pages := out.EPCPages[i%nP]
-			base, err := sim.Run(r.Trace(w, workload.Ref), sim.Config{
-				Scheme: sim.Baseline, EPCPages: pages, ELRangePages: w.ELRangePages(),
-			})
+			platform := sim.SharedConfig{EPCPages: out.EPCPages[i%nP]}
+			enc, err := r.enclave(w, sim.Baseline)
 			if err != nil {
 				return cell{}, err
 			}
-			d, err := sim.Run(r.Trace(w, workload.Ref), sim.Config{
-				Scheme: sim.DFPStop, EPCPages: pages, ELRangePages: w.ELRangePages(),
-				DFP: r.p.DFP,
-			})
+			base, err := r.run(enc, platform)
+			if err != nil {
+				return cell{}, err
+			}
+			enc.Scheme = sim.DFPStop
+			d, err := r.run(enc, platform)
 			if err != nil {
 				return cell{}, err
 			}
@@ -130,17 +130,16 @@ func PredictorAblation(r *Runner) (PredictorAblationResult, error) {
 			return out.Benchmarks[i/nK] + "/" + string(out.Kinds[i%nK])
 		},
 		func(i int) (float64, error) {
-			w, err := mustWorkload(out.Benchmarks[i/nK])
+			w, err := workload.ByName(out.Benchmarks[i/nK])
 			if err != nil {
 				return 0, err
 			}
-			res, err := sim.Run(r.Trace(w, workload.Ref), sim.Config{
-				Scheme:       sim.DFP,
-				EPCPages:     r.p.EPCPages,
-				ELRangePages: w.ELRangePages(),
-				DFP:          r.p.DFP,
-				Predictor:    out.Kinds[i%nK],
-			})
+			enc, err := r.enclave(w, sim.DFP)
+			if err != nil {
+				return 0, err
+			}
+			enc.Predictor = out.Kinds[i%nK]
+			res, err := r.run(enc, sim.SharedConfig{})
 			if err != nil {
 				return 0, err
 			}
@@ -195,16 +194,15 @@ func EvictionAblation(r *Runner) (EvictionAblationResult, error) {
 			return out.Benchmarks[i/nPol] + "/" + out.Policies[i%nPol].String()
 		},
 		func(i int) (uint64, error) {
-			w, err := mustWorkload(out.Benchmarks[i/nPol])
+			w, err := workload.ByName(out.Benchmarks[i/nPol])
 			if err != nil {
 				return 0, err
 			}
-			res, err := sim.Run(r.Trace(w, workload.Ref), sim.Config{
-				Scheme:       sim.Baseline,
-				EPCPages:     r.p.EPCPages,
-				ELRangePages: w.ELRangePages(),
-				EvictPolicy:  out.Policies[i%nPol],
-			})
+			enc, err := r.enclave(w, sim.Baseline)
+			if err != nil {
+				return 0, err
+			}
+			res, err := r.run(enc, sim.SharedConfig{EvictPolicy: out.Policies[i%nPol]})
 			if err != nil {
 				return 0, err
 			}
@@ -260,7 +258,7 @@ type CostSensitivityResult struct {
 // preloading win survives such hardware improvements.
 func CostSensitivity(r *Runner) (CostSensitivityResult, error) {
 	out := CostSensitivityResult{LoadCosts: []uint64{11000, 22000, 44000, 88000}}
-	w, err := mustWorkload("lbm")
+	w, err := workload.ByName("lbm")
 	if err != nil {
 		return out, err
 	}
@@ -273,17 +271,17 @@ func CostSensitivity(r *Runner) (CostSensitivityResult, error) {
 		func(i int) (cell, error) {
 			cm := mem.DefaultCostModel()
 			cm.Load = out.LoadCosts[i]
-			base, err := sim.Run(r.Trace(w, workload.Ref), sim.Config{
-				Scheme: sim.Baseline, Costs: cm,
-				EPCPages: r.p.EPCPages, ELRangePages: w.ELRangePages(),
-			})
+			platform := sim.SharedConfig{Costs: cm}
+			enc, err := r.enclave(w, sim.Baseline)
 			if err != nil {
 				return cell{}, err
 			}
-			d, err := sim.Run(r.Trace(w, workload.Ref), sim.Config{
-				Scheme: sim.DFPStop, Costs: cm, DFP: r.p.DFP,
-				EPCPages: r.p.EPCPages, ELRangePages: w.ELRangePages(),
-			})
+			base, err := r.run(enc, platform)
+			if err != nil {
+				return cell{}, err
+			}
+			enc.Scheme = sim.DFPStop
+			d, err := r.run(enc, platform)
 			if err != nil {
 				return cell{}, err
 			}
@@ -334,7 +332,7 @@ func SharedEPC(r *Runner) (SharedEPCResult, error) {
 	}
 	var encs []sim.Enclave
 	for i, name := range out.Names {
-		w, err := mustWorkload(name)
+		w, err := workload.ByName(name)
 		if err != nil {
 			return out, err
 		}
@@ -356,7 +354,7 @@ func SharedEPC(r *Runner) (SharedEPCResult, error) {
 
 	// Co-run again with each enclave preloading: lbm uses DFP-stop,
 	// deepsjeng uses SIP.
-	dj, err := mustWorkload("deepsjeng")
+	dj, err := workload.ByName("deepsjeng")
 	if err != nil {
 		return out, err
 	}
@@ -424,10 +422,10 @@ func BackwardStreams(r *Runner) (BackwardStreamResult, error) {
 	res, err := sweep(r, "ablation-backward", len(configs),
 		func(i int) string { return configs[i].name },
 		func(i int) (sim.Result, error) {
-			return sim.Run(trace, sim.Config{
-				Scheme: configs[i].scheme, EPCPages: r.p.EPCPages,
-				ELRangePages: pages, DFP: configs[i].dfp,
-			})
+			return r.run(sim.Enclave{
+				Name: configs[i].name, Trace: trace, Pages: pages,
+				Scheme: configs[i].scheme, DFP: configs[i].dfp,
+			}, sim.SharedConfig{})
 		})
 	if err != nil {
 		return out, err
@@ -466,20 +464,20 @@ func ReclaimAblation(r *Runner) (ReclaimAblationResult, error) {
 	cells, err := sweep(r, "ablation-reclaim", len(out.Benchmarks),
 		func(i int) string { return out.Benchmarks[i] },
 		func(i int) (cell, error) {
-			w, err := mustWorkload(out.Benchmarks[i])
+			w, err := workload.ByName(out.Benchmarks[i])
 			if err != nil {
 				return cell{}, err
 			}
-			sync, err := sim.Run(r.Trace(w, workload.Ref), sim.Config{
-				Scheme: sim.Baseline, EPCPages: r.p.EPCPages, ELRangePages: w.ELRangePages(),
-			})
+			enc, err := r.enclave(w, sim.Baseline)
 			if err != nil {
 				return cell{}, err
 			}
-			bg, err := sim.Run(r.Trace(w, workload.Ref), sim.Config{
-				Scheme: sim.Baseline, EPCPages: r.p.EPCPages, ELRangePages: w.ELRangePages(),
-				BackgroundReclaim: true,
-			})
+			sync, err := r.run(enc, sim.SharedConfig{})
+			if err != nil {
+				return cell{}, err
+			}
+			enc.BackgroundReclaim = true
+			bg, err := r.run(enc, sim.SharedConfig{})
 			if err != nil {
 				return cell{}, err
 			}
@@ -526,11 +524,11 @@ type EagerSIPResult struct {
 // compiler that could find such lead time would win.
 func EagerSIP(r *Runner) (EagerSIPResult, error) {
 	out := EagerSIPResult{Leads: []int{0, 2, 8, 32}}
-	w, err := mustWorkload("deepsjeng")
+	w, err := workload.ByName("deepsjeng")
 	if err != nil {
 		return out, err
 	}
-	sel, err := r.Selection(w)
+	enc, err := r.enclave(w, sim.SIP)
 	if err != nil {
 		return out, err
 	}
@@ -538,20 +536,14 @@ func EagerSIP(r *Runner) (EagerSIPResult, error) {
 	if err != nil {
 		return out, err
 	}
-	trace := r.Trace(w, workload.Ref)
 	imps, err := sweep(r, "ablation-eager", len(out.Leads),
 		func(i int) string { return fmt.Sprintf("lead=%d", out.Leads[i]) },
 		func(i int) (float64, error) {
-			tr := trace
+			eager := enc
 			if out.Leads[i] > 0 {
-				tr = insertPrefetches(trace, sel, out.Leads[i])
+				eager.Trace = insertPrefetches(enc.Trace, enc.Selection, out.Leads[i])
 			}
-			res, err := sim.Run(tr, sim.Config{
-				Scheme:       sim.SIP,
-				EPCPages:     r.p.EPCPages,
-				ELRangePages: w.ELRangePages(),
-				Selection:    sel,
-			})
+			res, err := r.run(eager, sim.SharedConfig{})
 			if err != nil {
 				return 0, err
 			}

@@ -165,60 +165,49 @@ func (r *Runner) SelectionAt(w *workload.Workload, threshold float64) (*sip.Sele
 
 // Run executes workload w's ref input under the given scheme.
 func (r *Runner) Run(w *workload.Workload, scheme sim.Scheme) (sim.Result, error) {
-	return r.RunDFP(w, scheme, r.p.DFP)
+	enc, err := r.enclave(w, scheme)
+	if err != nil {
+		return sim.Result{}, err
+	}
+	return r.run(enc, sim.SharedConfig{})
 }
 
-// RunDFP is Run with an explicit DFP configuration (for parameter sweeps).
-func (r *Runner) RunDFP(w *workload.Workload, scheme sim.Scheme, d dfp.Config) (sim.Result, error) {
-	cfg := sim.Config{
-		Scheme:       scheme,
-		EPCPages:     r.p.EPCPages,
-		ELRangePages: w.ELRangePages(),
-		DFP:          d,
-	}
+// enclave describes workload w's ref run under scheme: the cached ref
+// trace, the runner's DFP tunables, and — for SIP schemes — the cached
+// instrumentation-site selection. Callers adjust the returned enclave
+// for studies that vary one knob.
+func (r *Runner) enclave(w *workload.Workload, scheme sim.Scheme) (sim.Enclave, error) {
+	var sel *sip.Selection
 	if scheme.UsesSIP() {
 		if !w.Instrumentable {
-			return sim.Result{}, fmt.Errorf("experiments: %s is not instrumentable (%s)", w.Name, w.Language)
+			return sim.Enclave{}, fmt.Errorf("experiments: %s is not instrumentable (%s)", w.Name, w.Language)
 		}
-		sel, err := r.Selection(w)
-		if err != nil {
-			return sim.Result{}, err
+		var err error
+		if sel, err = r.Selection(w); err != nil {
+			return sim.Enclave{}, err
 		}
-		cfg.Selection = sel
 	}
-	res, err := sim.Run(r.Trace(w, workload.Ref), cfg)
-	if err != nil {
-		return sim.Result{}, fmt.Errorf("experiments: %s/%s: %w", w.Name, scheme, err)
-	}
-	return res, nil
+	return sim.Enclave{
+		Name:      w.Name,
+		Trace:     r.Trace(w, workload.Ref),
+		Pages:     w.ELRangePages(),
+		Scheme:    scheme,
+		DFP:       r.p.DFP,
+		Selection: sel,
+	}, nil
 }
 
-// RunStreamed is Run over the workload's pull-based generator: identical
-// results, but the ref trace is never materialized (and never cached) —
-// the memory-bound path for footprints too large to hold as a slice.
-// Profiling for SIP schemes still uses the cached train trace.
-func (r *Runner) RunStreamed(w *workload.Workload, scheme sim.Scheme) (sim.Result, error) {
-	cfg := sim.Config{
-		Scheme:       scheme,
-		EPCPages:     r.p.EPCPages,
-		ELRangePages: w.ELRangePages(),
-		DFP:          r.p.DFP,
+// run executes enc alone on platform, with the runner's EPC size unless
+// platform sets its own.
+func (r *Runner) run(enc sim.Enclave, platform sim.SharedConfig) (sim.Result, error) {
+	if platform.EPCPages == 0 {
+		platform.EPCPages = r.p.EPCPages
 	}
-	if scheme.UsesSIP() {
-		if !w.Instrumentable {
-			return sim.Result{}, fmt.Errorf("experiments: %s is not instrumentable (%s)", w.Name, w.Language)
-		}
-		sel, err := r.Selection(w)
-		if err != nil {
-			return sim.Result{}, err
-		}
-		cfg.Selection = sel
-	}
-	res, err := sim.RunStream(w.Stream(workload.Ref), cfg)
+	res, err := sim.RunShared([]sim.Enclave{enc}, platform)
 	if err != nil {
-		return sim.Result{}, fmt.Errorf("experiments: %s/%s: %w", w.Name, scheme, err)
+		return sim.Result{}, fmt.Errorf("experiments: %s/%s: %w", enc.Name, enc.Scheme, err)
 	}
-	return res, nil
+	return res[0].Result, nil
 }
 
 // RunAll executes the full (workload, scheme) grid in parallel on the
@@ -232,7 +221,7 @@ func (r *Runner) RunAll(names []string, schemes []sim.Scheme) ([][]sim.Result, e
 			return names[i/len(schemes)] + "/" + schemes[i%len(schemes)].String()
 		},
 		func(i int) (sim.Result, error) {
-			w, err := mustWorkload(names[i/len(schemes)])
+			w, err := workload.ByName(names[i/len(schemes)])
 			if err != nil {
 				return sim.Result{}, err
 			}
@@ -246,16 +235,6 @@ func (r *Runner) RunAll(names []string, schemes []sim.Scheme) ([][]sim.Result, e
 		out[i] = cells[i*len(schemes) : (i+1)*len(schemes)]
 	}
 	return out, nil
-}
-
-// mustWorkload resolves a benchmark name; experiment sets are static, so a
-// missing name is a programming error surfaced as an error to the caller.
-func mustWorkload(name string) (*workload.Workload, error) {
-	w, err := workload.ByName(name)
-	if err != nil {
-		return nil, err
-	}
-	return w, nil
 }
 
 // LargeWorkingSet lists the benchmarks the DFP study (Figures 7 and 8)

@@ -331,41 +331,14 @@ func TestSchemeStringsAndSets(t *testing.T) {
 	}
 }
 
-func TestRunStreamedMatchesRun(t *testing.T) {
-	// The streamed runner path must reproduce the materialized runner's
-	// results exactly, including the SIP-profiled schemes.
-	r := NewRunner(Default())
-	for _, tc := range []struct {
-		bench  string
-		scheme sim.Scheme
-	}{
-		{"lbm", sim.DFPStop},
-		{"deepsjeng", sim.Baseline},
-		{"microbenchmark", sim.Hybrid},
-	} {
-		w, err := workload.ByName(tc.bench)
-		if err != nil {
-			t.Fatal(err)
-		}
-		mat, err := r.Run(w, tc.scheme)
-		if err != nil {
-			t.Fatal(err)
-		}
-		str, err := r.RunStreamed(w, tc.scheme)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if mat != str {
-			t.Errorf("%s/%s: RunStreamed diverges from Run:\n  run    %+v\n  stream %+v",
-				tc.bench, tc.scheme, mat, str)
-		}
-	}
-	// Non-instrumentable SIP requests fail the same way on both paths.
+func TestRunRejectsUninstrumentableSIP(t *testing.T) {
+	// SIP needs the paper's C/C++ instrumenter; a Fortran benchmark must
+	// fail rather than run uninstrumented.
 	w, err := workload.ByName("bwaves")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.RunStreamed(w, sim.SIP); err == nil {
-		t.Error("RunStreamed instrumented a Fortran benchmark")
+	if _, err := NewRunner(Default()).Run(w, sim.SIP); err == nil {
+		t.Error("Run instrumented a Fortran benchmark")
 	}
 }

@@ -33,7 +33,7 @@ func Figure3(r *Runner) (Figure3Result, error) {
 	rows, err := sweep(r, "fig3", len(names),
 		func(i int) string { return names[i] },
 		func(i int) (Figure3Row, error) {
-			w, err := mustWorkload(names[i])
+			w, err := workload.ByName(names[i])
 			if err != nil {
 				return Figure3Row{}, err
 			}
@@ -83,11 +83,11 @@ type Figure6Result struct {
 // combined execution time bottoms out there.
 func Figure6(r *Runner) (Figure6Result, error) {
 	out := Figure6Result{Lengths: []int{2, 5, 10, 20, 30, 40, 60}}
-	lbm, err := mustWorkload("lbm")
+	lbm, err := workload.ByName("lbm")
 	if err != nil {
 		return out, err
 	}
-	bwaves, err := mustWorkload("bwaves")
+	bwaves, err := workload.ByName("bwaves")
 	if err != nil {
 		return out, err
 	}
@@ -100,20 +100,23 @@ func Figure6(r *Runner) (Figure6Result, error) {
 	cells, err := sweep(r, "fig6", len(out.Lengths),
 		func(i int) string { return fmt.Sprintf("streamlist=%d", out.Lengths[i]) },
 		func(i int) (cell, error) {
-			d := r.p.DFP
-			d.StreamListLen = out.Lengths[i]
-			rl, err := r.RunDFP(lbm, sim.DFP, d)
-			if err != nil {
-				return cell{}, err
-			}
-			rb, err := r.RunDFP(bwaves, sim.DFP, d)
-			if err != nil {
-				return cell{}, err
+			var cycles [2]uint64
+			for j, w := range []*workload.Workload{lbm, bwaves} {
+				enc, err := r.enclave(w, sim.DFP)
+				if err != nil {
+					return cell{}, err
+				}
+				enc.DFP.StreamListLen = out.Lengths[i]
+				res, err := r.run(enc, sim.SharedConfig{})
+				if err != nil {
+					return cell{}, err
+				}
+				cycles[j] = res.Cycles
 			}
 			return cell{
-				lbm:      stats.Normalized(rl.Cycles, baseL.Cycles),
-				bwaves:   stats.Normalized(rb.Cycles, baseB.Cycles),
-				combined: stats.Normalized(rl.Cycles+rb.Cycles, baseL.Cycles+baseB.Cycles),
+				lbm:      stats.Normalized(cycles[0], baseL.Cycles),
+				bwaves:   stats.Normalized(cycles[1], baseB.Cycles),
+				combined: stats.Normalized(cycles[0]+cycles[1], baseL.Cycles+baseB.Cycles),
 			}, nil
 		})
 	if err != nil {
@@ -183,13 +186,16 @@ func Figure7(r *Runner) (Figure7Result, error) {
 			return fmt.Sprintf("%s L=%d", out.Benchmarks[i/nLL], out.LoadLengths[i%nLL])
 		},
 		func(i int) (float64, error) {
-			w, err := mustWorkload(out.Benchmarks[i/nLL])
+			w, err := workload.ByName(out.Benchmarks[i/nLL])
 			if err != nil {
 				return 0, err
 			}
-			d := r.p.DFP
-			d.LoadLength = out.LoadLengths[i%nLL]
-			res, err := r.RunDFP(w, sim.DFP, d)
+			enc, err := r.enclave(w, sim.DFP)
+			if err != nil {
+				return 0, err
+			}
+			enc.DFP.LoadLength = out.LoadLengths[i%nLL]
+			res, err := r.run(enc, sim.SharedConfig{})
 			if err != nil {
 				return 0, err
 			}
@@ -253,7 +259,7 @@ func Figure8(r *Runner) (Figure8Result, error) {
 		return out, err
 	}
 	for i, name := range names {
-		w, err := mustWorkload(name)
+		w, err := workload.ByName(name)
 		if err != nil {
 			return out, err
 		}
@@ -303,7 +309,7 @@ type Figure9Result struct {
 // 5%.
 func Figure9(r *Runner) (Figure9Result, error) {
 	out := Figure9Result{Thresholds: []float64{0.01, 0.02, 0.05, 0.10, 0.20, 0.50}}
-	w, err := mustWorkload("deepsjeng")
+	w, err := workload.ByName("deepsjeng")
 	if err != nil {
 		return out, err
 	}
@@ -323,12 +329,12 @@ func Figure9(r *Runner) (Figure9Result, error) {
 			if err != nil {
 				return cell{}, err
 			}
-			res, err := sim.Run(r.Trace(w, workload.Ref), sim.Config{
-				Scheme:       sim.SIP,
-				EPCPages:     r.p.EPCPages,
-				ELRangePages: w.ELRangePages(),
-				Selection:    sel,
-			})
+			enc, err := r.enclave(w, sim.SIP)
+			if err != nil {
+				return cell{}, err
+			}
+			enc.Selection = sel
+			res, err := r.run(enc, sim.SharedConfig{})
 			if err != nil {
 				return cell{}, err
 			}
@@ -393,7 +399,7 @@ func Figure10(r *Runner) (Figure10Result, error) {
 		return out, err
 	}
 	for i, name := range names {
-		w, err := mustWorkload(name)
+		w, err := workload.ByName(name)
 		if err != nil {
 			return out, err
 		}
@@ -430,11 +436,11 @@ type Figure11Result struct {
 // MSER (irregular-dominant) under SIP; the paper measures +9.5% and +3.0%.
 func Figure11(r *Runner) (Figure11Result, error) {
 	var out Figure11Result
-	sift, err := mustWorkload("SIFT")
+	sift, err := workload.ByName("SIFT")
 	if err != nil {
 		return out, err
 	}
-	mser, err := mustWorkload("MSER")
+	mser, err := workload.ByName("MSER")
 	if err != nil {
 		return out, err
 	}

@@ -60,7 +60,7 @@ func FleetPolicies(r *Runner) (FleetPoliciesResult, error) {
 	}
 	arrivals := make([]fleet.Arrival, len(fleetPolicyArrivals))
 	for i, name := range fleetPolicyArrivals {
-		w, err := mustWorkload(name)
+		w, err := workload.ByName(name)
 		if err != nil {
 			return out, err
 		}

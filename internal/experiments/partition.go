@@ -57,7 +57,7 @@ func EPCPartition(r *Runner) (PartitionResult, error) {
 	var bounds []uint64 // cumulative page-space bounds, one per enclave
 	total := uint64(0)
 	for _, name := range partitionGrid {
-		w, err := mustWorkload(name)
+		w, err := workload.ByName(name)
 		if err != nil {
 			return out, err
 		}

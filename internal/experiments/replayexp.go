@@ -8,6 +8,7 @@ import (
 	"sgxpreload/internal/obs"
 	"sgxpreload/internal/replay"
 	"sgxpreload/internal/sim"
+	"sgxpreload/internal/workload"
 )
 
 // ReplayReport is the trace-replay validation artifact: it proves that a
@@ -45,7 +46,7 @@ func Replay(r *Runner) (*ReplayReport, error) {
 // under DFP-stop, round-trip the trace through JSONL, and diff it
 // against the same workload under plain DFP.
 func ReplayRun(r *Runner, bench string) (*ReplayReport, error) {
-	w, err := mustWorkload(bench)
+	w, err := workload.ByName(bench)
 	if err != nil {
 		return nil, err
 	}

@@ -45,7 +45,7 @@ func ShardedFleet(r *Runner) (ShardedFleetResult, error) {
 	out := ShardedFleetResult{Shards: []int{1, 2, 4, 8}}
 	arrivals := make([]fleet.Arrival, len(shardedFleetBenches))
 	for i, name := range shardedFleetBenches {
-		w, err := mustWorkload(name)
+		w, err := workload.ByName(name)
 		if err != nil {
 			return out, err
 		}

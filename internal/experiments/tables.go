@@ -94,7 +94,7 @@ func Table2(r *Runner) (Table2Result, error) {
 	rows, err := sweep(r, "table2", len(names),
 		func(i int) string { return names[i] },
 		func(i int) (Table2Row, error) {
-			w, err := mustWorkload(names[i])
+			w, err := workload.ByName(names[i])
 			if err != nil {
 				return Table2Row{}, err
 			}
@@ -138,16 +138,12 @@ type MotivationResult struct {
 // Motivation measures the enclave-paging slowdown on the microbenchmark.
 func Motivation(r *Runner) (MotivationResult, error) {
 	var out MotivationResult
-	w, err := mustWorkload("microbenchmark")
+	w, err := workload.ByName("microbenchmark")
 	if err != nil {
 		return out, err
 	}
 	tr := r.Trace(w, workload.Ref)
-	res, err := sim.Run(tr, sim.Config{
-		Scheme:       sim.Baseline,
-		EPCPages:     r.p.EPCPages,
-		ELRangePages: w.ELRangePages(),
-	})
+	res, err := r.Run(w, sim.Baseline)
 	if err != nil {
 		return out, err
 	}

@@ -15,27 +15,14 @@ import (
 // timeline. The hook only observes the run: the returned Result is
 // identical to an untraced Run of the same configuration.
 func (r *Runner) RunTraced(w *workload.Workload, scheme sim.Scheme) (sim.Result, *obs.Recorder, error) {
-	rec := obs.NewRecorder()
-	cfg := sim.Config{
-		Scheme:       scheme,
-		EPCPages:     r.p.EPCPages,
-		ELRangePages: w.ELRangePages(),
-		DFP:          r.p.DFP,
-		Hook:         rec,
-	}
-	if scheme.UsesSIP() {
-		if !w.Instrumentable {
-			return sim.Result{}, nil, fmt.Errorf("experiments: %s is not instrumentable (%s)", w.Name, w.Language)
-		}
-		sel, err := r.Selection(w)
-		if err != nil {
-			return sim.Result{}, nil, err
-		}
-		cfg.Selection = sel
-	}
-	res, err := sim.Run(r.Trace(w, workload.Ref), cfg)
+	enc, err := r.enclave(w, scheme)
 	if err != nil {
-		return sim.Result{}, nil, fmt.Errorf("experiments: traced %s/%s: %w", w.Name, scheme, err)
+		return sim.Result{}, nil, err
+	}
+	rec := obs.NewRecorder()
+	res, err := r.run(enc, sim.SharedConfig{Hook: rec})
+	if err != nil {
+		return sim.Result{}, nil, err
 	}
 	return res, rec, nil
 }
@@ -57,7 +44,7 @@ type TraceReport struct {
 
 // TraceRun executes one traced run and derives its report.
 func TraceRun(r *Runner, bench string, scheme sim.Scheme) (*TraceReport, error) {
-	w, err := mustWorkload(bench)
+	w, err := workload.ByName(bench)
 	if err != nil {
 		return nil, err
 	}

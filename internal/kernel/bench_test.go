@@ -20,7 +20,7 @@ func BenchmarkHandleFault(b *testing.B) {
 		Costs:        mem.DefaultCostModel(),
 		EPCPages:     4096,
 		ELRangePages: elrange,
-		DFP:          &d,
+		Predictor:    newDFP(b, d),
 		ScanPeriod:   1 << 20,
 	})
 	if err != nil {

@@ -23,7 +23,6 @@ import (
 
 	"sgxpreload/internal/channel"
 	"sgxpreload/internal/core"
-	"sgxpreload/internal/dfp"
 	"sgxpreload/internal/epc"
 	"sgxpreload/internal/epc/arbiter"
 	"sgxpreload/internal/mem"
@@ -40,13 +39,9 @@ type Config struct {
 	EPCPages int
 	// ELRangePages is the enclave's virtual address range in pages.
 	ELRangePages uint64
-	// DFP, when non-nil, enables fault-history-based preloading with the
-	// given predictor configuration (the paper's multiple-stream
-	// recognizer).
-	DFP *dfp.Config
-	// Predictor, when non-nil, overrides DFP with an alternative
-	// fault-history strategy (see package core); used by the predictor
-	// ablation.
+	// Predictor, when non-nil, enables fault-history-based preloading:
+	// the paper's multiple-stream recognizer (dfp.New) or an alternative
+	// strategy (see package core).
 	Predictor core.Predictor
 	// ScanPeriod is the service thread's scan interval in cycles. The
 	// driver's CLOCK service thread runs periodically; DFP piggybacks its
@@ -187,17 +182,7 @@ func NewShared(cfg Config, e *epc.EPC, ch *channel.Channel) (*Kernel, error) {
 	if cfg.RangeLo >= cfg.RangeHi {
 		return nil, fmt.Errorf("kernel: empty page range [%d, %d)", cfg.RangeLo, cfg.RangeHi)
 	}
-	k := &Kernel{cfg: cfg, epc: e, ch: ch, hook: cfg.Hook}
-	switch {
-	case cfg.Predictor != nil:
-		k.pred = cfg.Predictor
-	case cfg.DFP != nil:
-		p, err := dfp.New(*cfg.DFP)
-		if err != nil {
-			return nil, err
-		}
-		k.pred = p
-	}
+	k := &Kernel{cfg: cfg, epc: e, ch: ch, hook: cfg.Hook, pred: cfg.Predictor}
 	if k.hook != nil {
 		ch.SetHook(k.hook)
 		// The predictor sees only the fault-page sequence, so its

@@ -13,16 +13,29 @@ func testCosts() mem.CostModel { return mem.DefaultCostModel() }
 
 func newKernel(t *testing.T, epcPages int, d *dfp.Config) *Kernel {
 	t.Helper()
-	k, err := New(Config{
+	cfg := Config{
 		Costs:        testCosts(),
 		EPCPages:     epcPages,
 		ELRangePages: 1 << 16,
-		DFP:          d,
-	})
+	}
+	if d != nil {
+		cfg.Predictor = newDFP(t, *d)
+	}
+	k, err := New(cfg)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
 	return k
+}
+
+// newDFP builds the paper's multiple-stream predictor for a kernel.
+func newDFP(t testing.TB, d dfp.Config) *dfp.Predictor {
+	t.Helper()
+	p, err := dfp.New(d)
+	if err != nil {
+		t.Fatalf("dfp.New: %v", err)
+	}
+	return p
 }
 
 func TestNewValidation(t *testing.T) {
@@ -32,9 +45,8 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(Config{EPCPages: 4, ELRangePages: 10}); err == nil {
 		t.Fatal("New with zero cost model succeeded")
 	}
-	bad := dfp.Config{}
-	if _, err := New(Config{Costs: testCosts(), EPCPages: 4, ELRangePages: 10, DFP: &bad}); err == nil {
-		t.Fatal("New with invalid DFP config succeeded")
+	if _, err := dfp.New(dfp.Config{}); err == nil {
+		t.Fatal("predictor with invalid DFP config built")
 	}
 }
 
@@ -228,7 +240,7 @@ func TestServiceScanFeedsStopFormula(t *testing.T) {
 		Costs:        testCosts(),
 		EPCPages:     256,
 		ELRangePages: 1 << 16,
-		DFP:          &d,
+		Predictor:    newDFP(t, d),
 		ScanPeriod:   1000,
 	})
 	if err != nil {
@@ -261,7 +273,7 @@ func TestScanCountsAccessedPreloadsOnce(t *testing.T) {
 		Costs:        testCosts(),
 		EPCPages:     256,
 		ELRangePages: 1 << 16,
-		DFP:          &d,
+		Predictor:    newDFP(t, d),
 		ScanPeriod:   1,
 	})
 	if err != nil {
@@ -308,7 +320,7 @@ func TestPredictionsOutsideELRangeDropped(t *testing.T) {
 		Costs:        testCosts(),
 		EPCPages:     64,
 		ELRangePages: 104, // stream 100,101 predicts 102..105; 104,105 out of range
-		DFP:          &d,
+		Predictor:    newDFP(t, d),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -455,7 +467,7 @@ func TestStaleBacklogDropped(t *testing.T) {
 		Costs:        testCosts(),
 		EPCPages:     512,
 		ELRangePages: 1 << 16,
-		DFP:          &d,
+		Predictor:    newDFP(t, d),
 		MaxPending:   8,
 	})
 	if err != nil {

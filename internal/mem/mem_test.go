@@ -66,3 +66,43 @@ func TestNoPageSentinel(t *testing.T) {
 		t.Fatal("NoPage collides with page 0")
 	}
 }
+
+// countingStream is an endless stream that records how often it is
+// pulled and closed.
+type countingStream struct{ pulled, closed int }
+
+func (c *countingStream) Next() (Access, bool) {
+	c.pulled++
+	return Access{Page: PageID(c.pulled)}, true
+}
+
+func (c *countingStream) Close() { c.closed++ }
+
+func TestLimitReleasesSourceOnce(t *testing.T) {
+	src := &countingStream{}
+	lim := Limit(src, 3)
+	for i := 0; i < 3; i++ {
+		if _, ok := lim.Next(); !ok {
+			t.Fatalf("limited stream ended at %d of 3", i)
+		}
+	}
+	if src.closed != 0 {
+		t.Fatal("Limit released its source before the cap")
+	}
+	if _, ok := lim.Next(); ok {
+		t.Fatal("limited stream exceeded its cap")
+	}
+	lim.Next()
+	lim.(Closer).Close()
+	if src.pulled != 3 || src.closed != 1 {
+		t.Fatalf("source pulled %d times and closed %d times, want 3 and 1", src.pulled, src.closed)
+	}
+
+	early := &countingStream{}
+	lim = Limit(early, 3)
+	lim.Next()
+	lim.(Closer).Close()
+	if _, ok := lim.Next(); ok || early.closed != 1 || early.pulled != 1 {
+		t.Fatalf("closed early: pulled %d, closed %d, want 1 and 1 and no more accesses", early.pulled, early.closed)
+	}
+}

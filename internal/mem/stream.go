@@ -63,32 +63,34 @@ func Collect(s Stream) []Access {
 
 // Limit returns a Stream that passes through at most n accesses of s —
 // the standard way to bound an unbounded generator (a CLI access cap, a
-// smoke test's trace length).
+// smoke test's trace length). Limit releases s as soon as it reports the
+// end, at the cap or at s's own end, so a generator coroutine under it
+// does not outlive the run; Close releases s early, and s is released at
+// most once. A Closer s therefore cannot be read past the cap.
 func Limit(s Stream, n uint64) Stream {
 	return &limitStream{src: s, left: n}
 }
 
 type limitStream struct {
-	src  Stream
+	src  Stream // nil once released
 	left uint64
 }
 
 func (l *limitStream) Next() (Access, bool) {
-	if l.left == 0 {
-		return Access{}, false
+	if l.left > 0 {
+		if a, ok := l.src.Next(); ok {
+			l.left--
+			return a, true
+		}
 	}
-	a, ok := l.src.Next()
-	if !ok {
-		l.left = 0
-		return Access{}, false
-	}
-	l.left--
-	return a, ok
+	l.Close()
+	return Access{}, false
 }
 
-// Close forwards to the underlying stream when it holds resources.
+// Close releases the underlying stream when it holds resources.
 func (l *limitStream) Close() {
 	if c, ok := l.src.(Closer); ok {
 		c.Close()
 	}
+	l.src, l.left = nil, 0
 }

@@ -30,9 +30,9 @@ import (
 // holds every emitted event.
 type StreamSink struct {
 	enc    func([]byte, Event) []byte
-	buf    []byte       // active buffer, filled by Emit
-	out    chan []byte  // full buffers, in emission order
-	free   chan []byte  // drained buffers coming back
+	buf    []byte      // active buffer, filled by Emit
+	out    chan []byte // full buffers, in emission order
+	free   chan []byte // drained buffers coming back
 	done   chan struct{}
 	w      io.Writer
 	c      io.Closer // non-nil when the sink owns the file

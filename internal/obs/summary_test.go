@@ -247,12 +247,11 @@ func goldenTimeline(f *testing.F) []obs.Event {
 		f.Fatal(err)
 	}
 	rec := obs.NewRecorder()
-	if _, err := sim.Run(w.Generate(workload.Ref), sim.Config{
-		Scheme:       sim.DFPStop,
-		EPCPages:     2048,
-		ELRangePages: w.ELRangePages(),
-		Hook:         rec,
-	}); err != nil {
+	if _, err := sim.RunShared([]sim.Enclave{{
+		Trace:  w.Generate(workload.Ref),
+		Pages:  w.ELRangePages(),
+		Scheme: sim.DFPStop,
+	}}, sim.SharedConfig{EPCPages: 2048, Hook: rec}); err != nil {
 		f.Fatal(err)
 	}
 	return rec.Events()

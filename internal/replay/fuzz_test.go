@@ -17,11 +17,11 @@ func FuzzReadJSONL(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(valid.String())
-	f.Add(valid.String()[:len(valid.String())/2])       // truncated mid-line
-	f.Add(obs.TraceHeaderJSONL() + "\n")                // header only
-	f.Add(obs.TraceHeaderJSONL())                       // header without newline
-	f.Add("")                                           // empty
-	f.Add(`{"schema":"sgxpreload-trace","version":2}`)  // future version
+	f.Add(valid.String()[:len(valid.String())/2])                   // truncated mid-line
+	f.Add(obs.TraceHeaderJSONL() + "\n")                            // header only
+	f.Add(obs.TraceHeaderJSONL())                                   // header without newline
+	f.Add("")                                                       // empty
+	f.Add(`{"schema":"sgxpreload-trace","version":2}`)              // future version
 	f.Add(`{"t":1,"kind":"scan","page":0,"batch":0,"v1":0,"v2":0}`) // headerless
 	f.Add(obs.TraceHeaderJSONL() + "\n" + `{"t":1,"kind":"nope","page":0,"batch":0,"v1":0,"v2":0}`)
 	f.Add(obs.TraceHeaderJSONL() + "\n" + `{"t":-1,"kind":"scan","page":-2,"batch":0,"v1":0,"v2":0}`)

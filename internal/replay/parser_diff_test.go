@@ -38,27 +38,27 @@ func parserCorpusJSONL() []string {
 	}
 	lines = append(lines,
 		`{"t":1,"kind":"scan","page":0,"batch":0,"v1":0,"v2":0}`,
-		`{"t":01,"kind":"scan","page":0,"batch":0,"v1":0,"v2":0}`,   // leading zero: invalid JSON
-		`{"t":1,"kind":"scan","page":007,"batch":0,"v1":0,"v2":0}`,  // leading zeros
-		`{"t":1,"kind":"scan","page":-1,"batch":0,"v1":0,"v2":0}`,   // NoPage sentinel
-		`{"t":1,"kind":"scan","page":-2,"batch":0,"v1":0,"v2":0}`,   // negative page: rejected
-		`{"t":1,"kind":"nope","page":0,"batch":0,"v1":0,"v2":0}`,    // unknown kind
-		`{"t":1,"kind":"none","page":0,"batch":0,"v1":0,"v2":0}`,    // never-emitted kind
-		`{ "t":1,"kind":"scan","page":0,"batch":0,"v1":0,"v2":0}`,   // whitespace
-		`{"t":1, "kind":"scan","page":0,"batch":0,"v1":0,"v2":0}`,   // whitespace
-		`{"kind":"scan","t":1,"page":0,"batch":0,"v1":0,"v2":0}`,    // reordered fields
+		`{"t":01,"kind":"scan","page":0,"batch":0,"v1":0,"v2":0}`,                   // leading zero: invalid JSON
+		`{"t":1,"kind":"scan","page":007,"batch":0,"v1":0,"v2":0}`,                  // leading zeros
+		`{"t":1,"kind":"scan","page":-1,"batch":0,"v1":0,"v2":0}`,                   // NoPage sentinel
+		`{"t":1,"kind":"scan","page":-2,"batch":0,"v1":0,"v2":0}`,                   // negative page: rejected
+		`{"t":1,"kind":"nope","page":0,"batch":0,"v1":0,"v2":0}`,                    // unknown kind
+		`{"t":1,"kind":"none","page":0,"batch":0,"v1":0,"v2":0}`,                    // never-emitted kind
+		`{ "t":1,"kind":"scan","page":0,"batch":0,"v1":0,"v2":0}`,                   // whitespace
+		`{"t":1, "kind":"scan","page":0,"batch":0,"v1":0,"v2":0}`,                   // whitespace
+		`{"kind":"scan","t":1,"page":0,"batch":0,"v1":0,"v2":0}`,                    // reordered fields
 		`{"t":18446744073709551615,"kind":"scan","page":0,"batch":0,"v1":0,"v2":0}`, // max uint64
 		`{"t":18446744073709551616,"kind":"scan","page":0,"batch":0,"v1":0,"v2":0}`, // overflow
 		`{"t":1,"kind":"scan","page":9223372036854775807,"batch":0,"v1":0,"v2":0}`,  // max int64 page
 		`{"t":1,"kind":"scan","page":9223372036854775808,"batch":0,"v1":0,"v2":0}`,  // page overflow
-		`{"t":1.5,"kind":"scan","page":0,"batch":0,"v1":0,"v2":0}`,  // float
-		`{"t":1e3,"kind":"scan","page":0,"batch":0,"v1":0,"v2":0}`,  // exponent
-		`{"t":+1,"kind":"scan","page":0,"batch":0,"v1":0,"v2":0}`,   // sign prefix: invalid JSON
-		`{"t":1,"kind":"scan","page":0,"batch":0,"v1":0,"v2":0,"x":1}`, // extra field
-		`{"t":1,"kind":"scan","page":0,"batch":0,"v1":0}`,           // missing field
-		`{"t":1,"kind":"scan","page":0,"batch":0,"v1":0,"v2":0} `,   // trailing space
-		`{"t":1,"kind":"scan","page":0,"batch":0,"v1":0,"v2":0}}`,   // trailing junk
-		`{"t":null,"kind":"scan","page":0,"batch":0,"v1":0,"v2":0}`, // null
+		`{"t":1.5,"kind":"scan","page":0,"batch":0,"v1":0,"v2":0}`,                  // float
+		`{"t":1e3,"kind":"scan","page":0,"batch":0,"v1":0,"v2":0}`,                  // exponent
+		`{"t":+1,"kind":"scan","page":0,"batch":0,"v1":0,"v2":0}`,                   // sign prefix: invalid JSON
+		`{"t":1,"kind":"scan","page":0,"batch":0,"v1":0,"v2":0,"x":1}`,              // extra field
+		`{"t":1,"kind":"scan","page":0,"batch":0,"v1":0}`,                           // missing field
+		`{"t":1,"kind":"scan","page":0,"batch":0,"v1":0,"v2":0} `,                   // trailing space
+		`{"t":1,"kind":"scan","page":0,"batch":0,"v1":0,"v2":0}}`,                   // trailing junk
+		`{"t":null,"kind":"scan","page":0,"batch":0,"v1":0,"v2":0}`,                 // null
 		`{"t":1,"kind":"sca`, // truncated
 		`{}`,
 		`[]`,
@@ -74,26 +74,26 @@ func parserCorpusCSV() []string {
 	}
 	lines = append(lines,
 		"1,scan,0,0,0,0",
-		"01,scan,0,0,0,0",     // leading zero: strconv accepts
-		"1,scan,007,0,0,0",    // leading zeros
-		"1,scan,-1,0,0,0",     // NoPage sentinel
-		"1,scan,-01,0,0,0",    // ParseInt accepts "-01" as -1
-		"1,scan,-2,0,0,0",     // negative page: rejected by wireToEvent
-		"1,nope,0,0,0,0",      // unknown kind
-		"1,none,0,0,0,0",      // never-emitted kind
-		"+1,scan,0,0,0,0",     // ParseUint accepts a sign prefix
-		"1,scan,+7,0,0,0",     // ParseInt accepts a sign prefix
+		"01,scan,0,0,0,0",                   // leading zero: strconv accepts
+		"1,scan,007,0,0,0",                  // leading zeros
+		"1,scan,-1,0,0,0",                   // NoPage sentinel
+		"1,scan,-01,0,0,0",                  // ParseInt accepts "-01" as -1
+		"1,scan,-2,0,0,0",                   // negative page: rejected by wireToEvent
+		"1,nope,0,0,0,0",                    // unknown kind
+		"1,none,0,0,0,0",                    // never-emitted kind
+		"+1,scan,0,0,0,0",                   // ParseUint accepts a sign prefix
+		"1,scan,+7,0,0,0",                   // ParseInt accepts a sign prefix
 		"18446744073709551615,scan,0,0,0,0", // max uint64
 		"18446744073709551616,scan,0,0,0,0", // overflow
 		"1,scan,9223372036854775807,0,0,0",  // max int64 page
 		"1,scan,9223372036854775808,0,0,0",  // page overflow
-		"1,scan,0,0,0",        // too few fields
-		"1,scan,0,0,0,0,0",    // too many fields
-		"1, scan,0,0,0,0",     // embedded space
-		"1,scan,0,0,0,0 ",     // trailing space
-		",,,,,",               // all empty
-		"1,scan,0,0,0,",       // empty last field
-		"1.5,scan,0,0,0,0",    // float
+		"1,scan,0,0,0",                      // too few fields
+		"1,scan,0,0,0,0,0",                  // too many fields
+		"1, scan,0,0,0,0",                   // embedded space
+		"1,scan,0,0,0,0 ",                   // trailing space
+		",,,,,",                             // all empty
+		"1,scan,0,0,0,",                     // empty last field
+		"1.5,scan,0,0,0,0",                  // float
 		"",
 		"x",
 	)

@@ -14,12 +14,12 @@ import (
 	"sgxpreload/internal/sip"
 )
 
-// This file is the repository's one engine loop. Run, RunStream, and
-// RunShared are all wrappers over Engine: a single-enclave run is the
-// N = 1 case of the multi-enclave co-simulation, so every scheme knob —
-// predictor strategy, DFP tunables, SIP selection, background reclaim —
-// is wired exactly once (buildState) and is therefore available under
-// EPC contention by construction.
+// This file is the repository's one engine loop. RunShared drives it to
+// completion, and a single-enclave run is the N = 1 case of the
+// multi-enclave co-simulation, so every scheme knob — predictor
+// strategy, DFP tunables, SIP selection, background reclaim — is wired
+// exactly once (buildState) and is therefore available under EPC
+// contention by construction.
 //
 // The engine is incremental: New builds it, each Step executes one
 // access of the enclave whose virtual clock is smallest, and Results can
@@ -262,15 +262,15 @@ func buildState(e Enclave, cfg SharedConfig, shared *epc.EPC, ch *channel.Channe
 		if e.Scheme == DFPStop || e.Scheme == Hybrid {
 			d.Stop = true
 		}
-		if e.Predictor != "" && e.Predictor != core.KindMultiStream {
-			pred, err := core.NewPredictor(e.Predictor, d)
-			if err != nil {
-				return nil, fmt.Errorf("sim: enclave %s: %w", e.Name, err)
-			}
-			kcfg.Predictor = pred
-		} else {
-			kcfg.DFP = &d
+		kind := e.Predictor
+		if kind == "" {
+			kind = core.KindMultiStream
 		}
+		pred, err := core.NewPredictor(kind, d)
+		if err != nil {
+			return nil, fmt.Errorf("sim: enclave %s: %w", e.Name, err)
+		}
+		kcfg.Predictor = pred
 	}
 	k, err := kernel.NewShared(kcfg, shared, ch)
 	if err != nil {

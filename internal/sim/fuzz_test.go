@@ -28,12 +28,8 @@ func FuzzEngine(f *testing.F) {
 			})
 		}
 		scheme := Scheme(int(schemeSel) % 5)
-		cfg := Config{
-			Scheme:       scheme,
-			EPCPages:     1 + int(schemeSel)%64,
-			ELRangePages: pages,
-		}
-		res, err := Run(trace, cfg)
+		platform := SharedConfig{EPCPages: 1 + int(schemeSel)%64}
+		res, err := solo(Enclave{Trace: trace, Pages: pages, Scheme: scheme}, platform)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -47,7 +43,7 @@ func FuzzEngine(f *testing.F) {
 		if res.Cycles < res.ComputeCycles {
 			t.Fatalf("cycles %d < compute %d", res.Cycles, res.ComputeCycles)
 		}
-		streamed, err := RunStream(funcStream(trace), cfg)
+		streamed, err := solo(Enclave{Stream: funcStream(trace), Pages: pages, Scheme: scheme}, platform)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -64,7 +60,7 @@ func FuzzEngine(f *testing.F) {
 		eng, err := New([]Enclave{
 			{Name: "a", Trace: trace, Pages: pages, Scheme: scheme},
 			{Name: "b", Trace: trace, Pages: pages, Scheme: scheme},
-		}, SharedConfig{EPCPages: cfg.EPCPages, Quota: quota})
+		}, SharedConfig{EPCPages: platform.EPCPages, Quota: quota})
 		if err != nil {
 			t.Fatal(err)
 		}

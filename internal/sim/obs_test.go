@@ -29,13 +29,13 @@ func mixedTrace(pages int) []mem.Access {
 func TestHookDoesNotPerturbRun(t *testing.T) {
 	trace := mixedTrace(2000)
 	for _, scheme := range []Scheme{Baseline, DFP, DFPStop} {
-		c := cfg(scheme)
-		plain, err := Run(trace, c)
+		enc, platform := small(trace, scheme)
+		plain, err := solo(enc, platform)
 		if err != nil {
 			t.Fatal(err)
 		}
-		c.Hook = obs.NewRecorder()
-		hooked, err := Run(trace, c)
+		platform.Hook = obs.NewRecorder()
+		hooked, err := solo(enc, platform)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -51,10 +51,10 @@ func TestHookDoesNotPerturbRun(t *testing.T) {
 func TestEventStreamDeterministic(t *testing.T) {
 	trace := mixedTrace(2000)
 	export := func() string {
-		c := cfg(DFPStop)
+		enc, platform := small(trace, DFPStop)
 		rec := obs.NewRecorder()
-		c.Hook = rec
-		if _, err := Run(trace, c); err != nil {
+		platform.Hook = rec
+		if _, err := solo(enc, platform); err != nil {
 			t.Fatal(err)
 		}
 		var b strings.Builder
@@ -77,12 +77,8 @@ func TestEventsMatchResultCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec := obs.NewRecorder()
-	res, err := Run(w.Generate(workload.Ref), Config{
-		Scheme:       DFPStop,
-		EPCPages:     2048,
-		ELRangePages: w.ELRangePages(),
-		Hook:         rec,
-	})
+	res, err := solo(Enclave{Trace: w.Generate(workload.Ref), Pages: w.ELRangePages(), Scheme: DFPStop},
+		SharedConfig{EPCPages: 2048, Hook: rec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,14 +134,12 @@ func TestHookOverheadGuard(t *testing.T) {
 		t.Skip("set SGXSIM_HOOKGUARD=1 to measure disabled-hook overhead")
 	}
 	trace := mixedTrace(60000)
-	guardCfg := func() Config {
-		return Config{Scheme: DFPStop, EPCPages: 2048, ELRangePages: 65536}
-	}
-	measure := func(c Config) time.Duration {
+	enc := Enclave{Trace: trace, Pages: 65536, Scheme: DFPStop}
+	measure := func(hook obs.Hook) time.Duration {
 		best := time.Duration(1<<63 - 1)
 		for i := 0; i < 5; i++ {
 			start := time.Now()
-			if _, err := Run(trace, c); err != nil {
+			if _, err := solo(enc, SharedConfig{EPCPages: 2048, Hook: hook}); err != nil {
 				t.Fatal(err)
 			}
 			if d := time.Since(start); d < best {
@@ -154,10 +148,8 @@ func TestHookOverheadGuard(t *testing.T) {
 		}
 		return best
 	}
-	nilHook := measure(guardCfg())
-	c := guardCfg()
-	c.Hook = nopHook{}
-	withHook := measure(c)
+	nilHook := measure(nil)
+	withHook := measure(nopHook{})
 	overhead := float64(withHook-nilHook) / float64(nilHook)
 	t.Logf("nil hook %v, no-op hook %v: %+.2f%% overhead", nilHook, withHook, 100*overhead)
 	if overhead > 0.15 {

@@ -75,14 +75,13 @@ func TestPropertyInvariantsAcrossSchemes(t *testing.T) {
 		epcSizes := []int{1, 16, 256, 1024, 4096}
 		for _, scheme := range schemes {
 			for _, size := range epcSizes {
-				cfg := Config{
-					Scheme:       scheme,
-					EPCPages:     size,
-					ELRangePages: pages,
-					DFP:          dfp.DefaultConfig(),
-					Selection:    sel,
-				}
-				res, err := Run(trace, cfg)
+				res, err := solo(Enclave{
+					Trace:     trace,
+					Pages:     pages,
+					Scheme:    scheme,
+					DFP:       dfp.DefaultConfig(),
+					Selection: sel,
+				}, SharedConfig{EPCPages: size})
 				if err != nil {
 					t.Fatalf("seed %d %s epc %d: %v", seed, scheme, size, err)
 				}
@@ -148,7 +147,7 @@ func TestPropertyBaselineCycleFormula(t *testing.T) {
 	for _, seed := range []uint64{3, 17, 2024} {
 		r := rng.New(seed)
 		trace := randomTrace(r, 3000, 1024)
-		res, err := Run(trace, Config{Scheme: Baseline, EPCPages: 256, ELRangePages: 1024})
+		res, err := solo(Enclave{Trace: trace, Pages: 1024, Scheme: Baseline}, SharedConfig{EPCPages: 256})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -168,15 +167,16 @@ func TestPropertyDFPStopNeverMuchWorseThanBaseline(t *testing.T) {
 	for _, seed := range []uint64{5, 55, 555, 5555} {
 		r := rng.New(seed)
 		trace := randomTrace(r, 6000, 4096)
-		base, err := Run(trace, Config{Scheme: Baseline, EPCPages: 512, ELRangePages: 4096})
+		platform := SharedConfig{EPCPages: 512}
+		base, err := solo(Enclave{Trace: trace, Pages: 4096, Scheme: Baseline}, platform)
 		if err != nil {
 			t.Fatal(err)
 		}
-		stop, err := Run(trace, Config{
-			Scheme: DFPStop, EPCPages: 512, ELRangePages: 4096,
+		stop, err := solo(Enclave{
+			Trace: trace, Pages: 4096, Scheme: DFPStop,
 			// Small slack so the valve reacts at this trace length.
 			DFP: dfp.Config{StreamListLen: 30, LoadLength: 4, StopSlack: 100},
-		})
+		}, platform)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -190,14 +190,13 @@ func TestPropertyDFPStopNeverMuchWorseThanBaseline(t *testing.T) {
 
 func TestPropertyEPCStateConsistentAfterRuns(t *testing.T) {
 	// White-box: replay an engine-equivalent loop against the kernel and
-	// check the EPC invariants at the end. (Run itself owns its kernel;
-	// this exercises the same path with direct access.)
+	// check the EPC invariants at the end. (RunShared itself owns its
+	// kernel; this exercises the same path with direct access.)
 	r := rng.New(77)
 	trace := randomTrace(r, 2000, 512)
 	for _, policy := range []epc.Policy{epc.PolicyClock, epc.PolicyLRU, epc.PolicyFIFO, epc.PolicyRandom} {
-		res, err := Run(trace, Config{
-			Scheme: DFP, EPCPages: 64, ELRangePages: 512, EvictPolicy: policy,
-		})
+		res, err := solo(Enclave{Trace: trace, Pages: 512, Scheme: DFP},
+			SharedConfig{EPCPages: 64, EvictPolicy: policy})
 		if err != nil {
 			t.Fatalf("policy %s: %v", policy, err)
 		}

@@ -21,10 +21,10 @@ import (
 // Each enclave's virtual pages are mapped into a disjoint slice of the
 // shared page space.
 //
-// RunShared is a wrapper over the same Engine that backs Run, so every
-// single-enclave configuration knob — the predictor strategy, DFP
-// tunables, SIP selection, background reclaim — is available per
-// enclave under contention.
+// A solo run is the N = 1 case: RunShared over a one-enclave slice. Every
+// scheme knob — the predictor strategy, DFP tunables, SIP selection,
+// background reclaim — is therefore set per enclave, the same way alone
+// and under contention.
 
 // Enclave describes one co-running enclave.
 type Enclave struct {
@@ -43,12 +43,14 @@ type Enclave struct {
 	Pages uint64
 	// Scheme is the enclave's preloading configuration.
 	Scheme Scheme
-	// DFP tunables (zero value = paper defaults).
+	// DFP tunables for DFP-style schemes (zero value = paper defaults).
+	// The Stop field is forced on for DFPStop and Hybrid.
 	DFP dfp.Config
 	// Selection carries the enclave's SIP instrumentation sites.
 	Selection *sip.Selection
 	// Predictor selects the fault-history strategy for DFP-style
 	// schemes; the zero value is the paper's multiple-stream recognizer.
+	// Used by the predictor ablation.
 	Predictor core.Kind
 	// BackgroundReclaim enables this enclave's ksgxswapd-style watermark
 	// reclaimer (see kernel.Config); its write-back bursts occupy the
@@ -62,9 +64,12 @@ type SharedConfig struct {
 	Costs mem.CostModel
 	// EPCPages is the total physical EPC shared by all enclaves.
 	EPCPages int
-	// ScanPeriod, MaxPending, and EvictPolicy as in Config.
-	ScanPeriod  uint64
-	MaxPending  int
+	// ScanPeriod and MaxPending pass through to each enclave's kernel;
+	// zero selects defaults.
+	ScanPeriod uint64
+	MaxPending int
+	// EvictPolicy selects the EPC victim-selection algorithm; the zero
+	// value is the driver's CLOCK. Used by the eviction ablation.
 	EvictPolicy epc.Policy
 	// Quota selects the per-enclave EPC quota policy (see package
 	// arbiter). The zero value, Global, keeps the single victim scan
@@ -75,9 +80,12 @@ type SharedConfig struct {
 	// so quota trajectories are deterministic at any worker count.
 	Quota arbiter.Policy
 	// Hook, when non-nil, receives every enclave's event timeline (see
-	// package obs). Pages in shared-run events are global — each
-	// enclave's slice of the shared space — so the enclaves remain
-	// distinguishable on one timeline.
+	// package obs): faults, channel transfers, preload queue/abort,
+	// evictions, service scans, DFP accuracy and stop, predictor stream
+	// lifecycles. Pages in shared-run events are global — each enclave's
+	// slice of the shared space — so the enclaves remain distinguishable
+	// on one timeline. A nil Hook costs only untaken branches, and the
+	// simulated virtual time is identical with and without a hook.
 	Hook obs.Hook
 	// HookFactory, when non-nil, supplies one hook per EPC domain: the
 	// fleet layer calls it once per host index, so each domain records

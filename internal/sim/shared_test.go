@@ -27,24 +27,31 @@ func TestRunSharedValidation(t *testing.T) {
 }
 
 func TestRunSharedSingleEnclaveMatchesSolo(t *testing.T) {
-	// One enclave on the shared runner must behave exactly like Run.
+	// One enclave on the shared runner must behave exactly like the
+	// same enclave driven step by step, the way stepped drivers (the
+	// fleet, live observers) run a solo engine.
 	tr := seqTrace(256, 2, 5000)
-	solo, err := Run(tr, Config{Scheme: DFP, EPCPages: 128, ELRangePages: 4096})
+	enc := Enclave{Name: "only", Trace: tr, Pages: 4096, Scheme: DFP}
+	eng, err := New([]Enclave{enc}, SharedConfig{EPCPages: 128})
 	if err != nil {
 		t.Fatal(err)
 	}
-	shared, err := RunShared([]Enclave{{
-		Name: "only", Trace: tr, Pages: 4096, Scheme: DFP,
-	}}, SharedConfig{EPCPages: 128})
+	for more := true; more; {
+		if more, err = eng.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stepped := eng.Result(0)
+	shared, err := RunShared([]Enclave{enc}, SharedConfig{EPCPages: 128})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if shared[0].Cycles != solo.Cycles {
-		t.Fatalf("shared single-enclave run = %d cycles, solo = %d", shared[0].Cycles, solo.Cycles)
+	if shared[0].Cycles != stepped.Cycles {
+		t.Fatalf("shared single-enclave run = %d cycles, stepped = %d", shared[0].Cycles, stepped.Cycles)
 	}
-	if shared[0].Kernel.DemandFaults != solo.Kernel.DemandFaults {
+	if shared[0].Kernel.DemandFaults != stepped.Kernel.DemandFaults {
 		t.Fatalf("fault counts differ: %d vs %d",
-			shared[0].Kernel.DemandFaults, solo.Kernel.DemandFaults)
+			shared[0].Kernel.DemandFaults, stepped.Kernel.DemandFaults)
 	}
 }
 
@@ -52,7 +59,7 @@ func TestRunSharedContentionHurts(t *testing.T) {
 	// Two enclaves halve the effective EPC: each must run slower than it
 	// would alone on the full EPC (the paper's §5.6 contention point).
 	tr := seqTrace(1500, 2, 30000)
-	solo, err := Run(tr, Config{Scheme: Baseline, EPCPages: 2048, ELRangePages: 2048})
+	alone, err := solo(Enclave{Trace: tr, Pages: 2048, Scheme: Baseline}, SharedConfig{EPCPages: 2048})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,9 +71,9 @@ func TestRunSharedContentionHurts(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, r := range res {
-		if r.Cycles <= solo.Cycles {
+		if r.Cycles <= alone.Cycles {
 			t.Errorf("enclave %s under contention (%d cycles) not slower than solo (%d)",
-				r.Name, r.Cycles, solo.Cycles)
+				r.Name, r.Cycles, alone.Cycles)
 		}
 	}
 }

@@ -13,14 +13,7 @@ package sim
 import (
 	"fmt"
 
-	"sgxpreload/internal/core"
-	"sgxpreload/internal/dfp"
-	"sgxpreload/internal/epc"
-	"sgxpreload/internal/epc/arbiter"
 	"sgxpreload/internal/kernel"
-	"sgxpreload/internal/mem"
-	"sgxpreload/internal/obs"
-	"sgxpreload/internal/sip"
 )
 
 // Scheme selects the preloading configuration of a run.
@@ -85,50 +78,6 @@ func (s Scheme) UsesDFP() bool { return s == DFP || s == DFPStop || s == Hybrid 
 // selection.
 func (s Scheme) UsesSIP() bool { return s == SIP || s == Hybrid }
 
-// Config configures a run.
-type Config struct {
-	// Scheme is the preloading configuration.
-	Scheme Scheme
-	// Costs is the cycle cost model; zero value means mem.DefaultCostModel.
-	Costs mem.CostModel
-	// EPCPages is the EPC capacity in frames.
-	EPCPages int
-	// ELRangePages is the enclave's virtual range; must cover every page
-	// the trace touches.
-	ELRangePages uint64
-	// DFP configures the predictor for DFP/DFP-stop/hybrid schemes. The
-	// Stop field is forced on for DFPStop and Hybrid.
-	DFP dfp.Config
-	// Selection is the SIP instrumentation-site set (from profiling); used
-	// by SIP and Hybrid schemes.
-	Selection *sip.Selection
-	// ScanPeriod and MaxPending pass through to the kernel; zero selects
-	// defaults.
-	ScanPeriod uint64
-	MaxPending int
-	// Predictor selects the fault-history strategy for DFP-style schemes;
-	// the zero value is the paper's multiple-stream recognizer. Used by
-	// the predictor ablation.
-	Predictor core.Kind
-	// EvictPolicy selects the EPC victim-selection algorithm; the zero
-	// value is the driver's CLOCK. Used by the eviction ablation.
-	EvictPolicy epc.Policy
-	// Quota selects the per-enclave EPC quota policy (see package
-	// arbiter); the zero value is Global — no quotas, today's single
-	// victim scan bit-for-bit. In a solo run a non-global policy is the
-	// degenerate one-owner partition and changes nothing.
-	Quota arbiter.Policy
-	// BackgroundReclaim enables the ksgxswapd-style watermark reclaimer
-	// (see kernel.Config); used by the reclaim ablation.
-	BackgroundReclaim bool
-	// Hook, when non-nil, receives the run's event timeline (see package
-	// obs): faults, channel transfers, preload queue/abort, evictions,
-	// service scans, DFP accuracy and stop, predictor stream lifecycles.
-	// A nil Hook costs only untaken branches, and the simulated virtual
-	// time is identical with and without a hook.
-	Hook obs.Hook
-}
-
 // Result is the outcome of a run.
 type Result struct {
 	// Scheme echoes the configuration.
@@ -160,67 +109,4 @@ func (r Result) Faults() uint64 { return r.Kernel.DemandFaults }
 // FaultCycles returns the time attributable to the enclave fault protocol.
 func (r Result) FaultCycles() uint64 {
 	return r.Kernel.AEXCycles + r.Kernel.LoadWaitCycles + r.Kernel.EresumeCycles
-}
-
-// solo converts a single-enclave Config into the engine's (enclave,
-// platform) split. The scheme wiring itself lives in buildState — this
-// is field plumbing only, so Run cannot drift from RunShared.
-func (cfg Config) solo() (Enclave, SharedConfig) {
-	return Enclave{
-			Pages:             cfg.ELRangePages,
-			Scheme:            cfg.Scheme,
-			DFP:               cfg.DFP,
-			Selection:         cfg.Selection,
-			Predictor:         cfg.Predictor,
-			BackgroundReclaim: cfg.BackgroundReclaim,
-		}, SharedConfig{
-			Costs:       cfg.Costs,
-			EPCPages:    cfg.EPCPages,
-			ScanPeriod:  cfg.ScanPeriod,
-			MaxPending:  cfg.MaxPending,
-			EvictPolicy: cfg.EvictPolicy,
-			Quota:       cfg.Quota,
-			Hook:        cfg.Hook,
-		}
-}
-
-// Run executes the trace under cfg and returns the result. It is the
-// one-enclave, materialized-trace case of the unified engine.
-func Run(trace []mem.Access, cfg Config) (Result, error) {
-	if cfg.ELRangePages == 0 {
-		return Result{}, fmt.Errorf("sim: ELRangePages must be set")
-	}
-	enc, scfg := cfg.solo()
-	enc.Trace = trace
-	eng, err := New([]Enclave{enc}, scfg)
-	if err != nil {
-		return Result{}, err
-	}
-	if err := eng.run(); err != nil {
-		return Result{}, err
-	}
-	return eng.Result(0).Result, nil
-}
-
-// RunStream executes accesses pulled from src under cfg — Run without
-// ever materializing the trace. The engine looks one access ahead, so
-// peak memory is independent of trace length; src may be unbounded only
-// if the caller bounds it (mem.Limit) or drives the engine manually.
-func RunStream(src mem.Stream, cfg Config) (Result, error) {
-	if cfg.ELRangePages == 0 {
-		return Result{}, fmt.Errorf("sim: ELRangePages must be set")
-	}
-	if src == nil {
-		return Result{}, fmt.Errorf("sim: RunStream needs a stream")
-	}
-	enc, scfg := cfg.solo()
-	enc.Stream = src
-	eng, err := New([]Enclave{enc}, scfg)
-	if err != nil {
-		return Result{}, err
-	}
-	if err := eng.run(); err != nil {
-		return Result{}, err
-	}
-	return eng.Result(0).Result, nil
 }

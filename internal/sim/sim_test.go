@@ -19,23 +19,33 @@ func seqTrace(pages, passes int, compute uint64) []mem.Access {
 	return out
 }
 
-func cfg(scheme Scheme) Config {
-	return Config{Scheme: scheme, EPCPages: 64, ELRangePages: 4096}
+// solo runs one enclave alone on platform: the single-enclave RunShared.
+func solo(enc Enclave, platform SharedConfig) (Result, error) {
+	res, err := RunShared([]Enclave{enc}, platform)
+	if err != nil {
+		return Result{}, err
+	}
+	return res[0].Result, nil
+}
+
+// small describes the unit tests' run: tr under scheme on a 4096-page
+// enclave and a 64-frame EPC.
+func small(tr []mem.Access, scheme Scheme) (Enclave, SharedConfig) {
+	return Enclave{Trace: tr, Pages: 4096, Scheme: scheme}, SharedConfig{EPCPages: 64}
 }
 
 func TestRunValidation(t *testing.T) {
-	if _, err := Run(nil, Config{Scheme: Baseline, EPCPages: 4}); err == nil {
-		t.Fatal("Run without ELRangePages succeeded")
+	if _, err := solo(Enclave{Scheme: Baseline}, SharedConfig{EPCPages: 4}); err == nil {
+		t.Fatal("run without enclave pages succeeded")
 	}
-	bad := cfg(Baseline)
-	bad.Costs = mem.CostModel{AEX: 1} // Load == 0
-	if _, err := Run(nil, bad); err == nil {
-		t.Fatal("Run with invalid cost model succeeded")
+	bad := SharedConfig{EPCPages: 64, Costs: mem.CostModel{AEX: 1}} // Load == 0
+	if _, err := solo(Enclave{Pages: 4096, Scheme: Baseline}, bad); err == nil {
+		t.Fatal("run with invalid cost model succeeded")
 	}
 }
 
 func TestEmptyTrace(t *testing.T) {
-	res, err := Run(nil, cfg(Baseline))
+	res, err := solo(small(nil, Baseline))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +57,7 @@ func TestEmptyTrace(t *testing.T) {
 func TestBaselineAccounting(t *testing.T) {
 	cm := mem.DefaultCostModel()
 	tr := seqTrace(10, 1, 100)
-	res, err := Run(tr, cfg(Baseline))
+	res, err := solo(small(tr, Baseline))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +70,7 @@ func TestBaselineAccounting(t *testing.T) {
 		t.Fatalf("faults = %d, hits = %d; want 10, 0", res.Faults(), res.Hits)
 	}
 	// Second pass hits.
-	res2, err := Run(seqTrace(10, 2, 100), cfg(Baseline))
+	res2, err := solo(small(seqTrace(10, 2, 100), Baseline))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,12 +85,13 @@ func TestDeterminism(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := w.Generate(workload.Ref)
-	c := Config{Scheme: DFP, EPCPages: 2048, ELRangePages: w.ELRangePages()}
-	a, err := Run(tr, c)
+	enc := Enclave{Trace: tr, Pages: w.ELRangePages(), Scheme: DFP}
+	platform := SharedConfig{EPCPages: 2048}
+	a, err := solo(enc, platform)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(tr, c)
+	b, err := solo(enc, platform)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,11 +105,11 @@ func TestDFPBeatsBaselineOnSequentialScan(t *testing.T) {
 	// application; in the channel-bound regime faults would persist as
 	// in-flight waits instead.
 	tr := seqTrace(1024, 1, 100000)
-	base, err := Run(tr, cfg(Baseline))
+	base, err := solo(small(tr, Baseline))
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := Run(tr, cfg(DFP))
+	d, err := solo(small(tr, DFP))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,9 +156,7 @@ func TestSIPConvertsFaultsToNotifies(t *testing.T) {
 		9: {Class3: 100},
 	}}
 	sel := sip.Select(prof, 0.05, 0)
-	c := cfg(SIP)
-	c.Selection = sel
-	res, err := Run(tr, c)
+	res, err := solo(Enclave{Trace: tr, Pages: 4096, Scheme: SIP, Selection: sel}, SharedConfig{EPCPages: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +171,7 @@ func TestSIPConvertsFaultsToNotifies(t *testing.T) {
 	}
 
 	// The same trace under baseline pays AEX+ERESUME per access more.
-	base, err := Run(tr, cfg(Baseline))
+	base, err := solo(small(tr, Baseline))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,13 +190,12 @@ func TestSIPCheckOverheadOnResidentPages(t *testing.T) {
 		tr = append(tr, mem.Access{Site: 9, Page: 5, Compute: 10})
 	}
 	prof := &sip.Profile{Sites: map[mem.SiteID]*sip.SiteProfile{9: {Class3: 1}}}
-	c := cfg(SIP)
-	c.Selection = sip.Select(prof, 0.05, 0)
-	res, err := Run(tr, c)
+	sel := sip.Select(prof, 0.05, 0)
+	res, err := solo(Enclave{Trace: tr, Pages: 4096, Scheme: SIP, Selection: sel}, SharedConfig{EPCPages: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := Run(tr, cfg(Baseline))
+	base, err := solo(small(tr, Baseline))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,9 +225,9 @@ func TestHybridUsesBothMechanisms(t *testing.T) {
 		cl.Record(a.Site, a.Page)
 	}
 	sel := sip.Select(cl.Profile(), 0.05, 32)
-	res, err := Run(w.Generate(workload.Ref), Config{
-		Scheme: Hybrid, EPCPages: 2048, ELRangePages: w.ELRangePages(), Selection: sel,
-	})
+	res, err := solo(Enclave{
+		Trace: w.Generate(workload.Ref), Pages: w.ELRangePages(), Scheme: Hybrid, Selection: sel,
+	}, SharedConfig{EPCPages: 2048})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,8 +241,7 @@ func TestHybridUsesBothMechanisms(t *testing.T) {
 
 func TestEPCOfOnePage(t *testing.T) {
 	tr := seqTrace(16, 2, 10)
-	c := Config{Scheme: DFP, EPCPages: 1, ELRangePages: 64}
-	res, err := Run(tr, c)
+	res, err := solo(Enclave{Trace: tr, Pages: 64, Scheme: DFP}, SharedConfig{EPCPages: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,11 +254,11 @@ func TestEPCOfOnePage(t *testing.T) {
 
 func TestFootprintSmallerThanEPCIsNoop(t *testing.T) {
 	tr := seqTrace(32, 4, 100)
-	base, err := Run(tr, cfg(Baseline))
+	base, err := solo(small(tr, Baseline))
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := Run(tr, cfg(DFPStop))
+	d, err := solo(small(tr, DFPStop))
 	if err != nil {
 		t.Fatal(err)
 	}

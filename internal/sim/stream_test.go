@@ -4,6 +4,7 @@ import (
 	"os"
 	"runtime"
 	"testing"
+	"time"
 
 	"sgxpreload/internal/mem"
 	"sgxpreload/internal/rng"
@@ -41,14 +42,14 @@ func TestPropertyStreamEqualsSlice(t *testing.T) {
 		trace := randomTrace(r, 3000, pages)
 		sel := randomSelection(r.Fork())
 		for _, scheme := range schemes {
-			cfg := Config{
-				Scheme: scheme, EPCPages: 192, ELRangePages: pages, Selection: sel,
-			}
-			slice, err := Run(trace, cfg)
+			enc := Enclave{Trace: trace, Pages: pages, Scheme: scheme, Selection: sel}
+			platform := SharedConfig{EPCPages: 192}
+			slice, err := solo(enc, platform)
 			if err != nil {
 				t.Fatalf("seed %d %s: %v", seed, scheme, err)
 			}
-			streamed, err := RunStream(funcStream(trace), cfg)
+			enc.Trace, enc.Stream = nil, funcStream(trace)
+			streamed, err := solo(enc, platform)
 			if err != nil {
 				t.Fatalf("seed %d %s: %v", seed, scheme, err)
 			}
@@ -98,27 +99,70 @@ func TestPropertySharedStreamEqualsSlice(t *testing.T) {
 }
 
 // TestWorkloadStreamThroughEngine: the generator coroutine path
-// (workload.Stream) must reproduce the materialized benchmark runs.
+// (workload.Stream) must reproduce the materialized benchmark runs,
+// including a SIP-profiled scheme.
 func TestWorkloadStreamThroughEngine(t *testing.T) {
-	for _, bench := range []string{"lbm", "deepsjeng"} {
-		w, err := workload.ByName(bench)
+	for _, tc := range []struct {
+		bench  string
+		scheme Scheme
+	}{
+		{"lbm", DFPStop},
+		{"deepsjeng", DFPStop},
+		{"microbenchmark", Hybrid},
+	} {
+		w, err := workload.ByName(tc.bench)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg := Config{Scheme: DFPStop, EPCPages: 2048, ELRangePages: w.ELRangePages()}
-		slice, err := Run(w.Generate(workload.Ref), cfg)
+		enc := Enclave{Trace: w.Generate(workload.Ref), Pages: w.ELRangePages(), Scheme: tc.scheme}
+		if tc.scheme.UsesSIP() {
+			enc.Selection = diffSelection(t, w)
+		}
+		platform := SharedConfig{EPCPages: 2048}
+		slice, err := solo(enc, platform)
 		if err != nil {
 			t.Fatal(err)
 		}
-		streamed, err := RunStream(w.Stream(workload.Ref), cfg)
+		enc.Trace, enc.Stream = nil, w.Stream(workload.Ref)
+		streamed, err := solo(enc, platform)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if slice != streamed {
-			t.Errorf("%s: generator stream diverges from Generate:\n  slice  %+v\n  stream %+v",
-				bench, slice, streamed)
+			t.Errorf("%s/%s: generator stream diverges from Generate:\n  slice  %+v\n  stream %+v",
+				tc.bench, tc.scheme, slice, streamed)
 		}
 	}
+}
+
+// TestLimitReleasesGenerator: a run over a capped generator must not
+// leave the generator's coroutine behind once the cap is reached.
+func TestLimitReleasesGenerator(t *testing.T) {
+	w, err := workload.ByName("lbm")
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := runtime.NumGoroutine()
+	for i := 0; i < 20; i++ {
+		enc := Enclave{Stream: mem.Limit(w.Stream(workload.Ref), 1000), Pages: w.ELRangePages(), Scheme: DFPStop}
+		if _, err := solo(enc, SharedConfig{EPCPages: 2048}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := settledGoroutines(start); n > start {
+		t.Fatalf("%d goroutines after 20 capped runs, %d before: the capped generators leaked", n, start)
+	}
+}
+
+// settledGoroutines returns the goroutine count once it is at most want,
+// or the last count after giving exiting goroutines a second to finish.
+func settledGoroutines(want int) int {
+	n := runtime.NumGoroutine()
+	for i := 0; i < 100 && n > want; i++ {
+		time.Sleep(10 * time.Millisecond)
+		n = runtime.NumGoroutine()
+	}
+	return n
 }
 
 // syntheticStream is an unbounded deterministic page-access generator:
@@ -149,11 +193,8 @@ func TestStreamSmoke(t *testing.T) {
 	}
 	const accesses = 10_000_000
 	const pages = 1 << 16
-	enc, scfg := Config{
-		Scheme: DFPStop, EPCPages: 2048, ELRangePages: pages,
-	}.solo()
-	enc.Stream = mem.Limit(syntheticStream(pages), accesses)
-	eng, err := New([]Enclave{enc}, scfg)
+	eng, err := New([]Enclave{{Stream: mem.Limit(syntheticStream(pages), accesses), Pages: pages, Scheme: DFPStop}},
+		SharedConfig{EPCPages: 2048})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,11 +248,8 @@ func TestStreamSmoke(t *testing.T) {
 // past its ring/map growth phase, then measure.
 func TestStepAllocsO1(t *testing.T) {
 	const pages = 1 << 14
-	enc, scfg := Config{
-		Scheme: DFPStop, EPCPages: 1024, ELRangePages: pages,
-	}.solo()
-	enc.Stream = syntheticStream(pages)
-	eng, err := New([]Enclave{enc}, scfg)
+	eng, err := New([]Enclave{{Stream: syntheticStream(pages), Pages: pages, Scheme: DFPStop}},
+		SharedConfig{EPCPages: 1024})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,11 +276,8 @@ func TestStepAllocsO1(t *testing.T) {
 // (allocs/op must be ~0; see TestStepAllocsO1 for the hard guard).
 func BenchmarkRunStream(b *testing.B) {
 	const pages = 1 << 14
-	enc, scfg := Config{
-		Scheme: DFPStop, EPCPages: 1024, ELRangePages: pages,
-	}.solo()
-	enc.Stream = syntheticStream(pages)
-	eng, err := New([]Enclave{enc}, scfg)
+	eng, err := New([]Enclave{{Stream: syntheticStream(pages), Pages: pages, Scheme: DFPStop}},
+		SharedConfig{EPCPages: 1024})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -13,13 +13,9 @@ import (
 // double-buffered handoff to the writer goroutine.
 func BenchmarkRunStreamTraced(b *testing.B) {
 	const pages = 1 << 14
-	enc, scfg := Config{
-		Scheme: DFPStop, EPCPages: 1024, ELRangePages: pages,
-	}.solo()
-	enc.Stream = syntheticStream(pages)
 	sink := obs.NewStreamSink(io.Discard, obs.FormatJSONL)
-	scfg.Hook = sink
-	eng, err := New([]Enclave{enc}, scfg)
+	eng, err := New([]Enclave{{Stream: syntheticStream(pages), Pages: pages, Scheme: DFPStop}},
+		SharedConfig{EPCPages: 1024, Hook: sink})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -223,26 +223,27 @@ func Run(w Workload, cfg Config) (Result, error) {
 
 // RunInput replays the given input's trace under cfg.
 func RunInput(w Workload, in Input, cfg Config) (Result, error) {
-	cfg = cfg.normalize()
 	trace, err := convert(w, in)
 	if err != nil {
 		return Result{}, err
 	}
-	scfg := sim.Config{
-		Scheme:       sim.Scheme(cfg.Scheme),
-		Costs:        cfg.Costs,
-		EPCPages:     cfg.EPCPages,
-		ELRangePages: w.Pages(),
-		DFP:          cfg.dfpConfig(),
+	return cfg.runSolo(sim.Enclave{Trace: trace, Pages: w.Pages()})
+}
+
+// runSolo runs enc alone on the platform cfg describes, with cfg's
+// scheme, predictor tunables, and SIP selection.
+func (c Config) runSolo(enc sim.Enclave) (Result, error) {
+	c = c.normalize()
+	enc.Scheme = sim.Scheme(c.Scheme)
+	enc.DFP = c.dfpConfig()
+	if c.Selection != nil {
+		enc.Selection = c.Selection.sel
 	}
-	if cfg.Selection != nil {
-		scfg.Selection = cfg.Selection.sel
-	}
-	res, err := sim.Run(trace, scfg)
+	res, err := sim.RunShared([]sim.Enclave{enc}, sim.SharedConfig{Costs: c.Costs, EPCPages: c.EPCPages})
 	if err != nil {
 		return Result{}, err
 	}
-	return resultFromSim(res), nil
+	return resultFromSim(res[0].Result), nil
 }
 
 // Profile runs the workload's Train input through the SIP classifier and

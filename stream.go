@@ -38,19 +38,12 @@ type StreamFunc func() (Access, bool)
 func (f StreamFunc) Next() (Access, bool) { return f() }
 
 // LimitStream caps src at n accesses — the standard way to bound an
-// unbounded generator for a finite run.
+// unbounded generator for a finite run. When src holds resources (a
+// built-in benchmark's Stream runs a generator coroutine), the capped
+// stream releases it as soon as it reports the end, and its Close
+// method releases it early; such a src cannot be read past the cap.
 func LimitStream(src AccessStream, n uint64) AccessStream {
-	var seen uint64
-	return StreamFunc(func() (Access, bool) {
-		if seen >= n {
-			return Access{}, false
-		}
-		a, ok := src.Next()
-		if ok {
-			seen++
-		}
-		return a, ok
-	})
+	return publicStream{mem.Limit(internalStream{src}, n)}
 }
 
 // RunStream replays accesses pulled from src under cfg, on an enclave of
@@ -65,22 +58,7 @@ func RunStream(src AccessStream, pages uint64, cfg Config) (Result, error) {
 	if pages == 0 {
 		return Result{}, fmt.Errorf("sgxpreload: RunStream needs the enclave page range")
 	}
-	cfg = cfg.normalize()
-	scfg := sim.Config{
-		Scheme:       sim.Scheme(cfg.Scheme),
-		Costs:        cfg.Costs,
-		EPCPages:     cfg.EPCPages,
-		ELRangePages: pages,
-		DFP:          cfg.dfpConfig(),
-	}
-	if cfg.Selection != nil {
-		scfg.Selection = cfg.Selection.sel
-	}
-	res, err := sim.RunStream(toInternalStream(src), scfg)
-	if err != nil {
-		return Result{}, err
-	}
-	return resultFromSim(res), nil
+	return cfg.runSolo(sim.Enclave{Stream: internalStream{src}, Pages: pages})
 }
 
 // RunWorkloadStream replays the workload's input through the streaming
@@ -103,21 +81,52 @@ func RunWorkloadStream(w Workload, in Input, cfg Config) (Result, error) {
 	}), w.Pages(), cfg)
 }
 
-// toInternalStream converts public accesses on the fly; bounds are
-// checked by the engine at execution time.
-func toInternalStream(src AccessStream) mem.Stream {
-	return mem.StreamFunc(func() (mem.Access, bool) {
-		a, ok := src.Next()
-		if !ok {
-			return mem.Access{}, false
-		}
-		return mem.Access{
-			Site:    mem.SiteID(a.Site),
-			Page:    mem.PageID(a.Page),
-			Compute: a.Compute,
-			Write:   a.Write,
-		}, true
-	})
+// internalStream presents a public AccessStream to the engine,
+// converting accesses on the fly (bounds are checked by the engine at
+// execution time) and forwarding Close to src when src has one.
+type internalStream struct{ src AccessStream }
+
+func (s internalStream) Next() (mem.Access, bool) {
+	a, ok := s.src.Next()
+	if !ok {
+		return mem.Access{}, false
+	}
+	return mem.Access{
+		Site:    mem.SiteID(a.Site),
+		Page:    mem.PageID(a.Page),
+		Compute: a.Compute,
+		Write:   a.Write,
+	}, true
+}
+
+func (s internalStream) Close() { closeStream(s.src) }
+
+// publicStream presents an internal stream as an AccessStream, and
+// forwards Close to it.
+type publicStream struct{ src mem.Stream }
+
+func (s publicStream) Next() (Access, bool) {
+	a, ok := s.src.Next()
+	if !ok {
+		return Access{}, false
+	}
+	return Access{
+		Site:    uint32(a.Site),
+		Page:    uint64(a.Page),
+		Compute: a.Compute,
+		Write:   a.Write,
+	}, true
+}
+
+// Close releases the stream's resources (a generator coroutine) before
+// it is drained; a drained stream holds none.
+func (s publicStream) Close() { closeStream(s.src) }
+
+// closeStream releases s when it holds resources.
+func closeStream(s any) {
+	if c, ok := s.(mem.Closer); ok {
+		c.Close()
+	}
 }
 
 // resultFromSim converts an internal result to the public form.
@@ -136,19 +145,8 @@ func resultFromSim(res sim.Result) Result {
 }
 
 // Stream implements Streamer for built-in benchmarks: the workload
-// generator runs as a coroutine suspended between accesses.
+// generator runs as a coroutine suspended between accesses. The stream
+// releases it when drained, capped by LimitStream, or closed.
 func (b builtin) Stream(in Input) AccessStream {
-	src := b.w.Stream(workload.Input(in))
-	return StreamFunc(func() (Access, bool) {
-		a, ok := src.Next()
-		if !ok {
-			return Access{}, false
-		}
-		return Access{
-			Site:    uint32(a.Site),
-			Page:    uint64(a.Page),
-			Compute: a.Compute,
-			Write:   a.Write,
-		}, true
-	})
+	return publicStream{b.w.Stream(workload.Input(in))}
 }

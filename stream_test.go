@@ -1,6 +1,10 @@
 package sgxpreload
 
-import "testing"
+import (
+	"runtime"
+	"testing"
+	"time"
+)
 
 func TestBuiltinBenchmarksImplementStreamer(t *testing.T) {
 	w, err := Benchmark("lbm")
@@ -114,6 +118,37 @@ func TestLimitStream(t *testing.T) {
 	}
 	if produced != 3 {
 		t.Errorf("limit pulled %d accesses from the source, want 3", produced)
+	}
+}
+
+func TestLimitStreamReleasesGenerator(t *testing.T) {
+	// A built-in benchmark's Stream runs a generator coroutine; capping
+	// it must not leave the coroutine behind after the run, and Close
+	// must reach it through the cap.
+	w, err := Benchmark("lbm")
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := runtime.NumGoroutine()
+	for i := 0; i < 20; i++ {
+		src := LimitStream(w.(Streamer).Stream(Ref), 1000)
+		if _, err := RunStream(src, w.Pages(), DefaultConfig()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Closing a partly read stream releases the coroutine too.
+	for i := 0; i < 20; i++ {
+		src := LimitStream(w.(Streamer).Stream(Ref), 1000)
+		src.Next()
+		src.(interface{ Close() }).Close()
+	}
+	n := runtime.NumGoroutine()
+	for i := 0; i < 100 && n > start; i++ {
+		time.Sleep(10 * time.Millisecond)
+		n = runtime.NumGoroutine()
+	}
+	if n > start {
+		t.Fatalf("%d goroutines after 20 capped runs, %d before: the capped generators leaked", n, start)
 	}
 }
 
