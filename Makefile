@@ -79,10 +79,18 @@ trace-smoke:
 
 # Docs drift gate: every cmd/sgxsim flag must be mentioned in at least
 # one of README.md, OBSERVABILITY.md, EXPERIMENTS.md, or WORKLOADS.md,
-# and every registered workload must appear (backtick-quoted) in
-# WORKLOADS.md's catalog.
+# every registered workload must appear (backtick-quoted) in
+# WORKLOADS.md's catalog, and every directory under internal/, cmd/,
+# examples/ or bench/ holding non-test Go files must have a
+# backtick-quoted row in DESIGN.md §3's module table.
 check-docs:
 	@missing=0; \
+	modules=$$(awk '/^## 3\./ {on = 1; next} /^## / {on = 0} on' DESIGN.md); \
+	for d in $$(find internal cmd examples bench -path '*/.*' -prune -o -path '*/testdata' -prune \
+			-o -name '*.go' ! -name '*_test.go' -print | xargs -n1 dirname | sort -u); do \
+		echo "$$modules" | grep -q -F "| \`$$d\` |" || \
+			{ echo "module $$d has no row in DESIGN.md §3"; missing=1; }; \
+	done; \
 	for f in $$(sed -n 's/.*fs\.\(String\|Bool\|Int\|Float64\)("\([a-z-]*\)".*/\2/p' cmd/sgxsim/main.go); do \
 		grep -q -e "-$$f" README.md OBSERVABILITY.md EXPERIMENTS.md WORKLOADS.md || \
 			{ echo "flag -$$f undocumented in README.md/OBSERVABILITY.md/EXPERIMENTS.md/WORKLOADS.md"; missing=1; }; \
@@ -91,7 +99,7 @@ check-docs:
 		grep -q -e "\`$$w\`" WORKLOADS.md || \
 			{ echo "workload $$w missing from WORKLOADS.md"; missing=1; }; \
 	done; \
-	[ $$missing -eq 0 ] && echo "check-docs: all cmd/sgxsim flags and workloads documented"
+	[ $$missing -eq 0 ] && echo "check-docs: all cmd/sgxsim flags, workloads and modules documented"
 
 # The full pre-merge gate. The fleet, spec, quota and replay determinism
 # checks run in plain `go test` (TestDeterminismMatrix in cmd/sgxsim);

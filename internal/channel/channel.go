@@ -62,8 +62,8 @@ type server struct {
 	started   uint64 // total transfers begun
 }
 
-// Channel is the single-server load queue. Construct with New (private
-// server) or NewGroup (shared server).
+// Channel is the single-server load queue. Construct with New; Sibling
+// adds a channel sharing an existing one's server.
 type Channel struct {
 	srv *server
 
@@ -92,22 +92,11 @@ func newChannel(srv *server) *Channel {
 // New returns an idle channel with its own server.
 func New() *Channel { return newChannel(&server{}) }
 
-// NewGroup returns n channels sharing one load server: queued work is
-// per-channel, but only one transfer can be in progress across the group.
-func NewGroup(n int) []*Channel {
-	srv := &server{}
-	out := make([]*Channel, n)
-	for i := range out {
-		out[i] = newChannel(srv)
-	}
-	return out
-}
-
 // Sibling returns a new idle channel sharing c's load server: queued
-// work is per-channel, transfers still serialize on the one physical
-// path. It is the group-growth primitive — a dynamically admitted
-// enclave joins a host's existing channel group mid-run exactly as a
-// NewGroup member would have.
+// work is per-channel, but only one transfer can be in progress across
+// the group, since transfers serialize on the one physical path. Every
+// enclave after the first on a host joins the host's channel group this
+// way, whether admitted at time zero or mid-run.
 func (c *Channel) Sibling() *Channel { return newChannel(c.srv) }
 
 // BusyUntil returns the cycle at which the channel becomes free. If no
@@ -354,18 +343,6 @@ func (c *Channel) RemovePending(page mem.PageID, now uint64) bool {
 		return true
 	}
 	return false
-}
-
-// PushAll replaces the pending queue with reqs, preserving order. The
-// kernel historically used it to restore a popped-but-not-startable head
-// (PeekPending has made that unnecessary); it remains for tooling and
-// tests that snapshot and restore the queue.
-func (c *Channel) PushAll(reqs []Request) {
-	c.n, c.head = 0, 0
-	clear(c.idx)
-	for _, r := range reqs {
-		c.pushBack(r)
-	}
 }
 
 // AbortPending drops every queued preload at cycle now and returns how

@@ -223,25 +223,6 @@ func TestAbortPending(t *testing.T) {
 	}
 }
 
-func TestPushAllRestoresOrder(t *testing.T) {
-	c := New()
-	c.QueueBatch([]mem.PageID{1, 2}, 0, 32)
-	head, _ := c.PopPending()
-	rest := []Request{head}
-	for {
-		r, ok := c.PopPending()
-		if !ok {
-			break
-		}
-		rest = append(rest, r)
-	}
-	c.PushAll(rest)
-	r, _ := c.PopPending()
-	if r.Page != 1 {
-		t.Fatalf("head after PushAll = %d, want 1", r.Page)
-	}
-}
-
 func TestPeekPending(t *testing.T) {
 	c := New()
 	if _, ok := c.PeekPending(); ok {

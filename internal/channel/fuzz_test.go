@@ -9,8 +9,8 @@ import (
 
 // FuzzPendingQueue drives the pending-preload queue with an arbitrary
 // interleaving of QueueBatch, pop-and-start, peek-then-start,
-// AbortBatchContaining, RemovePending, AbortPending, and the PushAll
-// restore pattern under MaxPending pressure, and checks the conservation
+// AbortBatchContaining, RemovePending, and AbortPending under MaxPending
+// pressure, and checks the conservation
 // law every request obeys: each queued request is eventually started,
 // removed (the SIP notify path), or aborted with an accounted count —
 // never duplicated, never lost. After every operation the page-membership
@@ -23,9 +23,11 @@ import (
 // plus SIP removals, load-start events match transfers begun.
 //
 // The seed corpus covers the interesting collisions directly (overflow
-// drops racing pops, aborting a batch that was partially popped, a
-// restore straight after an overflow, queue/peek/pop churn that wraps the
-// ring past its capacity); the fuzzer explores interleavings around them.
+// drops racing pops, aborting a batch that was partially popped,
+// queue/peek/pop churn that wraps the ring past its capacity); the fuzzer
+// explores interleavings around them. Op 5 is retired and does nothing,
+// so the other ops keep their numbers and saved inputs keep their
+// meaning.
 func FuzzPendingQueue(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 3, 1, 2, 3, 4, 5}) // one batch, then pops
@@ -33,7 +35,7 @@ func FuzzPendingQueue(f *testing.F) {
 	f.Add([]byte{0, 7, 1, 2, 3, 4, 5, 6, 7, 0, 7, 10, 11, 12, 13, 14, 15, 16, 1, 1, 0, 4, 20, 21, 22, 23})
 	// Abort a batch mid-pop, remove a page, then drain everything.
 	f.Add([]byte{0, 4, 1, 2, 3, 4, 1, 2, 2, 0, 3, 9, 8, 7, 3, 8, 4, 1, 1, 1})
-	// Overflow, restore the queue, then shut preloading down.
+	// Overflow, then shut preloading down.
 	f.Add([]byte{0, 7, 1, 2, 3, 4, 5, 6, 7, 0, 5, 10, 11, 12, 13, 14, 5, 5, 4})
 	// Ring wrap-around: interleaved QueueBatch/PeekPending/PopPending
 	// churn cycling far more requests than the ring's initial capacity.
@@ -152,28 +154,6 @@ func FuzzPendingQueue(f *testing.F) {
 				if c.PendingLen() != 0 {
 					t.Fatal("queue not empty after AbortPending")
 				}
-			case 5: // kernel restore: pop the head, then push everything back
-				before := c.PendingLen()
-				head, ok := c.PopPending()
-				if !ok {
-					break
-				}
-				reqs := []Request{head}
-				for {
-					r, popOK := c.PopPending()
-					if !popOK {
-						break
-					}
-					reqs = append(reqs, r)
-				}
-				c.PushAll(reqs)
-				if c.PendingLen() != before {
-					t.Fatalf("PushAll restore changed the queue: %d -> %d", before, c.PendingLen())
-				}
-				if r, popOK := c.PopPending(); !popOK || r != head {
-					t.Fatalf("PushAll restore changed the head: %v, want %v", r, head)
-				}
-				c.PushAll(reqs)
 			case 6: // peek, then start the head as the kernel's Sync would
 				before := c.PendingLen()
 				r, ok := c.PeekPending()

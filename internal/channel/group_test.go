@@ -6,9 +6,9 @@ import (
 	"sgxpreload/internal/mem"
 )
 
-func TestNewGroupSharesServer(t *testing.T) {
-	chs := NewGroup(2)
-	a, b := chs[0], chs[1]
+func TestSiblingSharesServer(t *testing.T) {
+	a := New()
+	b := a.Sibling()
 	// A transfer begun on a occupies b too.
 	a.Begin(1, 0, 100, false, 0)
 	if b.Idle() {
@@ -36,9 +36,9 @@ func TestNewGroupSharesServer(t *testing.T) {
 	}
 }
 
-func TestNewGroupQueuesArePrivate(t *testing.T) {
-	chs := NewGroup(2)
-	a, b := chs[0], chs[1]
+func TestSiblingQueuesArePrivate(t *testing.T) {
+	a := New()
+	b := a.Sibling()
 	a.QueueBatch([]mem.PageID{5}, 0, 32)
 	if b.PendingLen() != 0 {
 		t.Fatal("pending queue leaked across channels")

@@ -15,50 +15,9 @@ import (
 //     the classic alternative for pointer-chasing patterns.
 //   - NextN is the no-history strawman.
 //
-// All three reuse the stop-mechanism bookkeeping via stopState, so the
-// DFP-stop safety valve composes with any of them.
-
-// stopState implements the shared accuracy counters and stop formula.
-type stopState struct {
-	cfg          Config
-	preloadCount uint64
-	accCount     uint64
-	stopped      bool
-}
-
-// NotePreloaded records pages handed to the preload worker.
-func (s *stopState) NotePreloaded(n int) {
-	if n > 0 {
-		s.preloadCount += uint64(n)
-	}
-}
-
-// NoteAccessed records preloaded pages observed accessed.
-func (s *stopState) NoteAccessed(n int) {
-	if n > 0 {
-		s.accCount += uint64(n)
-	}
-}
-
-// EvaluateStop applies AccPreloadCounter + slack < PreloadCounter/2.
-func (s *stopState) EvaluateStop() bool {
-	if !s.cfg.Stop || s.stopped {
-		return s.stopped
-	}
-	if s.accCount+s.cfg.StopSlack < s.preloadCount/2 {
-		s.stopped = true
-	}
-	return s.stopped
-}
-
-// Stopped reports whether the valve fired.
-func (s *stopState) Stopped() bool { return s.stopped }
-
-// PreloadCounter returns the total pages handed to the preload worker.
-func (s *stopState) PreloadCounter() uint64 { return s.preloadCount }
-
-// AccPreloadCounter returns the preloaded pages observed accessed.
-func (s *stopState) AccPreloadCounter() uint64 { return s.accCount }
+// Like Predictor, each one only predicts: core.Predictor wraps every
+// strategy in the one DFP-stop safety valve, so the valve composes with
+// any of them unchanged.
 
 // strideEntry tracks one candidate strided stream.
 type strideEntry struct {
@@ -72,7 +31,7 @@ type strideEntry struct {
 // it behave like the paper's recognizer; non-unit strides catch
 // column-major sweeps and records spanning several pages.
 type Stride struct {
-	stopState
+	cfg     Config
 	entries []strideEntry
 }
 
@@ -82,7 +41,7 @@ func NewStride(cfg Config) (*Stride, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &Stride{stopState: stopState{cfg: cfg}}, nil
+	return &Stride{cfg: cfg}, nil
 }
 
 // Name identifies the strategy.
@@ -91,9 +50,6 @@ func (*Stride) Name() string { return "stride" }
 // OnFault observes npn and predicts the continuation of a recognized
 // strided stream.
 func (p *Stride) OnFault(npn mem.PageID) []mem.PageID {
-	if p.stopped {
-		return nil
-	}
 	for i := range p.entries {
 		e := &p.entries[i]
 		if !e.matches(npn) {
@@ -176,7 +132,7 @@ func abs64(v int64) int64 {
 // the remembered successors. Effective when the same pointer chains are
 // walked repeatedly; useless on first-touch streams.
 type Markov struct {
-	stopState
+	cfg Config
 	// successors maps a page to its most recent distinct successors,
 	// most recent first.
 	successors map[mem.PageID][]mem.PageID
@@ -195,7 +151,7 @@ func NewMarkov(cfg Config) (*Markov, error) {
 		return nil, err
 	}
 	return &Markov{
-		stopState:  stopState{cfg: cfg},
+		cfg:        cfg,
 		successors: make(map[mem.PageID][]mem.PageID),
 		capacity:   cfg.StreamListLen * 64,
 	}, nil
@@ -207,9 +163,6 @@ func (*Markov) Name() string { return "markov" }
 // OnFault records the prev→npn transition and predicts npn's remembered
 // successors.
 func (p *Markov) OnFault(npn mem.PageID) []mem.PageID {
-	if p.stopped {
-		return nil
-	}
 	if p.havePrev && p.prev != npn {
 		p.record(p.prev, npn)
 	}
@@ -256,7 +209,7 @@ func (p *Markov) record(from, to mem.PageID) {
 
 // NextN preloads the N pages after every fault, unconditionally.
 type NextN struct {
-	stopState
+	cfg Config
 }
 
 // NewNextN builds the no-history strawman.
@@ -264,7 +217,7 @@ func NewNextN(cfg Config) (*NextN, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &NextN{stopState: stopState{cfg: cfg}}, nil
+	return &NextN{cfg: cfg}, nil
 }
 
 // Name identifies the strategy.
@@ -272,9 +225,6 @@ func (*NextN) Name() string { return "nextn" }
 
 // OnFault predicts npn+1..npn+LoadLength on every fault.
 func (p *NextN) OnFault(npn mem.PageID) []mem.PageID {
-	if p.stopped {
-		return nil
-	}
 	out := make([]mem.PageID, 0, p.cfg.LoadLength)
 	cur := npn
 	for i := 0; i < p.cfg.LoadLength; i++ {
@@ -288,5 +238,5 @@ func (p *NextN) OnFault(npn mem.PageID) []mem.PageID {
 	return out
 }
 
-// Name identifies the paper's strategy (implements the core contract).
+// Name identifies the paper's strategy in reports.
 func (*Predictor) Name() string { return "multistream" }

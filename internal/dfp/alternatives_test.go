@@ -133,66 +133,6 @@ func TestNextNAlwaysPredicts(t *testing.T) {
 	}
 }
 
-func TestAlternativesShareStopMechanism(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Stop = true
-	cfg.StopSlack = 1
-	mk := []struct {
-		name string
-		new  func() (interface {
-			NotePreloaded(int)
-			EvaluateStop() bool
-			OnFault(mem.PageID) []mem.PageID
-			Stopped() bool
-		}, error)
-	}{
-		{"stride", func() (interface {
-			NotePreloaded(int)
-			EvaluateStop() bool
-			OnFault(mem.PageID) []mem.PageID
-			Stopped() bool
-		}, error) {
-			return NewStride(cfg)
-		}},
-		{"markov", func() (interface {
-			NotePreloaded(int)
-			EvaluateStop() bool
-			OnFault(mem.PageID) []mem.PageID
-			Stopped() bool
-		}, error) {
-			return NewMarkov(cfg)
-		}},
-		{"nextn", func() (interface {
-			NotePreloaded(int)
-			EvaluateStop() bool
-			OnFault(mem.PageID) []mem.PageID
-			Stopped() bool
-		}, error) {
-			return NewNextN(cfg)
-		}},
-	}
-	for _, tc := range mk {
-		t.Run(tc.name, func(t *testing.T) {
-			p, err := tc.new()
-			if err != nil {
-				t.Fatal(err)
-			}
-			p.NotePreloaded(100)
-			if !p.EvaluateStop() {
-				t.Fatal("valve did not fire at 0 accessed / 100 preloaded")
-			}
-			if !p.Stopped() {
-				t.Fatal("Stopped() = false after valve fired")
-			}
-			p.OnFault(1)
-			p.OnFault(2)
-			if got := p.OnFault(3); got != nil {
-				t.Fatalf("stopped predictor still predicts: %v", got)
-			}
-		})
-	}
-}
-
 func TestPredictorNames(t *testing.T) {
 	ms, _ := New(DefaultConfig())
 	st, _ := NewStride(DefaultConfig())

@@ -18,7 +18,9 @@
 //     service thread compares the number of preloaded pages that were
 //     actually accessed (AccPreloadCounter) against the total number
 //     preloaded (PreloadCounter) and permanently stops the preloading
-//     thread when accuracy collapses.
+//     thread when accuracy collapses. The valve does not depend on how
+//     pages are predicted, so it lives once, in core.Predictor, around
+//     every strategy; Config carries its two constants.
 package dfp
 
 import (
@@ -40,8 +42,8 @@ const (
 )
 
 // Config holds the predictor's tunables — the two design parameters the
-// paper studies in Figures 6 and 7, plus the stop-formula constants of
-// §4.2.
+// paper studies in Figures 6 and 7 — plus the stop-formula constants of
+// §4.2, which core.Predictor's valve reads.
 type Config struct {
 	// StreamListLen is the fixed length of the LRU stream_list. The paper
 	// sweeps it in Figure 6 and settles on 30.
@@ -109,11 +111,6 @@ type Predictor struct {
 	// chasing through container/list.
 	streams []entry
 
-	// Stop-mechanism state (§4.2).
-	preloadCount uint64 // PreloadCounter: pages handed to the preload thread
-	accCount     uint64 // AccPreloadCounter: preloaded pages seen accessed
-	stopped      bool
-
 	hits   uint64 // faults that extended a stream
 	misses uint64 // faults that started a new stream
 
@@ -143,14 +140,9 @@ func (p *Predictor) Config() Config { return p.cfg }
 // fault's resume cycle.
 func (p *Predictor) SetHook(h obs.Hook) { p.hook = h }
 
-// Stopped reports whether the global abort has fired. Once stopped, the
-// predictor never produces another prediction: the paper's preloading
-// thread "stops itself" for the remainder of the run.
-func (p *Predictor) Stopped() bool { return p.stopped }
-
 // OnFault implements Algorithm 1. npn is the newly faulting page number.
 // It returns the list of pages to preload (nil when the fault does not
-// extend any stream, or after the global abort). The returned slice is
+// extend any stream). The returned slice is
 // only valid until the next OnFault call: it aliases an internal scratch
 // buffer, so callers that need the pages later must copy them.
 //
@@ -161,9 +153,6 @@ func (p *Predictor) Stopped() bool { return p.stopped }
 // are returned for preloading. Otherwise the least recently used entry is
 // replaced with a new single-page stream starting at npn.
 func (p *Predictor) OnFault(npn mem.PageID) []mem.PageID {
-	if p.stopped {
-		return nil
-	}
 	for i := range p.streams {
 		e := &p.streams[i]
 		dir, ok := e.matches(npn, p.cfg.Backward)
@@ -303,42 +292,3 @@ func (p *Predictor) Hits() uint64 { return p.hits }
 
 // Misses returns the number of stream-starting faults observed.
 func (p *Predictor) Misses() uint64 { return p.misses }
-
-// NotePreloaded records that n pages were handed to the preload thread
-// (PreloadCounter in the paper).
-func (p *Predictor) NotePreloaded(n int) {
-	if n > 0 {
-		p.preloadCount += uint64(n)
-	}
-}
-
-// NoteAccessed records that n preloaded pages were observed with their
-// access bit set by the service thread's scan (AccPreloadCounter).
-func (p *Predictor) NoteAccessed(n int) {
-	if n > 0 {
-		p.accCount += uint64(n)
-	}
-}
-
-// PreloadCounter returns the total pages handed to the preload thread.
-func (p *Predictor) PreloadCounter() uint64 { return p.preloadCount }
-
-// AccPreloadCounter returns the preloaded pages observed accessed.
-func (p *Predictor) AccPreloadCounter() uint64 { return p.accCount }
-
-// EvaluateStop applies the paper's stop formula
-//
-//	AccPreloadCounter + StopSlack < PreloadCounter / 2
-//
-// and latches the predictor off when it holds. It returns true if the
-// predictor is (now) stopped. Callers invoke it from the periodic service
-// scan; it has no effect unless cfg.Stop is set.
-func (p *Predictor) EvaluateStop() bool {
-	if !p.cfg.Stop || p.stopped {
-		return p.stopped
-	}
-	if p.accCount+p.cfg.StopSlack < p.preloadCount/2 {
-		p.stopped = true
-	}
-	return p.stopped
-}

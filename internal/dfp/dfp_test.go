@@ -209,56 +209,6 @@ func TestPredictionStopsAtAddressSpaceEdge(t *testing.T) {
 	}
 }
 
-func TestStopFormula(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Stop = true
-	cfg.StopSlack = 10
-	p := mustNew(t, cfg)
-
-	p.NotePreloaded(18)
-	p.NoteAccessed(0)
-	if p.EvaluateStop() {
-		t.Fatal("stopped at 0+10 < 18/2=9 — formula misapplied (10 >= 9)")
-	}
-	p.NotePreloaded(4) // total 22, half = 11 > 10
-	if !p.EvaluateStop() {
-		t.Fatal("not stopped at 0+10 < 11")
-	}
-	if !p.Stopped() {
-		t.Fatal("Stopped() = false after EvaluateStop fired")
-	}
-	if got := p.OnFault(1); got != nil {
-		t.Fatalf("stopped predictor still predicts: %v", got)
-	}
-	// Stop must latch.
-	p.NoteAccessed(1000)
-	if !p.EvaluateStop() {
-		t.Fatal("stop did not latch")
-	}
-}
-
-func TestStopDisabledNeverFires(t *testing.T) {
-	p := mustNew(t, DefaultConfig()) // Stop false
-	p.NotePreloaded(1 << 20)
-	if p.EvaluateStop() {
-		t.Fatal("EvaluateStop fired with Stop disabled")
-	}
-}
-
-func TestAccuracyCountersAccumulate(t *testing.T) {
-	p := mustNew(t, DefaultConfig())
-	p.NotePreloaded(5)
-	p.NotePreloaded(-3) // ignored
-	p.NoteAccessed(2)
-	p.NoteAccessed(-1) // ignored
-	if p.PreloadCounter() != 5 {
-		t.Fatalf("PreloadCounter() = %d, want 5", p.PreloadCounter())
-	}
-	if p.AccPreloadCounter() != 2 {
-		t.Fatalf("AccPreloadCounter() = %d, want 2", p.AccPreloadCounter())
-	}
-}
-
 func TestHitRate(t *testing.T) {
 	p := mustNew(t, DefaultConfig())
 	if p.HitRate() != 0 {

@@ -17,8 +17,6 @@ func FuzzPredictors(f *testing.F) {
 	f.Add([]byte{10, 11, 12, 200, 13, 14, 250, 251})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		cfg := DefaultConfig()
-		cfg.Stop = true
-		cfg.StopSlack = 2
 		ms, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -55,14 +53,6 @@ func FuzzPredictors(f *testing.F) {
 			}
 			if ms.Len() > cfg.StreamListLen {
 				t.Fatalf("stream list grew to %d", ms.Len())
-			}
-			// Exercise the stop machinery.
-			ms.NotePreloaded(1)
-			if i%5 == 0 {
-				ms.EvaluateStop()
-			}
-			if ms.Stopped() && ms.OnFault(page) != nil {
-				t.Fatal("stopped predictor predicted")
 			}
 		}
 	})

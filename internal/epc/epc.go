@@ -520,18 +520,14 @@ func (e *EPC) Accessed(page mem.PageID) bool {
 	return ok && e.frames[f].accessed
 }
 
-// ScanPreloadBits visits every resident preloaded page and reports it to
-// visit together with its access bit. The kernel service thread piggybacks
-// on its CLOCK access-bit scan to maintain DFP's PreloadedPageList; this
-// method is that scan. When clear is true the preload bit of visited
-// accessed pages is cleared so each correct preload is counted once.
-func (e *EPC) ScanPreloadBits(clear bool, visit func(page mem.PageID, accessed bool)) {
-	e.ScanPreloadBitsRange(0, mem.PageID(e.pages), clear, visit)
-}
-
-// ScanPreloadBitsRange is ScanPreloadBits restricted to pages in
-// [lo, hi). In multi-enclave mode each enclave's service scan covers only
-// its own ELRANGE slice of the shared EPC. Pages are visited in frame
+// ScanPreloadBitsRange visits every resident preloaded page in [lo, hi)
+// and reports it to visit together with its access bit. The kernel
+// service thread piggybacks on its CLOCK access-bit scan to maintain
+// DFP's PreloadedPageList; this method is that scan. When clear is true
+// the preload bit of visited accessed pages is cleared so each correct
+// preload is counted once. In multi-enclave mode each enclave's service
+// scan covers only its own ELRANGE slice of the shared EPC; [0, Pages())
+// scans the whole page space. Pages are visited in frame
 // order, and only preloaded frames are walked: those of one owner when
 // [lo, hi) lies inside that owner's range (every kernel's own slice, solo
 // runs included), else every owner's.

@@ -151,7 +151,7 @@ func TestPreloadBitLifecycle(t *testing.T) {
 
 	// Unaccessed preloads are visited but keep their bit.
 	var visits, accessed int
-	e.ScanPreloadBits(true, func(_ mem.PageID, acc bool) {
+	e.ScanPreloadBitsRange(0, mem.PageID(e.Pages()), true, func(_ mem.PageID, acc bool) {
 		visits++
 		if acc {
 			accessed++
@@ -167,7 +167,7 @@ func TestPreloadBitLifecycle(t *testing.T) {
 	// After a touch the scan counts it once and clears the bit.
 	e.Touch(7)
 	accessed = 0
-	e.ScanPreloadBits(true, func(_ mem.PageID, acc bool) {
+	e.ScanPreloadBitsRange(0, mem.PageID(e.Pages()), true, func(_ mem.PageID, acc bool) {
 		if acc {
 			accessed++
 		}

@@ -16,13 +16,11 @@ import (
 func BenchmarkHandleFault(b *testing.B) {
 	d := dfp.DefaultConfig()
 	const elrange = 1 << 20
-	k, err := New(Config{
-		Costs:        mem.DefaultCostModel(),
-		EPCPages:     4096,
-		ELRangePages: elrange,
-		Predictor:    newDFP(b, d),
-		ScanPeriod:   1 << 20,
-	})
+	k, err := build(Config{
+		Costs:      mem.DefaultCostModel(),
+		Predictor:  newDFP(b, d),
+		ScanPeriod: 1 << 20,
+	}, 4096, elrange)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -3,9 +3,10 @@
 // the asynchronous preload worker added by DFP, the SIP notification
 // syscall, and the access-bit-scanning service thread.
 //
-// The kernel owns the EPC, the load channel, and (when DFP is enabled) the
-// stream predictor, and is driven by the simulation engine through four
-// operations, each of which takes and returns virtual time:
+// The kernel is handed the EPC and the load channel (shared with every
+// other enclave's kernel on the same platform) and, when DFP is enabled,
+// the fault-history predictor; it is driven by the simulation engine
+// through four operations, each of which takes and returns virtual time:
 //
 //   - Sync(now): retire channel work that finished by now and start queued
 //     preloads that could begin before now.
@@ -33,16 +34,10 @@ import (
 type Config struct {
 	// Costs is the cycle cost model.
 	Costs mem.CostModel
-	// EPCPages is the number of physical EPC frames available to the
-	// enclave (the paper's platform exposes ~96 MB ≈ 24576 usable pages;
-	// experiments scale this down together with the workload footprints).
-	EPCPages int
-	// ELRangePages is the enclave's virtual address range in pages.
-	ELRangePages uint64
 	// Predictor, when non-nil, enables fault-history-based preloading:
-	// the paper's multiple-stream recognizer (dfp.New) or an alternative
-	// strategy (see package core).
-	Predictor core.Predictor
+	// the paper's multiple-stream recognizer or an alternative strategy
+	// behind the DFP-stop valve (see package core).
+	Predictor *core.Predictor
 	// ScanPeriod is the service thread's scan interval in cycles. The
 	// driver's CLOCK service thread runs periodically; DFP piggybacks its
 	// accuracy counters on that scan.
@@ -51,13 +46,10 @@ type Config struct {
 	// cap push out the stalest queued requests: an old list_to_load that
 	// the worker never reached is stale by construction.
 	MaxPending int
-	// EvictPolicy selects the EPC victim-selection algorithm; the zero
-	// value is the driver's CLOCK.
-	EvictPolicy epc.Policy
 	// RangeLo and RangeHi bound this enclave's slice of the (possibly
-	// shared) EPC page space; zero values mean [0, ELRangePages). Used by
-	// multi-enclave runs, where each enclave's predictor and service scan
-	// must only see its own pages.
+	// shared) EPC page space; zero values mean the EPC's whole page
+	// space. Used by multi-enclave runs, where each enclave's predictor
+	// and service scan must only see its own pages.
 	RangeLo, RangeHi mem.PageID
 	// BackgroundReclaim enables the real driver's ksgxswapd behavior: a
 	// background thread keeps free EPC frames between two watermarks by
@@ -68,7 +60,7 @@ type Config struct {
 	// path, and the ablation quantifies the difference.
 	BackgroundReclaim bool
 	// LowWater and HighWater are the reclaimer's free-frame watermarks;
-	// zero values select EPCPages/32 and EPCPages/16.
+	// zero values select 1/32 and 1/16 of the EPC's capacity.
 	LowWater, HighWater int
 	// Arbiter, when non-nil, arbitrates shared-EPC evictions between
 	// enclaves by frame quota (see package arbiter): an enclave at or
@@ -145,7 +137,7 @@ type Kernel struct {
 	cfg   Config
 	epc   *epc.EPC
 	ch    *channel.Channel
-	pred  core.Predictor // nil when preloading is disabled
+	pred  *core.Predictor // nil when preloading is disabled
 	stats Stats
 
 	nextScan uint64
@@ -155,29 +147,17 @@ type Kernel struct {
 	now  uint64   // clock mirror for predictor-emitted events
 }
 
-// New builds a kernel from cfg with its own EPC and load channel.
-func New(cfg Config) (*Kernel, error) {
-	if cfg.EPCPages <= 0 {
-		return nil, fmt.Errorf("kernel: EPCPages must be positive, got %d", cfg.EPCPages)
-	}
-	e, err := epc.NewWithPolicy(cfg.EPCPages, cfg.ELRangePages, cfg.EvictPolicy)
-	if err != nil {
-		return nil, err
-	}
-	return NewShared(cfg, e, channel.New())
-}
-
-// NewShared builds a kernel over an existing EPC and channel. Multiple
-// kernels sharing both model multiple enclaves contending for the same
-// physical EPC (the paper's §5.6): each enclave keeps its own fault
-// history, preload queue, bitmap view, and counters, while evictions and
-// transfer serialization are global.
-func NewShared(cfg Config, e *epc.EPC, ch *channel.Channel) (*Kernel, error) {
+// New builds a kernel over an EPC and a load channel. Multiple kernels
+// sharing one EPC and sibling channels (channel.Sibling) model multiple
+// enclaves contending for the same physical EPC (the paper's §5.6): each
+// enclave keeps its own fault history, preload queue, bitmap view, and
+// counters, while evictions and transfer serialization are global.
+func New(cfg Config, e *epc.EPC, ch *channel.Channel) (*Kernel, error) {
 	if err := cfg.Costs.Validate(); err != nil {
 		return nil, err
 	}
 	if cfg.RangeHi == 0 {
-		cfg.RangeHi = mem.PageID(cfg.ELRangePages)
+		cfg.RangeHi = mem.PageID(e.Pages())
 	}
 	if cfg.RangeLo >= cfg.RangeHi {
 		return nil, fmt.Errorf("kernel: empty page range [%d, %d)", cfg.RangeLo, cfg.RangeHi)
@@ -187,8 +167,8 @@ func NewShared(cfg Config, e *epc.EPC, ch *channel.Channel) (*Kernel, error) {
 		ch.SetHook(k.hook)
 		// The predictor sees only the fault-page sequence, so its
 		// stream-lifecycle events are stamped by the kernel's clock.
-		if sh, ok := k.pred.(interface{ SetHook(obs.Hook) }); ok {
-			sh.SetHook(obs.Clocked(k.hook, &k.now))
+		if k.pred != nil {
+			k.pred.SetHook(obs.Clocked(k.hook, &k.now))
 		}
 	}
 	if k.cfg.ScanPeriod == 0 {
@@ -199,10 +179,10 @@ func NewShared(cfg Config, e *epc.EPC, ch *channel.Channel) (*Kernel, error) {
 	}
 	if k.cfg.BackgroundReclaim {
 		if k.cfg.LowWater == 0 {
-			k.cfg.LowWater = cfg.EPCPages / 32
+			k.cfg.LowWater = e.Capacity() / 32
 		}
 		if k.cfg.HighWater == 0 {
-			k.cfg.HighWater = cfg.EPCPages / 16
+			k.cfg.HighWater = e.Capacity() / 16
 		}
 		if k.cfg.LowWater < 1 {
 			k.cfg.LowWater = 1
@@ -224,7 +204,7 @@ func (k *Kernel) Channel() *channel.Channel { return k.ch }
 
 // Predictor returns the fault-history predictor, or nil when preloading
 // is disabled.
-func (k *Kernel) Predictor() core.Predictor { return k.pred }
+func (k *Kernel) Predictor() *core.Predictor { return k.pred }
 
 // Stats returns a snapshot of the counters.
 func (k *Kernel) Stats() Stats { return k.stats }
@@ -592,7 +572,9 @@ func (k *Kernel) emitQuotaVector(now uint64) {
 }
 
 // Drain completes all outstanding channel work and returns the cycle at
-// which the channel goes idle; used at end of run so counters are final.
+// which the channel goes idle. It is for tests: the engine never calls
+// it, so a run's Result counters exclude preloads still queued when the
+// trace ends.
 func (k *Kernel) Drain(now uint64) uint64 {
 	end := now
 	for {

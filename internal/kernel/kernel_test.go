@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"sgxpreload/internal/channel"
+	"sgxpreload/internal/core"
 	"sgxpreload/internal/dfp"
 	"sgxpreload/internal/epc"
 	"sgxpreload/internal/mem"
@@ -11,17 +12,23 @@ import (
 
 func testCosts() mem.CostModel { return mem.DefaultCostModel() }
 
+// build is the tests' one way to make a kernel: New over a fresh EPC of
+// epcPages frames spanning elrange pages, with its own load channel.
+func build(cfg Config, epcPages int, elrange uint64) (*Kernel, error) {
+	e, err := epc.New(epcPages, elrange)
+	if err != nil {
+		return nil, err
+	}
+	return New(cfg, e, channel.New())
+}
+
 func newKernel(t *testing.T, epcPages int, d *dfp.Config) *Kernel {
 	t.Helper()
-	cfg := Config{
-		Costs:        testCosts(),
-		EPCPages:     epcPages,
-		ELRangePages: 1 << 16,
-	}
+	cfg := Config{Costs: testCosts()}
 	if d != nil {
 		cfg.Predictor = newDFP(t, *d)
 	}
-	k, err := New(cfg)
+	k, err := build(cfg, epcPages, 1<<16)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -29,20 +36,20 @@ func newKernel(t *testing.T, epcPages int, d *dfp.Config) *Kernel {
 }
 
 // newDFP builds the paper's multiple-stream predictor for a kernel.
-func newDFP(t testing.TB, d dfp.Config) *dfp.Predictor {
+func newDFP(t testing.TB, d dfp.Config) *core.Predictor {
 	t.Helper()
-	p, err := dfp.New(d)
+	p, err := core.NewPredictor(core.KindMultiStream, d)
 	if err != nil {
-		t.Fatalf("dfp.New: %v", err)
+		t.Fatalf("core.NewPredictor: %v", err)
 	}
 	return p
 }
 
 func TestNewValidation(t *testing.T) {
-	if _, err := New(Config{Costs: testCosts(), EPCPages: 0, ELRangePages: 10}); err == nil {
+	if _, err := build(Config{Costs: testCosts()}, 0, 10); err == nil {
 		t.Fatal("New with zero EPC succeeded")
 	}
-	if _, err := New(Config{EPCPages: 4, ELRangePages: 10}); err == nil {
+	if _, err := build(Config{}, 4, 10); err == nil {
 		t.Fatal("New with zero cost model succeeded")
 	}
 	if _, err := dfp.New(dfp.Config{}); err == nil {
@@ -236,13 +243,11 @@ func TestServiceScanFeedsStopFormula(t *testing.T) {
 	d := dfp.DefaultConfig()
 	d.Stop = true
 	d.StopSlack = 1
-	k, err := New(Config{
-		Costs:        testCosts(),
-		EPCPages:     256,
-		ELRangePages: 1 << 16,
-		Predictor:    newDFP(t, d),
-		ScanPeriod:   1000,
-	})
+	k, err := build(Config{
+		Costs:      testCosts(),
+		Predictor:  newDFP(t, d),
+		ScanPeriod: 1000,
+	}, 256, 1<<16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,13 +274,11 @@ func TestServiceScanFeedsStopFormula(t *testing.T) {
 
 func TestScanCountsAccessedPreloadsOnce(t *testing.T) {
 	d := dfp.DefaultConfig()
-	k, err := New(Config{
-		Costs:        testCosts(),
-		EPCPages:     256,
-		ELRangePages: 1 << 16,
-		Predictor:    newDFP(t, d),
-		ScanPeriod:   1,
-	})
+	k, err := build(Config{
+		Costs:      testCosts(),
+		Predictor:  newDFP(t, d),
+		ScanPeriod: 1,
+	}, 256, 1<<16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,12 +319,11 @@ func TestDrainCompletesOutstandingWork(t *testing.T) {
 
 func TestPredictionsOutsideELRangeDropped(t *testing.T) {
 	d := dfp.DefaultConfig()
-	k, err := New(Config{
-		Costs:        testCosts(),
-		EPCPages:     64,
-		ELRangePages: 104, // stream 100,101 predicts 102..105; 104,105 out of range
-		Predictor:    newDFP(t, d),
-	})
+	// Stream 100,101 predicts 102..105; 104,105 are out of range.
+	k, err := build(Config{
+		Costs:     testCosts(),
+		Predictor: newDFP(t, d),
+	}, 64, 104)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,15 +368,13 @@ func TestTimeMonotone(t *testing.T) {
 }
 
 func TestBackgroundReclaimMaintainsWatermarks(t *testing.T) {
-	k, err := New(Config{
+	k, err := build(Config{
 		Costs:             testCosts(),
-		EPCPages:          64,
-		ELRangePages:      1 << 16,
 		ScanPeriod:        1000,
 		BackgroundReclaim: true,
 		LowWater:          4,
 		HighWater:         8,
-	})
+	}, 64, 1<<16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -395,15 +395,13 @@ func TestBackgroundReclaimMaintainsWatermarks(t *testing.T) {
 
 func TestBackgroundReclaimCheapensFaultPath(t *testing.T) {
 	cm := testCosts()
-	k, err := New(Config{
+	k, err := build(Config{
 		Costs:             cm,
-		EPCPages:          64,
-		ELRangePages:      1 << 16,
 		ScanPeriod:        1000,
 		BackgroundReclaim: true,
 		LowWater:          4,
 		HighWater:         16,
-	})
+	}, 64, 1<<16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -421,15 +419,13 @@ func TestBackgroundReclaimCheapensFaultPath(t *testing.T) {
 }
 
 func TestBackgroundReclaimBurstOccupiesChannel(t *testing.T) {
-	k, err := New(Config{
+	k, err := build(Config{
 		Costs:             testCosts(),
-		EPCPages:          32,
-		ELRangePages:      1 << 16,
 		ScanPeriod:        1000,
 		BackgroundReclaim: true,
 		LowWater:          2,
 		HighWater:         10,
-	})
+	}, 32, 1<<16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -445,17 +441,9 @@ func TestBackgroundReclaimBurstOccupiesChannel(t *testing.T) {
 	}
 }
 
+// New over a shared EPC rejects an empty slice of its page space.
 func TestNewSharedValidation(t *testing.T) {
-	e, err := epc.New(8, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Empty page range rejected.
-	_, err = NewShared(Config{
-		Costs: testCosts(), EPCPages: 8, ELRangePages: 100,
-		RangeLo: 50, RangeHi: 50,
-	}, e, channel.New())
-	if err == nil {
+	if _, err := build(Config{Costs: testCosts(), RangeLo: 50, RangeHi: 50}, 8, 100); err == nil {
 		t.Fatal("empty page range accepted")
 	}
 }
@@ -463,13 +451,11 @@ func TestNewSharedValidation(t *testing.T) {
 func TestStaleBacklogDropped(t *testing.T) {
 	d := dfp.DefaultConfig()
 	d.LoadLength = 16
-	k, err := New(Config{
-		Costs:        testCosts(),
-		EPCPages:     512,
-		ELRangePages: 1 << 16,
-		Predictor:    newDFP(t, d),
-		MaxPending:   8,
-	})
+	k, err := build(Config{
+		Costs:      testCosts(),
+		Predictor:  newDFP(t, d),
+		MaxPending: 8,
+	}, 512, 1<<16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -492,14 +478,7 @@ func TestStaleBacklogDropped(t *testing.T) {
 // another enclave's slice of the shared page space. It must apply the
 // same RangeLo/RangeHi bound predict does.
 func TestQueuePrefetchRespectsRangeSlice(t *testing.T) {
-	e, err := epc.New(8, 200)
-	if err != nil {
-		t.Fatal(err)
-	}
-	k, err := NewShared(Config{
-		Costs: testCosts(), EPCPages: 8, ELRangePages: 200,
-		RangeLo: 50, RangeHi: 100,
-	}, e, channel.New())
+	k, err := build(Config{Costs: testCosts(), RangeLo: 50, RangeHi: 100}, 8, 200)
 	if err != nil {
 		t.Fatal(err)
 	}

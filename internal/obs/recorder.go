@@ -76,6 +76,24 @@ func pageField(p mem.PageID) int64 {
 	return int64(p)
 }
 
+// WireEvent is an Event as the trace renders it: the fields in the
+// trace's order, the kind by name, mem.NoPage as page -1. Its JSON form
+// is one JSONL trace line; the trace reader, the replay diff and the
+// live /events endpoint all use it.
+type WireEvent struct {
+	T     uint64 `json:"t"`
+	Kind  string `json:"kind"`
+	Page  int64  `json:"page"`
+	Batch uint64 `json:"batch"`
+	V1    uint64 `json:"v1"`
+	V2    uint64 `json:"v2"`
+}
+
+// Wire returns the event's wire form.
+func (e Event) Wire() WireEvent {
+	return WireEvent{T: e.T, Kind: e.Kind.String(), Page: pageField(e.Page), Batch: e.Batch, V1: e.V1, V2: e.V2}
+}
+
 // WriteJSONL writes the timeline as JSON Lines: one schema header line,
 // then one event per line with a fixed field order, so identical runs
 // produce identical bytes:
@@ -93,22 +111,22 @@ func (r *Recorder) WriteCSV(w io.Writer) error { return WriteCSV(w, r.events) }
 // (header line included). internal/replay uses it to re-serialize a
 // parsed timeline bit-for-bit.
 func WriteJSONL(w io.Writer, events []Event) error {
-	return writeEvents(w, events, TraceHeaderJSONL(), AppendJSONL)
+	return writeEvents(w, events, FormatJSONL)
 }
 
 // WriteCSV writes an event slice in the Recorder's CSV trace format
 // (schema comment and column header included).
 func WriteCSV(w io.Writer, events []Event) error {
-	return writeEvents(w, events, TraceHeaderCSV()+"\n"+TraceColumnsCSV, AppendCSV)
+	return writeEvents(w, events, FormatCSV)
 }
 
-// writeEvents encodes the preamble plus the timeline into one reusable
-// buffer, flushing to w whenever it fills — the whole export performs a
-// handful of large writes regardless of timeline length.
-func writeEvents(w io.Writer, events []Event, preamble string, enc func([]byte, Event) []byte) error {
+// writeEvents encodes the format's preamble plus the timeline into one
+// reusable buffer, flushing to w whenever it fills — the whole export
+// performs a handful of large writes regardless of timeline length.
+func writeEvents(w io.Writer, events []Event, f Format) error {
+	preamble, enc := f.encoding()
 	buf := make([]byte, 0, 1<<16)
 	buf = append(buf, preamble...)
-	buf = append(buf, '\n')
 	for _, e := range events {
 		buf = enc(buf, e)
 		if len(buf) >= 1<<16-256 {

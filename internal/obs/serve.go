@@ -34,16 +34,11 @@ type liveMetrics struct {
 	Counts         map[string]uint64 `json:"counts"`
 }
 
-// wireEvent is an Event in the JSONL trace field order, plus its ring
-// sequence number.
+// wireEvent is an event's wire form preceded by its ring sequence
+// number.
 type wireEvent struct {
-	Seq   uint64 `json:"seq"`
-	T     uint64 `json:"t"`
-	Kind  string `json:"kind"`
-	Page  int64  `json:"page"`
-	Batch uint64 `json:"batch"`
-	V1    uint64 `json:"v1"`
-	V2    uint64 `json:"v2"`
+	Seq uint64 `json:"seq"`
+	WireEvent
 }
 
 // eventsPayload is the /events response.
@@ -92,10 +87,7 @@ func NewHandler(ring *Ring) http.Handler {
 		payload := eventsPayload{Since: since, First: first, Next: since, Events: make([]wireEvent, len(events))}
 		for i, e := range events {
 			seq := first + uint64(i)
-			payload.Events[i] = wireEvent{
-				Seq: seq, T: e.T, Kind: e.Kind.String(),
-				Page: pageField(e.Page), Batch: e.Batch, V1: e.V1, V2: e.V2,
-			}
+			payload.Events[i] = wireEvent{Seq: seq, WireEvent: e.Wire()}
 			payload.Next = seq
 		}
 		writeJSON(w, payload)

@@ -56,6 +56,16 @@ const (
 	FormatCSV
 )
 
+// encoding returns the format's preamble — its header lines, each
+// newline-terminated — and its per-event line encoder. Every trace
+// writer, streaming or not, starts from it.
+func (f Format) encoding() (preamble string, enc func([]byte, Event) []byte) {
+	if f == FormatCSV {
+		return TraceHeaderCSV() + "\n" + TraceColumnsCSV + "\n", AppendCSV
+	}
+	return TraceHeaderJSONL() + "\n", AppendJSONL
+}
+
 // FormatForPath returns the trace format the CLI conventions assign to
 // a path: CSV for a .csv extension, JSONL otherwise.
 func FormatForPath(path string) Format {
@@ -79,18 +89,9 @@ func NewStreamSink(w io.Writer, f Format) *StreamSink {
 	// threshold keeps Emit from ever reallocating a buffer.
 	s.buf = make([]byte, 0, sinkBufBytes+512)
 	s.free <- make([]byte, 0, sinkBufBytes+512)
-	switch f {
-	case FormatCSV:
-		s.enc = AppendCSV
-		s.buf = append(s.buf, TraceHeaderCSV()...)
-		s.buf = append(s.buf, '\n')
-		s.buf = append(s.buf, TraceColumnsCSV...)
-		s.buf = append(s.buf, '\n')
-	default:
-		s.enc = AppendJSONL
-		s.buf = append(s.buf, TraceHeaderJSONL()...)
-		s.buf = append(s.buf, '\n')
-	}
+	var preamble string
+	preamble, s.enc = f.encoding()
+	s.buf = append(s.buf, preamble...)
 	go func() {
 		defer close(s.done)
 		for b := range s.out {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"sgxpreload/internal/mem"
 	"sgxpreload/internal/obs"
 )
 
@@ -15,28 +14,8 @@ import (
 // move. Both renderings — String and plain json.Marshal (every field is
 // tagged) — are deterministic functions of the two timelines.
 
-// WireEvent is one event in the export field order, used by Diff's JSON
-// rendering (page is -1 for mem.NoPage, as in the trace files).
-type WireEvent struct {
-	T     uint64 `json:"t"`
-	Kind  string `json:"kind"`
-	Page  int64  `json:"page"`
-	Batch uint64 `json:"batch"`
-	V1    uint64 `json:"v1"`
-	V2    uint64 `json:"v2"`
-}
-
-// toWire converts an event for rendering.
-func toWire(e obs.Event) WireEvent {
-	page := int64(e.Page)
-	if e.Page == mem.NoPage {
-		page = -1
-	}
-	return WireEvent{T: e.T, Kind: e.Kind.String(), Page: page, Batch: e.Batch, V1: e.V1, V2: e.V2}
-}
-
 // formatWire renders a wire event compactly for the text diff.
-func formatWire(w WireEvent) string {
+func formatWire(w obs.WireEvent) string {
 	return fmt.Sprintf("{t:%d kind:%s page:%d batch:%d v1:%d v2:%d}",
 		w.T, w.Kind, w.Page, w.Batch, w.V1, w.V2)
 }
@@ -46,9 +25,9 @@ func formatWire(w WireEvent) string {
 // events there. A nil side means that timeline ended at the index (one
 // run is a strict prefix of the other).
 type Divergence struct {
-	Index int        `json:"index"`
-	A     *WireEvent `json:"a"`
-	B     *WireEvent `json:"b"`
+	Index int            `json:"index"`
+	A     *obs.WireEvent `json:"a"`
+	B     *obs.WireEvent `json:"b"`
 }
 
 // Delta is one named quantity compared across the two timelines.
@@ -91,7 +70,7 @@ func Compare(a, b []obs.Event) Diff {
 	}
 	for i := 0; i < n && d.Identical; i++ {
 		if a[i] != b[i] {
-			wa, wb := toWire(a[i]), toWire(b[i])
+			wa, wb := a[i].Wire(), b[i].Wire()
 			d.First = &Divergence{Index: i, A: &wa, B: &wb}
 			d.Identical = false
 		}
@@ -99,11 +78,11 @@ func Compare(a, b []obs.Event) Diff {
 	if d.Identical && len(a) != len(b) {
 		div := &Divergence{Index: n}
 		if len(a) > n {
-			wa := toWire(a[n])
+			wa := a[n].Wire()
 			div.A = &wa
 		}
 		if len(b) > n {
-			wb := toWire(b[n])
+			wb := b[n].Wire()
 			div.B = &wb
 		}
 		d.First = div
@@ -174,7 +153,7 @@ func (d Diff) String() string {
 
 // sideString renders one side of a divergence ("<end of timeline>" when
 // that run had no event at the index).
-func sideString(w *WireEvent) string {
+func sideString(w *obs.WireEvent) string {
 	if w == nil {
 		return "<end of timeline>"
 	}

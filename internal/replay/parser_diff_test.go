@@ -14,7 +14,7 @@ import (
 // encoding/json, no fast path. The optimized parseJSONLEvent must agree
 // with it on every line: same accept/reject decision, same event.
 func refParseJSONLEvent(raw []byte) (obs.Event, error) {
-	var je jsonEvent
+	var je obs.WireEvent
 	if err := json.Unmarshal(raw, &je); err != nil {
 		return obs.Event{}, fmt.Errorf("malformed event: %w", err)
 	}

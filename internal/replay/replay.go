@@ -44,18 +44,9 @@ type header struct {
 	Fields  []string `json:"fields"`
 }
 
-// jsonEvent is one JSONL event line on the wire.
-type jsonEvent struct {
-	T     uint64 `json:"t"`
-	Kind  string `json:"kind"`
-	Page  int64  `json:"page"`
-	Batch uint64 `json:"batch"`
-	V1    uint64 `json:"v1"`
-	V2    uint64 `json:"v2"`
-}
-
 // ReadFile loads a recorded timeline, dispatching on the extension the
-// trace writer used: ".csv" selects CSV, anything else JSONL.
+// trace writer used (obs.FormatForPath): ".csv" selects CSV, anything
+// else JSONL.
 func ReadFile(path string) ([]obs.Event, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -63,7 +54,7 @@ func ReadFile(path string) ([]obs.Event, error) {
 	}
 	defer f.Close()
 	var events []obs.Event
-	if strings.HasSuffix(path, ".csv") {
+	if obs.FormatForPath(path) == obs.FormatCSV {
 		events, err = ReadCSV(f)
 	} else {
 		events, err = ReadJSONL(f)
@@ -136,7 +127,7 @@ func parseJSONLEvent(raw []byte) (obs.Event, error) {
 	if e, ok := parseJSONLFast(raw); ok {
 		return e, nil
 	}
-	var je jsonEvent
+	var je obs.WireEvent
 	if err := json.Unmarshal(raw, &je); err != nil {
 		return obs.Event{}, fmt.Errorf("malformed event: %w", err)
 	}
@@ -278,7 +269,7 @@ func ReadCSV(r io.Reader) ([]obs.Event, error) {
 	if !sc.Scan() {
 		return nil, scanErr(sc, fmt.Errorf("truncated trace: missing column header"))
 	}
-	if got, want := sc.Text(), "t,kind,page,batch,v1,v2"; got != want {
+	if got, want := sc.Text(), obs.TraceColumnsCSV; got != want {
 		return nil, fmt.Errorf("line 2: column header %.80q, want %q", got, want)
 	}
 	var events []obs.Event

@@ -180,7 +180,7 @@ func (e *Engine) Admit(enc Enclave, now uint64) error {
 	} else {
 		ch = e.chan0.Sibling()
 	}
-	st, err := buildState(enc, e.cfg, e.shared, ch, newTotal, mem.PageID(e.total), e.arb, len(e.states))
+	st, err := buildState(enc, e.cfg, e.shared, ch, mem.PageID(e.total), e.arb, len(e.states))
 	if err != nil {
 		return closeErr(err)
 	}
@@ -239,18 +239,15 @@ func closeEnclaveStreams(enclaves []Enclave) {
 // buildState wires one enclave: its kernel over the shared EPC and
 // channel group, and its scheme configuration. This is the only place in
 // the package where a scheme is turned into kernel machinery.
-func buildState(e Enclave, cfg SharedConfig, shared *epc.EPC, ch *channel.Channel, total uint64, base mem.PageID, arb *arbiter.Arbiter, owner int) (*enclaveState, error) {
+func buildState(e Enclave, cfg SharedConfig, shared *epc.EPC, ch *channel.Channel, base mem.PageID, arb *arbiter.Arbiter, owner int) (*enclaveState, error) {
 	kcfg := kernel.Config{
-		Costs:        cfg.Costs,
-		EPCPages:     cfg.EPCPages,
-		ELRangePages: total,
-		ScanPeriod:   cfg.ScanPeriod,
-		MaxPending:   cfg.MaxPending,
-		RangeLo:      base,
-		RangeHi:      base + mem.PageID(e.Pages),
-		Hook:         cfg.Hook,
-		Arbiter:      arb,
-		Owner:        owner,
+		Costs:      cfg.Costs,
+		ScanPeriod: cfg.ScanPeriod,
+		RangeLo:    base,
+		RangeHi:    base + mem.PageID(e.Pages),
+		Hook:       cfg.Hook,
+		Arbiter:    arb,
+		Owner:      owner,
 
 		BackgroundReclaim: e.BackgroundReclaim,
 	}
@@ -272,7 +269,7 @@ func buildState(e Enclave, cfg SharedConfig, shared *epc.EPC, ch *channel.Channe
 		}
 		kcfg.Predictor = pred
 	}
-	k, err := kernel.NewShared(kcfg, shared, ch)
+	k, err := kernel.New(kcfg, shared, ch)
 	if err != nil {
 		return nil, fmt.Errorf("sim: enclave %s: %w", e.Name, err)
 	}

@@ -64,10 +64,9 @@ type SharedConfig struct {
 	Costs mem.CostModel
 	// EPCPages is the total physical EPC shared by all enclaves.
 	EPCPages int
-	// ScanPeriod and MaxPending pass through to each enclave's kernel;
-	// zero selects defaults.
+	// ScanPeriod passes through to each enclave's kernel; zero selects
+	// the default.
 	ScanPeriod uint64
-	MaxPending int
 	// EvictPolicy selects the EPC victim-selection algorithm; the zero
 	// value is the driver's CLOCK. Used by the eviction ablation.
 	EvictPolicy epc.Policy
