@@ -6,8 +6,8 @@ GO ?= go
 	verify verify-obs stream-smoke trace-smoke check-docs
 
 # The fault-servicing hot-path microbenchmarks (channel deque, EPC page
-# table, owned victim scan, end-to-end HandleFault).
-BENCH_MICRO = BenchmarkPendingQueue|BenchmarkPendingMembership|BenchmarkEPCLookup|BenchmarkEPCPresent|BenchmarkSelectVictimOwned|BenchmarkHandleFault
+# table, global and owned victim scans, end-to-end HandleFault).
+BENCH_MICRO = BenchmarkPendingQueue|BenchmarkPendingMembership|BenchmarkEPCLookup|BenchmarkEPCPresent|BenchmarkSelectVictim|BenchmarkSelectVictimOwned|BenchmarkHandleFault
 
 build:
 	$(GO) build ./...

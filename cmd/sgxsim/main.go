@@ -129,18 +129,9 @@ func run(args []string, out io.Writer) error {
 	d.StreamListLen = *listLen
 	d.LoadLength = *loadLength
 
-	var pol epc.Policy
-	switch strings.ToLower(*policy) {
-	case "clock":
-		pol = epc.PolicyClock
-	case "fifo":
-		pol = epc.PolicyFIFO
-	case "lru":
-		pol = epc.PolicyLRU
-	case "random":
-		pol = epc.PolicyRandom
-	default:
-		return fmt.Errorf("unknown eviction policy %q", *policy)
+	pol, err := epc.PolicyByName(strings.ToLower(*policy))
+	if err != nil {
+		return err
 	}
 	quota, err := arbiter.ByName(strings.ToLower(*quotaName))
 	if err != nil {
@@ -514,9 +505,7 @@ func (r *repeated) Next() (mem.Access, bool) {
 }
 
 func (r *repeated) Close() {
-	if c, ok := r.cur.(mem.Closer); ok {
-		c.Close()
-	}
+	mem.Close(r.cur)
 	r.cur = nil
 }
 

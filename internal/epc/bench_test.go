@@ -77,6 +77,37 @@ func BenchmarkEPCPresent(b *testing.B) {
 	}
 }
 
+// BenchmarkSelectVictim measures one global eviction — the victim scan
+// over the occupancy bitset plus the Evict+Load that follows it — on a
+// full EPC, under each policy.
+func BenchmarkSelectVictim(b *testing.B) {
+	const capacity = 4096
+	for _, policy := range []Policy{PolicyClock, PolicyFIFO, PolicyLRU, PolicyRandom} {
+		b.Run(policy.String(), func(b *testing.B) {
+			e, err := NewWithPolicy(capacity, 2*capacity, policy)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for p := mem.PageID(0); p < capacity; p++ {
+				if err := e.Load(p, false); err != nil {
+					b.Fatal(err)
+				}
+			}
+			next := mem.PageID(capacity) // the first non-resident page
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				v := e.SelectVictim()
+				e.Evict(v)
+				if err := e.Load(next, false); err != nil {
+					b.Fatal(err)
+				}
+				next = v // the evicted page is the next one to load
+			}
+		})
+	}
+}
+
 // BenchmarkSelectVictimOwned measures one quota-driven self-eviction —
 // the owned victim scan plus the Evict+Load that follows it — for an
 // owner holding 1/16 of a full EPC shared by 16 owners whose frames are

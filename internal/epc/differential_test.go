@@ -181,9 +181,69 @@ func TestSparseFallbackUnderRandomOperations(t *testing.T) {
 	}
 }
 
-// The reference owner-scoped scans below are the frame-walking
-// implementations the per-owner membership bitsets replaced, kept
-// verbatim as the oracle for TestOwnedScanDifferential.
+// The reference scans below are the frame-walking implementations the
+// membership bitsets replaced, kept verbatim as the oracle for
+// TestOwnedScanDifferential.
+
+// refSelectVictim is the linear global victim scan.
+func refSelectVictim(e *EPC) mem.PageID {
+	if e.pt.size() == 0 {
+		return mem.NoPage
+	}
+	switch e.policy {
+	case PolicyFIFO:
+		return refVictimByMin(e, func(fr *frame) uint64 { return fr.loadedAt })
+	case PolicyLRU:
+		return refVictimByMin(e, func(fr *frame) uint64 { return fr.touchedAt })
+	case PolicyRandom:
+		return refVictimRandom(e)
+	}
+	for sweep := 0; sweep < 2*len(e.frames); sweep++ {
+		fr := &e.frames[e.hand]
+		e.hand = (e.hand + 1) % len(e.frames)
+		if fr.page == mem.NoPage {
+			continue
+		}
+		if fr.accessed {
+			fr.accessed = false
+			continue
+		}
+		return fr.page
+	}
+	// Unreachable: two sweeps over a non-empty table must find a frame
+	// whose bit was cleared on the first pass.
+	panic("epc: CLOCK failed to select a victim")
+}
+
+// refVictimByMin scans for the occupied frame minimizing key.
+func refVictimByMin(e *EPC, key func(*frame) uint64) mem.PageID {
+	victim := mem.NoPage
+	best := uint64(0)
+	for i := range e.frames {
+		fr := &e.frames[i]
+		if fr.page == mem.NoPage {
+			continue
+		}
+		if k := key(fr); victim == mem.NoPage || k < best {
+			victim, best = fr.page, k
+		}
+	}
+	return victim
+}
+
+// refVictimRandom picks a uniformly random occupied frame (deterministic
+// xorshift so runs stay reproducible).
+func refVictimRandom(e *EPC) mem.PageID {
+	for {
+		e.rnd ^= e.rnd << 13
+		e.rnd ^= e.rnd >> 7
+		e.rnd ^= e.rnd << 17
+		fr := &e.frames[e.rnd%uint64(len(e.frames))]
+		if fr.page != mem.NoPage {
+			return fr.page
+		}
+	}
+}
 
 // refSelectVictimOwned is the linear owner-filtered victim scan.
 func refSelectVictimOwned(e *EPC, owner int) mem.PageID {
@@ -197,7 +257,7 @@ func refSelectVictimOwned(e *EPC, owner int) mem.PageID {
 	case PolicyLRU:
 		return refVictimByMinOwned(e, o, func(fr *frame) uint64 { return fr.touchedAt })
 	case PolicyRandom:
-		return e.victimRandomOwned(o)
+		return e.victimRandom(e.ownedBits[o])
 	}
 	for sweep := 0; sweep < 2*len(e.frames); sweep++ {
 		fr := &e.frames[e.hand]
@@ -265,14 +325,14 @@ type scanVisit struct {
 	accessed bool
 }
 
-// TestOwnedScanDifferential drives an EPC using the bitset-backed owner
-// scans and one using the linear reference scans through the same random
-// Load/Touch/Evict/SelectVictim/SelectVictimOwned/scan sequence, under
-// every policy, on dense and sparse page tables, at 0 (implicit owner 0)
-// to 64 owners and capacities up to 65536 frames (1 and 64 owners only at
-// the largest). After every operation the two must agree on the victim,
-// the CLOCK hand and every frame's page, owner, access and preload bits
-// and FIFO/LRU stamps.
+// TestOwnedScanDifferential drives an EPC using the bitset-backed global
+// and owner scans and one using the linear reference scans through the
+// same random Load/Touch/Evict/SelectVictim/SelectVictimOwned/scan
+// sequence, under every policy, on dense and sparse page tables, at 0
+// (implicit owner 0) to 64 owners and capacities up to 65536 frames (1 and
+// 64 owners only at the largest). After every operation the two must agree
+// on the victim, the CLOCK hand and every frame's page, owner, access and
+// preload bits and FIFO/LRU stamps.
 func TestOwnedScanDifferential(t *testing.T) {
 	for _, capacity := range []int{64, 4096, 65536} {
 		ownerCounts := []int{0, 1, 5, 64}
@@ -348,12 +408,12 @@ func ownedScanDifferential(t *testing.T, capacity, owners int, policy Policy, sp
 			// Evict through either scan, as the kernel does.
 			var fv, rv mem.PageID
 			if r.Intn(2) == 0 {
-				fv, rv = fast.SelectVictim(), ref.SelectVictim()
+				fv, rv = fast.SelectVictim(), refSelectVictim(ref)
 			} else {
 				o := pickOwner()
 				fv, rv = fast.SelectVictimOwned(o), refSelectVictimOwned(ref, o)
 				if fv == mem.NoPage && rv == mem.NoPage {
-					fv, rv = fast.SelectVictim(), ref.SelectVictim()
+					fv, rv = fast.SelectVictim(), refSelectVictim(ref)
 				}
 			}
 			if fv != rv {
@@ -398,7 +458,7 @@ func ownedScanDifferential(t *testing.T, capacity, owners int, policy Policy, sp
 			}
 		case 4:
 			op = "victim"
-			if fv, rv := fast.SelectVictim(), ref.SelectVictim(); fv != rv {
+			if fv, rv := fast.SelectVictim(), refSelectVictim(ref); fv != rv {
 				t.Fatalf("step %d: SelectVictim %d, reference %d", i, fv, rv)
 			}
 		case 5:

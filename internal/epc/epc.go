@@ -64,6 +64,16 @@ func (p Policy) String() string {
 	}
 }
 
+// PolicyByName resolves an eviction policy from its String name.
+func PolicyByName(name string) (Policy, error) {
+	for p := PolicyClock; p <= PolicyRandom; p++ {
+		if p.String() == name {
+			return p, nil
+		}
+	}
+	return 0, fmt.Errorf("epc: unknown eviction policy %q (want clock, fifo, lru, or random)", name)
+}
+
 // frame is the per-physical-frame metadata the driver keeps.
 type frame struct {
 	page      mem.PageID // resident virtual page, mem.NoPage if free
@@ -105,6 +115,9 @@ type EPC struct {
 	// walk it with bits.TrailingZeros64 in frame order, so they cost
 	// O(owner frames + capacity/64) instead of O(capacity).
 	ownedBits [][]uint64
+	// occupied marks every frame that holds a page, in the same layout:
+	// the global victim scan is the owned scan over it.
+	occupied []uint64
 	// preloaded mirrors every frame's preload bit in the same layout, so
 	// the service thread's preload-bit scan visits only preloaded frames.
 	preloaded []uint64
@@ -140,6 +153,7 @@ func NewWithPolicy(capacity int, elrangePages uint64, policy Policy) (*EPC, erro
 		// is called.
 		resByOwner: make([]int, 1),
 		ownedBits:  [][]uint64{make([]uint64, (capacity+63)/64)},
+		occupied:   make([]uint64, (capacity+63)/64),
 		preloaded:  make([]uint64, (capacity+63)/64),
 	}
 	for i := range e.frames {
@@ -322,6 +336,7 @@ func (e *EPC) Load(page mem.PageID, preloaded bool) error {
 	}
 	e.resByOwner[owner]++
 	e.ownedBits[owner][f>>6] |= 1 << (f & 63)
+	e.occupied[f>>6] |= 1 << (f & 63)
 	if preloaded {
 		e.preloaded[f>>6] |= 1 << (f & 63)
 	}
@@ -340,6 +355,7 @@ func (e *EPC) Evict(page mem.PageID) bool {
 	owner := e.frames[f].owner
 	e.resByOwner[owner]--
 	e.ownedBits[owner][f>>6] &^= 1 << (f & 63)
+	e.occupied[f>>6] &^= 1 << (f & 63)
 	e.preloaded[f>>6] &^= 1 << (f & 63)
 	e.frames[f] = frame{page: mem.NoPage}
 	e.free = append(e.free, f)
@@ -349,40 +365,21 @@ func (e *EPC) Evict(page mem.PageID) bool {
 }
 
 // SelectVictim returns the page the configured policy would evict, or
-// mem.NoPage if the EPC is empty.
+// mem.NoPage if the EPC is empty. It runs the policy's scan over every
+// occupied frame.
 //
 // Under CLOCK (the driver's algorithm), frames with the access bit set get
 // a second chance (the bit is cleared and the hand moves on); the first
 // frame found with a clear access bit is the victim. With every bit set
 // the hand wraps once, clearing as it goes, and evicts the frame it
-// started from — guaranteeing termination.
+// started from — guaranteeing termination. Empty frames are passed over
+// without side effects, so walking the occupancy bitset from the hand
+// visits the frames a frame-by-frame sweep would stop at.
 func (e *EPC) SelectVictim() mem.PageID {
 	if e.pt.size() == 0 {
 		return mem.NoPage
 	}
-	switch e.policy {
-	case PolicyFIFO:
-		return e.victimByMin(func(fr *frame) uint64 { return fr.loadedAt })
-	case PolicyLRU:
-		return e.victimByMin(func(fr *frame) uint64 { return fr.touchedAt })
-	case PolicyRandom:
-		return e.victimRandom()
-	}
-	for sweep := 0; sweep < 2*len(e.frames); sweep++ {
-		fr := &e.frames[e.hand]
-		e.hand = (e.hand + 1) % len(e.frames)
-		if fr.page == mem.NoPage {
-			continue
-		}
-		if fr.accessed {
-			fr.accessed = false
-			continue
-		}
-		return fr.page
-	}
-	// Unreachable: two sweeps over a non-empty table must find a frame
-	// whose bit was cleared on the first pass.
-	panic("epc: CLOCK failed to select a victim")
+	return e.victim(e.occupied)
 }
 
 // SelectVictimOwned is SelectVictim restricted to frames held by owner:
@@ -402,22 +399,27 @@ func (e *EPC) SelectVictimOwned(owner int) mem.PageID {
 	if e.OwnerResident(owner) == 0 {
 		return mem.NoPage
 	}
-	o := int32(owner)
+	return e.victim(e.ownedBits[owner])
+}
+
+// victim runs the configured policy's scan over the frames whose bit is
+// set in the membership bitset members, which must hold at least one
+// frame.
+func (e *EPC) victim(members []uint64) mem.PageID {
 	switch e.policy {
 	case PolicyFIFO:
-		return e.victimByMinOwned(o, func(fr *frame) uint64 { return fr.loadedAt })
+		return e.victimByMin(members, func(fr *frame) uint64 { return fr.loadedAt })
 	case PolicyLRU:
-		return e.victimByMinOwned(o, func(fr *frame) uint64 { return fr.touchedAt })
+		return e.victimByMin(members, func(fr *frame) uint64 { return fr.touchedAt })
 	case PolicyRandom:
-		return e.victimRandomOwned(o)
+		return e.victimRandom(members)
 	}
-	// Terminates: owner holds >= 1 frame, and one lap around its frames
+	// Terminates: members holds >= 1 frame, and one lap around them
 	// clears every access bit it meets.
-	owned := e.ownedBits[o]
 	for f := e.hand; ; {
-		g := nextOwned(owned, f)
+		g := nextOwned(members, f)
 		if g < 0 {
-			g = nextOwned(owned, 0) // wrap past the last frame
+			g = nextOwned(members, 0) // wrap past the last frame
 		}
 		fr := &e.frames[g]
 		if fr.accessed {
@@ -447,15 +449,17 @@ func nextOwned(owned []uint64, from int) int {
 	return w<<6 | bits.TrailingZeros64(m)
 }
 
-// victimByMinOwned returns owner's frame minimizing key, the first in
-// frame order on ties.
-func (e *EPC) victimByMinOwned(owner int32, key func(*frame) uint64) mem.PageID {
+// victimByMin returns the member frame minimizing key, the first in
+// frame order on ties. Keys are load/touch sequence numbers, which start
+// at 1 and never reach ^uint64(0), so that bound seeds the minimum
+// without a first-frame test on every step.
+func (e *EPC) victimByMin(members []uint64, key func(*frame) uint64) mem.PageID {
 	victim := mem.NoPage
-	best := uint64(0)
-	for w, m := range e.ownedBits[owner] {
+	best := ^uint64(0)
+	for w, m := range members {
 		for ; m != 0; m &= m - 1 {
 			fr := &e.frames[w<<6|bits.TrailingZeros64(m)]
-			if k := key(fr); victim == mem.NoPage || k < best {
+			if k := key(fr); k < best {
 				victim, best = fr.page, k
 			}
 		}
@@ -463,47 +467,17 @@ func (e *EPC) victimByMinOwned(owner int32, key func(*frame) uint64) mem.PageID 
 	return victim
 }
 
-// victimRandomOwned picks a uniformly random frame held by owner
-// (rejection sampling; terminates because the caller checked owner holds
-// at least one frame).
-func (e *EPC) victimRandomOwned(owner int32) mem.PageID {
+// victimRandom picks a uniformly random member frame (rejection sampling
+// on a deterministic xorshift, so runs stay reproducible; terminates
+// because the caller checked members holds at least one frame).
+func (e *EPC) victimRandom(members []uint64) mem.PageID {
 	for {
 		e.rnd ^= e.rnd << 13
 		e.rnd ^= e.rnd >> 7
 		e.rnd ^= e.rnd << 17
-		fr := &e.frames[e.rnd%uint64(len(e.frames))]
-		if fr.page != mem.NoPage && fr.owner == owner {
-			return fr.page
-		}
-	}
-}
-
-// victimByMin scans for the occupied frame minimizing key.
-func (e *EPC) victimByMin(key func(*frame) uint64) mem.PageID {
-	victim := mem.NoPage
-	best := uint64(0)
-	for i := range e.frames {
-		fr := &e.frames[i]
-		if fr.page == mem.NoPage {
-			continue
-		}
-		if k := key(fr); victim == mem.NoPage || k < best {
-			victim, best = fr.page, k
-		}
-	}
-	return victim
-}
-
-// victimRandom picks a uniformly random occupied frame (deterministic
-// xorshift so runs stay reproducible).
-func (e *EPC) victimRandom() mem.PageID {
-	for {
-		e.rnd ^= e.rnd << 13
-		e.rnd ^= e.rnd >> 7
-		e.rnd ^= e.rnd << 17
-		fr := &e.frames[e.rnd%uint64(len(e.frames))]
-		if fr.page != mem.NoPage {
-			return fr.page
+		f := e.rnd % uint64(len(e.frames))
+		if members[f>>6]&(1<<(f&63)) != 0 {
+			return e.frames[f].page
 		}
 	}
 }
@@ -568,8 +542,9 @@ func (e *EPC) ResidentPages() []mem.PageID {
 }
 
 // CheckInvariants verifies internal consistency: the page table, frame
-// table, free list, presence bitmap, per-owner membership bitsets and
-// preload bitset must agree. Tests call it after random operation sequences.
+// table, free list, presence bitmap, per-owner membership bitsets,
+// occupancy bitset and preload bitset must agree. Tests call it after
+// random operation sequences.
 func (e *EPC) CheckInvariants() error {
 	occupied := 0
 	seen := make(map[FrameID]bool, len(e.frames))
@@ -609,45 +584,24 @@ func (e *EPC) CheckInvariants() error {
 		return fmt.Errorf("epc: per-owner counts sum to %d, %d frames occupied",
 			ownedTotal, occupied)
 	}
-	// Each owner's bitset holds exactly the frames stamped with that owner,
-	// so its popcount is the owner's resident counter.
+	// Each owner's bitset holds exactly the frames stamped with that owner;
+	// the occupancy and preload bitsets mirror the frames' page and
+	// preload bit.
 	if len(e.ownedBits) != len(e.resByOwner) {
 		return fmt.Errorf("epc: %d owner bitsets for %d owners", len(e.ownedBits), len(e.resByOwner))
 	}
 	for o, owned := range e.ownedBits {
-		for i := range e.frames {
-			set := owned[i>>6]&(1<<(i&63)) != 0
-			if stamped := e.frames[i].page != mem.NoPage && int(e.frames[i].owner) == o; set != stamped {
-				return fmt.Errorf("epc: owner %d bitset says frame %d held = %v, frame says %v",
-					o, i, set, stamped)
-			}
-		}
-		n := 0
-		for _, w := range owned {
-			n += bits.OnesCount64(w)
-		}
-		if n != e.resByOwner[o] {
-			return fmt.Errorf("epc: owner %d bitset holds %d frames, counter says %d",
-				o, n, e.resByOwner[o])
+		if err := e.checkBitset(fmt.Sprintf("owner %d", o), owned, func(fr *frame) bool {
+			return fr.page != mem.NoPage && int(fr.owner) == o
+		}); err != nil {
+			return err
 		}
 	}
-	preloaded := 0
-	for i := range e.frames {
-		set := e.preloaded[i>>6]&(1<<(i&63)) != 0
-		if set != e.frames[i].preload {
-			return fmt.Errorf("epc: preload bitset says frame %d = %v, frame says %v",
-				i, set, e.frames[i].preload)
-		}
-		if set {
-			preloaded++
-		}
+	if err := e.checkBitset("occupancy", e.occupied, func(fr *frame) bool { return fr.page != mem.NoPage }); err != nil {
+		return err
 	}
-	n := 0
-	for _, w := range e.preloaded {
-		n += bits.OnesCount64(w)
-	}
-	if n != preloaded {
-		return fmt.Errorf("epc: preload bitset holds %d bits past the last frame", n-preloaded)
+	if err := e.checkBitset("preload", e.preloaded, func(fr *frame) bool { return fr.preload }); err != nil {
+		return err
 	}
 	// Entry counts matching plus every occupied frame resolving back to
 	// itself rules out stale or duplicated page-table entries.
@@ -670,6 +624,29 @@ func (e *EPC) CheckInvariants() error {
 	}
 	if got := e.present.Count(); got != uint64(occupied) {
 		return fmt.Errorf("epc: presence bitmap count %d != %d resident", got, occupied)
+	}
+	return nil
+}
+
+// checkBitset verifies that the frame bitset named name has exactly the
+// frames for which want holds set, and no bit past the last frame.
+func (e *EPC) checkBitset(name string, set []uint64, want func(*frame) bool) error {
+	n := 0
+	for i := range e.frames {
+		got := set[i>>6]&(1<<(i&63)) != 0
+		if w := want(&e.frames[i]); got != w {
+			return fmt.Errorf("epc: %s bitset says frame %d = %v, frame says %v", name, i, got, w)
+		}
+		if got {
+			n++
+		}
+	}
+	total := 0
+	for _, w := range set {
+		total += bits.OnesCount64(w)
+	}
+	if total != n {
+		return fmt.Errorf("epc: %s bitset holds %d bits past the last frame", name, total-n)
 	}
 	return nil
 }

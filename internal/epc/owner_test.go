@@ -248,8 +248,9 @@ func TestOwnerAccessed(t *testing.T) {
 }
 
 // TestCheckInvariantsCatchesBitsetDrift: an owner bitset that disagrees
-// with the frame stamps or holds a bit past the last frame, and a preload
-// bitset that disagrees with the frame bits, are reported.
+// with the frame stamps or holds a bit past the last frame, and an
+// occupancy or preload bitset that disagrees with the frames, are
+// reported.
 func TestCheckInvariantsCatchesBitsetDrift(t *testing.T) {
 	e := mustNew(t, 8, 64)
 	addOwners(t, e, 2)
@@ -274,6 +275,12 @@ func TestCheckInvariantsCatchesBitsetDrift(t *testing.T) {
 		t.Fatal("bitset bit past the last frame not reported")
 	}
 	e.ownedBits[0][0] &^= 1 << 9
+	// Frame 3 is free; mark it occupied in the occupancy bitset only.
+	e.occupied[0] |= 1 << 3
+	if err := e.CheckInvariants(); err == nil {
+		t.Fatal("occupancy bitset disagreeing with the frame not reported")
+	}
+	e.occupied[0] &^= 1 << 3
 	// Frame 0 holds a demand-loaded page; mark it preloaded in the
 	// bitset only.
 	e.preloaded[0] |= 1

@@ -1,6 +1,7 @@
 package epc
 
 import (
+	"strings"
 	"testing"
 
 	"sgxpreload/internal/mem"
@@ -16,6 +17,8 @@ func mustPolicy(t *testing.T, capacity int, pages uint64, pol Policy) *EPC {
 	return e
 }
 
+// TestPolicyStrings pins each policy's name, that PolicyByName resolves
+// it back, and that an unknown name fails with an error naming it.
 func TestPolicyStrings(t *testing.T) {
 	for pol, want := range map[Policy]string{
 		PolicyClock: "clock", PolicyFIFO: "fifo", PolicyLRU: "lru", PolicyRandom: "random",
@@ -23,6 +26,12 @@ func TestPolicyStrings(t *testing.T) {
 		if pol.String() != want {
 			t.Errorf("%d.String() = %q, want %q", pol, pol.String(), want)
 		}
+		if got, err := PolicyByName(want); err != nil || got != pol {
+			t.Errorf("PolicyByName(%q) = %v, %v; want %v", want, got, err, pol)
+		}
+	}
+	if _, err := PolicyByName("mru"); err == nil || !strings.Contains(err.Error(), `"mru"`) {
+		t.Fatalf("PolicyByName(\"mru\") error %v does not name the policy", err)
 	}
 }
 

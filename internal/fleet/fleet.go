@@ -257,9 +257,7 @@ func Run(arrivals []Arrival, cfg Config) (Result, error) {
 			if !bucket.take(t) {
 				res.Placement = append(res.Placement, -1)
 				res.Shed = append(res.Shed, a.Enclave.Name)
-				if c, ok := a.Enclave.Stream.(mem.Closer); ok {
-					c.Close()
-				}
+				mem.Close(a.Enclave.Stream)
 				continue
 			}
 			h := pl.place(hosts, a.Enclave.Name)
@@ -440,9 +438,7 @@ func CloseArrivals(arrivals []Arrival) { closeArrivalStreams(arrivals) }
 // validation and mid-run failure paths.
 func closeArrivalStreams(arrivals []Arrival) {
 	for _, a := range arrivals {
-		if c, ok := a.Enclave.Stream.(mem.Closer); ok {
-			c.Close()
-		}
+		mem.Close(a.Enclave.Stream)
 	}
 }
 

@@ -366,17 +366,7 @@ func (k *Kernel) HandleFault(now uint64, page mem.PageID) uint64 {
 			k.stats.InWindowAborts++
 			class = obs.FaultInWindowAbort
 		}
-		// The demand load takes the channel as soon as the (non-
-		// preemptible) in-progress transfer finishes, jumping ahead of any
-		// queued preloads: the fault handler performs the ELDU itself,
-		// while the preload worker runs at lower priority.
-		start := max64(t, k.ch.BusyUntil())
-		if _, busy := k.ch.Inflight(); busy {
-			k.complete(k.ch.CompleteInflight())
-		}
-		ld := k.beginLoad(page, start, false, 0)
-		k.complete(k.ch.CompleteInflight())
-		done = ld.Done
+		done = k.loadNow(t, page)
 		k.stats.LoadWaitCycles += done - t
 	}
 
@@ -390,6 +380,32 @@ func (k *Kernel) HandleFault(now uint64, page mem.PageID) uint64 {
 	}
 	k.predict(page, resume)
 	return resume
+}
+
+// loadNow performs a synchronous load (ELDU) of page requested at t — the
+// demand-fault and SIP-notify paths — and returns the cycle it completes.
+// The load takes the channel as soon as the (non-preemptible) in-progress
+// transfer finishes, jumping ahead of any queued preloads: the requester
+// performs the ELDU itself, while the preload worker runs at lower
+// priority.
+func (k *Kernel) loadNow(t uint64, page mem.PageID) uint64 {
+	start := max64(t, k.ch.BusyUntil())
+	if _, busy := k.ch.Inflight(); busy {
+		k.complete(k.ch.CompleteInflight())
+	}
+	ld := k.beginLoad(page, start, false, 0)
+	k.complete(k.ch.CompleteInflight())
+	return ld.Done
+}
+
+// worthQueueing reports whether a preload of page is worth queueing: it
+// lies inside this enclave's slice of the (possibly shared) page space —
+// so neither a stream running past the mapped range nor a shared-EPC run
+// can preload into another enclave's pages — and is not resident, in
+// flight or already queued.
+func (k *Kernel) worthQueueing(page mem.PageID) bool {
+	return page >= k.cfg.RangeLo && page < k.cfg.RangeHi &&
+		!k.epc.Present(page) && k.ch.InflightPage() != page && !k.ch.PendingContains(page)
 }
 
 // predict feeds the fault to the DFP predictor and queues the resulting
@@ -407,15 +423,9 @@ func (k *Kernel) predict(page mem.PageID, resume uint64) {
 	// be reused fault after fault instead of allocating a fresh batch.
 	batch := k.scratch[:0]
 	for _, p := range predicted {
-		if p < k.cfg.RangeLo || p >= k.cfg.RangeHi {
-			// The stream ran past the enclave's mapped range; nothing to
-			// preload there.
-			continue
+		if k.worthQueueing(p) {
+			batch = append(batch, p)
 		}
-		if k.epc.Present(p) || k.ch.InflightPage() == p || k.ch.PendingContains(p) {
-			continue
-		}
-		batch = append(batch, p)
 	}
 	k.scratch = batch
 	if len(batch) == 0 {
@@ -450,13 +460,7 @@ func (k *Kernel) NotifyLoad(now uint64, page mem.PageID) uint64 {
 		if k.ch.RemovePending(page, now) {
 			k.stats.PreloadsDropped++
 		}
-		start := max64(now, k.ch.BusyUntil())
-		if _, busy := k.ch.Inflight(); busy {
-			k.complete(k.ch.CompleteInflight())
-		}
-		ld := k.beginLoad(page, start, false, 0)
-		k.complete(k.ch.CompleteInflight())
-		done = ld.Done
+		done = k.loadNow(now, page)
 		k.stats.NotifyLoads++
 		k.stats.NotifyWaitCycles += done - now
 	}
@@ -473,13 +477,7 @@ func (k *Kernel) NotifyLoad(now uint64, page mem.PageID) uint64 {
 // not wait. This is the early-notification path of the eager-SIP ablation;
 // it reuses the preload queue, so demand faults still take priority.
 func (k *Kernel) QueuePrefetch(now uint64, page mem.PageID) {
-	if page < k.cfg.RangeLo || page >= k.cfg.RangeHi {
-		// Outside this enclave's slice of the (possibly shared) page
-		// space — same bound predict applies, so a shared-EPC run can
-		// never prefetch into another enclave's range.
-		return
-	}
-	if k.epc.Present(page) || k.ch.InflightPage() == page || k.ch.PendingContains(page) {
+	if !k.worthQueueing(page) {
 		return
 	}
 	k.stats.PreloadsQueued++
@@ -568,37 +566,6 @@ func (k *Kernel) emitQuotaVector(now uint64) {
 	for i := 0; i < arb.N(); i++ {
 		k.hook.Emit(obs.Event{T: now, Kind: obs.KindQuotaRebalance, Page: mem.NoPage,
 			Batch: uint64(i), V1: uint64(arb.Quota(i)), V2: uint64(k.epc.OwnerResident(i))})
-	}
-}
-
-// Drain completes all outstanding channel work and returns the cycle at
-// which the channel goes idle. It is for tests: the engine never calls
-// it, so a run's Result counters exclude preloads still queued when the
-// trace ends.
-func (k *Kernel) Drain(now uint64) uint64 {
-	end := now
-	for {
-		if ld, ok := k.ch.Inflight(); ok {
-			k.complete(k.ch.CompleteInflight())
-			if ld.Done > end {
-				end = ld.Done
-			}
-			continue
-		}
-		req, ok := k.ch.PopPending()
-		if !ok {
-			return end
-		}
-		if k.epc.Present(req.Page) {
-			k.stats.PreloadsDropped++
-			if k.hook != nil {
-				k.hook.Emit(obs.Event{T: max64(k.ch.BusyUntil(), req.Enqueued),
-					Kind: obs.KindPreloadAbort, Page: req.Page, Batch: req.Batch,
-					V1: obs.AbortResident})
-			}
-			continue
-		}
-		k.beginLoad(req.Page, max64(k.ch.BusyUntil(), req.Enqueued), true, req.Batch)
 	}
 }
 

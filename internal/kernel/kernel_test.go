@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"math"
 	"testing"
 
 	"sgxpreload/internal/channel"
@@ -303,16 +304,16 @@ func TestDrainCompletesOutstandingWork(t *testing.T) {
 	k := newKernel(t, 64, &d)
 	tNow := k.HandleFault(0, 100)
 	tNow = k.HandleFault(tNow, 101)
-	end := k.Drain(tNow)
-	if end < tNow {
-		t.Fatalf("Drain end %d before now %d", end, tNow)
+	k.Sync(math.MaxUint64)
+	if end := k.Channel().BusyUntil(); end < tNow {
+		t.Fatalf("channel idle at %d, before now %d", end, tNow)
 	}
 	if k.Channel().PendingLen() != 0 {
-		t.Fatal("pending work after Drain")
+		t.Fatal("pending work after draining")
 	}
 	for p := mem.PageID(102); p <= 105; p++ {
 		if !k.Present(p) {
-			t.Fatalf("page %d not loaded by Drain", p)
+			t.Fatalf("page %d not loaded by draining", p)
 		}
 	}
 }
@@ -329,7 +330,7 @@ func TestPredictionsOutsideELRangeDropped(t *testing.T) {
 	}
 	tNow := k.HandleFault(0, 100)
 	tNow = k.HandleFault(tNow, 101)
-	k.Drain(tNow)
+	k.Sync(math.MaxUint64)
 	if k.Present(102) != true || k.Present(103) != true {
 		t.Fatal("in-range predictions not loaded")
 	}
@@ -503,7 +504,7 @@ func TestSyncDropsRequestsForResidentPages(t *testing.T) {
 	tNow = k.HandleFault(tNow, 101) // queues 102..105 at resume
 	// Demand-load 103 before the preloads start.
 	tNow = k.HandleFault(tNow, 103)
-	k.Drain(tNow)
+	k.Sync(math.MaxUint64)
 	// 103 was in the pending batch; the in-window abort cancelled that
 	// batch, so everything is consistent — no duplicate installs.
 	if err := k.EPC().CheckInvariants(); err != nil {
@@ -527,7 +528,7 @@ func TestQueuePrefetchFilters(t *testing.T) {
 	if k.Channel().PendingLen() != 1 {
 		t.Fatalf("pending = %d, want 1", k.Channel().PendingLen())
 	}
-	k.Drain(tNow)
+	k.Sync(math.MaxUint64)
 	if !k.Present(5) {
 		t.Fatal("prefetched page not loaded")
 	}

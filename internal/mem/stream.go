@@ -21,6 +21,15 @@ type Closer interface {
 	Close()
 }
 
+// Close closes s when it implements Closer, and is a no-op otherwise. s
+// is typically a Stream; it is untyped so that streams over another
+// access type (the public API's) release through it too.
+func Close(s any) {
+	if c, ok := s.(Closer); ok {
+		c.Close()
+	}
+}
+
 // StreamFunc adapts an ordinary function to the Stream interface.
 type StreamFunc func() (Access, bool)
 
@@ -89,8 +98,6 @@ func (l *limitStream) Next() (Access, bool) {
 
 // Close releases the underlying stream when it holds resources.
 func (l *limitStream) Close() {
-	if c, ok := l.src.(Closer); ok {
-		c.Close()
-	}
+	Close(l.src)
 	l.src, l.left = nil, 0
 }

@@ -152,9 +152,7 @@ func newEngine(enclaves []Enclave, cfg SharedConfig) (*Engine, error) {
 // poisons the schedule like a Step error does.
 func (e *Engine) Admit(enc Enclave, now uint64) error {
 	closeErr := func(err error) error {
-		if c, ok := enc.Stream.(mem.Closer); ok {
-			c.Close()
-		}
+		mem.Close(enc.Stream)
 		return err
 	}
 	if enc.Pages == 0 {
@@ -230,9 +228,7 @@ func (e *Engine) Admit(enc Enclave, now uint64) error {
 // no resources, so only caller-provided Streams matter here.
 func closeEnclaveStreams(enclaves []Enclave) {
 	for _, e := range enclaves {
-		if c, ok := e.Stream.(mem.Closer); ok {
-			c.Close()
-		}
+		mem.Close(e.Stream)
 	}
 }
 
@@ -452,9 +448,7 @@ func (e *Engine) Close() {
 		if st == nil {
 			continue
 		}
-		if c, ok := st.src.(mem.Closer); ok {
-			c.Close()
-		}
+		mem.Close(st.src)
 	}
 }
 

@@ -193,9 +193,7 @@ func Compile(s *Spec, opt Options) ([]fleet.Arrival, *Manifest, error) {
 			if !ok {
 				bail := func(err error) ([]fleet.Arrival, *Manifest, error) {
 					fleet.CloseArrivals(arrivals[:i])
-					if c, ok := enc.Stream.(mem.Closer); ok {
-						c.Close()
-					}
+					mem.Close(enc.Stream)
 					return nil, nil, err
 				}
 				if opt.Selection == nil {
@@ -368,8 +366,4 @@ func (m *modStream) Next() (mem.Access, bool) {
 }
 
 // Close releases the underlying generator.
-func (m *modStream) Close() {
-	if c, ok := m.src.(mem.Closer); ok {
-		c.Close()
-	}
-}
+func (m *modStream) Close() { mem.Close(m.src) }

@@ -3,6 +3,7 @@ package spec
 import (
 	"encoding/json"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -310,6 +311,22 @@ func TestRateScale(t *testing.T) {
 	fleet.CloseArrivals(a2)
 	if got, want := len(m2.Launches), 2*len(m1.Launches); got != want && got != want+1 {
 		t.Errorf("RateScale 2: %d launches, want ~%d", got, want)
+	}
+}
+
+// TestCompileStartsNoGoroutines pins that compiled launches hold no
+// generator coroutine until they are pulled: compiling the fixture at 40×
+// its arrival rate (hundreds of launches) adds no goroutine.
+func TestCompileStartsNoGoroutines(t *testing.T) {
+	before := runtime.NumGoroutine()
+	arrivals, m, err := Compile(loadFixture(t), Options{Scheme: sim.DFPStop, RateScale: 40})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fleet.CloseArrivals(arrivals)
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("compiling %d launches raised the goroutine count from %d to %d",
+			len(m.Launches), before, after)
 	}
 }
 

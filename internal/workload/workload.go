@@ -122,10 +122,12 @@ func (w *Workload) Generate(in Input) []mem.Access {
 // Generate(in) materializes, one at a time, in O(1) memory: the push-
 // style generator runs as a coroutine (iter.Pull) that is suspended
 // between accesses, so arbitrarily long traces never exist as a slice.
+// The coroutine starts on the first Next, so a stream built ahead of its
+// run (a compiled spec's launches) holds no goroutine until it is pulled.
 // The stream is exhausted-or-Closed: draining it to the end releases the
 // coroutine, and Close releases it early (an abandoned engine run).
 func (w *Workload) Stream(in Input) mem.Stream {
-	next, stop := iter.Pull(func(yield func(mem.Access) bool) {
+	return &genStream{gen: func(yield func(mem.Access) bool) {
 		defer func() {
 			// A consumer that stops early unwinds the generator via the
 			// stopGen panic emit raises; anything else propagates.
@@ -137,13 +139,14 @@ func (w *Workload) Stream(in Input) mem.Stream {
 		}()
 		b := &builder{r: rng.New(seed(w.Name, in)), yield: yield}
 		w.gen(in, b)
-	})
-	return &genStream{next: next, stop: stop}
+	}}
 }
 
-// genStream adapts an iter.Pull coroutine to mem.Stream.
+// genStream adapts a generator to mem.Stream through an iter.Pull
+// coroutine started on the first Next.
 type genStream struct {
-	next func() (mem.Access, bool)
+	gen  iter.Seq[mem.Access]
+	next func() (mem.Access, bool) // nil until the first Next
 	stop func()
 	done bool
 }
@@ -151,6 +154,9 @@ type genStream struct {
 func (s *genStream) Next() (mem.Access, bool) {
 	if s.done {
 		return mem.Access{}, false
+	}
+	if s.next == nil {
+		s.next, s.stop = iter.Pull(s.gen)
 	}
 	a, ok := s.next()
 	if !ok {
@@ -160,11 +166,13 @@ func (s *genStream) Next() (mem.Access, bool) {
 	return a, ok
 }
 
-// Close releases the generator coroutine; safe to call repeatedly and
-// after exhaustion.
+// Close releases the generator coroutine; safe to call repeatedly, after
+// exhaustion, and before the first Next (a no-op then).
 func (s *genStream) Close() {
 	s.done = true
-	s.stop()
+	if s.stop != nil {
+		s.stop()
+	}
 }
 
 // stopGen unwinds a generator whose consumer stopped pulling.

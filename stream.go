@@ -99,7 +99,7 @@ func (s internalStream) Next() (mem.Access, bool) {
 	}, true
 }
 
-func (s internalStream) Close() { closeStream(s.src) }
+func (s internalStream) Close() { mem.Close(s.src) }
 
 // publicStream presents an internal stream as an AccessStream, and
 // forwards Close to it.
@@ -120,14 +120,7 @@ func (s publicStream) Next() (Access, bool) {
 
 // Close releases the stream's resources (a generator coroutine) before
 // it is drained; a drained stream holds none.
-func (s publicStream) Close() { closeStream(s.src) }
-
-// closeStream releases s when it holds resources.
-func closeStream(s any) {
-	if c, ok := s.(mem.Closer); ok {
-		c.Close()
-	}
-}
+func (s publicStream) Close() { mem.Close(s.src) }
 
 // resultFromSim converts an internal result to the public form.
 func resultFromSim(res sim.Result) Result {
