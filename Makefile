@@ -28,12 +28,13 @@ bench-micro:
 		-run '^$$' -bench '$(BENCH_MICRO)' -benchmem
 
 # Regenerate BENCH_engine.json: current microbenchmark + RunAll +
-# streamed-engine + trace-I/O numbers, with the previous committed
-# numbers carried forward as the baseline.
+# streamed-engine + generator-pull + trace-I/O numbers, with the
+# previous committed numbers carried forward as the baseline.
 bench-json:
 	{ $(GO) test ./internal/channel/ ./internal/epc/ ./internal/kernel/ \
 		-run '^$$' -bench '$(BENCH_MICRO)' -benchmem ; \
 	  $(GO) test ./internal/sim/ -run '^$$' -bench 'BenchmarkRunStream|BenchmarkStep' -benchmem ; \
+	  $(GO) test ./internal/workload/ -run '^$$' -bench 'BenchmarkStreamPull|BenchmarkGenerate' -benchmem ; \
 	  $(GO) test ./internal/obs/ -run '^$$' -bench 'BenchmarkTraceWrite|BenchmarkStreamSink' -benchmem ; \
 	  $(GO) test ./internal/replay/ -run '^$$' -bench 'BenchmarkTraceParse' -benchmem ; \
 	  $(GO) test ./internal/experiments/ -run '^$$' -bench 'BenchmarkRunAll' -benchtime 2x ; } \
@@ -53,7 +54,7 @@ bench-compare:
 # One fast iteration of each benchmark; compilation + smoke for CI.
 bench-smoke:
 	$(GO) test ./internal/channel/ ./internal/epc/ ./internal/kernel/ ./internal/experiments/ \
-		-run '^$$' -bench . -benchtime 1x
+		./internal/workload/ -run '^$$' -bench . -benchtime 1x
 
 # Observability gate: build, race-test the instrumented packages, and
 # measure the hook plumbing (a no-op hook must stay within 15% of a nil

@@ -55,7 +55,7 @@ func main() {
 		dfp.Cycles, dfp.Faults, dfp.PreloadsStarted, sgxpreload.ImprovementPct(dfp, base))
 
 	// Built-in benchmarks stream the same way: their generators run as
-	// coroutines suspended between accesses.
+	// coroutines suspended between fixed-size chunks of accesses.
 	w, err := sgxpreload.Benchmark("lbm")
 	if err != nil {
 		log.Fatal(err)

@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"iter"
 	"sort"
+	"sync"
 
 	"sgxpreload/internal/mem"
 	"sgxpreload/internal/rng"
@@ -119,59 +120,104 @@ func (w *Workload) Generate(in Input) []mem.Access {
 }
 
 // Stream returns a pull-based source producing exactly the accesses
-// Generate(in) materializes, one at a time, in O(1) memory: the push-
-// style generator runs as a coroutine (iter.Pull) that is suspended
-// between accesses, so arbitrarily long traces never exist as a slice.
+// Generate(in) materializes, in O(chunk) memory: the push-style generator
+// runs as a coroutine (iter.Pull) that fills a chunkLen-access buffer and
+// is suspended between chunks, so arbitrarily long traces never exist as
+// a slice and the coroutine switches once per chunk, not once per access.
 // The coroutine starts on the first Next, so a stream built ahead of its
 // run (a compiled spec's launches) holds no goroutine until it is pulled.
 // The stream is exhausted-or-Closed: draining it to the end releases the
 // coroutine, and Close releases it early (an abandoned engine run).
 func (w *Workload) Stream(in Input) mem.Stream {
-	return &genStream{gen: func(yield func(mem.Access) bool) {
+	return &genStream{w: w, in: in}
+}
+
+// chunkLen is the number of accesses a streaming generator hands over per
+// coroutine switch (2 KB of mem.Access).
+const chunkLen = 64
+
+// chunkPool recycles chunk buffers across streams, so a workload replayed
+// pass after pass (a repeated stream) reuses one buffer.
+var chunkPool = sync.Pool{New: func() any { return new([chunkLen]mem.Access) }}
+
+// genStream adapts a generator to mem.Stream through an iter.Pull
+// coroutine started on the first Next. It serves accesses from the
+// chunk the coroutine last yielded and resumes it when the chunk is spent.
+type genStream struct {
+	w     *Workload
+	in    Input
+	chunk []mem.Access // the chunk being served
+	pos   int          // next unserved index into chunk
+	buf   *[chunkLen]mem.Access
+	next  func() ([]mem.Access, bool) // nil until the first Next
+	stop  func()
+	done  bool
+}
+
+func (s *genStream) Next() (mem.Access, bool) {
+	if s.pos == len(s.chunk) && !s.refill() {
+		return mem.Access{}, false
+	}
+	a := s.chunk[s.pos]
+	s.pos++
+	return a, true
+}
+
+// refill resumes the coroutine for its next chunk, starting it on the
+// first call; at the generator's end it releases the stream.
+func (s *genStream) refill() bool {
+	if s.done {
+		return false
+	}
+	if s.next == nil {
+		s.start()
+	}
+	c, ok := s.next()
+	if !ok {
+		s.Close()
+		return false
+	}
+	s.chunk, s.pos = c, 0
+	return true
+}
+
+// start takes a chunk buffer from the pool and starts the coroutine
+// filling it.
+func (s *genStream) start() {
+	s.buf = chunkPool.Get().(*[chunkLen]mem.Access)
+	b := &builder{r: rng.New(seed(s.w.Name, s.in)), out: s.buf[:0], flush: 1}
+	s.next, s.stop = iter.Pull(func(yield func([]mem.Access) bool) {
 		defer func() {
 			// A consumer that stops early unwinds the generator via the
-			// stopGen panic emit raises; anything else propagates.
+			// stopGen panic push raises; anything else propagates.
 			if r := recover(); r != nil {
 				if _, ok := r.(stopGen); !ok {
 					panic(r)
 				}
 			}
 		}()
-		b := &builder{r: rng.New(seed(w.Name, in)), yield: yield}
-		w.gen(in, b)
-	}}
+		b.yield = yield
+		s.w.gen(s.in, b)
+		if len(b.out) > 0 { // the partial last chunk
+			yield(b.out)
+		}
+	})
 }
 
-// genStream adapts a generator to mem.Stream through an iter.Pull
-// coroutine started on the first Next.
-type genStream struct {
-	gen  iter.Seq[mem.Access]
-	next func() (mem.Access, bool) // nil until the first Next
-	stop func()
-	done bool
-}
-
-func (s *genStream) Next() (mem.Access, bool) {
-	if s.done {
-		return mem.Access{}, false
-	}
-	if s.next == nil {
-		s.next, s.stop = iter.Pull(s.gen)
-	}
-	a, ok := s.next()
-	if !ok {
-		s.done = true
-		s.stop()
-	}
-	return a, ok
-}
-
-// Close releases the generator coroutine; safe to call repeatedly, after
-// exhaustion, and before the first Next (a no-op then).
+// Close releases the generator coroutine and returns its chunk buffer to
+// the pool; safe to call repeatedly, after exhaustion, and before the
+// first Next (a no-op then).
 func (s *genStream) Close() {
 	s.done = true
+	s.chunk, s.pos = nil, 0
 	if s.stop != nil {
 		s.stop()
+	}
+	// The coroutine has exited once stop returns, so nothing aliases the
+	// buffer any more.
+	if s.buf != nil {
+		chunkPool.Put(s.buf)
+		s.buf = nil
 	}
 }
 
@@ -189,24 +235,28 @@ func seed(name string, in Input) uint64 {
 	return h ^ (uint64(in+1) * 0x9e3779b97f4a7c15)
 }
 
-// builder is the generators' output sink. In materializing mode (yield
-// nil) it accumulates the trace in out; in streaming mode each access is
-// yielded to the pulling consumer and never stored.
+// builder is the generators' output sink: it accumulates accesses in out.
+// In materializing mode (flush 0) out grows to the whole trace; in
+// streaming mode out is the stream's chunk buffer, yielded to the pulling
+// consumer each time it holds flush accesses and then reused.
 type builder struct {
 	r     *rng.Source
 	out   []mem.Access
-	yield func(mem.Access) bool
+	yield func([]mem.Access) bool
+	// flush is 1 for a stream's first chunk, so the first pull (an
+	// engine's set-up lookahead) generates one access, then chunkLen.
+	flush int
 }
 
 // push hands one access to the active sink.
 func (b *builder) push(a mem.Access) {
-	if b.yield != nil {
-		if !b.yield(a) {
+	b.out = append(b.out, a)
+	if len(b.out) == b.flush {
+		if !b.yield(b.out) {
 			panic(stopGen{})
 		}
-		return
+		b.out, b.flush = b.out[:0], chunkLen
 	}
-	b.out = append(b.out, a)
 }
 
 // emit appends one access.

@@ -177,71 +177,3 @@ func TestPhaseMultAveragesToOne(t *testing.T) {
 		}
 	}
 }
-
-func TestStreamMatchesGenerate(t *testing.T) {
-	// The coroutine stream must yield exactly the accesses Generate
-	// materializes, for every workload and both inputs.
-	for _, w := range All() {
-		for _, in := range []Input{Train, Ref} {
-			want := w.Generate(in)
-			s := w.Stream(in)
-			for i, exp := range want {
-				got, ok := s.Next()
-				if !ok {
-					t.Fatalf("%s/%s: stream ended at %d of %d", w.Name, in, i, len(want))
-				}
-				if got != exp {
-					t.Fatalf("%s/%s: access %d is %+v from stream, %+v materialized",
-						w.Name, in, i, got, exp)
-				}
-			}
-			if extra, ok := s.Next(); ok {
-				t.Fatalf("%s/%s: stream yields %+v past the %d-access trace",
-					w.Name, in, extra, len(want))
-			}
-			if _, ok := s.Next(); ok { // exhausted streams stay exhausted
-				t.Fatalf("%s/%s: stream revived after exhaustion", w.Name, in)
-			}
-		}
-	}
-}
-
-func TestStreamEarlyClose(t *testing.T) {
-	// Abandoning a stream mid-trace must unwind the generator coroutine
-	// without panicking, and Close must be idempotent.
-	w, err := ByName("lbm")
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := w.Stream(Ref)
-	for i := 0; i < 10; i++ {
-		if _, ok := s.Next(); !ok {
-			t.Fatalf("lbm stream ended after %d accesses", i)
-		}
-	}
-	c, ok := s.(mem.Closer)
-	if !ok {
-		t.Fatal("workload stream does not implement mem.Closer")
-	}
-	c.Close()
-	c.Close()
-	if _, ok := s.Next(); ok {
-		t.Fatal("closed stream still yields accesses")
-	}
-}
-
-func TestStreamIndependentInstances(t *testing.T) {
-	// Two streams of the same workload are independent cursors.
-	w, err := ByName("mcf")
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, b := w.Stream(Ref), w.Stream(Ref)
-	for i := 0; i < 100; i++ {
-		av, aok := a.Next()
-		bv, bok := b.Next()
-		if aok != bok || av != bv {
-			t.Fatalf("streams diverge at access %d: %+v/%v vs %+v/%v", i, av, aok, bv, bok)
-		}
-	}
-}

@@ -12,7 +12,8 @@ import (
 // RunStream instead pulls accesses one at a time, so peak memory is
 // independent of trace length — hour-long or synthetic unbounded
 // workloads simulate in O(1) space. Built-in benchmarks stream via
-// Stream (their generators run as suspended coroutines); custom
+// Stream (their generators run as coroutines suspended between
+// fixed-size chunks, O(chunk) memory); custom
 // workloads implement Streamer or hand any AccessStream to RunStream.
 
 // AccessStream is a pull-based access source: Next returns the next
@@ -138,8 +139,9 @@ func resultFromSim(res sim.Result) Result {
 }
 
 // Stream implements Streamer for built-in benchmarks: the workload
-// generator runs as a coroutine suspended between accesses. The stream
-// releases it when drained, capped by LimitStream, or closed.
+// generator runs as a coroutine suspended between fixed-size chunks of
+// accesses, in O(chunk) memory. The stream releases it when drained,
+// capped by LimitStream, or closed.
 func (b builtin) Stream(in Input) AccessStream {
 	return publicStream{b.w.Stream(workload.Input(in))}
 }
