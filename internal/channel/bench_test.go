@@ -10,9 +10,11 @@ import (
 // BenchmarkPendingQueue measures the per-fault cost of the pending-queue
 // hot path at several steady-state backlog depths: the membership probes
 // the kernel's predict filter issues, one QueueBatch, and the pops the
-// preload worker performs. Before the ring-buffer deque and page index,
-// every probe and every pop was O(depth); both are now O(1), so ns/op
-// should be flat across the depth sub-benchmarks.
+// preload worker performs. Pops are O(1) on the ring-buffer deque; each
+// probe of a fresh page is a miss that scans the whole backlog, so ns/op
+// grows with depth. The kernel caps the backlog at MaxPending (64 by
+// default), which bounds the scan: depth=512 is deeper than any queue the
+// kernel builds and shows the cost the cap rules out.
 func BenchmarkPendingQueue(b *testing.B) {
 	for _, depth := range []int{8, 64, 512} {
 		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {
@@ -51,7 +53,9 @@ func BenchmarkPendingQueue(b *testing.B) {
 }
 
 // BenchmarkPendingMembership isolates PendingContains, the probe predict
-// issues once per predicted page on every fault.
+// issues once per predicted page on every fault, at the default
+// MaxPending depth of 64: one hit at the back of the queue and one miss,
+// the two probes that scan all of it.
 func BenchmarkPendingMembership(b *testing.B) {
 	const depth = 64
 	c := New()
@@ -63,7 +67,6 @@ func BenchmarkPendingMembership(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		// One hit deep in the queue and one miss: the pre-index worst case.
 		if !c.PendingContains(mem.PageID(depth - 1)) {
 			b.Fatal("tail page not pending")
 		}

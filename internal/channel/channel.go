@@ -16,10 +16,10 @@
 // counters) to the kernel package that drives it.
 //
 // The pending queue sits on the fault-servicing hot path (every Sync pops
-// it, every prediction probes it), so it is a ring-buffer deque with a
-// page-membership count index: PopPending, PeekPending, and
-// PendingContains are O(1), and the mutating scans (batch aborts, SIP
-// removals, overflow drops) run only when the index says a match exists.
+// it, every prediction probes it), so it is a ring-buffer deque:
+// PopPending and PeekPending are O(1). Membership probes, batch aborts and
+// SIP removals scan it, and the kernel caps its depth at MaxPending (64 by
+// default), which bounds every scan.
 package channel
 
 import (
@@ -64,16 +64,21 @@ type server struct {
 
 // Channel is the single-server load queue. Construct with New; Sibling
 // adds a channel sharing an existing one's server.
+//
+// The pending queue keeps one invariant: each batch ID occupies one
+// contiguous run of the deque, and IDs strictly increase from front to
+// back. QueueBatch appends a whole batch; overflow drops whole batches
+// from the front or truncates the newest batch's tail; popping the front,
+// removing a single request and clearing the queue cannot split a run.
+// AbortBatchContaining relies on it to splice a batch out in one move.
 type Channel struct {
 	srv *server
 
 	// The pending preload deque: a power-of-two ring buffer holding the
-	// queued-but-unstarted requests in FIFO order, plus an occurrence
-	// count per queued page (a page can sit in several batches).
+	// queued-but-unstarted requests in FIFO order.
 	buf  []Request
 	head int
 	n    int
-	idx  map[mem.PageID]int32
 
 	aborted     uint64 // queued preloads dropped before starting
 	lastBatchID uint64
@@ -85,9 +90,7 @@ type Channel struct {
 // are emitted by the channel whose method started them.
 func (c *Channel) SetHook(h obs.Hook) { c.hook = h }
 
-func newChannel(srv *server) *Channel {
-	return &Channel{srv: srv, idx: make(map[mem.PageID]int32)}
-}
+func newChannel(srv *server) *Channel { return &Channel{srv: srv} }
 
 // New returns an idle channel with its own server.
 func New() *Channel { return newChannel(&server{}) }
@@ -189,51 +192,51 @@ func (c *Channel) grow() {
 	c.buf, c.head = buf, 0
 }
 
-// pushBack appends a request and indexes its page.
+// pushBack appends a request.
 func (c *Channel) pushBack(r Request) {
 	if c.n == len(c.buf) {
 		c.grow()
 	}
 	c.buf[(c.head+c.n)&(len(c.buf)-1)] = r
 	c.n++
-	c.idx[r.Page]++
 }
 
-// popFront removes and returns the front request, unindexing its page.
+// popFront removes and returns the front request.
 func (c *Channel) popFront() Request {
 	r := c.buf[c.head]
 	c.head = (c.head + 1) & (len(c.buf) - 1)
 	c.n--
-	c.unindex(r.Page)
 	return r
 }
 
-// unindex decrements a page's occurrence count, deleting exhausted
-// entries so the index never outgrows the queue.
-func (c *Channel) unindex(p mem.PageID) {
-	if n := c.idx[p] - 1; n == 0 {
-		delete(c.idx, p)
-	} else {
-		c.idx[p] = n
+// find returns the logical position of the first queued request for
+// page, or -1. It scans the ring as two plain segments: from head to the
+// end of the buffer, then the wrapped part from the buffer's start.
+func (c *Channel) find(page mem.PageID) int {
+	end := c.head + c.n
+	first := c.buf[c.head:min(end, len(c.buf))]
+	for i := range first {
+		if first[i].Page == page {
+			return i
+		}
 	}
+	if end > len(c.buf) {
+		for i, r := range c.buf[:end-len(c.buf)] {
+			if r.Page == page {
+				return len(first) + i
+			}
+		}
+	}
+	return -1
 }
 
-// removeWhere compacts the deque in place, dropping every request for
-// which drop returns true and reporting each drop (in queue order) to
-// onDrop before the next is considered. Order of survivors is preserved.
-func (c *Channel) removeWhere(drop func(Request) bool, onDrop func(Request)) {
-	kept := 0
-	for i := 0; i < c.n; i++ {
-		r := *c.at(i)
-		if drop(r) {
-			c.unindex(r.Page)
-			onDrop(r)
-			continue
-		}
-		*c.at(kept) = r
-		kept++
+// cut removes the requests at logical positions [lo, hi), shifting the
+// ones behind them down so queue order is kept.
+func (c *Channel) cut(lo, hi int) {
+	for j := hi; j < c.n; j++ {
+		*c.at(lo + j - hi) = *c.at(j)
 	}
-	c.n = kept
+	c.n -= hi - lo
 }
 
 // QueueBatch appends a new predicted batch, eligible to start at cycle
@@ -268,15 +271,11 @@ func (c *Channel) QueueBatch(pages []mem.PageID, enqueued uint64, maxPending int
 	if c.n > maxPending {
 		// Only the new batch remains and it is larger than the cap:
 		// keep its head (the pages nearest the fault).
-		excess := c.n - maxPending
 		for i := maxPending; i < c.n; i++ {
 			c.dropEvent(*c.at(i), enqueued, obs.AbortOverflow)
 		}
-		for j := 0; j < excess; j++ {
-			c.n--
-			c.unindex(c.buf[(c.head+c.n)&(len(c.buf)-1)].Page)
-		}
-		dropped += excess
+		dropped += c.n - maxPending
+		c.n = maxPending
 	}
 	c.aborted += uint64(dropped)
 	return dropped
@@ -302,24 +301,28 @@ func boolV(b bool) uint64 {
 // that contains page — the paper's in-stream abort: a fault landing on a
 // predicted page that has not been loaded yet cancels the remainder of
 // that prediction. now is the cycle of the triggering fault (it stamps
-// the abort events). It reports whether any batch matched.
+// the abort events). It reports whether any batch matched. When page sits
+// in several batches, the one nearest the front is cancelled. The batch
+// is one contiguous run of the deque, so the abort walks out from the
+// page's position to the run's ends and splices the run out.
 func (c *Channel) AbortBatchContaining(page mem.PageID, now uint64) bool {
-	if c.idx[page] == 0 {
+	i := c.find(page)
+	if i < 0 {
 		return false
 	}
-	batch := uint64(0)
-	for i := 0; i < c.n; i++ {
-		if c.at(i).Page == page {
-			batch = c.at(i).Batch
-			break
-		}
+	batch := c.at(i).Batch
+	lo, hi := i, i+1
+	for lo > 0 && c.at(lo-1).Batch == batch {
+		lo--
 	}
-	c.removeWhere(
-		func(r Request) bool { return r.Batch == batch },
-		func(r Request) {
-			c.aborted++
-			c.dropEvent(r, now, obs.AbortInWindow)
-		})
+	for hi < c.n && c.at(hi).Batch == batch {
+		hi++
+	}
+	for j := lo; j < hi; j++ {
+		c.dropEvent(*c.at(j), now, obs.AbortInWindow)
+	}
+	c.aborted += uint64(hi - lo)
+	c.cut(lo, hi)
 	return true
 }
 
@@ -327,22 +330,13 @@ func (c *Channel) AbortBatchContaining(page mem.PageID, now uint64) bool {
 // path demand-loads it instead) at cycle now. It reports whether a
 // request was removed.
 func (c *Channel) RemovePending(page mem.PageID, now uint64) bool {
-	if c.idx[page] == 0 {
+	i := c.find(page)
+	if i < 0 {
 		return false
 	}
-	for i := 0; i < c.n; i++ {
-		if c.at(i).Page != page {
-			continue
-		}
-		c.dropEvent(*c.at(i), now, obs.AbortSIP)
-		c.unindex(page)
-		for j := i; j < c.n-1; j++ {
-			*c.at(j) = *c.at(j + 1)
-		}
-		c.n--
-		return true
-	}
-	return false
+	c.dropEvent(*c.at(i), now, obs.AbortSIP)
+	c.cut(i, i+1)
+	return true
 }
 
 // AbortPending drops every queued preload at cycle now and returns how
@@ -352,16 +346,13 @@ func (c *Channel) AbortPending(now uint64) int {
 	for i := 0; i < c.n; i++ {
 		c.dropEvent(*c.at(i), now, obs.AbortStop)
 	}
-	clear(c.idx)
 	c.aborted += uint64(n)
 	c.n, c.head = 0, 0
 	return n
 }
 
 // PendingContains reports whether page is in the queued (unstarted) batch.
-func (c *Channel) PendingContains(page mem.PageID) bool {
-	return c.idx[page] > 0
-}
+func (c *Channel) PendingContains(page mem.PageID) bool { return c.find(page) >= 0 }
 
 // PendingLen returns the number of queued preloads.
 func (c *Channel) PendingLen() int { return c.n }

@@ -13,9 +13,12 @@ import (
 // pressure, and checks the conservation
 // law every request obeys: each queued request is eventually started,
 // removed (the SIP notify path), or aborted with an accounted count —
-// never duplicated, never lost. After every operation the page-membership
-// index is cross-checked against a walk of the ring-buffer deque, so the
-// two structures can never drift apart unnoticed.
+// never duplicated, never lost. An abort must take the whole batch of the
+// page's first queued request. After every operation a walk of the
+// ring-buffer deque checks the invariant AbortBatchContaining's splice
+// relies on — batch IDs form contiguous runs that strictly increase from
+// front to back — and that PendingContains agrees with the walk for every
+// queued page and for a page that was never queued.
 //
 // A recorder hook runs throughout, so the fuzzer also exercises the
 // observability paths, and the event stream is cross-checked against the
@@ -59,21 +62,22 @@ func FuzzPendingQueue(f *testing.F) {
 			*i++
 			return b
 		}
-		// The index and the deque must agree exactly: same pages, same
-		// occurrence counts (a page can sit in several batches).
-		checkIndex := func() {
+		// Batch IDs never decrease along the deque, which makes each
+		// batch one contiguous run with strictly increasing IDs between
+		// runs. Pages are bytes, so page 256 is never queued.
+		checkQueue := func() {
 			t.Helper()
-			counts := make(map[mem.PageID]int32, c.n)
 			for i := 0; i < c.n; i++ {
-				counts[c.at(i).Page]++
-			}
-			if len(counts) != len(c.idx) {
-				t.Fatalf("index holds %d pages, deque holds %d distinct", len(c.idx), len(counts))
-			}
-			for p, want := range counts {
-				if got := c.idx[p]; got != want {
-					t.Fatalf("index count for page %d = %d, deque has %d", p, got, want)
+				r := c.at(i)
+				if i > 0 && r.Batch < c.at(i-1).Batch {
+					t.Fatalf("batch %d at position %d follows batch %d", r.Batch, i, c.at(i-1).Batch)
 				}
+				if !c.PendingContains(r.Page) {
+					t.Fatalf("page %d queued at position %d but PendingContains is false", r.Page, i)
+				}
+			}
+			if c.PendingContains(256) {
+				t.Fatal("PendingContains(256) is true for a page never queued")
 			}
 		}
 		for i := 0; i < len(data); {
@@ -122,8 +126,19 @@ func FuzzPendingQueue(f *testing.F) {
 			case 2:
 				page := mem.PageID(next(&i))
 				had := c.PendingContains(page)
+				var batch uint64 // the batch of page's first request; IDs start at 1
+				for j := 0; j < c.n && batch == 0; j++ {
+					if c.at(j).Page == page {
+						batch = c.at(j).Batch
+					}
+				}
 				if c.AbortBatchContaining(page, now) != had {
 					t.Fatalf("AbortBatchContaining(%d) disagrees with PendingContains", page)
+				}
+				for j := 0; j < c.n; j++ {
+					if batch != 0 && c.at(j).Batch == batch {
+						t.Fatalf("aborting page %d left page %d of its batch %d queued", page, c.at(j).Page, batch)
+					}
 				}
 				// One abort cancels one batch; duplicates of the page may
 				// sit in other batches. Repeating must drain them all.
@@ -178,7 +193,7 @@ func FuzzPendingQueue(f *testing.F) {
 				c.CompleteInflight()
 				started++
 			}
-			checkIndex()
+			checkQueue()
 			if c.Aborted() < prevAborted {
 				t.Fatalf("Aborted went backwards: %d -> %d", prevAborted, c.Aborted())
 			}

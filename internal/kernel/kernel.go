@@ -44,7 +44,9 @@ type Config struct {
 	ScanPeriod uint64
 	// MaxPending caps the preload worker's backlog. Predictions beyond the
 	// cap push out the stalest queued requests: an old list_to_load that
-	// the worker never reached is stale by construction.
+	// the worker never reached is stale by construction. Zero means 64;
+	// a negative cap is rejected, since the cap also bounds the channel's
+	// membership scans.
 	MaxPending int
 	// RangeLo and RangeHi bound this enclave's slice of the (possibly
 	// shared) EPC page space; zero values mean the EPC's whole page
@@ -161,6 +163,9 @@ func New(cfg Config, e *epc.EPC, ch *channel.Channel) (*Kernel, error) {
 	}
 	if cfg.RangeLo >= cfg.RangeHi {
 		return nil, fmt.Errorf("kernel: empty page range [%d, %d)", cfg.RangeLo, cfg.RangeHi)
+	}
+	if cfg.MaxPending < 0 {
+		return nil, fmt.Errorf("kernel: negative MaxPending %d", cfg.MaxPending)
 	}
 	k := &Kernel{cfg: cfg, epc: e, ch: ch, hook: cfg.Hook, pred: cfg.Predictor}
 	if k.hook != nil {

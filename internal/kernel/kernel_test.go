@@ -53,6 +53,16 @@ func TestNewValidation(t *testing.T) {
 	if _, err := build(Config{}, 4, 10); err == nil {
 		t.Fatal("New with zero cost model succeeded")
 	}
+	if _, err := build(Config{Costs: testCosts(), MaxPending: -1}, 4, 10); err == nil {
+		t.Fatal("New with negative MaxPending succeeded")
+	}
+	k, err := build(Config{Costs: testCosts()}, 4, 10)
+	if err != nil {
+		t.Fatalf("New with zero MaxPending: %v", err)
+	}
+	if k.cfg.MaxPending != 64 {
+		t.Fatalf("zero MaxPending became %d, want the default 64", k.cfg.MaxPending)
+	}
 	if _, err := dfp.New(dfp.Config{}); err == nil {
 		t.Fatal("predictor with invalid DFP config built")
 	}
