@@ -53,8 +53,8 @@ bench-compare:
 
 # One fast iteration of each benchmark; compilation + smoke for CI.
 bench-smoke:
-	$(GO) test ./internal/channel/ ./internal/epc/ ./internal/kernel/ ./internal/experiments/ \
-		./internal/workload/ -run '^$$' -bench . -benchtime 1x
+	$(GO) test ./internal/channel/ ./internal/dfp/ ./internal/epc/ ./internal/kernel/ \
+		./internal/experiments/ ./internal/workload/ -run '^$$' -bench . -benchtime 1x
 
 # Observability gate: build, race-test the instrumented packages, and
 # measure the hook plumbing (a no-op hook must stay within 15% of a nil

@@ -18,8 +18,10 @@
 // The pending queue sits on the fault-servicing hot path (every Sync pops
 // it, every prediction probes it), so it is a ring-buffer deque:
 // PopPending and PeekPending are O(1). Membership probes, batch aborts and
-// SIP removals scan it, and the kernel caps its depth at MaxPending (64 by
-// default), which bounds every scan.
+// SIP removals look a page up in it. A counting filter — how many queued
+// requests fall in each of 256 slots keyed by the page's low byte —
+// answers a page whose slot is empty at once; otherwise the lookup scans
+// the queue, whose depth the kernel caps at MaxPending (64 by default).
 package channel
 
 import (
@@ -79,6 +81,11 @@ type Channel struct {
 	buf  []Request
 	head int
 	n    int
+	// slots[uint8(p)] counts the queued requests whose page has low byte
+	// uint8(p): exact after every push, pop, cut, truncation and clear,
+	// so a zero proves p is not queued. Counts never exceed the queue
+	// length, so int32 cannot overflow.
+	slots [256]int32
 
 	aborted     uint64 // queued preloads dropped before starting
 	lastBatchID uint64
@@ -199,6 +206,7 @@ func (c *Channel) pushBack(r Request) {
 	}
 	c.buf[(c.head+c.n)&(len(c.buf)-1)] = r
 	c.n++
+	c.slots[uint8(r.Page)]++
 }
 
 // popFront removes and returns the front request.
@@ -206,13 +214,18 @@ func (c *Channel) popFront() Request {
 	r := c.buf[c.head]
 	c.head = (c.head + 1) & (len(c.buf) - 1)
 	c.n--
+	c.slots[uint8(r.Page)]--
 	return r
 }
 
 // find returns the logical position of the first queued request for
-// page, or -1. It scans the ring as two plain segments: from head to the
-// end of the buffer, then the wrapped part from the buffer's start.
+// page, or -1. A page whose filter slot is empty is answered without a
+// scan; otherwise it scans the ring as two plain segments: from head to
+// the end of the buffer, then the wrapped part from the buffer's start.
 func (c *Channel) find(page mem.PageID) int {
+	if c.slots[uint8(page)] == 0 {
+		return -1
+	}
 	end := c.head + c.n
 	first := c.buf[c.head:min(end, len(c.buf))]
 	for i := range first {
@@ -233,6 +246,9 @@ func (c *Channel) find(page mem.PageID) int {
 // cut removes the requests at logical positions [lo, hi), shifting the
 // ones behind them down so queue order is kept.
 func (c *Channel) cut(lo, hi int) {
+	for j := lo; j < hi; j++ {
+		c.slots[uint8(c.at(j).Page)]--
+	}
 	for j := hi; j < c.n; j++ {
 		*c.at(lo + j - hi) = *c.at(j)
 	}
@@ -271,11 +287,11 @@ func (c *Channel) QueueBatch(pages []mem.PageID, enqueued uint64, maxPending int
 	if c.n > maxPending {
 		// Only the new batch remains and it is larger than the cap:
 		// keep its head (the pages nearest the fault).
+		dropped += c.n - maxPending
 		for i := maxPending; i < c.n; i++ {
 			c.dropEvent(*c.at(i), enqueued, obs.AbortOverflow)
 		}
-		dropped += c.n - maxPending
-		c.n = maxPending
+		c.cut(maxPending, c.n)
 	}
 	c.aborted += uint64(dropped)
 	return dropped
@@ -348,6 +364,7 @@ func (c *Channel) AbortPending(now uint64) int {
 	}
 	c.aborted += uint64(n)
 	c.n, c.head = 0, 0
+	c.slots = [256]int32{}
 	return n
 }
 

@@ -17,8 +17,9 @@ import (
 // page's first queued request. After every operation a walk of the
 // ring-buffer deque checks the invariant AbortBatchContaining's splice
 // relies on — batch IDs form contiguous runs that strictly increase from
-// front to back — and that PendingContains agrees with the walk for every
-// queued page and for a page that was never queued.
+// front to back — that the membership filter's slot counts equal a
+// recount from the deque, and that PendingContains agrees with the walk
+// for every queued page and for a page that was never queued.
 //
 // A recorder hook runs throughout, so the fuzzer also exercises the
 // observability paths, and the event stream is cross-checked against the
@@ -64,9 +65,13 @@ func FuzzPendingQueue(f *testing.F) {
 		}
 		// Batch IDs never decrease along the deque, which makes each
 		// batch one contiguous run with strictly increasing IDs between
-		// runs. Pages are bytes, so page 256 is never queued.
+		// runs. Pages are bytes, so page 256 is never queued; it shares
+		// page 0's filter slot.
 		checkQueue := func() {
 			t.Helper()
+			if want := recountSlots(c); c.slots != want {
+				t.Fatalf("filter slots %v, recount from the deque %v", c.slots, want)
+			}
 			for i := 0; i < c.n; i++ {
 				r := c.at(i)
 				if i > 0 && r.Batch < c.at(i-1).Batch {

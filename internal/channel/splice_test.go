@@ -44,7 +44,8 @@ func pendingRequests(c *Channel) []Request {
 // RemovePending and AbortPending, on a ring that wraps — and after each
 // AbortBatchContaining compares the splice with the predicate-filter
 // reference: the surviving requests in order, the Aborted count, the
-// return value, and the abort events in order.
+// return value, and the abort events in order. After every operation the
+// membership filter's slot counts must equal a recount from the deque.
 //
 // The harness also counts the cases the splice could get wrong and
 // requires each to occur: an abort on a wrapped ring, and an abort whose
@@ -120,6 +121,9 @@ func TestAbortSpliceDifferential(t *testing.T) {
 				if !slices.Equal(events, want) {
 					t.Fatalf("seed %d op %d: abort events %v, reference %v", seed, op, events, want)
 				}
+			}
+			if want := recountSlots(c); c.slots != want {
+				t.Fatalf("seed %d op %d: filter slots %v, recount from the deque %v", seed, op, c.slots, want)
 			}
 		}
 	}

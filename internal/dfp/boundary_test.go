@@ -58,6 +58,10 @@ func TestEntryMatchesBoundaries(t *testing.T) {
 				t.Fatalf("matches(%d, backward=%v) on %+v = (%d, %v), want (%d, %v)",
 					tt.npn, tt.backward, tt.e, dir, ok, tt.wantDir, tt.wantOK)
 			}
+			// The scan's prefilter must pass every page matches accepts.
+			if w := windowOf(&tt.e); ok && !w.contains(tt.npn) {
+				t.Fatalf("matched page %d outside window [%d, %d]", tt.npn, w.lo, w.hi)
+			}
 		})
 	}
 }

@@ -102,14 +102,39 @@ type entry struct {
 	hits uint64     // faults that extended this stream
 }
 
+// window is the inclusive page interval [lo, hi] outside which a fault
+// cannot extend an entry: Forward [stpn+1, pend+1], Backward
+// [pend-1, stpn-1], undirected [stpn-1, stpn+1]. It is a superset of what
+// matches accepts, so a fault outside it is rejected with one compare.
+// The bounds wrap modulo 2^64 at page 0 and at mem.NoPage, which only
+// widens the interval: contains reads it cyclically from lo to hi.
+type window struct{ lo, hi mem.PageID }
+
+// windowOf returns e's window.
+func windowOf(e *entry) window {
+	switch e.dir {
+	case Forward:
+		return window{e.stpn + 1, e.pend + 1}
+	case Backward:
+		return window{e.pend - 1, e.stpn - 1}
+	}
+	return window{e.stpn - 1, e.stpn + 1}
+}
+
+// contains reports whether npn lies in w, read cyclically from lo.
+func (w window) contains(npn mem.PageID) bool { return npn-w.lo <= w.hi-w.lo }
+
 // Predictor is the multiple-stream predictor of Algorithm 1. The zero
 // value is unusable; construct with New.
 type Predictor struct {
 	cfg Config
 	// streams is ordered most-recently-used first. Lengths are at most a
 	// few dozen (the paper sweeps 2..60), so linear scans beat pointer
-	// chasing through container/list.
+	// chasing through container/list. windows[i] is streams[i]'s window,
+	// kept in a parallel slice so the per-fault scan reads 16 bytes per
+	// entry and runs matches only where the window admits the fault.
 	streams []entry
+	windows []window
 
 	hits   uint64 // faults that extended a stream
 	misses uint64 // faults that started a new stream
@@ -127,7 +152,9 @@ func New(cfg Config) (*Predictor, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &Predictor{cfg: cfg, streams: make([]entry, 0, cfg.StreamListLen)}, nil
+	return &Predictor{cfg: cfg,
+		streams: make([]entry, 0, cfg.StreamListLen),
+		windows: make([]window, 0, cfg.StreamListLen)}, nil
 }
 
 // Config returns the predictor's configuration.
@@ -153,7 +180,10 @@ func (p *Predictor) SetHook(h obs.Hook) { p.hook = h }
 // are returned for preloading. Otherwise the least recently used entry is
 // replaced with a new single-page stream starting at npn.
 func (p *Predictor) OnFault(npn mem.PageID) []mem.PageID {
-	for i := range p.streams {
+	for i, w := range p.windows {
+		if !w.contains(npn) {
+			continue
+		}
 		e := &p.streams[i]
 		dir, ok := e.matches(npn, p.cfg.Backward)
 		if !ok {
@@ -165,6 +195,7 @@ func (p *Predictor) OnFault(npn mem.PageID) []mem.PageID {
 		e.dir = dir
 		pend, out := p.predict(npn, dir)
 		e.pend = pend
+		p.windows[i] = windowOf(e)
 		if p.hook != nil {
 			p.hook.Emit(obs.Event{Kind: obs.KindStreamHit, Page: npn,
 				Batch: e.id, V1: uint64(len(out))})
@@ -248,9 +279,10 @@ func (p *Predictor) moveToHead(i int) {
 	if i == 0 {
 		return
 	}
-	e := p.streams[i]
+	e, w := p.streams[i], p.windows[i]
 	copy(p.streams[1:i+1], p.streams[:i])
-	p.streams[0] = e
+	copy(p.windows[1:i+1], p.windows[:i])
+	p.streams[0], p.windows[0] = e, w
 }
 
 // insert places a new entry at the head, evicting the LRU tail when the
@@ -258,12 +290,14 @@ func (p *Predictor) moveToHead(i int) {
 func (p *Predictor) insert(e entry) {
 	if len(p.streams) < p.cfg.StreamListLen {
 		p.streams = append(p.streams, entry{})
+		p.windows = append(p.windows, window{})
 	} else if p.hook != nil {
 		tail := p.streams[len(p.streams)-1]
 		p.hook.Emit(obs.Event{Kind: obs.KindStreamEnd, Batch: tail.id, V1: tail.hits})
 	}
 	copy(p.streams[1:], p.streams[:len(p.streams)-1])
-	p.streams[0] = e
+	copy(p.windows[1:], p.windows[:len(p.windows)-1])
+	p.streams[0], p.windows[0] = e, windowOf(&e)
 }
 
 // Len returns the number of live stream entries.

@@ -7,8 +7,9 @@ import (
 )
 
 // Fuzz targets: arbitrary fault sequences must never panic any predictor
-// and must preserve their structural invariants. `go test` runs the seed
-// corpus; `go test -fuzz=FuzzPredictors` explores further.
+// and must preserve their structural invariants — for the stream list,
+// that every page an entry matches lies inside its window. `go test` runs
+// the seed corpus; `go test -fuzz=FuzzPredictors` explores further.
 
 func FuzzPredictors(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5})
@@ -18,6 +19,12 @@ func FuzzPredictors(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		cfg := DefaultConfig()
 		ms, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bcfg := cfg
+		bcfg.Backward = true
+		mb, err := New(bcfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -40,7 +47,7 @@ func FuzzPredictors(f *testing.F) {
 				page = mem.PageID(data[i-1])*37 + 1
 			}
 			for _, out := range [][]mem.PageID{
-				ms.OnFault(page), st.OnFault(page), mk.OnFault(page), nn.OnFault(page),
+				ms.OnFault(page), mb.OnFault(page), st.OnFault(page), mk.OnFault(page), nn.OnFault(page),
 			} {
 				if len(out) > cfg.LoadLength {
 					t.Fatalf("prediction longer than LoadLength: %d", len(out))
@@ -54,6 +61,8 @@ func FuzzPredictors(f *testing.F) {
 			if ms.Len() > cfg.StreamListLen {
 				t.Fatalf("stream list grew to %d", ms.Len())
 			}
+			checkWindows(t, ms)
+			checkWindows(t, mb)
 		}
 	})
 }

@@ -153,3 +153,43 @@ func BenchmarkSelectVictimOwned(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkOwnerAccessed measures the adaptive quota policy's working-set
+// sample — one owner's accessed-frame count — on a full 4096-frame EPC
+// whose frames are dealt round-robin to 1, 16 or 64 owners, half of them
+// accessed. The count is a popcount over the owner's membership words
+// ANDed with the access bitset, so it costs capacity/64 words whatever
+// the owner holds.
+func BenchmarkOwnerAccessed(b *testing.B) {
+	const capacity = 4096
+	for _, owners := range []int{1, 16, 64} {
+		b.Run(fmt.Sprintf("owners=%d", owners), func(b *testing.B) {
+			span := 2 * capacity / owners
+			e, err := New(capacity, uint64(owners*span))
+			if err != nil {
+				b.Fatal(err)
+			}
+			for o := 1; o <= owners; o++ {
+				if err := e.AddOwner(uint64(o * span)); err != nil {
+					b.Fatal(err)
+				}
+			}
+			// Round-robin fill: frame f goes to owner f%owners; every
+			// other frame is a preload, whose access bit starts clear.
+			for i := 0; i < capacity; i++ {
+				o, k := i%owners, i/owners
+				if err := e.Load(mem.PageID(o*span+k), i%2 == 1); err != nil {
+					b.Fatal(err)
+				}
+			}
+			want := e.OwnerAccessed(0)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if e.OwnerAccessed(0) != want {
+					b.Fatal("OwnerAccessed changed without a touch")
+				}
+			}
+		})
+	}
+}

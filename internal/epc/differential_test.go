@@ -182,8 +182,16 @@ func TestSparseFallbackUnderRandomOperations(t *testing.T) {
 }
 
 // The reference scans below are the frame-walking implementations the
-// membership bitsets replaced, kept verbatim as the oracle for
-// TestOwnedScanDifferential.
+// membership bitsets replaced, kept as the oracle for
+// TestOwnedScanDifferential. They walk frame by frame exactly as before;
+// only the access bit, which now lives in a bitset rather than in the
+// frame, is read and cleared through accessBit and clearAccessBit.
+
+// accessBit reports frame f's access bit.
+func accessBit(e *EPC, f int) bool { return e.accessed[f>>6]&(1<<(f&63)) != 0 }
+
+// clearAccessBit clears frame f's access bit, one frame at a time.
+func clearAccessBit(e *EPC, f int) { e.accessed[f>>6] &^= 1 << (f & 63) }
 
 // refSelectVictim is the linear global victim scan.
 func refSelectVictim(e *EPC) mem.PageID {
@@ -199,13 +207,14 @@ func refSelectVictim(e *EPC) mem.PageID {
 		return refVictimRandom(e)
 	}
 	for sweep := 0; sweep < 2*len(e.frames); sweep++ {
-		fr := &e.frames[e.hand]
+		f := e.hand
+		fr := &e.frames[f]
 		e.hand = (e.hand + 1) % len(e.frames)
 		if fr.page == mem.NoPage {
 			continue
 		}
-		if fr.accessed {
-			fr.accessed = false
+		if accessBit(e, f) {
+			clearAccessBit(e, f)
 			continue
 		}
 		return fr.page
@@ -260,13 +269,14 @@ func refSelectVictimOwned(e *EPC, owner int) mem.PageID {
 		return e.victimRandom(e.ownedBits[o])
 	}
 	for sweep := 0; sweep < 2*len(e.frames); sweep++ {
-		fr := &e.frames[e.hand]
+		f := e.hand
+		fr := &e.frames[f]
 		e.hand = (e.hand + 1) % len(e.frames)
 		if fr.page == mem.NoPage || fr.owner != o {
 			continue
 		}
-		if fr.accessed {
-			fr.accessed = false
+		if accessBit(e, f) {
+			clearAccessBit(e, f)
 			continue
 		}
 		return fr.page
@@ -298,7 +308,7 @@ func refOwnerScanStats(e *EPC, owner int) (accessed, resident int) {
 			continue
 		}
 		resident++
-		if fr.accessed {
+		if accessBit(e, i) {
 			accessed++
 		}
 	}
@@ -312,8 +322,8 @@ func refScanPreloadBitsRange(e *EPC, lo, hi mem.PageID, clear bool, visit func(p
 		if fr.page == mem.NoPage || !fr.preload || fr.page < lo || fr.page >= hi {
 			continue
 		}
-		visit(fr.page, fr.accessed)
-		if clear && fr.accessed {
+		visit(fr.page, accessBit(e, i))
+		if clear && accessBit(e, i) {
 			fr.preload = false
 		}
 	}
@@ -330,13 +340,14 @@ type scanVisit struct {
 // same random Load/Touch/Evict/SelectVictim/SelectVictimOwned/scan
 // sequence, under every policy, on dense and sparse page tables, at 0
 // (implicit owner 0) to 64 owners and capacities up to 65536 frames (1 and
-// 64 owners only at the largest). After every operation the two must agree
-// on the victim, the CLOCK hand and every frame's page, owner, access and
-// preload bits and FIFO/LRU stamps.
+// 64 owners only at the largest), including capacities that leave the last
+// bitset word partly filled (100, 4097). After every operation the two
+// must agree on the victim, the CLOCK hand, every frame's page, owner,
+// preload bit and FIFO/LRU stamps, and the access bitset word for word.
 func TestOwnedScanDifferential(t *testing.T) {
-	for _, capacity := range []int{64, 4096, 65536} {
+	for _, capacity := range []int{64, 100, 4096, 4097, 65536} {
 		ownerCounts := []int{0, 1, 5, 64}
-		if capacity > 4096 {
+		if capacity > 4097 {
 			ownerCounts = []int{1, 64} // the extremes: each cell costs O(capacity) per step
 		}
 		for _, owners := range ownerCounts {
@@ -348,7 +359,7 @@ func TestOwnedScanDifferential(t *testing.T) {
 					}
 					name := fmt.Sprintf("cap=%d/owners=%d/%v/%s", capacity, owners, policy, table)
 					t.Run(name, func(t *testing.T) {
-						if testing.Short() && capacity > 4096 {
+						if testing.Short() && capacity > 4097 {
 							t.Skip("large capacity in -short mode")
 						}
 						ownedScanDifferential(t, capacity, owners, policy, sparse)
@@ -397,6 +408,12 @@ func ownedScanDifferential(t *testing.T, capacity, owners int, policy Policy, sp
 			if fast.frames[i] != ref.frames[i] {
 				t.Fatalf("step %d (%s): frame %d is %+v, reference %+v",
 					step, op, i, fast.frames[i], ref.frames[i])
+			}
+		}
+		for w := range fast.accessed {
+			if fast.accessed[w] != ref.accessed[w] {
+				t.Fatalf("step %d (%s): access word %d is %#x, reference %#x",
+					step, op, w, fast.accessed[w], ref.accessed[w])
 			}
 		}
 	}
@@ -497,7 +514,7 @@ func ownedScanDifferential(t *testing.T, capacity, owners int, policy Policy, sp
 			}
 		}
 		same(i, op)
-		if capacity <= 64 {
+		if capacity <= 100 {
 			if err := fast.CheckInvariants(); err != nil {
 				t.Fatalf("step %d (%s): %v", i, op, err)
 			}
@@ -507,5 +524,75 @@ func ownedScanDifferential(t *testing.T, capacity, owners int, policy Policy, sp
 	// clears frame bits without the preload bitset it predates.
 	if err := fast.CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestClockAllAccessedLap parks the CLOCK hand at the edges of the
+// word-at-a-time scan — bit 63 of a word and the last frame — on an EPC
+// whose every frame is accessed, so the scan must lap the whole bitset,
+// wrap through the hand's word and come back to the hand. The global and
+// the owned scan must evict the first member at or after the hand, leave
+// the hand just past it and clear every member's access bit on the way,
+// exactly as the frame-by-frame reference does. Frames alternate between
+// two owners, so the owned scan also has foreign frames to pass over
+// without touching their bits.
+func TestClockAllAccessedLap(t *testing.T) {
+	for _, capacity := range []int{64, 100, 128, 4097} {
+		for _, hand := range []int{63, capacity - 1} {
+			for _, owned := range []bool{false, true} {
+				name := fmt.Sprintf("cap=%d/hand=%d/owned=%v", capacity, hand, owned)
+				t.Run(name, func(t *testing.T) {
+					mk := func() *EPC {
+						e := mustNew(t, capacity, uint64(2*capacity))
+						addOwners(t, e, 2)
+						// Frames are handed out in order; frame f holds owner
+						// 0's page f when f has the hand's parity, else owner
+						// 1's page capacity+f. Demand loads set every bit.
+						for f := 0; f < capacity; f++ {
+							p := mem.PageID(f)
+							if f%2 != hand%2 {
+								p += mem.PageID(capacity)
+							}
+							if err := e.Load(p, false); err != nil {
+								t.Fatal(err)
+							}
+						}
+						e.hand = hand
+						return e
+					}
+					fast, ref := mk(), mk()
+					var fv, rv mem.PageID
+					if owned {
+						fv, rv = fast.SelectVictimOwned(0), refSelectVictimOwned(ref, 0)
+					} else {
+						fv, rv = fast.SelectVictim(), refSelectVictim(ref)
+					}
+					if want := mem.PageID(hand); fv != want || rv != want {
+						t.Fatalf("victim %d, reference %d; want the hand's frame %d", fv, rv, want)
+					}
+					if want := (hand + 1) % capacity; fast.hand != want || ref.hand != want {
+						t.Fatalf("hand %d, reference %d; want %d", fast.hand, ref.hand, want)
+					}
+					if !slices.Equal(fast.accessed, ref.accessed) {
+						t.Fatalf("access bits %#x, reference %#x", fast.accessed, ref.accessed)
+					}
+					// Every member lost its bit, the victim included; the
+					// owned scan left owner 1's bits alone.
+					if n := fast.OwnerAccessed(0); n != 0 {
+						t.Fatalf("%d access bits survived the lap", n)
+					}
+					want := 0
+					if owned {
+						want = fast.OwnerResident(1)
+					}
+					if n := fast.OwnerAccessed(1); n != want {
+						t.Fatalf("owner 1 keeps %d access bits, want %d", n, want)
+					}
+					if err := fast.CheckInvariants(); err != nil {
+						t.Fatal(err)
+					}
+				})
+			}
+		}
 	}
 }

@@ -7,6 +7,10 @@
 // every touch, cleared by the OS service thread — the input to CLOCK
 // eviction and to DFP's accuracy counters) and the preload bit (set when
 // the page was brought in by a preloader rather than by a demand fault).
+// Per-frame facts that scans test — occupancy, ownership, the access bit
+// and the preload bit — are kept as frame-indexed bitsets (bit f%64 of
+// word f/64), so CLOCK advances a word at a time and working-set counts
+// are popcounts.
 //
 // It also maintains the presence bitmap shared between the enclave and the
 // untrusted OS that SIP's BIT_MAP_CHECK consults: one bit per enclave
@@ -77,7 +81,6 @@ func PolicyByName(name string) (Policy, error) {
 // frame is the per-physical-frame metadata the driver keeps.
 type frame struct {
 	page      mem.PageID // resident virtual page, mem.NoPage if free
-	accessed  bool       // hardware access bit
 	preload   bool       // page arrived via preloading, not a demand fault
 	owner     int32      // owning enclave, stamped at Load, reset at Evict
 	loadedAt  uint64     // load sequence number (FIFO policy)
@@ -121,6 +124,10 @@ type EPC struct {
 	// preloaded mirrors every frame's preload bit in the same layout, so
 	// the service thread's preload-bit scan visits only preloaded frames.
 	preloaded []uint64
+	// accessed holds every frame's hardware access bit in the same layout
+	// (the only copy of it): CLOCK clears a word's member bits in one
+	// store, and an owner's working set is a popcount.
+	accessed []uint64
 }
 
 // New returns an EPC with capacity physical frames serving an enclave
@@ -155,6 +162,7 @@ func NewWithPolicy(capacity int, elrangePages uint64, policy Policy) (*EPC, erro
 		ownedBits:  [][]uint64{make([]uint64, (capacity+63)/64)},
 		occupied:   make([]uint64, (capacity+63)/64),
 		preloaded:  make([]uint64, (capacity+63)/64),
+		accessed:   make([]uint64, (capacity+63)/64),
 	}
 	for i := range e.frames {
 		e.frames[i].page = mem.NoPage
@@ -261,11 +269,7 @@ func (e *EPC) OwnerAccessed(owner int) int {
 	}
 	accessed := 0
 	for w, m := range e.ownedBits[owner] {
-		for ; m != 0; m &= m - 1 {
-			if e.frames[w<<6|bits.TrailingZeros64(m)].accessed {
-				accessed++
-			}
-		}
+		accessed += bits.OnesCount64(m & e.accessed[w])
 	}
 	return accessed
 }
@@ -300,7 +304,7 @@ func (e *EPC) Touch(page mem.PageID) bool {
 	if !ok {
 		return false
 	}
-	e.frames[f].accessed = true
+	e.accessed[f>>6] |= 1 << (f & 63)
 	if e.policy == PolicyLRU {
 		e.seq++
 		e.frames[f].touchedAt = e.seq
@@ -328,7 +332,6 @@ func (e *EPC) Load(page mem.PageID, preloaded bool) error {
 	owner := e.ownerOf(page)
 	e.frames[f] = frame{
 		page:      page,
-		accessed:  !preloaded,
 		preload:   preloaded,
 		owner:     owner,
 		loadedAt:  e.seq,
@@ -339,6 +342,8 @@ func (e *EPC) Load(page mem.PageID, preloaded bool) error {
 	e.occupied[f>>6] |= 1 << (f & 63)
 	if preloaded {
 		e.preloaded[f>>6] |= 1 << (f & 63)
+	} else {
+		e.accessed[f>>6] |= 1 << (f & 63)
 	}
 	e.pt.set(page, f)
 	e.present.Set(uint64(page))
@@ -357,6 +362,7 @@ func (e *EPC) Evict(page mem.PageID) bool {
 	e.ownedBits[owner][f>>6] &^= 1 << (f & 63)
 	e.occupied[f>>6] &^= 1 << (f & 63)
 	e.preloaded[f>>6] &^= 1 << (f & 63)
+	e.accessed[f>>6] &^= 1 << (f & 63)
 	e.frames[f] = frame{page: mem.NoPage}
 	e.free = append(e.free, f)
 	e.pt.remove(page)
@@ -414,39 +420,30 @@ func (e *EPC) victim(members []uint64) mem.PageID {
 	case PolicyRandom:
 		return e.victimRandom(members)
 	}
-	// Terminates: members holds >= 1 frame, and one lap around them
-	// clears every access bit it meets.
-	for f := e.hand; ; {
-		g := nextOwned(members, f)
-		if g < 0 {
-			g = nextOwned(members, 0) // wrap past the last frame
+	// CLOCK a word at a time. m is the word's members still ahead of the
+	// hand; the first of them whose access bit is clear is the victim.
+	// Every member passed over loses its bit (its second chance), so a
+	// word passed whole is cleared in one store and the victim's word
+	// only below the victim. The lap wraps back into the hand's word
+	// whole, reaching the members below the hand in their cyclic turn.
+	// Terminates: members holds >= 1 frame, and one lap clears every
+	// access bit it meets.
+	w := e.hand >> 6
+	m := members[w] &^ (1<<(uint(e.hand)&63) - 1)
+	for {
+		if cand := m &^ e.accessed[w]; cand != 0 {
+			b := bits.TrailingZeros64(cand)
+			e.accessed[w] &^= m & (1<<uint(b) - 1)
+			g := w<<6 | b
+			e.hand = (g + 1) % len(e.frames)
+			return e.frames[g].page
 		}
-		fr := &e.frames[g]
-		if fr.accessed {
-			fr.accessed = false
-			f = g + 1
-			continue
+		e.accessed[w] &^= m
+		if w++; w == len(members) {
+			w = 0
 		}
-		e.hand = (g + 1) % len(e.frames)
-		return fr.page
+		m = members[w]
 	}
-}
-
-// nextOwned returns the first frame at or after from whose bit is set in
-// the membership bitset owned, or -1 when there is none.
-func nextOwned(owned []uint64, from int) int {
-	w := from >> 6
-	if w >= len(owned) {
-		return -1
-	}
-	m := owned[w] &^ (1<<(uint(from)&63) - 1)
-	for m == 0 {
-		if w++; w == len(owned) {
-			return -1
-		}
-		m = owned[w]
-	}
-	return w<<6 | bits.TrailingZeros64(m)
 }
 
 // victimByMin returns the member frame minimizing key, the first in
@@ -491,7 +488,7 @@ func (e *EPC) Preloaded(page mem.PageID) bool {
 // Accessed reports whether page is resident with its access bit set.
 func (e *EPC) Accessed(page mem.PageID) bool {
 	f, ok := e.pt.lookup(page)
-	return ok && e.frames[f].accessed
+	return ok && e.accessed[f>>6]&(1<<(f&63)) != 0
 }
 
 // ScanPreloadBitsRange visits every resident preloaded page in [lo, hi)
@@ -515,15 +512,16 @@ func (e *EPC) ScanPreloadBitsRange(lo, hi mem.PageID, clear bool, visit func(pag
 			m &= owned[w]
 		}
 		for ; m != 0; m &= m - 1 {
-			f := w<<6 | bits.TrailingZeros64(m)
-			fr := &e.frames[f]
+			b := bits.TrailingZeros64(m)
+			fr := &e.frames[w<<6|b]
 			if fr.page < lo || fr.page >= hi {
 				continue
 			}
-			visit(fr.page, fr.accessed)
-			if clear && fr.accessed {
+			accessed := e.accessed[w]&(1<<b) != 0
+			visit(fr.page, accessed)
+			if clear && accessed {
 				fr.preload = false
-				e.preloaded[w] &^= 1 << (f & 63)
+				e.preloaded[w] &^= 1 << b
 			}
 		}
 	}
@@ -543,8 +541,8 @@ func (e *EPC) ResidentPages() []mem.PageID {
 
 // CheckInvariants verifies internal consistency: the page table, frame
 // table, free list, presence bitmap, per-owner membership bitsets,
-// occupancy bitset and preload bitset must agree. Tests call it after
-// random operation sequences.
+// occupancy bitset and preload bitset must agree, and no access bit may
+// mark a free frame. Tests call it after random operation sequences.
 func (e *EPC) CheckInvariants() error {
 	occupied := 0
 	seen := make(map[FrameID]bool, len(e.frames))
@@ -602,6 +600,13 @@ func (e *EPC) CheckInvariants() error {
 	}
 	if err := e.checkBitset("preload", e.preloaded, func(fr *frame) bool { return fr.preload }); err != nil {
 		return err
+	}
+	// The access bit is the one bitset with no frame-table mirror; it may
+	// only mark occupied frames.
+	for w, a := range e.accessed {
+		if stray := a &^ e.occupied[w]; stray != 0 {
+			return fmt.Errorf("epc: access bit set on free frame %d", w<<6|bits.TrailingZeros64(stray))
+		}
 	}
 	// Entry counts matching plus every occupied frame resolving back to
 	// itself rules out stale or duplicated page-table entries.

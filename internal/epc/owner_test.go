@@ -248,9 +248,9 @@ func TestOwnerAccessed(t *testing.T) {
 }
 
 // TestCheckInvariantsCatchesBitsetDrift: an owner bitset that disagrees
-// with the frame stamps or holds a bit past the last frame, and an
-// occupancy or preload bitset that disagrees with the frames, are
-// reported.
+// with the frame stamps or holds a bit past the last frame, an occupancy
+// or preload bitset that disagrees with the frames, and an access bit on a
+// free frame or past the last frame are reported.
 func TestCheckInvariantsCatchesBitsetDrift(t *testing.T) {
 	e := mustNew(t, 8, 64)
 	addOwners(t, e, 2)
@@ -286,5 +286,17 @@ func TestCheckInvariantsCatchesBitsetDrift(t *testing.T) {
 	e.preloaded[0] |= 1
 	if err := e.CheckInvariants(); err == nil {
 		t.Fatal("preload bitset disagreeing with the frame not reported")
+	}
+	e.preloaded[0] &^= 1
+	if err := e.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	// Frame 3 is free; set its access bit, then one past the 8 frames.
+	for _, f := range []uint{3, 9} {
+		e.accessed[0] |= 1 << f
+		if err := e.CheckInvariants(); err == nil {
+			t.Fatalf("access bit on free frame %d not reported", f)
+		}
+		e.accessed[0] &^= 1 << f
 	}
 }

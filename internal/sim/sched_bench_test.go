@@ -66,18 +66,19 @@ func benchFleetEngine(b *testing.B, e, epcPages int, quota arbiter.Policy) *Engi
 	return eng
 }
 
-// benchShardedStep runs a fleet of e enclaves split round-robin over
+// benchStaticFleetStep runs a fleet of e enclaves split round-robin over
 // the given number of independent EPC domains — the shape of a static
-// (t=0 round-robin) fleet. Each parallel worker claims one shard engine and steps it, so
-// ns/op is the fleet's aggregate per-access cost across however many
-// cores the host gives the benchmark. Shards are sized to keep each
-// domain's scheduler state inside cache: that, not the O(log E) sift,
-// is what per-step cost tracks once E passes a few hundred.
-func benchShardedStep(b *testing.B, e, shards int) {
-	engines := make([]*Engine, shards)
+// (t=0 round-robin) fleet. Each parallel worker claims one domain's
+// engine and steps it, so ns/op is the fleet's aggregate per-access cost
+// across however many cores the host gives the benchmark. Domains are
+// sized to keep each one's scheduler state inside cache: that, not the
+// O(log E) sift, is what per-step cost tracks once E passes a few
+// hundred.
+func benchStaticFleetStep(b *testing.B, e, domains int) {
+	engines := make([]*Engine, domains)
 	for s := range engines {
-		n := e / shards
-		if s < e%shards {
+		n := e / domains
+		if s < e%domains {
 			n++
 		}
 		// The footprint fits the EPC: after the cold sweep the run is
@@ -88,7 +89,7 @@ func benchShardedStep(b *testing.B, e, shards int) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
-		eng := engines[int(next.Add(1)-1)%shards]
+		eng := engines[int(next.Add(1)-1)%domains]
 		for pb.Next() {
 			if _, err := eng.Step(); err != nil {
 				b.Fatal(err)
@@ -114,14 +115,14 @@ func benchQuotaStep(b *testing.B, e int) {
 }
 
 // BenchmarkStep measures one engine access at fleet population sizes —
-// the scheduler's O(log E) claim made falsifiable. Both sharded
-// populations run 16 and 160 domains of ~62 enclaves each, mirroring how
-// a static fleet.Run deploys a population this size. The adaptive cells run
+// the scheduler's O(log E) claim made falsifiable. The two static-fleet
+// cells run 16 and 160 domains of ~62 enclaves each, mirroring how a
+// static fleet.Run deploys a population this size. The adaptive cells run
 // one oversubscribed EPC domain under quotas, where per-step cost also
 // includes arbitration and owner-scoped scans.
 func BenchmarkStep(b *testing.B) {
-	b.Run("E=1000-sharded16", func(b *testing.B) { benchShardedStep(b, 1000, 16) })
-	b.Run("E=10000-sharded160", func(b *testing.B) { benchShardedStep(b, 10000, 160) })
+	b.Run("E=1000-staticfleet16", func(b *testing.B) { benchStaticFleetStep(b, 1000, 16) })
+	b.Run("E=10000-staticfleet160", func(b *testing.B) { benchStaticFleetStep(b, 10000, 160) })
 	for _, e := range []int{8, 64, 1024} {
 		b.Run(fmt.Sprintf("E=%d-adaptive", e), func(b *testing.B) { benchQuotaStep(b, e) })
 	}
