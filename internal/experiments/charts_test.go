@@ -1,9 +1,62 @@
 package experiments
 
 import (
+	"crypto/sha256"
+	"flag"
+	"fmt"
+	"os"
+	"sort"
 	"strings"
 	"testing"
 )
+
+var update = flag.Bool("update", false, "rewrite golden files")
+
+// outputsGolden pins the SHA-256 of every report's rendered text. The
+// reports are the repository's main output and are deterministic, so a
+// hash change means an experiment's numbers or layout changed — an
+// intentional, reviewed event, never drift. Regenerate with
+// `go test ./internal/experiments -run TestStringersRender -update`.
+const outputsGolden = "testdata/outputs.golden"
+
+// readOutputHashes parses outputsGolden's "id hash" lines; a missing
+// file reads as empty so -update can create it.
+func readOutputHashes(t *testing.T) map[string]string {
+	t.Helper()
+	data, err := os.ReadFile(outputsGolden)
+	if os.IsNotExist(err) && *update {
+		return map[string]string{}
+	}
+	if err != nil {
+		t.Fatalf("%v (regenerate with -update)", err)
+	}
+	hashes := map[string]string{}
+	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
+		id, sum, ok := strings.Cut(line, " ")
+		if !ok {
+			t.Fatalf("%s: malformed line %q", outputsGolden, line)
+		}
+		hashes[id] = sum
+	}
+	return hashes
+}
+
+// writeOutputHashes rewrites outputsGolden in sorted id order.
+func writeOutputHashes(t *testing.T, hashes map[string]string) {
+	t.Helper()
+	ids := make([]string, 0, len(hashes))
+	for id := range hashes {
+		ids = append(ids, id)
+	}
+	sort.Strings(ids)
+	var b strings.Builder
+	for _, id := range ids {
+		fmt.Fprintf(&b, "%s %s\n", id, hashes[id])
+	}
+	if err := os.WriteFile(outputsGolden, []byte(b.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
 
 func TestChartsRender(t *testing.T) {
 	charters := map[string]func() (Charter, error){
@@ -45,9 +98,9 @@ func TestChartsRender(t *testing.T) {
 	}
 }
 
-// TestStringersRender smoke-tests every report renderer: they feed both
-// the CLI and EXPERIMENTS.md, so a panic or empty output is a release
-// blocker even though the content is asserted elsewhere.
+// TestStringersRender checks every report renderer: they feed both the
+// CLI and EXPERIMENTS.md, so a panic or empty output is a release
+// blocker, and each rendering's hash must match outputsGolden.
 func TestStringersRender(t *testing.T) {
 	type stringer interface{ String() string }
 	runs := map[string]func() (stringer, error){
@@ -73,6 +126,7 @@ func TestStringersRender(t *testing.T) {
 		"reclaim":    func() (stringer, error) { return ReclaimAblation(sharedRunner) },
 		"eager":      func() (stringer, error) { return EagerSIP(sharedRunner) },
 	}
+	want := readOutputHashes(t)
 	for id, mk := range runs {
 		t.Run(id, func(t *testing.T) {
 			r, err := mk()
@@ -83,6 +137,16 @@ func TestStringersRender(t *testing.T) {
 			if len(out) < 40 || !strings.Contains(out, "\n") {
 				t.Errorf("report too small:\n%s", out)
 			}
+			got := fmt.Sprintf("%x", sha256.Sum256([]byte(out)))
+			if *update {
+				want[id] = got
+			} else if got != want[id] {
+				t.Errorf("output hash %s, want %s from %s (regenerate with -update if intentional):\n%s",
+					got, want[id], outputsGolden, out)
+			}
 		})
+	}
+	if *update {
+		writeOutputHashes(t, want)
 	}
 }
