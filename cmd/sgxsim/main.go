@@ -41,10 +41,10 @@ import (
 	"sgxpreload/internal/dfp"
 	"sgxpreload/internal/epc"
 	"sgxpreload/internal/epc/arbiter"
-	"sgxpreload/internal/experiments"
 	"sgxpreload/internal/fleet"
 	"sgxpreload/internal/mem"
 	"sgxpreload/internal/obs"
+	"sgxpreload/internal/pool"
 	"sgxpreload/internal/replay"
 	"sgxpreload/internal/sim"
 	"sgxpreload/internal/sip"
@@ -220,7 +220,7 @@ func run(args []string, out io.Writer) error {
 	}
 
 	// With -compare, the scheme run and the baseline run are independent
-	// cells; fan them out on the sweep scheduler. Results land by index,
+	// cells; fan them out on the worker pool. Results land by index,
 	// so the report below is identical at any -parallel setting.
 	encs := []sim.Enclave{enc}
 	if *compare && sch != sim.Baseline {
@@ -237,7 +237,8 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 	defer obsv.close()
-	results, err := experiments.Sweep(*parallel, len(encs), func(i int) (sim.Result, error) {
+	results := make([]sim.Result, len(encs))
+	err = pool.Run(*parallel, len(encs), func(i int) error {
 		enc := encs[i]
 		platform := sim.SharedConfig{EPCPages: *epcPages, EvictPolicy: pol, Quota: quota}
 		if i == 0 {
@@ -252,12 +253,13 @@ func run(args []string, out io.Writer) error {
 		}
 		res, err := sim.RunShared([]sim.Enclave{enc}, platform)
 		if err != nil {
-			return sim.Result{}, err
+			return err
 		}
 		if *progress {
 			fmt.Fprintf(os.Stderr, "  %s run done\n", enc.Scheme)
 		}
-		return res[0].Result, nil
+		results[i] = res[0].Result
+		return nil
 	})
 	if err != nil {
 		return err

@@ -40,45 +40,27 @@ func EPCSweep(r *Runner) (EPCSweepResult, error) {
 		EPCPages:   []int{1024, 2048, 4096, 8192, 12288},
 		Benchmarks: []string{"microbenchmark", "lbm", "deepsjeng"},
 	}
-	type cell struct{ imp, share float64 }
-	nP := len(out.EPCPages)
-	cells, err := sweep(r, "ablation-epc", len(out.Benchmarks)*nP,
-		func(i int) string {
-			return fmt.Sprintf("%s epc=%d", out.Benchmarks[i/nP], out.EPCPages[i%nP])
-		},
-		func(i int) (cell, error) {
-			w, err := workload.ByName(out.Benchmarks[i/nP])
-			if err != nil {
-				return cell{}, err
+	var cells []cell
+	for _, name := range out.Benchmarks {
+		for _, pages := range out.EPCPages {
+			for _, scheme := range []sim.Scheme{sim.Baseline, sim.DFPStop} {
+				c := r.cell(name, scheme)
+				c.epcPages = pages
+				cells = append(cells, c)
 			}
-			platform := sim.SharedConfig{EPCPages: out.EPCPages[i%nP]}
-			enc, err := r.enclave(w, sim.Baseline)
-			if err != nil {
-				return cell{}, err
-			}
-			base, err := r.run(enc, platform)
-			if err != nil {
-				return cell{}, err
-			}
-			enc.Scheme = sim.DFPStop
-			d, err := r.run(enc, platform)
-			if err != nil {
-				return cell{}, err
-			}
-			return cell{
-				imp:   stats.ImprovementPct(d.Cycles, base.Cycles),
-				share: float64(base.FaultCycles()) / float64(base.Cycles),
-			}, nil
-		})
+		}
+	}
+	res, err := r.simulate("ablation-epc", cells)
 	if err != nil {
 		return out, err
 	}
-	for b := range out.Benchmarks {
-		imps := make([]float64, 0, nP)
-		shares := make([]float64, 0, nP)
-		for _, c := range cells[b*nP : (b+1)*nP] {
-			imps = append(imps, c.imp)
-			shares = append(shares, c.share)
+	for range out.Benchmarks {
+		var imps, shares []float64
+		for range out.EPCPages {
+			base, d := res[0], res[1]
+			res = res[2:]
+			imps = append(imps, stats.ImprovementPct(d.Cycles, base.Cycles))
+			shares = append(shares, float64(base.FaultCycles())/float64(base.Cycles))
 		}
 		out.Improvement = append(out.Improvement, imps)
 		out.FaultShare = append(out.FaultShare, shares)
@@ -120,36 +102,25 @@ func PredictorAblation(r *Runner) (PredictorAblationResult, error) {
 		Kinds:      core.Kinds(),
 		Benchmarks: []string{"microbenchmark", "lbm", "deepsjeng", "roms"},
 	}
-	bases, err := r.RunAll(out.Benchmarks, []sim.Scheme{sim.Baseline})
+	cells := r.grid(out.Benchmarks, sim.Baseline)
+	for _, name := range out.Benchmarks {
+		for _, k := range out.Kinds {
+			c := r.cell(name, sim.DFP)
+			c.predictor = k
+			cells = append(cells, c)
+		}
+	}
+	res, err := r.simulate("ablation-predictor", cells)
 	if err != nil {
 		return out, err
 	}
-	nK := len(out.Kinds)
-	cells, err := sweep(r, "ablation-predictor", len(out.Benchmarks)*nK,
-		func(i int) string {
-			return out.Benchmarks[i/nK] + "/" + string(out.Kinds[i%nK])
-		},
-		func(i int) (float64, error) {
-			w, err := workload.ByName(out.Benchmarks[i/nK])
-			if err != nil {
-				return 0, err
-			}
-			enc, err := r.enclave(w, sim.DFP)
-			if err != nil {
-				return 0, err
-			}
-			enc.Predictor = out.Kinds[i%nK]
-			res, err := r.run(enc, sim.SharedConfig{})
-			if err != nil {
-				return 0, err
-			}
-			return stats.ImprovementPct(res.Cycles, bases[i/nK][0].Cycles), nil
-		})
-	if err != nil {
-		return out, err
-	}
-	for b := range out.Benchmarks {
-		out.Improvement = append(out.Improvement, cells[b*nK:(b+1)*nK])
+	bases, runs := res[:len(out.Benchmarks)], res[len(out.Benchmarks):]
+	for b, base := range bases {
+		row := make([]float64, len(out.Kinds))
+		for k := range row {
+			row[k] = stats.ImprovementPct(runs[b*len(row)+k].Cycles, base.Cycles)
+		}
+		out.Improvement = append(out.Improvement, row)
 	}
 	return out, nil
 }
@@ -188,39 +159,28 @@ func EvictionAblation(r *Runner) (EvictionAblationResult, error) {
 		Policies:   []epc.Policy{epc.PolicyClock, epc.PolicyLRU, epc.PolicyFIFO, epc.PolicyRandom},
 		Benchmarks: []string{"deepsjeng", "mcf", "lbm"},
 	}
-	nPol := len(out.Policies)
-	cells, err := sweep(r, "ablation-eviction", len(out.Benchmarks)*nPol,
-		func(i int) string {
-			return out.Benchmarks[i/nPol] + "/" + out.Policies[i%nPol].String()
-		},
-		func(i int) (uint64, error) {
-			w, err := workload.ByName(out.Benchmarks[i/nPol])
-			if err != nil {
-				return 0, err
-			}
-			enc, err := r.enclave(w, sim.Baseline)
-			if err != nil {
-				return 0, err
-			}
-			res, err := r.run(enc, sim.SharedConfig{EvictPolicy: out.Policies[i%nPol]})
-			if err != nil {
-				return 0, err
-			}
-			return res.Cycles, nil
-		})
+	var cells []cell
+	for _, name := range out.Benchmarks {
+		for _, pol := range out.Policies {
+			c := r.cell(name, sim.Baseline)
+			c.policy = pol
+			cells = append(cells, c)
+		}
+	}
+	res, err := r.simulate("ablation-eviction", cells)
 	if err != nil {
 		return out, err
 	}
-	for b := range out.Benchmarks {
+	for range out.Benchmarks {
 		var clock uint64
-		row := make([]float64, 0, nPol)
+		row := make([]float64, 0, len(out.Policies))
 		for p, pol := range out.Policies {
-			cycles := cells[b*nPol+p]
 			if pol == epc.PolicyClock {
-				clock = cycles
+				clock = res[p].Cycles
 			}
-			row = append(row, stats.Normalized(cycles, clock))
+			row = append(row, stats.Normalized(res[p].Cycles, clock))
 		}
+		res = res[len(out.Policies):]
 		out.Norm = append(out.Norm, row)
 	}
 	return out, nil
@@ -258,44 +218,21 @@ type CostSensitivityResult struct {
 // preloading win survives such hardware improvements.
 func CostSensitivity(r *Runner) (CostSensitivityResult, error) {
 	out := CostSensitivityResult{LoadCosts: []uint64{11000, 22000, 44000, 88000}}
-	w, err := workload.ByName("lbm")
+	var cells []cell
+	for _, load := range out.LoadCosts {
+		for _, scheme := range []sim.Scheme{sim.Baseline, sim.DFPStop} {
+			c := r.cell("lbm", scheme)
+			c.costs.Load = load
+			cells = append(cells, c)
+		}
+	}
+	res, err := r.simulate("ablation-loadcost", cells)
 	if err != nil {
 		return out, err
 	}
-	type cell struct {
-		imp  float64
-		cost uint64
-	}
-	cells, err := sweep(r, "ablation-loadcost", len(out.LoadCosts),
-		func(i int) string { return fmt.Sprintf("load=%d", out.LoadCosts[i]) },
-		func(i int) (cell, error) {
-			cm := mem.DefaultCostModel()
-			cm.Load = out.LoadCosts[i]
-			platform := sim.SharedConfig{Costs: cm}
-			enc, err := r.enclave(w, sim.Baseline)
-			if err != nil {
-				return cell{}, err
-			}
-			base, err := r.run(enc, platform)
-			if err != nil {
-				return cell{}, err
-			}
-			enc.Scheme = sim.DFPStop
-			d, err := r.run(enc, platform)
-			if err != nil {
-				return cell{}, err
-			}
-			return cell{
-				imp:  stats.ImprovementPct(d.Cycles, base.Cycles),
-				cost: cm.FaultCost(),
-			}, nil
-		})
-	if err != nil {
-		return out, err
-	}
-	for _, c := range cells {
-		out.Improvement = append(out.Improvement, c.imp)
-		out.FaultCost = append(out.FaultCost, c.cost)
+	for i := range out.LoadCosts {
+		out.Improvement = append(out.Improvement, stats.ImprovementPct(res[2*i+1].Cycles, res[2*i].Cycles))
+		out.FaultCost = append(out.FaultCost, cells[2*i].costs.FaultCost())
 	}
 	return out, nil
 }
@@ -326,7 +263,7 @@ type SharedEPCResult struct {
 // paper's §5.6 claim.
 func SharedEPC(r *Runner) (SharedEPCResult, error) {
 	out := SharedEPCResult{Names: []string{"lbm", "deepsjeng"}}
-	solos, err := r.RunAll(out.Names, []sim.Scheme{sim.Baseline})
+	solos, err := r.simulate("ablation-shared", r.grid(out.Names, sim.Baseline))
 	if err != nil {
 		return out, err
 	}
@@ -336,7 +273,7 @@ func SharedEPC(r *Runner) (SharedEPCResult, error) {
 		if err != nil {
 			return out, err
 		}
-		out.SoloCycles = append(out.SoloCycles, solos[i][0].Cycles)
+		out.SoloCycles = append(out.SoloCycles, solos[i].Cycles)
 		encs = append(encs, sim.Enclave{
 			Name:   name,
 			Trace:  r.Trace(w, workload.Ref),
@@ -406,26 +343,16 @@ func BackwardStreams(r *Runner) (BackwardStreamResult, error) {
 			trace = append(trace, mem.Access{Site: 1, Page: mem.PageID(i), Compute: 150000})
 		}
 	}
-	fwd := r.p.DFP
-	fwd.Backward = false
-	bwd := r.p.DFP
-	bwd.Backward = true
-	configs := []struct {
-		name   string
-		scheme sim.Scheme
-		dfp    dfp.Config
-	}{
-		{"baseline", sim.Baseline, dfp.Config{}},
-		{"forward", sim.DFP, fwd},
-		{"backward", sim.DFP, bwd},
-	}
-	res, err := sweep(r, "ablation-backward", len(configs),
-		func(i int) string { return configs[i].name },
-		func(i int) (sim.Result, error) {
-			return r.run(sim.Enclave{
-				Name: configs[i].name, Trace: trace, Pages: pages,
-				Scheme: configs[i].scheme, DFP: configs[i].dfp,
-			}, sim.SharedConfig{})
+	// The synthetic trace is no registered workload, so these three runs
+	// are direct rather than cells.
+	res, err := sweep(r, "ablation-backward", []string{"baseline", "forward", "backward"},
+		func(name string) (sim.Result, error) {
+			enc := sim.Enclave{Name: name, Trace: trace, Pages: pages, Scheme: sim.DFP, DFP: r.p.DFP}
+			enc.DFP.Backward = name == "backward"
+			if name == "baseline" {
+				enc.Scheme, enc.DFP = sim.Baseline, dfp.Config{}
+			}
+			return runAlone(enc, sim.SharedConfig{EPCPages: r.p.EPCPages})
 		})
 	if err != nil {
 		return out, err
@@ -458,38 +385,22 @@ type ReclaimAblationResult struct {
 // the price of periodic write-back bursts on the load channel.
 func ReclaimAblation(r *Runner) (ReclaimAblationResult, error) {
 	out := ReclaimAblationResult{Benchmarks: []string{"microbenchmark", "lbm", "deepsjeng"}}
-	type cell struct {
-		sync, bg, bgEvicts uint64
+	var cells []cell
+	for _, name := range out.Benchmarks {
+		c := r.cell(name, sim.Baseline)
+		cells = append(cells, c)
+		c.reclaim = true
+		cells = append(cells, c)
 	}
-	cells, err := sweep(r, "ablation-reclaim", len(out.Benchmarks),
-		func(i int) string { return out.Benchmarks[i] },
-		func(i int) (cell, error) {
-			w, err := workload.ByName(out.Benchmarks[i])
-			if err != nil {
-				return cell{}, err
-			}
-			enc, err := r.enclave(w, sim.Baseline)
-			if err != nil {
-				return cell{}, err
-			}
-			sync, err := r.run(enc, sim.SharedConfig{})
-			if err != nil {
-				return cell{}, err
-			}
-			enc.BackgroundReclaim = true
-			bg, err := r.run(enc, sim.SharedConfig{})
-			if err != nil {
-				return cell{}, err
-			}
-			return cell{sync: sync.Cycles, bg: bg.Cycles, bgEvicts: bg.Kernel.BackgroundEvictions}, nil
-		})
+	res, err := r.simulate("ablation-reclaim", cells)
 	if err != nil {
 		return out, err
 	}
-	for _, c := range cells {
-		out.SyncCycles = append(out.SyncCycles, c.sync)
-		out.BackgroundCycles = append(out.BackgroundCycles, c.bg)
-		out.BgEvicts = append(out.BgEvicts, c.bgEvicts)
+	for i := range out.Benchmarks {
+		sync, bg := res[2*i], res[2*i+1]
+		out.SyncCycles = append(out.SyncCycles, sync.Cycles)
+		out.BackgroundCycles = append(out.BackgroundCycles, bg.Cycles)
+		out.BgEvicts = append(out.BgEvicts, bg.Kernel.BackgroundEvictions)
 	}
 	return out, nil
 }
@@ -524,35 +435,19 @@ type EagerSIPResult struct {
 // compiler that could find such lead time would win.
 func EagerSIP(r *Runner) (EagerSIPResult, error) {
 	out := EagerSIPResult{Leads: []int{0, 2, 8, 32}}
-	w, err := workload.ByName("deepsjeng")
+	cells := []cell{r.cell("deepsjeng", sim.Baseline)}
+	for _, lead := range out.Leads {
+		c := r.cell("deepsjeng", sim.SIP)
+		c.lead = lead
+		cells = append(cells, c)
+	}
+	res, err := r.simulate("ablation-eager", cells)
 	if err != nil {
 		return out, err
 	}
-	enc, err := r.enclave(w, sim.SIP)
-	if err != nil {
-		return out, err
+	for _, eager := range res[1:] {
+		out.Improvement = append(out.Improvement, stats.ImprovementPct(eager.Cycles, res[0].Cycles))
 	}
-	base, err := r.Run(w, sim.Baseline)
-	if err != nil {
-		return out, err
-	}
-	imps, err := sweep(r, "ablation-eager", len(out.Leads),
-		func(i int) string { return fmt.Sprintf("lead=%d", out.Leads[i]) },
-		func(i int) (float64, error) {
-			eager := enc
-			if out.Leads[i] > 0 {
-				eager.Trace = insertPrefetches(enc.Trace, enc.Selection, out.Leads[i])
-			}
-			res, err := r.run(eager, sim.SharedConfig{})
-			if err != nil {
-				return 0, err
-			}
-			return stats.ImprovementPct(res.Cycles, base.Cycles), nil
-		})
-	if err != nil {
-		return out, err
-	}
-	out.Improvement = imps
 	return out, nil
 }
 

@@ -16,7 +16,9 @@ import (
 	"runtime"
 	"sync"
 
+	"sgxpreload/internal/core"
 	"sgxpreload/internal/dfp"
+	"sgxpreload/internal/epc"
 	"sgxpreload/internal/mem"
 	"sgxpreload/internal/sim"
 	"sgxpreload/internal/sip"
@@ -49,12 +51,14 @@ func Default() Params {
 	}
 }
 
-// Runner executes experiment runs with caching: generated traces and SIP
-// profiles are deterministic per (workload, input), so sweeps reuse them.
-// The caches are single-flight and safe for concurrent use, and every
-// sweep-style experiment fans its cells out across the runner's worker
-// pool (SetParallelism); results are keyed by cell index, so the output
-// is byte-identical at any worker count.
+// Runner executes experiment runs with caching: generated traces, SIP
+// profiles and site selections are deterministic per workload, and every
+// single-enclave simulation is memoized per cell (see cell), so a cell
+// shared by several figures is simulated once. The caches are
+// single-flight and safe for concurrent use, and every study fans its
+// cells out across the runner's worker pool (SetParallelism); results
+// are keyed by cell index, so the output is byte-identical at any worker
+// count.
 type Runner struct {
 	p       Params
 	workers int
@@ -63,13 +67,19 @@ type Runner struct {
 	progress   Progress
 
 	traces     *memo[traceKey, []mem.Access]
-	selections *memo[string, *sip.Selection]
 	profiles   *memo[string, *sip.Profile]
+	selections *memo[selectionKey, *sip.Selection]
+	cells      *memo[cell, sim.Result]
 }
 
 type traceKey struct {
 	name string
 	in   workload.Input
+}
+
+type selectionKey struct {
+	name      string
+	threshold float64
 }
 
 // NewRunner returns a Runner with the given parameters and a worker pool
@@ -79,8 +89,9 @@ func NewRunner(p Params) *Runner {
 		p:          p,
 		workers:    runtime.GOMAXPROCS(0),
 		traces:     newMemo[traceKey, []mem.Access](),
-		selections: newMemo[string, *sip.Selection](),
 		profiles:   newMemo[string, *sip.Profile](),
+		selections: newMemo[selectionKey, *sip.Selection](),
+		cells:      newMemo[cell, sim.Result](),
 	}
 }
 
@@ -144,65 +155,124 @@ func (r *Runner) Profile(w *workload.Workload) (*sip.Profile, error) {
 // Selection returns the (cached) instrumentation-site selection of a
 // workload at the runner's threshold.
 func (r *Runner) Selection(w *workload.Workload) (*sip.Selection, error) {
-	return r.selections.get(w.Name, func() (*sip.Selection, error) {
+	return r.selection(w, r.p.Threshold)
+}
+
+// selection returns the (cached) site selection of w at threshold.
+func (r *Runner) selection(w *workload.Workload, threshold float64) (*sip.Selection, error) {
+	return r.selections.get(selectionKey{w.Name, threshold}, func() (*sip.Selection, error) {
 		p, err := r.Profile(w)
 		if err != nil {
 			return nil, err
 		}
-		return sip.Select(p, r.p.Threshold, r.p.MinSiteAccesses), nil
+		return sip.Select(p, threshold, r.p.MinSiteAccesses), nil
 	})
 }
 
-// SelectionAt returns an uncached selection at an explicit threshold
-// (for the Figure 9 sweep).
-func (r *Runner) SelectionAt(w *workload.Workload, threshold float64) (*sip.Selection, error) {
-	p, err := r.Profile(w)
-	if err != nil {
-		return nil, err
-	}
-	return sip.Select(p, threshold, r.p.MinSiteAccesses), nil
+// cell is one single-enclave simulation as a comparable value: every
+// input the run reads. Studies declare their cells and get results back
+// from simulate, which runs each distinct cell once per runner. Cells
+// come from Runner.cell, which spells out the runner's defaults (the
+// explicit default cost model runs exactly as the engine's zero value
+// does), so a cell that varies one knob shares every other field with
+// the default cells, and a run that several studies declare has one key.
+type cell struct {
+	name      string // registered workload; its ref trace is the input
+	scheme    sim.Scheme
+	dfp       dfp.Config
+	threshold float64 // SIP site-selection threshold (SIP schemes)
+	predictor core.Kind
+	reclaim   bool
+	// lead issues an oracle preload notification lead accesses before
+	// each instrumented access (SIP schemes; 0 is the paper's SIP).
+	lead     int
+	epcPages int
+	costs    mem.CostModel
+	policy   epc.Policy
 }
 
-// Run executes workload w's ref input under the given scheme.
-func (r *Runner) Run(w *workload.Workload, scheme sim.Scheme) (sim.Result, error) {
-	enc, err := r.enclave(w, scheme)
-	if err != nil {
-		return sim.Result{}, err
+// cell returns workload name's ref run under scheme at the runner's
+// defaults.
+func (r *Runner) cell(name string, scheme sim.Scheme) cell {
+	return cell{
+		name:      name,
+		scheme:    scheme,
+		dfp:       r.p.DFP,
+		threshold: r.p.Threshold,
+		epcPages:  r.p.EPCPages,
+		costs:     mem.DefaultCostModel(),
 	}
-	return r.run(enc, sim.SharedConfig{})
 }
 
-// enclave describes workload w's ref run under scheme: the cached ref
-// trace, the runner's DFP tunables, and — for SIP schemes — the cached
-// instrumentation-site selection. Callers adjust the returned enclave
-// for studies that vary one knob.
-func (r *Runner) enclave(w *workload.Workload, scheme sim.Scheme) (sim.Enclave, error) {
-	var sel *sip.Selection
-	if scheme.UsesSIP() {
+// grid returns the cells of every names × schemes pair, row-major.
+func (r *Runner) grid(names []string, schemes ...sim.Scheme) []cell {
+	cells := make([]cell, 0, len(names)*len(schemes))
+	for _, name := range names {
+		for _, s := range schemes {
+			cells = append(cells, r.cell(name, s))
+		}
+	}
+	return cells
+}
+
+// String labels the cell in progress reports.
+func (c cell) String() string {
+	return fmt.Sprintf("%s/%s list=%d L=%d threshold=%g predictor=%q reclaim=%t lead=%d epc=%d load=%d evict=%s",
+		c.name, c.scheme, c.dfp.StreamListLen, c.dfp.LoadLength, c.threshold,
+		c.predictor, c.reclaim, c.lead, c.epcPages, c.costs.Load, c.policy)
+}
+
+// setup turns c into its enclave and platform: the cached ref trace and,
+// for SIP schemes, the cached site selection at c's threshold.
+func (r *Runner) setup(c cell) (sim.Enclave, sim.SharedConfig, error) {
+	platform := sim.SharedConfig{Costs: c.costs, EPCPages: c.epcPages, EvictPolicy: c.policy}
+	w, err := workload.ByName(c.name)
+	if err != nil {
+		return sim.Enclave{}, platform, err
+	}
+	enc := sim.Enclave{
+		Name:              c.name,
+		Trace:             r.Trace(w, workload.Ref),
+		Pages:             w.ELRangePages(),
+		Scheme:            c.scheme,
+		DFP:               c.dfp,
+		Predictor:         c.predictor,
+		BackgroundReclaim: c.reclaim,
+	}
+	if c.scheme.UsesSIP() {
 		if !w.Instrumentable {
-			return sim.Enclave{}, fmt.Errorf("experiments: %s is not instrumentable (%s)", w.Name, w.Language)
+			return enc, platform, fmt.Errorf("experiments: %s is not instrumentable (%s)", w.Name, w.Language)
 		}
-		var err error
-		if sel, err = r.Selection(w); err != nil {
-			return sim.Enclave{}, err
+		if enc.Selection, err = r.selection(w, c.threshold); err != nil {
+			return enc, platform, err
+		}
+		if c.lead > 0 {
+			enc.Trace = insertPrefetches(enc.Trace, enc.Selection, c.lead)
 		}
 	}
-	return sim.Enclave{
-		Name:      w.Name,
-		Trace:     r.Trace(w, workload.Ref),
-		Pages:     w.ELRangePages(),
-		Scheme:    scheme,
-		DFP:       r.p.DFP,
-		Selection: sel,
-	}, nil
+	return enc, platform, nil
 }
 
-// run executes enc alone on platform, with the runner's EPC size unless
-// platform sets its own.
-func (r *Runner) run(enc sim.Enclave, platform sim.SharedConfig) (sim.Result, error) {
-	if platform.EPCPages == 0 {
-		platform.EPCPages = r.p.EPCPages
-	}
+// result returns c's (cached) outcome; the fill is single-flight, so a
+// cell requested by concurrent workers is still simulated once.
+func (r *Runner) result(c cell) (sim.Result, error) {
+	return r.cells.get(c, func() (sim.Result, error) {
+		enc, platform, err := r.setup(c)
+		if err != nil {
+			return sim.Result{}, err
+		}
+		return runAlone(enc, platform)
+	})
+}
+
+// simulate returns the results of a study's cells, in cell order, running
+// the uncached ones on the worker pool.
+func (r *Runner) simulate(study string, cells []cell) ([]sim.Result, error) {
+	return sweep(r, study, cells, r.result)
+}
+
+// runAlone simulates enc alone on platform.
+func runAlone(enc sim.Enclave, platform sim.SharedConfig) (sim.Result, error) {
 	res, err := sim.RunShared([]sim.Enclave{enc}, platform)
 	if err != nil {
 		return sim.Result{}, fmt.Errorf("experiments: %s/%s: %w", enc.Name, enc.Scheme, err)
@@ -210,29 +280,21 @@ func (r *Runner) run(enc sim.Enclave, platform sim.SharedConfig) (sim.Result, er
 	return res[0].Result, nil
 }
 
-// RunAll executes the full (workload, scheme) grid in parallel on the
-// runner's worker pool and returns results indexed [i][j] to match
-// names[i] and schemes[j]. Cells are independent simulations; the shared
-// trace/profile caches fill single-flight, and results land by index, so
-// RunAll(names, schemes) is deterministic at any parallelism.
+// Run executes workload w's ref input under the given scheme.
+func (r *Runner) Run(w *workload.Workload, scheme sim.Scheme) (sim.Result, error) {
+	return r.result(r.cell(w.Name, scheme))
+}
+
+// RunAll executes the full (workload, scheme) grid and returns results
+// indexed [i][j] to match names[i] and schemes[j].
 func (r *Runner) RunAll(names []string, schemes []sim.Scheme) ([][]sim.Result, error) {
-	cells, err := sweep(r, "grid", len(names)*len(schemes),
-		func(i int) string {
-			return names[i/len(schemes)] + "/" + schemes[i%len(schemes)].String()
-		},
-		func(i int) (sim.Result, error) {
-			w, err := workload.ByName(names[i/len(schemes)])
-			if err != nil {
-				return sim.Result{}, err
-			}
-			return r.Run(w, schemes[i%len(schemes)])
-		})
+	res, err := r.simulate("grid", r.grid(names, schemes...))
 	if err != nil {
 		return nil, err
 	}
 	out := make([][]sim.Result, len(names))
 	for i := range names {
-		out[i] = cells[i*len(schemes) : (i+1)*len(schemes)]
+		out[i] = res[i*len(schemes) : (i+1)*len(schemes)]
 	}
 	return out, nil
 }

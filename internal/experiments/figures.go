@@ -30,26 +30,24 @@ type Figure3Row struct {
 func Figure3(r *Runner) (Figure3Result, error) {
 	var out Figure3Result
 	names := []string{"bwaves", "deepsjeng", "lbm"}
-	rows, err := sweep(r, "fig3", len(names),
-		func(i int) string { return names[i] },
-		func(i int) (Figure3Row, error) {
-			w, err := workload.ByName(names[i])
-			if err != nil {
-				return Figure3Row{}, err
-			}
-			tr := r.Trace(w, workload.Ref)
-			rec := trace.NewRecorder(uint64(len(tr)/2000 + 1))
-			for _, a := range tr {
-				rec.Record(a.Page)
-			}
-			samples := rec.Samples()
-			return Figure3Row{
-				Name:    names[i],
-				Pattern: trace.Analyze(tr),
-				Fit:     trace.FitLinear(samples),
-				Samples: samples,
-			}, nil
-		})
+	rows, err := sweep(r, "fig3", names, func(name string) (Figure3Row, error) {
+		w, err := workload.ByName(name)
+		if err != nil {
+			return Figure3Row{}, err
+		}
+		tr := r.Trace(w, workload.Ref)
+		rec := trace.NewRecorder(uint64(len(tr)/2000 + 1))
+		for _, a := range tr {
+			rec.Record(a.Page)
+		}
+		samples := rec.Samples()
+		return Figure3Row{
+			Name:    name,
+			Pattern: trace.Analyze(tr),
+			Fit:     trace.FitLinear(samples),
+			Samples: samples,
+		}, nil
+	})
 	if err != nil {
 		return out, err
 	}
@@ -83,49 +81,25 @@ type Figure6Result struct {
 // combined execution time bottoms out there.
 func Figure6(r *Runner) (Figure6Result, error) {
 	out := Figure6Result{Lengths: []int{2, 5, 10, 20, 30, 40, 60}}
-	lbm, err := workload.ByName("lbm")
+	names := []string{"lbm", "bwaves"}
+	cells := r.grid(names, sim.Baseline)
+	for _, n := range out.Lengths {
+		for _, name := range names {
+			c := r.cell(name, sim.DFP)
+			c.dfp.StreamListLen = n
+			cells = append(cells, c)
+		}
+	}
+	res, err := r.simulate("fig6", cells)
 	if err != nil {
 		return out, err
 	}
-	bwaves, err := workload.ByName("bwaves")
-	if err != nil {
-		return out, err
-	}
-	bases, err := r.RunAll([]string{"lbm", "bwaves"}, []sim.Scheme{sim.Baseline})
-	if err != nil {
-		return out, err
-	}
-	baseL, baseB := bases[0][0], bases[1][0]
-	type cell struct{ lbm, bwaves, combined float64 }
-	cells, err := sweep(r, "fig6", len(out.Lengths),
-		func(i int) string { return fmt.Sprintf("streamlist=%d", out.Lengths[i]) },
-		func(i int) (cell, error) {
-			var cycles [2]uint64
-			for j, w := range []*workload.Workload{lbm, bwaves} {
-				enc, err := r.enclave(w, sim.DFP)
-				if err != nil {
-					return cell{}, err
-				}
-				enc.DFP.StreamListLen = out.Lengths[i]
-				res, err := r.run(enc, sim.SharedConfig{})
-				if err != nil {
-					return cell{}, err
-				}
-				cycles[j] = res.Cycles
-			}
-			return cell{
-				lbm:      stats.Normalized(cycles[0], baseL.Cycles),
-				bwaves:   stats.Normalized(cycles[1], baseB.Cycles),
-				combined: stats.Normalized(cycles[0]+cycles[1], baseL.Cycles+baseB.Cycles),
-			}, nil
-		})
-	if err != nil {
-		return out, err
-	}
-	for _, c := range cells {
-		out.Lbm = append(out.Lbm, c.lbm)
-		out.Bwaves = append(out.Bwaves, c.bwaves)
-		out.Combined = append(out.Combined, c.combined)
+	baseL, baseB := res[0].Cycles, res[1].Cycles
+	for i := range out.Lengths {
+		l, b := res[2+2*i].Cycles, res[3+2*i].Cycles
+		out.Lbm = append(out.Lbm, stats.Normalized(l, baseL))
+		out.Bwaves = append(out.Bwaves, stats.Normalized(b, baseB))
+		out.Combined = append(out.Combined, stats.Normalized(l+b, baseL+baseB))
 	}
 	return out, nil
 }
@@ -176,36 +150,25 @@ func Figure7(r *Runner) (Figure7Result, error) {
 		LoadLengths: []int{1, 2, 4, 8, 16, 32},
 		Benchmarks:  Figure7Set(),
 	}
-	bases, err := r.RunAll(out.Benchmarks, []sim.Scheme{sim.Baseline})
+	cells := r.grid(out.Benchmarks, sim.Baseline)
+	for _, name := range out.Benchmarks {
+		for _, ll := range out.LoadLengths {
+			c := r.cell(name, sim.DFP)
+			c.dfp.LoadLength = ll
+			cells = append(cells, c)
+		}
+	}
+	res, err := r.simulate("fig7", cells)
 	if err != nil {
 		return out, err
 	}
-	nLL := len(out.LoadLengths)
-	cells, err := sweep(r, "fig7", len(out.Benchmarks)*nLL,
-		func(i int) string {
-			return fmt.Sprintf("%s L=%d", out.Benchmarks[i/nLL], out.LoadLengths[i%nLL])
-		},
-		func(i int) (float64, error) {
-			w, err := workload.ByName(out.Benchmarks[i/nLL])
-			if err != nil {
-				return 0, err
-			}
-			enc, err := r.enclave(w, sim.DFP)
-			if err != nil {
-				return 0, err
-			}
-			enc.DFP.LoadLength = out.LoadLengths[i%nLL]
-			res, err := r.run(enc, sim.SharedConfig{})
-			if err != nil {
-				return 0, err
-			}
-			return stats.Normalized(res.Cycles, bases[i/nLL][0].Cycles), nil
-		})
-	if err != nil {
-		return out, err
-	}
-	for b := range out.Benchmarks {
-		out.Norm = append(out.Norm, cells[b*nLL:(b+1)*nLL])
+	bases, sweeps := res[:len(out.Benchmarks)], res[len(out.Benchmarks):]
+	for b, base := range bases {
+		row := make([]float64, len(out.LoadLengths))
+		for i := range row {
+			row[i] = stats.Normalized(sweeps[b*len(row)+i].Cycles, base.Cycles)
+		}
+		out.Norm = append(out.Norm, row)
 	}
 	return out, nil
 }
@@ -309,48 +272,28 @@ type Figure9Result struct {
 // 5%.
 func Figure9(r *Runner) (Figure9Result, error) {
 	out := Figure9Result{Thresholds: []float64{0.01, 0.02, 0.05, 0.10, 0.20, 0.50}}
+	cells := []cell{r.cell("deepsjeng", sim.Baseline)}
+	for _, th := range out.Thresholds {
+		c := r.cell("deepsjeng", sim.SIP)
+		c.threshold = th
+		cells = append(cells, c)
+	}
+	res, err := r.simulate("fig9", cells)
+	if err != nil {
+		return out, err
+	}
 	w, err := workload.ByName("deepsjeng")
 	if err != nil {
 		return out, err
 	}
-	base, err := r.Run(w, sim.Baseline)
-	if err != nil {
-		return out, err
-	}
-	type cell struct {
-		cycles uint64
-		points int
-		norm   float64
-	}
-	cells, err := sweep(r, "fig9", len(out.Thresholds),
-		func(i int) string { return fmt.Sprintf("threshold=%.0f%%", out.Thresholds[i]*100) },
-		func(i int) (cell, error) {
-			sel, err := r.SelectionAt(w, out.Thresholds[i])
-			if err != nil {
-				return cell{}, err
-			}
-			enc, err := r.enclave(w, sim.SIP)
-			if err != nil {
-				return cell{}, err
-			}
-			enc.Selection = sel
-			res, err := r.run(enc, sim.SharedConfig{})
-			if err != nil {
-				return cell{}, err
-			}
-			return cell{
-				cycles: res.Cycles,
-				points: sel.Points(),
-				norm:   stats.Normalized(res.Cycles, base.Cycles),
-			}, nil
-		})
-	if err != nil {
-		return out, err
-	}
-	for _, c := range cells {
-		out.Cycles = append(out.Cycles, c.cycles)
-		out.Points = append(out.Points, c.points)
-		out.Normalized = append(out.Normalized, c.norm)
+	for i, th := range out.Thresholds {
+		sel, err := r.selection(w, th)
+		if err != nil {
+			return out, err
+		}
+		out.Cycles = append(out.Cycles, res[i+1].Cycles)
+		out.Points = append(out.Points, sel.Points())
+		out.Normalized = append(out.Normalized, stats.Normalized(res[i+1].Cycles, res[0].Cycles))
 	}
 	return out, nil
 }
@@ -436,24 +379,10 @@ type Figure11Result struct {
 // MSER (irregular-dominant) under SIP; the paper measures +9.5% and +3.0%.
 func Figure11(r *Runner) (Figure11Result, error) {
 	var out Figure11Result
-	sift, err := workload.ByName("SIFT")
-	if err != nil {
-		return out, err
-	}
-	mser, err := workload.ByName("MSER")
-	if err != nil {
-		return out, err
-	}
-	cells := []struct {
-		w *workload.Workload
-		s sim.Scheme
-	}{
-		{sift, sim.Baseline}, {sift, sim.DFPStop},
-		{mser, sim.Baseline}, {mser, sim.SIP},
-	}
-	res, err := sweep(r, "fig11", len(cells),
-		func(i int) string { return cells[i].w.Name + "/" + cells[i].s.String() },
-		func(i int) (sim.Result, error) { return r.Run(cells[i].w, cells[i].s) })
+	res, err := r.simulate("fig11", []cell{
+		r.cell("SIFT", sim.Baseline), r.cell("SIFT", sim.DFPStop),
+		r.cell("MSER", sim.Baseline), r.cell("MSER", sim.SIP),
+	})
 	if err != nil {
 		return out, err
 	}
@@ -516,14 +445,6 @@ func hybridRowFrom(name string, res []sim.Result) HybridRow {
 	}
 }
 
-func hybridRow(r *Runner, name string) (HybridRow, error) {
-	grid, err := r.RunAll([]string{name}, hybridSchemes())
-	if err != nil {
-		return HybridRow{}, err
-	}
-	return hybridRowFrom(name, grid[0]), nil
-}
-
 // String renders the comparison.
 func (f Figure12Result) String() string {
 	t := &stats.Table{Header: []string{"benchmark", "SIP", "DFP", "SIP+DFP"}}
@@ -542,11 +463,11 @@ type Figure13Result struct {
 // (sequential scan + MSER), where the hybrid beats either scheme alone
 // (the paper measures SIP +1.6%, DFP +6.0%, hybrid +7.1%).
 func Figure13(r *Runner) (Figure13Result, error) {
-	row, err := hybridRow(r, "mixed-blood")
+	res, err := r.simulate("fig13", r.grid([]string{"mixed-blood"}, hybridSchemes()...))
 	if err != nil {
 		return Figure13Result{}, err
 	}
-	return Figure13Result{Row: row}, nil
+	return Figure13Result{Row: hybridRowFrom("mixed-blood", res)}, nil
 }
 
 // String renders the study.

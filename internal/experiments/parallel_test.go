@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"runtime"
 	"sync"
 	"testing"
@@ -11,13 +12,19 @@ import (
 	"sgxpreload/internal/workload"
 )
 
-// Sweep's own semantics: results land by cell index and an empty sweep
+// sweep's own semantics: results land by item index and an empty sweep
 // is (nil, nil). Dispatch and error ordering are the pool's, tested in
 // internal/pool.
 
 func TestSweepOrdering(t *testing.T) {
+	items := make([]int, 100)
+	for i := range items {
+		items[i] = i
+	}
 	for _, workers := range []int{0, 1, 3, 64} {
-		out, err := Sweep(workers, 100, func(i int) (int, error) { return i * i, nil })
+		r := NewRunner(Default())
+		r.SetParallelism(workers)
+		out, err := sweep(r, "squares", items, func(i int) (int, error) { return i * i, nil })
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -30,9 +37,9 @@ func TestSweepOrdering(t *testing.T) {
 }
 
 func TestSweepEmpty(t *testing.T) {
-	out, err := Sweep(4, 0, func(i int) (int, error) { return 0, nil })
+	out, err := sweep(NewRunner(Default()), "empty", []int(nil), func(i int) (int, error) { return 0, nil })
 	if out != nil || err != nil {
-		t.Fatalf("Sweep(_, 0) = (%v, %v), want (nil, nil)", out, err)
+		t.Fatalf("sweep over no items = (%v, %v), want (nil, nil)", out, err)
 	}
 }
 
@@ -114,8 +121,9 @@ func TestRunAllPropagatesUnknownName(t *testing.T) {
 }
 
 // Cache single-flight: concurrent requesters of the same trace, profile,
-// or selection must share exactly one fill. Run under -race this also
-// checks the memo's synchronization.
+// or selection must share exactly one fill, and selections at different
+// thresholds share one memo. Run under -race this also checks the memo's
+// synchronization.
 
 func TestCacheSingleFlight(t *testing.T) {
 	r := NewRunner(Default())
@@ -126,6 +134,7 @@ func TestCacheSingleFlight(t *testing.T) {
 	const goroutines = 16
 	profiles := make([]*sip.Profile, goroutines)
 	selections := make([]*sip.Selection, goroutines)
+	loose := make([]*sip.Selection, goroutines)
 	traceFirst := make([]*mem.Access, goroutines)
 
 	var wg sync.WaitGroup
@@ -152,6 +161,9 @@ func TestCacheSingleFlight(t *testing.T) {
 				return
 			}
 			selections[g] = s
+			if loose[g], err = r.selection(w, 0.10); err != nil {
+				t.Error(err)
+			}
 		}(g)
 	}
 	start.Done()
@@ -161,18 +173,75 @@ func TestCacheSingleFlight(t *testing.T) {
 		if profiles[g] != profiles[0] {
 			t.Fatalf("goroutine %d saw a different *Profile: the fill ran more than once", g)
 		}
-		if selections[g] != selections[0] {
+		if selections[g] != selections[0] || loose[g] != loose[0] {
 			t.Fatalf("goroutine %d saw a different *Selection: the fill ran more than once", g)
 		}
 		if traceFirst[g] != traceFirst[0] {
 			t.Fatalf("goroutine %d saw a different trace backing array: the fill ran more than once", g)
 		}
 	}
+	// The default-threshold selection is the one a threshold sweep gets
+	// at that threshold.
+	if s, err := r.selection(w, r.p.Threshold); err != nil || s != selections[0] {
+		t.Fatalf("selection at the default threshold = (%p, %v), want the cached %p", s, err, selections[0])
+	}
 	// Two traces (Ref here, Train pulled in by the profile fill), one
-	// profile, one selection — each filled exactly once.
-	if r.traces.size() != 2 || r.profiles.size() != 1 || r.selections.size() != 1 {
-		t.Fatalf("cache sizes = (%d, %d, %d), want (2, 1, 1)",
+	// profile, two selections (default and 10% thresholds) — each filled
+	// exactly once.
+	if r.traces.size() != 2 || r.profiles.size() != 1 || r.selections.size() != 2 {
+		t.Fatalf("cache sizes = (%d, %d, %d), want (2, 1, 2)",
 			r.traces.size(), r.profiles.size(), r.selections.size())
+	}
+}
+
+// distinctCells is the number of distinct single-enclave simulations
+// behind every single-enclave study. The cell memo runs each once, so
+// the count is the same at any parallelism; a change that splits equal
+// runs into different keys (say, a pointer in the cell) or adds cells
+// moves it.
+const distinctCells = 195
+
+func TestCellsSimulatedOnce(t *testing.T) {
+	studies := map[string]func(r *Runner) error{
+		"motivation": func(r *Runner) error { _, err := Motivation(r); return err },
+		"fig6":       func(r *Runner) error { _, err := Figure6(r); return err },
+		"fig7":       func(r *Runner) error { _, err := Figure7(r); return err },
+		"fig8":       func(r *Runner) error { _, err := Figure8(r); return err },
+		"fig9":       func(r *Runner) error { _, err := Figure9(r); return err },
+		"fig10":      func(r *Runner) error { _, err := Figure10(r); return err },
+		"fig11":      func(r *Runner) error { _, err := Figure11(r); return err },
+		"fig12":      func(r *Runner) error { _, err := Figure12(r); return err },
+		"fig13":      func(r *Runner) error { _, err := Figure13(r); return err },
+		"summary":    func(r *Runner) error { _, err := Summary(r); return err },
+		"epc":        func(r *Runner) error { _, err := EPCSweep(r); return err },
+		"predictor":  func(r *Runner) error { _, err := PredictorAblation(r); return err },
+		"eviction":   func(r *Runner) error { _, err := EvictionAblation(r); return err },
+		"loadcost":   func(r *Runner) error { _, err := CostSensitivity(r); return err },
+		"shared":     func(r *Runner) error { _, err := SharedEPC(r); return err },
+		"reclaim":    func(r *Runner) error { _, err := ReclaimAblation(r); return err },
+		"eager":      func(r *Runner) error { _, err := EagerSIP(r); return err },
+	}
+	// The two runs are independent runners, so they overlap.
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			t.Parallel()
+			r := NewRunner(Default())
+			r.SetParallelism(workers)
+			for id, run := range studies {
+				if err := run(r); err != nil {
+					t.Fatalf("%s: %v", id, err)
+				}
+			}
+			if n := r.cells.size(); n != distinctCells {
+				t.Errorf("%d cells simulated, want %d", n, distinctCells)
+			}
+			if err := studies["summary"](r); err != nil {
+				t.Fatal(err)
+			}
+			if n := r.cells.size(); n != distinctCells {
+				t.Errorf("re-running Summary grew the cell memo to %d", n)
+			}
+		})
 	}
 }
 

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"sync/atomic"
 
 	"sgxpreload/internal/pool"
@@ -17,36 +18,28 @@ import (
 // serializes calls, so implementations need no locking of their own.
 type Progress func(done, total int, label string)
 
-// Sweep runs fn for cells 0..n-1 on the shared worker pool (pool.Run:
-// up to workers goroutines, workers <= 0 meaning GOMAXPROCS) and returns
-// the results in cell order. Once any cell fails no new cells start, and
-// the lowest-index cell's error is returned — the same error a
-// sequential loop would have surfaced first.
-func Sweep[T any](workers, n int, fn func(i int) (T, error)) ([]T, error) {
-	if n <= 0 {
+// sweep runs fn over items on the runner's worker pool (pool.Run) and
+// returns the results in item order, reporting each completed item
+// (labelled "name item") through the runner's progress callback. Once
+// any item fails no new items start, and the lowest-index item's error is
+// returned — the same error a sequential loop would have surfaced first.
+// An empty sweep returns (nil, nil).
+func sweep[E, T any](r *Runner, name string, items []E, fn func(E) (T, error)) ([]T, error) {
+	if len(items) == 0 {
 		return nil, nil
 	}
-	out := make([]T, n)
-	if err := pool.Run(workers, n, func(i int) error {
-		v, err := fn(i)
+	out := make([]T, len(items))
+	var done atomic.Int64
+	if err := pool.Run(r.workers, len(items), func(i int) error {
+		v, err := fn(items[i])
+		if err != nil {
+			return err
+		}
 		out[i] = v
-		return err
+		r.reportCell(int(done.Add(1)), len(items), fmt.Sprint(name, " ", items[i]))
+		return nil
 	}); err != nil {
 		return nil, err
 	}
 	return out, nil
-}
-
-// sweep is the Runner-bound form of Sweep: it uses the runner's worker
-// count and reports each completed cell (prefixed with the sweep name)
-// through the runner's progress callback.
-func sweep[T any](r *Runner, name string, n int, label func(i int) string, fn func(i int) (T, error)) ([]T, error) {
-	var done atomic.Int64
-	return Sweep(r.workers, n, func(i int) (T, error) {
-		v, err := fn(i)
-		if err == nil {
-			r.reportCell(int(done.Add(1)), n, name+" "+label(i))
-		}
-		return v, err
-	})
 }

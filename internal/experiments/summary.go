@@ -34,63 +34,47 @@ type SummaryResult struct {
 }
 
 // Summary runs every benchmark under every applicable scheme — the
-// repository's one-stop paper-versus-measured record. Each benchmark is
-// one parallel cell; the schemes within a cell run sequentially, so the
-// sweep is deterministic at any worker count.
+// repository's one-stop paper-versus-measured record.
 func Summary(r *Runner) (SummaryResult, error) {
 	var out SummaryResult
 	ws := workload.All()
-	rows, err := sweep(r, "summary", len(ws),
-		func(i int) string { return ws[i].Name },
-		func(i int) (SummaryRow, error) {
-			w := ws[i]
-			base, err := r.Run(w, sim.Baseline)
-			if err != nil {
-				return SummaryRow{}, err
-			}
-			row := SummaryRow{
-				Name:           w.Name,
-				Category:       w.Category,
-				BaselineCycles: base.Cycles,
-				Faults:         base.Faults(),
-				FaultShare:     float64(base.FaultCycles()) / float64(base.Cycles),
-			}
-			d, err := r.Run(w, sim.DFP)
-			if err != nil {
-				return SummaryRow{}, err
-			}
-			row.DFP = stats.ImprovementPct(d.Cycles, base.Cycles)
-			ds, err := r.Run(w, sim.DFPStop)
-			if err != nil {
-				return SummaryRow{}, err
-			}
-			row.DFPStop = stats.ImprovementPct(ds.Cycles, base.Cycles)
-			row.Stopped = ds.Kernel.DFPStopped
-
-			row.Instrumentable = w.Instrumentable
-			if w.Instrumentable {
-				sel, err := r.Selection(w)
-				if err != nil {
-					return SummaryRow{}, err
-				}
-				row.Points = sel.Points()
-				s, err := r.Run(w, sim.SIP)
-				if err != nil {
-					return SummaryRow{}, err
-				}
-				row.SIP = stats.ImprovementPct(s.Cycles, base.Cycles)
-				h, err := r.Run(w, sim.Hybrid)
-				if err != nil {
-					return SummaryRow{}, err
-				}
-				row.Hybrid = stats.ImprovementPct(h.Cycles, base.Cycles)
-			}
-			return row, nil
-		})
+	var cells []cell
+	for _, w := range ws {
+		cells = append(cells, r.grid([]string{w.Name}, sim.Baseline, sim.DFP, sim.DFPStop)...)
+		if w.Instrumentable {
+			cells = append(cells, r.grid([]string{w.Name}, sim.SIP, sim.Hybrid)...)
+		}
+	}
+	res, err := r.simulate("summary", cells)
 	if err != nil {
 		return out, err
 	}
-	out.Rows = rows
+	for _, w := range ws {
+		base, d, ds := res[0], res[1], res[2]
+		res = res[3:]
+		row := SummaryRow{
+			Name:           w.Name,
+			Category:       w.Category,
+			BaselineCycles: base.Cycles,
+			Faults:         base.Faults(),
+			FaultShare:     float64(base.FaultCycles()) / float64(base.Cycles),
+			DFP:            stats.ImprovementPct(d.Cycles, base.Cycles),
+			DFPStop:        stats.ImprovementPct(ds.Cycles, base.Cycles),
+			Stopped:        ds.Kernel.DFPStopped,
+			Instrumentable: w.Instrumentable,
+		}
+		if w.Instrumentable {
+			sel, err := r.Selection(w)
+			if err != nil {
+				return out, err
+			}
+			row.Points = sel.Points()
+			row.SIP = stats.ImprovementPct(res[0].Cycles, base.Cycles)
+			row.Hybrid = stats.ImprovementPct(res[1].Cycles, base.Cycles)
+			res = res[2:]
+		}
+		out.Rows = append(out.Rows, row)
+	}
 	return out, nil
 }
 

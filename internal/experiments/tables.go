@@ -29,19 +29,19 @@ type Table1Result struct {
 // also validates the generators.
 func Table1(r *Runner) (Table1Result, error) {
 	var out Table1Result
-	ws := workload.All()
-	rows, err := sweep(r, "table1", len(ws),
-		func(i int) string { return ws[i].Name },
-		func(i int) (Table1Row, error) {
-			w := ws[i]
-			p := trace.Analyze(r.Trace(w, workload.Ref))
-			return Table1Row{
-				Name:     w.Name,
-				Declared: w.Category.String(),
-				Measured: p.Classify(uint64(r.p.EPCPages)),
-				Pattern:  p,
-			}, nil
-		})
+	rows, err := sweep(r, "table1", workload.Names(), func(name string) (Table1Row, error) {
+		w, err := workload.ByName(name)
+		if err != nil {
+			return Table1Row{}, err
+		}
+		p := trace.Analyze(r.Trace(w, workload.Ref))
+		return Table1Row{
+			Name:     w.Name,
+			Declared: w.Category.String(),
+			Measured: p.Classify(uint64(r.p.EPCPages)),
+			Pattern:  p,
+		}, nil
+	})
 	if err != nil {
 		return out, err
 	}
@@ -91,19 +91,17 @@ func Table2(r *Runner) (Table2Result, error) {
 	names := []string{
 		"mcf.2006", "mcf", "xz", "deepsjeng", "lbm", "MSER", "SIFT", "microbenchmark",
 	}
-	rows, err := sweep(r, "table2", len(names),
-		func(i int) string { return names[i] },
-		func(i int) (Table2Row, error) {
-			w, err := workload.ByName(names[i])
-			if err != nil {
-				return Table2Row{}, err
-			}
-			sel, err := r.Selection(w)
-			if err != nil {
-				return Table2Row{}, err
-			}
-			return Table2Row{Name: names[i], Points: sel.Points()}, nil
-		})
+	rows, err := sweep(r, "table2", names, func(name string) (Table2Row, error) {
+		w, err := workload.ByName(name)
+		if err != nil {
+			return Table2Row{}, err
+		}
+		sel, err := r.Selection(w)
+		if err != nil {
+			return Table2Row{}, err
+		}
+		return Table2Row{Name: name, Points: sel.Points()}, nil
+	})
 	if err != nil {
 		return out, err
 	}
@@ -143,10 +141,11 @@ func Motivation(r *Runner) (MotivationResult, error) {
 		return out, err
 	}
 	tr := r.Trace(w, workload.Ref)
-	res, err := r.Run(w, sim.Baseline)
+	runs, err := r.simulate("motivation", []cell{r.cell(w.Name, sim.Baseline)})
 	if err != nil {
 		return out, err
 	}
+	res := runs[0]
 	out.EnclaveCycles = res.Cycles
 
 	// Outside the enclave the same faults cost RegularFault cycles and

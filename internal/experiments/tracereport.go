@@ -13,14 +13,16 @@ import (
 // RunTraced executes workload w's ref input under scheme with an event
 // recorder attached, returning the result together with the recorded
 // timeline. The hook only observes the run: the returned Result is
-// identical to an untraced Run of the same configuration.
+// identical to an untraced Run of the same configuration. Traced runs
+// bypass the cell cache, since each needs its own recorder.
 func (r *Runner) RunTraced(w *workload.Workload, scheme sim.Scheme) (sim.Result, *obs.Recorder, error) {
-	enc, err := r.enclave(w, scheme)
+	enc, platform, err := r.setup(r.cell(w.Name, scheme))
 	if err != nil {
 		return sim.Result{}, nil, err
 	}
 	rec := obs.NewRecorder()
-	res, err := r.run(enc, sim.SharedConfig{Hook: rec})
+	platform.Hook = rec
+	res, err := runAlone(enc, platform)
 	if err != nil {
 		return sim.Result{}, nil, err
 	}

@@ -1,7 +1,7 @@
 // Package pool is the repository's one bounded worker pool: index
 // dispatch over a fixed task count with deterministic error reporting.
-// The experiment sweeps (experiments.Sweep) and the fleet's between-
-// barrier host advancement both run on it.
+// The experiment runner's sweeps, sgxsim's -compare fan-out and the
+// fleet's between-barrier host advancement all run on it.
 package pool
 
 import (
