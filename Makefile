@@ -36,7 +36,7 @@ bench-json:
 	  $(GO) test ./internal/sim/ -run '^$$' -bench 'BenchmarkRunStream|BenchmarkStep' -benchmem ; \
 	  $(GO) test ./internal/workload/ -run '^$$' -bench 'BenchmarkStreamPull|BenchmarkGenerate' -benchmem ; \
 	  $(GO) test ./internal/obs/ -run '^$$' -bench 'BenchmarkTraceWrite|BenchmarkStreamSink' -benchmem ; \
-	  $(GO) test ./internal/replay/ -run '^$$' -bench 'BenchmarkTraceParse' -benchmem ; \
+	  $(GO) test ./internal/replay/ -run '^$$' -bench 'BenchmarkTraceParse|BenchmarkReadFile' -benchmem ; \
 	  $(GO) test ./internal/experiments/ -run '^$$' -bench 'BenchmarkRunAll' -benchtime 2x ; } \
 	| $(GO) run ./cmd/benchjson -baseline BENCH_engine.json -out BENCH_engine.json
 

@@ -53,8 +53,10 @@ type Document struct {
 //	BenchmarkEPCLookup-8   41293782   28.77 ns/op   0 B/op   0 allocs/op
 //
 // The -8 GOMAXPROCS suffix is stripped so results compare across machines.
+// A benchmark that calls b.SetBytes prints MB/s between ns/op and B/op;
+// the rate is skipped, so its memory columns are still recorded.
 var benchLine = regexp.MustCompile(
-	`^(Benchmark\S+?)(?:-\d+)?\s+(\d+)\s+([0-9.]+) ns/op(?:\s+([0-9.]+) B/op)?(?:\s+([0-9.]+) allocs/op)?`)
+	`^(Benchmark\S+?)(?:-\d+)?\s+(\d+)\s+([0-9.]+) ns/op(?:\s+[0-9.]+ MB/s)?(?:\s+([0-9.]+) B/op)?(?:\s+([0-9.]+) allocs/op)?`)
 
 func parse(r io.Reader) ([]Result, error) {
 	var out []Result

@@ -15,6 +15,7 @@ BenchmarkEPCPresent-8   100000000    6.460 ns/op
 PASS
 ok   sgxpreload/internal/epc 3.1s
 BenchmarkHandleFault-8   2359641   507.5 ns/op   16 B/op   0 allocs/op
+BenchmarkTraceParse/csv-8   295   4043115 ns/op   199.54 MB/s   487563 B/op   7 allocs/op
 `
 
 func TestParseBenchOutput(t *testing.T) {
@@ -22,8 +23,8 @@ func TestParseBenchOutput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(results) != 3 {
-		t.Fatalf("parsed %d results, want 3", len(results))
+	if len(results) != 4 {
+		t.Fatalf("parsed %d results, want 4", len(results))
 	}
 	// Sorted by name, GOMAXPROCS suffix stripped.
 	if results[0].Name != "BenchmarkEPCLookup" || results[1].Name != "BenchmarkEPCPresent" ||
@@ -41,6 +42,11 @@ func TestParseBenchOutput(t *testing.T) {
 	}
 	if results[2].NsPerOp != 507.5 {
 		t.Fatalf("HandleFault ns/op = %v", results[2].NsPerOp)
+	}
+	// A b.SetBytes benchmark's MB/s column does not hide its memory.
+	if r := results[3]; r.NsPerOp != 4043115 || r.BytesPerOp == nil || *r.BytesPerOp != 487563 ||
+		r.AllocsPerOp == nil || *r.AllocsPerOp != 7 {
+		t.Fatalf("TraceParse/csv = %+v", r)
 	}
 }
 

@@ -129,31 +129,81 @@ var kindNames = [...]string{
 	KindQuotaRebalance: "quota_rebalance",
 }
 
-// kindByName is the wire-name → Kind reverse index used by trace
-// parsers; built once from kindNames.
-var kindByName = func() map[string]Kind {
-	m := make(map[string]Kind, kindCount)
+// maxWireName bounds the length of a kind's wire name.
+const maxWireName = 16
+
+// wireBucket holds the emitted kinds whose wire names share one length.
+// pos is a byte offset at which those names all differ, so the byte
+// there picks the only candidate.
+type wireBucket struct {
+	pos  int
+	kind [256]Kind // KindNone: no name of this length has that byte at pos
+}
+
+// wireIndex is the wire-name → Kind reverse index used by trace parsers,
+// bucketed by name length and built once from kindNames. A lookup is
+// one byte load and one string compare, with no hashing.
+var wireIndex = func() (idx [maxWireName + 1]wireBucket) {
+	var byLen [maxWireName + 1][]Kind
 	for k := KindFaultBegin; k < kindCount; k++ {
-		m[kindNames[k]] = k
+		n := len(kindNames[k])
+		if n == 0 || n > maxWireName {
+			panic("obs: wire name " + kindNames[k] + " has no index bucket")
+		}
+		byLen[n] = append(byLen[n], k)
 	}
-	return m
+	for n, kinds := range byLen {
+		idx[n].pos = distinctPos(kinds, n)
+		for _, k := range kinds {
+			idx[n].kind[kindNames[k][idx[n].pos]] = k
+		}
+	}
+	return idx
 }()
+
+// distinctPos returns the first byte offset below n at which the wire
+// names of kinds are pairwise distinct.
+func distinctPos(kinds []Kind, n int) int {
+	for pos := 0; pos < n; pos++ {
+		var seen [256]bool
+		distinct := true
+		for _, k := range kinds {
+			c := kindNames[k][pos]
+			distinct = distinct && !seen[c]
+			seen[c] = true
+		}
+		if distinct {
+			return pos
+		}
+	}
+	if len(kinds) > 1 {
+		panic("obs: no one byte offset tells apart the wire names as long as " + kindNames[kinds[0]])
+	}
+	return 0
+}
+
+// kindOf is the lookup behind KindByName and KindByWire.
+func kindOf[S string | []byte](name S) (Kind, bool) {
+	n := len(name)
+	if n == 0 || n > maxWireName {
+		return KindNone, false
+	}
+	b := &wireIndex[n]
+	if k := b.kind[name[b.pos]]; k != KindNone && string(name) == kindNames[k] {
+		return k, true
+	}
+	return KindNone, false
+}
 
 // KindByName resolves a wire name (as written by the JSONL/CSV exports)
 // back to its Kind. The second result is false for unknown names and for
 // "none", which is never emitted.
-func KindByName(name string) (Kind, bool) {
-	k, ok := kindByName[name]
-	return k, ok
-}
+func KindByName(name string) (Kind, bool) { return kindOf(name) }
 
-// KindByWire is KindByName over a byte slice. The string conversion
-// inside the map index does not allocate, so byte-level trace parsers
-// can resolve kinds without per-line garbage.
-func KindByWire(name []byte) (Kind, bool) {
-	k, ok := kindByName[string(name)]
-	return k, ok
-}
+// KindByWire is KindByName over a byte slice. It neither allocates nor
+// hashes, so byte-level trace parsers resolve kinds without per-line
+// garbage.
+func KindByWire(name []byte) (Kind, bool) { return kindOf(name) }
 
 // Kinds returns every emitted kind in declaration order; reports iterate
 // it so their output is deterministic.

@@ -135,3 +135,57 @@ func TestKindByName(t *testing.T) {
 		}
 	}
 }
+
+// refKindByName is the linear-scan reference for the bucketed lookup.
+func refKindByName(name string) (Kind, bool) {
+	for _, k := range Kinds() {
+		if k.String() == name {
+			return k, true
+		}
+	}
+	return KindNone, false
+}
+
+// checkKindLookup asserts that KindByWire, KindByName and the reference
+// agree on name.
+func checkKindLookup(t *testing.T, name []byte) {
+	t.Helper()
+	wk, wok := KindByWire(name)
+	nk, nok := KindByName(string(name))
+	rk, rok := refKindByName(string(name))
+	if wk != nk || wok != nok || wk != rk || wok != rok {
+		t.Errorf("%q: KindByWire = %v, %v; KindByName = %v, %v; reference = %v, %v",
+			name, wk, wok, nk, nok, rk, rok)
+	}
+}
+
+// kindLookupCorpus is every wire name, each of its prefixes and
+// one-byte edits, and names that are not emitted.
+func kindLookupCorpus() []string {
+	corpus := []string{"", "none", "unknown", "fault", "scan ", " scan", "SCAN", "stream_", "quota_rebalance_"}
+	for _, k := range Kinds() {
+		name := k.String()
+		for i := range name {
+			corpus = append(corpus, name[:i], name[:i]+"x"+name[i+1:])
+		}
+		corpus = append(corpus, name, name+"_")
+	}
+	return corpus
+}
+
+func TestKindByWire(t *testing.T) {
+	for _, name := range kindLookupCorpus() {
+		checkKindLookup(t, []byte(name))
+	}
+	wire := []byte("preload_abort")
+	if n := testing.AllocsPerRun(100, func() { KindByWire(wire) }); n != 0 {
+		t.Errorf("KindByWire allocates %.0f times per call", n)
+	}
+}
+
+func FuzzKindByWire(f *testing.F) {
+	for _, name := range kindLookupCorpus() {
+		f.Add([]byte(name))
+	}
+	f.Fuzz(func(t *testing.T, name []byte) { checkKindLookup(t, name) })
+}

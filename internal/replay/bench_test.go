@@ -9,11 +9,12 @@ import (
 	"sgxpreload/internal/obs"
 )
 
-// benchTrace renders a 10k-event timeline once in both formats.
-var benchTraceJSONL, benchTraceCSV = func() (string, string) {
+// randomEvents is a seeded n-event timeline mixing every kind, the
+// NoPage sentinel and values across the whole uint64 range.
+func randomEvents(n int) []obs.Event {
 	rng := rand.New(rand.NewSource(4))
 	kinds := obs.Kinds()
-	events := make([]obs.Event, 10_000)
+	events := make([]obs.Event, n)
 	for i := range events {
 		events[i] = obs.Event{
 			T:     uint64(i) * 23,
@@ -27,6 +28,12 @@ var benchTraceJSONL, benchTraceCSV = func() (string, string) {
 			events[i].Page = mem.NoPage
 		}
 	}
+	return events
+}
+
+// benchTrace renders a 10k-event timeline once in both formats.
+var benchTraceJSONL, benchTraceCSV = func() (string, string) {
+	events := randomEvents(10_000)
 	var j, c strings.Builder
 	if err := obs.WriteJSONL(&j, events); err != nil {
 		panic(err)
@@ -56,6 +63,24 @@ func BenchmarkTraceParse(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkReadFile replays a 100k-event trace file in each format. Its
+// B/op is the replay's whole allocation: about 48 B per event when the
+// event slice is allocated once at its exact size.
+func BenchmarkReadFile(b *testing.B) {
+	events := randomEvents(100_000)
+	for _, ext := range []string{"jsonl", "csv"} {
+		path := writeTraceFile(b, ext, events)
+		b.Run(ext, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := ReadFile(path); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }
 
 // BenchmarkTraceParseRef measures the pre-optimization per-line parsers

@@ -1,16 +1,30 @@
 package replay
 
 import (
+	"bytes"
+	"io"
 	"strings"
 	"testing"
 
 	"sgxpreload/internal/obs"
 )
 
+// readBoth reads input through a seekable reader, which sizes the event
+// slice from a line count, and through one that hides Seek, which grows
+// it; both must give the same events and the same error.
+func readBoth(t *testing.T, read func(io.Reader) ([]obs.Event, error), input string) ([]obs.Event, error) {
+	t.Helper()
+	events, err := read(bytes.NewReader([]byte(input)))
+	grown, grownErr := read(noSeek{strings.NewReader(input)})
+	sameRead(t, "sized vs grown", events, err, grown, grownErr)
+	return events, err
+}
+
 // FuzzReadJSONL drives the parser with arbitrary bytes — truncated
 // traces, corrupt lines, hostile headers. The invariants: never panic,
-// and any input the parser accepts must re-serialize and re-parse to the
-// same timeline (accepted inputs are semantically unambiguous).
+// a sized read agrees with a grown one, and any input the parser accepts
+// must re-serialize and re-parse to the same timeline (accepted inputs
+// are semantically unambiguous).
 func FuzzReadJSONL(f *testing.F) {
 	var valid strings.Builder
 	if err := obs.WriteJSONL(&valid, allKindEvents()); err != nil {
@@ -18,6 +32,8 @@ func FuzzReadJSONL(f *testing.F) {
 	}
 	f.Add(valid.String())
 	f.Add(valid.String()[:len(valid.String())/2])                   // truncated mid-line
+	f.Add(strings.ReplaceAll(valid.String(), "\n", "\n\n"))         // blank lines
+	f.Add(strings.ReplaceAll(valid.String(), "\n", "\r\n"))         // CRLF line ends
 	f.Add(obs.TraceHeaderJSONL() + "\n")                            // header only
 	f.Add(obs.TraceHeaderJSONL())                                   // header without newline
 	f.Add("")                                                       // empty
@@ -28,7 +44,7 @@ func FuzzReadJSONL(f *testing.F) {
 	f.Add(obs.TraceHeaderJSONL() + "\n{\"t\":1,")
 
 	f.Fuzz(func(t *testing.T, input string) {
-		events, err := ReadJSONL(strings.NewReader(input))
+		events, err := readBoth(t, ReadJSONL, input)
 		if err != nil {
 			return
 		}
@@ -105,6 +121,8 @@ func FuzzReadCSV(f *testing.F) {
 	}
 	f.Add(valid.String())
 	f.Add(valid.String()[:len(valid.String())/3])
+	f.Add(strings.ReplaceAll(valid.String(), "\n", "\n\n"))
+	f.Add(strings.TrimSuffix(valid.String(), "\n"))
 	f.Add(obs.TraceHeaderCSV() + "\n")
 	f.Add(obs.TraceHeaderCSV() + "\nt,kind,page,batch,v1,v2\n")
 	f.Add("")
@@ -112,7 +130,7 @@ func FuzzReadCSV(f *testing.F) {
 	f.Add(obs.TraceHeaderCSV() + "\nt,kind,page,batch,v1,v2\n1,scan,0,0,0\n")
 
 	f.Fuzz(func(t *testing.T, input string) {
-		events, err := ReadCSV(strings.NewReader(input))
+		events, err := readBoth(t, ReadCSV, input)
 		if err != nil {
 			return
 		}

@@ -10,7 +10,10 @@
 // kind, a malformed record, or a truncated line is an error carrying the
 // 1-based line number, never a panic — and lossless: re-serializing a
 // parsed timeline with obs.WriteJSONL reproduces the input byte for byte
-// (the round-trip property test and the parser fuzzer pin both).
+// (the round-trip property test and the parser fuzzer pin both). A
+// seekable input is read twice, a line count and then the parse, so the
+// parsed timeline is allocated once at its exact size; a pipe is read
+// once into a slice that grows.
 //
 // On top of loading, Compare diffs two timelines: the first divergent
 // event, per-kind count deltas, and the deltas of every derived Report
@@ -70,35 +73,15 @@ func ReadFile(path string) ([]obs.Event, error) {
 // never panics — on a missing or mismatched header, an unknown kind, or
 // any malformed line.
 func ReadJSONL(r io.Reader) ([]obs.Event, error) {
-	sc := newLineScanner(r)
-	if !sc.Scan() {
-		return nil, scanErr(sc, fmt.Errorf("empty trace: missing %s header", obs.TraceSchema))
-	}
-	if err := parseJSONLHeader(sc.Bytes()); err != nil {
-		return nil, err
-	}
-	var events []obs.Event
-	line := 1
-	for sc.Scan() {
-		line++
-		raw := sc.Bytes()
-		if len(raw) == 0 {
-			continue
-		}
-		e, err := parseJSONLEvent(raw)
-		if err != nil {
-			return nil, fmt.Errorf("line %d: %w", line, err)
-		}
-		events = append(events, e)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("line %d: %w", line+1, err)
-	}
-	return events, nil
+	return readTrace(r, 1, readJSONLHeader, parseJSONLEvent)
 }
 
-// parseJSONLHeader validates the schema line.
-func parseJSONLHeader(raw []byte) error {
+// readJSONLHeader reads and validates the schema line.
+func readJSONLHeader(sc *bufio.Scanner) error {
+	if !sc.Scan() {
+		return scanErr(sc, fmt.Errorf("empty trace: missing %s header", obs.TraceSchema))
+	}
+	raw := sc.Bytes()
 	var h header
 	if err := json.Unmarshal(raw, &h); err != nil || h.Schema == "" {
 		return fmt.Errorf("line 1: not a %s header (trace written before schema versioning?): %.80s",
@@ -258,38 +241,25 @@ func parseJSONLFast(raw []byte) (obs.Event, bool) {
 // ReadCSV parses a CSV trace as written by obs.Recorder.WriteCSV: the
 // schema comment line, the column header row, then one event per row.
 func ReadCSV(r io.Reader) ([]obs.Event, error) {
-	sc := newLineScanner(r)
+	return readTrace(r, 2, readCSVHeader, parseCSVLine)
+}
+
+// readCSVHeader reads and validates the schema comment and column rows.
+func readCSVHeader(sc *bufio.Scanner) error {
 	if !sc.Scan() {
-		return nil, scanErr(sc, fmt.Errorf("empty trace: missing %q header", obs.TraceHeaderCSV()))
+		return scanErr(sc, fmt.Errorf("empty trace: missing %q header", obs.TraceHeaderCSV()))
 	}
 	if got := sc.Text(); got != obs.TraceHeaderCSV() {
-		return nil, fmt.Errorf("line 1: header %.80q, want %q (trace written before schema versioning?)",
+		return fmt.Errorf("line 1: header %.80q, want %q (trace written before schema versioning?)",
 			got, obs.TraceHeaderCSV())
 	}
 	if !sc.Scan() {
-		return nil, scanErr(sc, fmt.Errorf("truncated trace: missing column header"))
+		return scanErr(sc, fmt.Errorf("truncated trace: missing column header"))
 	}
 	if got, want := sc.Text(), obs.TraceColumnsCSV; got != want {
-		return nil, fmt.Errorf("line 2: column header %.80q, want %q", got, want)
+		return fmt.Errorf("line 2: column header %.80q, want %q", got, want)
 	}
-	var events []obs.Event
-	line := 2
-	for sc.Scan() {
-		line++
-		raw := sc.Bytes()
-		if len(raw) == 0 {
-			continue
-		}
-		e, err := parseCSVLine(raw)
-		if err != nil {
-			return nil, fmt.Errorf("line %d: %w", line, err)
-		}
-		events = append(events, e)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("line %d: %w", line+1, err)
-	}
-	return events, nil
+	return nil
 }
 
 // parseCSVLine parses one CSV row: a byte-level fast path for canonical
@@ -406,12 +376,85 @@ func wireToEvent(t uint64, kind string, page int64, batch, v1, v2 uint64) (obs.E
 	return obs.Event{T: t, Kind: k, Page: p, Batch: batch, V1: v1, V2: v2}, nil
 }
 
-// newLineScanner returns a scanner with the trace line-length cap.
-func newLineScanner(r io.Reader) *bufio.Scanner {
+// readBufBytes is the one read buffer a replay holds: the line count
+// and the line scanner both read through it.
+const readBufBytes = 64 * 1024
+
+// readTrace is the read loop both formats share. readHeader consumes and
+// validates the format's first headers lines; parse decodes each
+// non-blank line after them. When r can seek, the events go into one
+// slice allocated at the exact size the line count gives; otherwise the
+// slice grows as lines arrive.
+func readTrace(r io.Reader, headers int, readHeader func(*bufio.Scanner) error,
+	parse func([]byte) (obs.Event, error)) ([]obs.Event, error) {
+	buf := make([]byte, readBufBytes)
+	lines, err := countLines(r, buf)
+	if err != nil {
+		return nil, err
+	}
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 64*1024), maxLineBytes)
-	return sc
+	sc.Buffer(buf, maxLineBytes)
+	if err := readHeader(sc); err != nil {
+		return nil, err
+	}
+	var events []obs.Event
+	if lines > headers {
+		events = make([]obs.Event, 0, lines-headers)
+	}
+	line := headers
+	for sc.Scan() {
+		line++
+		raw := sc.Bytes()
+		if len(raw) == 0 {
+			continue
+		}
+		e, err := parse(raw)
+		if err != nil {
+			return nil, fmt.Errorf("line %d: %w", line, err)
+		}
+		events = append(events, e)
+	}
+	if err := sc.Err(); err != nil {
+		return nil, fmt.Errorf("line %d: %w", line+1, err)
+	}
+	return events, nil
 }
+
+// countLines counts the lines left in r, reading through buf, and seeks
+// r back to where it was. A reader that cannot seek, including an
+// *os.File open on a pipe, is left untouched and counts 0 lines. The
+// count only sizes the event slice, so a read error ends it early and is
+// left for the parse pass to report with its line number.
+func countLines(r io.Reader, buf []byte) (int, error) {
+	s, ok := r.(io.Seeker)
+	if !ok {
+		return 0, nil
+	}
+	start, err := s.Seek(0, io.SeekCurrent)
+	if err != nil {
+		return 0, nil
+	}
+	lines, last := 0, byte('\n')
+	for {
+		n, err := r.Read(buf)
+		lines += bytes.Count(buf[:n], newline)
+		if n > 0 {
+			last = buf[n-1]
+		}
+		if err != nil || n == 0 {
+			break
+		}
+	}
+	if last != '\n' {
+		lines++ // an unterminated last line
+	}
+	if _, err := s.Seek(start, io.SeekStart); err != nil {
+		return 0, fmt.Errorf("rewind after counting lines: %w", err)
+	}
+	return lines, nil
+}
+
+var newline = []byte{'\n'}
 
 // scanErr prefers the scanner's I/O error over the fallback.
 func scanErr(sc *bufio.Scanner, fallback error) error {
