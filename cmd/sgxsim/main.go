@@ -205,7 +205,7 @@ func run(args []string, out io.Writer) error {
 		BackgroundReclaim: *reclaim,
 	}
 	if sch.UsesSIP() {
-		sel, err := buildSelection(w, *epcPages, d, *threshold, *streamMode)
+		sel, err := buildSelection(w, *epcPages, d, *threshold)
 		if err != nil {
 			return err
 		}
@@ -293,9 +293,9 @@ func run(args []string, out io.Writer) error {
 }
 
 // buildSelection profiles the workload's Train input and selects SIP
-// instrumentation sites; with streamed set, the profiling pass pulls
-// the train trace access-by-access so it never exists as a slice.
-func buildSelection(w *workload.Workload, epcPages int, d dfp.Config, threshold float64, streamed bool) (*sip.Selection, error) {
+// instrumentation sites. The profiling pass pulls the train trace
+// access by access, so it never exists as a slice.
+func buildSelection(w *workload.Workload, epcPages int, d dfp.Config, threshold float64) (*sip.Selection, error) {
 	if !w.Instrumentable {
 		return nil, fmt.Errorf("%s cannot be instrumented (%s)", w.Name, w.Language)
 	}
@@ -303,15 +303,9 @@ func buildSelection(w *workload.Workload, epcPages int, d dfp.Config, threshold 
 	if err != nil {
 		return nil, err
 	}
-	if streamed {
-		src := w.Stream(workload.Train)
-		for a, ok := src.Next(); ok; a, ok = src.Next() {
-			cl.Record(a.Site, a.Page)
-		}
-	} else {
-		for _, a := range w.Generate(workload.Train) {
-			cl.Record(a.Site, a.Page)
-		}
+	src := w.Stream(workload.Train)
+	for a, ok := src.Next(); ok; a, ok = src.Next() {
+		cl.Record(a.Site, a.Page)
 	}
 	return sip.Select(cl.Profile(), threshold, 32), nil
 }
@@ -364,7 +358,7 @@ func runClusterFleet(names []string, o clusterOpts, out io.Writer) error {
 			BackgroundReclaim: o.reclaim,
 		}
 		if o.scheme.UsesSIP() {
-			sel, err := buildSelection(w, o.epcPages, o.dfp, o.threshold, o.stream)
+			sel, err := buildSelection(w, o.epcPages, o.dfp, o.threshold)
 			if err != nil {
 				return err
 			}
@@ -397,7 +391,7 @@ func runSpecFleet(path string, rateScale float64, o clusterOpts, out io.Writer) 
 		BackgroundReclaim: o.reclaim,
 		RateScale:         rateScale,
 		Selection: func(w *workload.Workload) (*sip.Selection, error) {
-			return buildSelection(w, o.epcPages, o.dfp, o.threshold, true)
+			return buildSelection(w, o.epcPages, o.dfp, o.threshold)
 		},
 	})
 	if err != nil {

@@ -138,14 +138,17 @@ func (r *Runner) Trace(w *workload.Workload, in workload.Input) []mem.Access {
 }
 
 // Profile returns the (cached) SIP profile of a workload, built by
-// classifying its train-input trace.
+// classifying its train-input trace. The trace is streamed, not taken
+// from the trace memo: the profile is the only reader of a train input,
+// and it is memoized itself, so the memo holds only ref traces.
 func (r *Runner) Profile(w *workload.Workload) (*sip.Profile, error) {
 	return r.profiles.get(w.Name, func() (*sip.Profile, error) {
 		cl, err := sip.NewClassifier(r.p.EPCPages, w.ELRangePages(), r.p.DFP)
 		if err != nil {
 			return nil, fmt.Errorf("profile %s: %w", w.Name, err)
 		}
-		for _, a := range r.Trace(w, workload.Train) {
+		src := w.Stream(workload.Train)
+		for a, ok := src.Next(); ok; a, ok = src.Next() {
 			cl.Record(a.Site, a.Page)
 		}
 		return cl.Profile(), nil

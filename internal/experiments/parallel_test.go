@@ -185,11 +185,11 @@ func TestCacheSingleFlight(t *testing.T) {
 	if s, err := r.selection(w, r.p.Threshold); err != nil || s != selections[0] {
 		t.Fatalf("selection at the default threshold = (%p, %v), want the cached %p", s, err, selections[0])
 	}
-	// Two traces (Ref here, Train pulled in by the profile fill), one
+	// One trace (Ref; the profile fill streams Train past the memo), one
 	// profile, two selections (default and 10% thresholds) — each filled
 	// exactly once.
-	if r.traces.size() != 2 || r.profiles.size() != 1 || r.selections.size() != 2 {
-		t.Fatalf("cache sizes = (%d, %d, %d), want (2, 1, 2)",
+	if r.traces.size() != 1 || r.profiles.size() != 1 || r.selections.size() != 2 {
+		t.Fatalf("cache sizes = (%d, %d, %d), want (1, 1, 2)",
 			r.traces.size(), r.profiles.size(), r.selections.size())
 	}
 }

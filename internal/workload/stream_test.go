@@ -188,8 +188,16 @@ func BenchmarkStreamPull(b *testing.B) {
 
 // BenchmarkGenerate is BenchmarkStreamPull's materialized reference: one
 // op is one access read from a Generate slice, regenerated when spent.
-func BenchmarkGenerate(b *testing.B) {
-	w, err := ByName(benchWorkload)
+func BenchmarkGenerate(b *testing.B) { benchGenerate(b, benchWorkload) }
+
+// BenchmarkGenerateLarge is BenchmarkGenerate over a fault-heavy trace of
+// 252k accesses (8 MB), the size class of the materialized solo runs.
+func BenchmarkGenerateLarge(b *testing.B) { benchGenerate(b, "roms") }
+
+// benchGenerate reads workload name's Ref trace access by access,
+// regenerating it when spent, so one op is one access.
+func benchGenerate(b *testing.B, name string) {
+	w, err := ByName(name)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -112,12 +112,39 @@ type Workload struct {
 func (w *Workload) ELRangePages() uint64 { return w.FootprintPages + 16 }
 
 // Generate produces the full access trace for the given input — the
-// materialized adapter over the same generator Stream pulls from.
+// materialized adapter over the same generator Stream pulls from. The
+// generator fills fixed blockLen-access blocks, each kept when full;
+// at the end their lengths are summed and the blocks are copied once
+// into a slice of exactly that length (len == cap). Building a trace
+// of n accesses thus allocates at most 2n accesses plus one block, and
+// the blocks are garbage once Generate returns.
 func (w *Workload) Generate(in Input) []mem.Access {
-	b := &builder{r: rng.New(seed(w.Name, in))}
+	var blocks [][]mem.Access
+	b := &builder{r: rng.New(seed(w.Name, in)), out: make([]mem.Access, 0, blockLen)}
+	b.flush = func(full []mem.Access) ([]mem.Access, bool) {
+		blocks = append(blocks, full)
+		return make([]mem.Access, 0, blockLen), true
+	}
 	w.gen(in, b)
-	return b.out
+	blocks = append(blocks, b.out) // the partial last block
+	n := 0
+	for _, blk := range blocks {
+		n += len(blk)
+	}
+	// make, not slices.Concat: its append growth rounds the capacity up
+	// to the allocator's size class, and BenchmarkGenerateLarge ran ~10%
+	// slower with it.
+	tr := make([]mem.Access, n)
+	at := 0
+	for _, blk := range blocks {
+		at += copy(tr[at:], blk)
+	}
+	return tr
 }
+
+// blockLen is the number of accesses in one of Generate's blocks
+// (256 KB of mem.Access).
+const blockLen = 8192
 
 // Stream returns a pull-based source producing exactly the accesses
 // Generate(in) materializes, in O(chunk) memory: the push-style generator
@@ -185,7 +212,9 @@ func (s *genStream) refill() bool {
 // filling it.
 func (s *genStream) start() {
 	s.buf = chunkPool.Get().(*[chunkLen]mem.Access)
-	b := &builder{r: rng.New(seed(s.w.Name, s.in)), out: s.buf[:0], flush: 1}
+	// The first chunk holds one access, so the first pull (an engine's
+	// set-up lookahead) generates one access; every later one chunkLen.
+	b := &builder{r: rng.New(seed(s.w.Name, s.in)), out: s.buf[:0:1]}
 	s.next, s.stop = iter.Pull(func(yield func([]mem.Access) bool) {
 		defer func() {
 			// A consumer that stops early unwinds the generator via the
@@ -196,7 +225,9 @@ func (s *genStream) start() {
 				}
 			}
 		}()
-		b.yield = yield
+		b.flush = func(full []mem.Access) ([]mem.Access, bool) {
+			return s.buf[:0], yield(full)
+		}
 		s.w.gen(s.in, b)
 		if len(b.out) > 0 { // the partial last chunk
 			yield(b.out)
@@ -235,27 +266,28 @@ func seed(name string, in Input) uint64 {
 	return h ^ (uint64(in+1) * 0x9e3779b97f4a7c15)
 }
 
-// builder is the generators' output sink: it accumulates accesses in out.
-// In materializing mode (flush 0) out grows to the whole trace; in
-// streaming mode out is the stream's chunk buffer, yielded to the pulling
-// consumer each time it holds flush accesses and then reused.
+// builder is the generators' output sink: it fills the block out and,
+// when the block is full (len == cap), hands it to flush, which returns
+// the block to fill next. A stream's flush yields the chunk to the
+// pulling consumer and returns the same buffer to be reused; Generate's
+// keeps the block and returns a fresh one, so the trace exists as its
+// blocks plus, at the end, the one exact-size copy Generate returns.
 type builder struct {
-	r     *rng.Source
-	out   []mem.Access
-	yield func([]mem.Access) bool
-	// flush is 1 for a stream's first chunk, so the first pull (an
-	// engine's set-up lookahead) generates one access, then chunkLen.
-	flush int
+	r   *rng.Source
+	out []mem.Access
+	// flush takes a full block; false means the consumer stopped.
+	flush func(full []mem.Access) (next []mem.Access, ok bool)
 }
 
 // push hands one access to the active sink.
 func (b *builder) push(a mem.Access) {
 	b.out = append(b.out, a)
-	if len(b.out) == b.flush {
-		if !b.yield(b.out) {
+	if len(b.out) == cap(b.out) {
+		next, ok := b.flush(b.out)
+		if !ok {
 			panic(stopGen{})
 		}
-		b.out, b.flush = b.out[:0], chunkLen
+		b.out = next
 	}
 }
 
