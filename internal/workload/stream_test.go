@@ -170,8 +170,20 @@ const benchWorkload = "leela"
 // BenchmarkStreamPull measures the per-access cost of pulling a
 // generator's stream: one op is one Next, and an exhausted stream is
 // replaced by a fresh one, as a repeated streamed run does.
-func BenchmarkStreamPull(b *testing.B) {
-	w, err := ByName(benchWorkload)
+func BenchmarkStreamPull(b *testing.B) { benchStreamPull(b, benchWorkload) }
+
+// BenchmarkStreamPullIrregular is BenchmarkStreamPull over the
+// generators whose accesses come mostly from an irregular site family.
+func BenchmarkStreamPullIrregular(b *testing.B) {
+	for _, name := range []string{"deepsjeng", "MSER", "omnetpp", "xz"} {
+		b.Run(name, func(b *testing.B) { benchStreamPull(b, name) })
+	}
+}
+
+// benchStreamPull pulls workload name's Ref stream access by access,
+// restarting it when spent, so one op is one Next.
+func benchStreamPull(b *testing.B, name string) {
+	w, err := ByName(name)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -46,6 +46,19 @@ var Sift = register(&Workload{
 	},
 })
 
+// mserFamily holds MSER's union-find merge sites.
+var mserFamily = irrSpec{
+	base: 6200,
+	k:    70,
+	coldTrain: func(j int) float64 {
+		return 0.01 + 0.35*math.Pow(float64(j)/69, 1.7)
+	},
+	coldRef: func(j int) float64 {
+		return 0.3 * (0.01 + 0.35*math.Pow(float64(j)/69, 1.7))
+	},
+	skew: 1.5,
+}.compile()
+
 // MSER: maximally stable extremal regions. After a raster scan of the
 // image, region growing chases union-find parent pointers across a
 // component forest far larger than the EPC — irregular-dominant, so SIP is
@@ -57,44 +70,41 @@ var Mser = register(&Workload{
 	Instrumentable: true,
 	FootprintPages: 8192,
 	gen: func(in Input, b *builder) {
-		genMser(in, b, 1.0)
+		// The profiling image has large uniform regions: its frontier
+		// moves in long raster-like runs, so the frontier site profiles
+		// as sequential. Measurement images fragment the frontier into
+		// short runs.
+		bursts, runLen := 420, 3
+		if in == Train {
+			bursts, runLen = bursts/10, 20
+		}
+		pos := uint64(0)
+		for bi := 0; bi < bursts; bi++ {
+			for i := 0; i < runLen; i++ {
+				pos = (pos + 1) % 2048
+				b.emit(6101, mem.PageID(pos), 34000+b.r.Uint64n(4000))
+			}
+			pos = (pos + 9 + b.r.Uint64n(30)) % 2048
+			// Union-find merges dominate.
+			for a := 0; a < 48*runLen/3; a++ {
+				mserFamily.irrAccess(b, in, 2048, 2816, 2816, 8192, 0.18, 30000)
+			}
+		}
 	},
 })
 
-// genMser emits an MSER run; scale shrinks the work (mixed-blood reuses
-// it for its detection phase).
-func genMser(in Input, b *builder, scale float64) {
-	fam := irrFamily{
-		base: 6200,
-		k:    70,
-		coldTrain: func(j int) float64 {
-			return 0.01 + 0.35*math.Pow(float64(j)/69, 1.7)
-		},
-		coldRef: func(j int) float64 {
-			return 0.3 * (0.01 + 0.35*math.Pow(float64(j)/69, 1.7))
-		},
-		skew: 1.5,
-	}
-	// The profiling image has large uniform regions: its frontier moves in
-	// long raster-like runs, so the frontier site profiles as sequential.
-	// Measurement images fragment the frontier into short runs.
-	bursts, runLen := int(float64(420)*scale), 3
-	if in == Train {
-		bursts, runLen = bursts/10, 20
-	}
-	pos := uint64(0)
-	for bi := 0; bi < bursts; bi++ {
-		for i := 0; i < runLen; i++ {
-			pos = (pos + 1) % 2048
-			b.emit(6101, mem.PageID(pos), 34000+b.r.Uint64n(4000))
-		}
-		pos = (pos + 9 + b.r.Uint64n(30)) % 2048
-		// Union-find merges dominate.
-		for a := 0; a < 48*runLen/3; a++ {
-			fam.irrAccess(b, in, 2048, 2816, 2816, 8192, 0.18, 30000)
-		}
-	}
-}
+// mixedBloodFamily holds mixed-blood's blob-detection sites.
+var mixedBloodFamily = irrSpec{
+	base: 6400,
+	k:    40,
+	coldTrain: func(j int) float64 {
+		return 0.01 + 0.3*math.Pow(float64(j)/39, 1.7)
+	},
+	coldRef: func(j int) float64 {
+		return 0.45 * (0.01 + 0.3*math.Pow(float64(j)/39, 1.7))
+	},
+	skew: 1.5,
+}.compile()
 
 // MixedBlood is the §5.4 synthesized application: a sequential image scan
 // (DFP territory) followed by MSER blob detection (SIP territory). The
@@ -107,17 +117,6 @@ var MixedBlood = register(&Workload{
 	Instrumentable: true,
 	FootprintPages: 8192,
 	gen: func(in Input, b *builder) {
-		fam := irrFamily{
-			base: 6400,
-			k:    40,
-			coldTrain: func(j int) float64 {
-				return 0.01 + 0.3*math.Pow(float64(j)/39, 1.7)
-			},
-			coldRef: func(j int) float64 {
-				return 0.45 * (0.01 + 0.3*math.Pow(float64(j)/39, 1.7))
-			},
-			skew: 1.5,
-		}
 		scanPages, irrAccesses := uint64(1792), 40000
 		if in == Train {
 			scanPages, irrAccesses = 1024, 12000
@@ -128,7 +127,7 @@ var MixedBlood = register(&Workload{
 		}
 		// Phase 2: MSER-style blob detection (SIP's half).
 		for a := 0; a < irrAccesses; a++ {
-			fam.irrAccess(b, in, 2048, 2560, 2560, 8192, 0.18, 30000)
+			mixedBloodFamily.irrAccess(b, in, 2048, 2560, 2560, 8192, 0.18, 30000)
 		}
 	},
 })
