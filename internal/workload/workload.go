@@ -116,8 +116,9 @@ func (w *Workload) ELRangePages() uint64 { return w.FootprintPages + 16 }
 // generator fills fixed blockLen-access blocks, each kept when full;
 // at the end their lengths are summed and the blocks are copied once
 // into a slice of exactly that length (len == cap). Building a trace
-// of n accesses thus allocates at most 2n accesses plus one block, and
-// the blocks are garbage once Generate returns.
+// of n accesses thus allocates 2n accesses plus the unfilled rest of
+// the last block (none when n is a whole number of blocks), and the
+// blocks are garbage once Generate returns.
 func (w *Workload) Generate(in Input) []mem.Access {
 	var blocks [][]mem.Access
 	b := &builder{r: rng.New(seed(w.Name, in)), out: make([]mem.Access, 0, blockLen)}
@@ -126,7 +127,7 @@ func (w *Workload) Generate(in Input) []mem.Access {
 		return make([]mem.Access, 0, blockLen), true
 	}
 	w.gen(in, b)
-	blocks = append(blocks, b.out) // the partial last block
+	blocks = append(blocks, b.out) // the last block, full or partial
 	n := 0
 	for _, blk := range blocks {
 		n += len(blk)
@@ -213,7 +214,8 @@ func (s *genStream) refill() bool {
 func (s *genStream) start() {
 	s.buf = chunkPool.Get().(*[chunkLen]mem.Access)
 	// The first chunk holds one access, so the first pull (an engine's
-	// set-up lookahead) generates one access; every later one chunkLen.
+	// set-up lookahead) generates two accesses (the second push flushes
+	// the first); every later one chunkLen.
 	b := &builder{r: rng.New(seed(s.w.Name, s.in)), out: s.buf[:0:1]}
 	s.next, s.stop = iter.Pull(func(yield func([]mem.Access) bool) {
 		defer func() {
@@ -229,7 +231,7 @@ func (s *genStream) start() {
 			return s.buf[:0], yield(full)
 		}
 		s.w.gen(s.in, b)
-		if len(b.out) > 0 { // the partial last chunk
+		if len(b.out) > 0 { // the last chunk, full or partial
 			yield(b.out)
 		}
 	})
@@ -267,8 +269,8 @@ func seed(name string, in Input) uint64 {
 }
 
 // builder is the generators' output sink: it fills the block out and,
-// when the block is full (len == cap), hands it to flush, which returns
-// the block to fill next. A stream's flush yields the chunk to the
+// when a push finds the block full (len == cap), hands it to flush,
+// which returns the block to fill next. A stream's flush yields the chunk to the
 // pulling consumer and returns the same buffer to be reused; Generate's
 // keeps the block and returns a fresh one, so the trace exists as its
 // blocks plus, at the end, the one exact-size copy Generate returns.
@@ -279,9 +281,11 @@ type builder struct {
 	flush func(full []mem.Access) (next []mem.Access, ok bool)
 }
 
-// push hands one access to the active sink.
+// push hands one access to the active sink. A full block is flushed
+// when the next access needs room, not when it fills, so a trace whose
+// length is a whole number of blocks ends on its last full block and
+// Generate starts no block it would leave empty.
 func (b *builder) push(a mem.Access) {
-	b.out = append(b.out, a)
 	if len(b.out) == cap(b.out) {
 		next, ok := b.flush(b.out)
 		if !ok {
@@ -289,6 +293,7 @@ func (b *builder) push(a mem.Access) {
 		}
 		b.out = next
 	}
+	b.out = append(b.out, a)
 }
 
 // emit appends one access.
