@@ -144,19 +144,28 @@ func (f *irrFamily) pick(r *rng.Source) int {
 }
 
 // site is the site index the draw x picks: pickExact(x), from the
-// tables.
+// tables where they decide it.
 func (f *irrFamily) site(x uint64) int {
-	if f.sites == nil {
-		return f.pickExact(x)
+	if j, ok := f.tableSite(x); ok {
+		return j
 	}
-	j := int(f.start[x>>pickShift])
+	return f.pickExact(x)
+}
+
+// tableSite is the site the tables give the draw x. ok is false where
+// they cannot decide: within the guard of a threshold, or for a family
+// without thresholds (skew == 1). A start that missed x's site would
+// fail the window check too, so ok implies j == pickExact(x).
+func (f *irrFamily) tableSite(x uint64) (j int, ok bool) {
+	if f.sites == nil {
+		return 0, false
+	}
+	j = int(f.start[x>>pickShift])
 	for x >= f.sites[j].next {
 		j++
 	}
-	if st := &f.sites[j]; x-st.lo >= st.width {
-		return f.pickExact(x)
-	}
-	return j
+	st := &f.sites[j]
+	return j, x-st.lo < st.width
 }
 
 // pickExact is the reference site pick for the draw x, the formula the

@@ -47,10 +47,15 @@ func TestIrrColdTables(t *testing.T) {
 
 func TestSitePickExact(t *testing.T) {
 	// The table pick must equal pickExact at every draw within two
-	// guards of every threshold, where an off-by-one threshold or a
-	// missing guard would show, and on 1M seeded draws per family
-	// through pick itself.
-	const draws = 1 << 20
+	// guards (of 4,096 grid steps) of every threshold, where an
+	// off-by-one threshold or a missing guard would show. On 1M seeded
+	// draws per family, pick must equal pickExact and, for a family
+	// with thresholds, the tables must decide every one of them
+	// themselves: real draws fall in a guard with probability ~1e-10.
+	const (
+		span  = 2 * 4096
+		draws = 1 << 20
+	)
 	for name, f := range irrFamilies {
 		t.Run(name, func(t *testing.T) {
 			if f.skew != 1 && len(f.sites) != f.k {
@@ -59,11 +64,11 @@ func TestSitePickExact(t *testing.T) {
 			if f.sites != nil {
 				for j, th := range f.thresholds() {
 					lo, hi := uint64(0), uint64(1<<53)
-					if th > 2*pickGuard {
-						lo = th - 2*pickGuard
+					if th > span {
+						lo = th - span
 					}
-					if th+2*pickGuard < hi {
-						hi = th + 2*pickGuard
+					if th+span < hi {
+						hi = th + span
 					}
 					for x := lo; x < hi; x++ {
 						if got, want := f.site(x), f.pickExact(x); got != want {
@@ -75,8 +80,12 @@ func TestSitePickExact(t *testing.T) {
 			a, b := rng.New(uint64(len(name))), rng.New(uint64(len(name)))
 			for i := 0; i < draws; i++ {
 				x := b.Uint64() >> 11
-				if got, want := f.pick(a), f.pickExact(x); got != want {
+				want := f.pickExact(x)
+				if got := f.pick(a); got != want {
 					t.Fatalf("draw %d (%d) picks %d, want %d", i, x, got, want)
+				}
+				if j, ok := f.tableSite(x); f.sites != nil && (!ok || j != want) {
+					t.Fatalf("draw %d (%d): tables give site %d, decided %v; want %d, decided", i, x, j, ok, want)
 				}
 			}
 		})
@@ -120,8 +129,8 @@ func TestSitePickFallback(t *testing.T) {
 		thr := f.thresholds()
 		for j, st := range f.sites {
 			for _, x := range []uint64{thr[j], thr[j] + pickGuard - 1, st.next - pickGuard, st.next - 1} {
-				if x-st.lo < st.width {
-					t.Fatalf("%s: draw %d of site %d is outside the guard", name, x, j)
+				if _, ok := f.tableSite(x); ok {
+					t.Fatalf("%s: tables decide draw %d of site %d, inside the guard", name, x, j)
 				}
 				seed := splitMixSeed(x << 11)
 				if got := rng.New(seed).Uint64(); got != x<<11 {
