@@ -34,7 +34,7 @@ bench-json:
 	{ $(GO) test ./internal/channel/ ./internal/epc/ ./internal/kernel/ \
 		-run '^$$' -bench '$(BENCH_MICRO)' -benchmem ; \
 	  $(GO) test ./internal/sim/ -run '^$$' -bench 'BenchmarkRunStream|BenchmarkStep' -benchmem ; \
-	  $(GO) test ./internal/workload/ -run '^$$' -bench 'BenchmarkStreamPull|BenchmarkGenerate' -benchmem ; \
+	  $(GO) test ./internal/workload/ -run '^$$' -bench 'BenchmarkStreamPull|BenchmarkGenerate|BenchmarkSitePick|BenchmarkIrrFamilyTables' -benchmem ; \
 	  $(GO) test ./internal/obs/ -run '^$$' -bench 'BenchmarkTraceWrite|BenchmarkStreamSink' -benchmem ; \
 	  $(GO) test ./internal/replay/ -run '^$$' -bench 'BenchmarkTraceParse|BenchmarkReadFile' -benchmem ; \
 	  $(GO) test ./internal/experiments/ -run '^$$' -bench 'BenchmarkRunAll' -benchtime 2x ; } \

@@ -2,8 +2,10 @@ package workload
 
 import (
 	"math"
+	"sync"
 	"testing"
 
+	"sgxpreload/internal/mem"
 	"sgxpreload/internal/rng"
 )
 
@@ -174,4 +176,37 @@ func BenchmarkIrrFamilyTables(b *testing.B) {
 			pickSink += f.irrSpec.compile().k
 		}
 	}
+}
+
+func TestIrrFamiliesSharedConcurrently(t *testing.T) {
+	// Every generator reads its family's tables from a package-level
+	// value, so concurrent streams (a fleet's host workers) share them;
+	// run under -race, this shows the sharing is read-only. Each stream
+	// must still produce its materialized trace.
+	var wg sync.WaitGroup
+	for name := range irrFamilies {
+		w, err := ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := w.Generate(Train)
+		for g := 0; g < 2; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				s := w.Stream(Train)
+				for i, exp := range want {
+					if got, ok := s.Next(); !ok || got != exp {
+						t.Errorf("%s: access %d is %+v/%v, want %+v", name, i, got, ok, exp)
+						s.(mem.Closer).Close()
+						return
+					}
+				}
+				if extra, ok := s.Next(); ok {
+					t.Errorf("%s: stream yields %+v past the trace", name, extra)
+				}
+			}()
+		}
+	}
+	wg.Wait()
 }
