@@ -119,8 +119,8 @@ func (s irrSpec) compile() *irrFamily {
 		st := &f.sites[j]
 		st.next = thr[j+1]
 		st.lo = thr[j] + pickGuard
-		if hi := thr[j+1] - pickGuard; thr[j+1] >= pickGuard && hi > st.lo {
-			st.width = hi - st.lo
+		if thr[j+1] > st.lo+pickGuard {
+			st.width = thr[j+1] - pickGuard - st.lo
 		}
 		// Both ends of the safe window must pick j: the window's edges
 		// are the outer sides of the neighboring guard windows.
@@ -154,8 +154,8 @@ func (f *irrFamily) site(x uint64) int {
 
 // tableSite is the site the tables give the draw x. ok is false where
 // they cannot decide: within the guard of a threshold, or for a family
-// without thresholds (skew == 1). A start that missed x's site would
-// fail the window check too, so ok implies j == pickExact(x).
+// without thresholds (skew == 1). Where ok, x lies in site j's
+// guard-free window, whose ends compile checked, so j == pickExact(x).
 func (f *irrFamily) tableSite(x uint64) (j int, ok bool) {
 	if f.sites == nil {
 		return 0, false
