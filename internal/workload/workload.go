@@ -270,10 +270,11 @@ func seed(name string, in Input) uint64 {
 
 // builder is the generators' output sink: it fills the block out and,
 // when a push finds the block full (len == cap), hands it to flush,
-// which returns the block to fill next. A stream's flush yields the chunk to the
-// pulling consumer and returns the same buffer to be reused; Generate's
-// keeps the block and returns a fresh one, so the trace exists as its
-// blocks plus, at the end, the one exact-size copy Generate returns.
+// which returns the block to fill next. A stream's flush yields the
+// chunk to the pulling consumer and returns the same buffer to be
+// reused; Generate's keeps the block and returns a fresh one, so the
+// trace exists as its blocks plus, at the end, the one exact-size copy
+// Generate returns.
 type builder struct {
 	r   *rng.Source
 	out []mem.Access
