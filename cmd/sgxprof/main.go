@@ -92,7 +92,7 @@ func run(args []string, out io.Writer) error {
 		cl.Record(a.Site, a.Page)
 	}
 	prof := cl.Profile()
-	sel := sip.Select(prof, *threshold, 32)
+	sel := sip.Select(prof, *threshold, sip.MinSiteAccesses)
 
 	fmt.Fprintf(out, "profiled sites:   %d\n", len(prof.Sites))
 	fmt.Fprintf(out, "profiled faults:  %d (%.1f%% of accesses)\n",

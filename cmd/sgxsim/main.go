@@ -307,7 +307,7 @@ func buildSelection(w *workload.Workload, epcPages int, d dfp.Config, threshold 
 	for a, ok := src.Next(); ok; a, ok = src.Next() {
 		cl.Record(a.Site, a.Page)
 	}
-	return sip.Select(cl.Profile(), threshold, 32), nil
+	return sip.Select(cl.Profile(), threshold, sip.MinSiteAccesses), nil
 }
 
 // clusterOpts carries the flag values of a multi-enclave (fleet) run.

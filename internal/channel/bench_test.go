@@ -12,8 +12,8 @@ import (
 // the kernel's predict filter issues, one QueueBatch, and the pops the
 // preload worker performs. Pops are O(1) on the ring-buffer deque; each
 // probe of a fresh page is a miss that scans the whole backlog, so ns/op
-// grows with depth. The kernel caps the backlog at MaxPending (64 by
-// default), which bounds the scan: depth=512 is deeper than any queue the
+// grows with depth. The kernel caps the backlog at MaxPending (64),
+// which bounds the scan: depth=512 is deeper than any queue the
 // kernel builds and shows the cost the cap rules out.
 func BenchmarkPendingQueue(b *testing.B) {
 	for _, depth := range []int{8, 64, 512} {

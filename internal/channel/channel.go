@@ -21,7 +21,7 @@
 // SIP removals look a page up in it. A counting filter — how many queued
 // requests fall in each of 256 slots keyed by the page's low byte —
 // answers a page whose slot is empty at once; otherwise the lookup scans
-// the queue, whose depth the kernel caps at MaxPending (64 by default).
+// the queue, whose depth the kernel caps at MaxPending (64).
 package channel
 
 import (

@@ -27,7 +27,7 @@ func queuedWalk(c *Channel, page mem.PageID) bool {
 }
 
 // TestPendingFilterSaturatedSlot piles more than 255 queued requests into
-// one filter slot under a MaxPending far above the kernel default: batches
+// one filter slot under a cap far above the kernel's MaxPending: batches
 // of four pages congruent to 7 mod 256, repeated across batches, plus one
 // page of the neighbouring slot. The slot passes exactly 256 while
 // filling and again while pops drain it one request at a time, so a

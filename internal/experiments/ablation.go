@@ -6,11 +6,11 @@ import (
 	"sgxpreload/internal/core"
 	"sgxpreload/internal/dfp"
 	"sgxpreload/internal/epc"
+	"sgxpreload/internal/fleet"
 	"sgxpreload/internal/mem"
 	"sgxpreload/internal/sim"
 	"sgxpreload/internal/sip"
 	"sgxpreload/internal/stats"
-	"sgxpreload/internal/workload"
 )
 
 // Ablation studies beyond the paper's figures. DESIGN.md calls out the
@@ -263,51 +263,33 @@ type SharedEPCResult struct {
 // paper's §5.6 claim.
 func SharedEPC(r *Runner) (SharedEPCResult, error) {
 	out := SharedEPCResult{Names: []string{"lbm", "deepsjeng"}}
-	solos, err := r.simulate("ablation-shared", r.grid(out.Names, sim.Baseline))
+	cells := r.grid(out.Names, sim.Baseline)
+	solos, err := r.simulate("ablation-shared", cells)
 	if err != nil {
 		return out, err
 	}
-	var encs []sim.Enclave
-	for i, name := range out.Names {
-		w, err := workload.ByName(name)
-		if err != nil {
-			return out, err
-		}
-		out.SoloCycles = append(out.SoloCycles, solos[i].Cycles)
-		encs = append(encs, sim.Enclave{
-			Name:   name,
-			Trace:  r.Trace(w, workload.Ref),
-			Pages:  w.ELRangePages(),
-			Scheme: sim.Baseline,
-		})
-	}
-	shared, err := sim.RunShared(encs, sim.SharedConfig{EPCPages: r.p.EPCPages})
+	shared, err := r.arrivals(cells...)
 	if err != nil {
 		return out, err
 	}
-	for _, res := range shared {
-		out.SharedCycles = append(out.SharedCycles, res.Cycles)
-	}
-
 	// Co-run again with each enclave preloading: lbm uses DFP-stop,
 	// deepsjeng uses SIP.
-	dj, err := workload.ByName("deepsjeng")
+	preload, err := r.arrivals(r.cell("lbm", sim.DFPStop), r.cell("deepsjeng", sim.SIP))
 	if err != nil {
 		return out, err
 	}
-	sel, err := r.Selection(dj)
+	coRun := fleet.Config{Hosts: 1, Platform: sim.SharedConfig{EPCPages: r.p.EPCPages}}
+	co, err := r.fleets("ablation-shared", []*fleetCell{
+		{label: "shared", arrivals: shared, cfg: coRun},
+		{label: "shared+preload", arrivals: preload, cfg: coRun},
+	})
 	if err != nil {
 		return out, err
 	}
-	encs[0].Scheme = sim.DFPStop
-	encs[1].Scheme = sim.SIP
-	encs[1].Selection = sel
-	pre, err := sim.RunShared(encs, sim.SharedConfig{EPCPages: r.p.EPCPages})
-	if err != nil {
-		return out, err
-	}
-	for _, res := range pre {
-		out.SharedPreloadCycles = append(out.SharedPreloadCycles, res.Cycles)
+	for i := range out.Names {
+		out.SoloCycles = append(out.SoloCycles, solos[i].Cycles)
+		out.SharedCycles = append(out.SharedCycles, co[0].Hosts[0].Enclaves[i].Cycles)
+		out.SharedPreloadCycles = append(out.SharedPreloadCycles, co[1].Hosts[0].Enclaves[i].Cycles)
 	}
 	return out, nil
 }

@@ -104,27 +104,31 @@ func TestChartsRender(t *testing.T) {
 func TestStringersRender(t *testing.T) {
 	type stringer interface{ String() string }
 	runs := map[string]func() (stringer, error){
-		"motivation": func() (stringer, error) { return Motivation(sharedRunner) },
-		"fig3":       func() (stringer, error) { return Figure3(sharedRunner) },
-		"fig6":       func() (stringer, error) { return Figure6(sharedRunner) },
-		"fig7":       func() (stringer, error) { return Figure7(sharedRunner) },
-		"fig8":       func() (stringer, error) { return Figure8(sharedRunner) },
-		"fig9":       func() (stringer, error) { return Figure9(sharedRunner) },
-		"fig10":      func() (stringer, error) { return Figure10(sharedRunner) },
-		"fig11":      func() (stringer, error) { return Figure11(sharedRunner) },
-		"fig12":      func() (stringer, error) { return Figure12(sharedRunner) },
-		"fig13":      func() (stringer, error) { return Figure13(sharedRunner) },
-		"table1":     func() (stringer, error) { return Table1(sharedRunner) },
-		"table2":     func() (stringer, error) { return Table2(sharedRunner) },
-		"summary":    func() (stringer, error) { return Summary(sharedRunner) },
-		"epc":        func() (stringer, error) { return EPCSweep(sharedRunner) },
-		"predictor":  func() (stringer, error) { return PredictorAblation(sharedRunner) },
-		"eviction":   func() (stringer, error) { return EvictionAblation(sharedRunner) },
-		"loadcost":   func() (stringer, error) { return CostSensitivity(sharedRunner) },
-		"shared":     func() (stringer, error) { return SharedEPC(sharedRunner) },
-		"backward":   func() (stringer, error) { return BackwardStreams(sharedRunner) },
-		"reclaim":    func() (stringer, error) { return ReclaimAblation(sharedRunner) },
-		"eager":      func() (stringer, error) { return EagerSIP(sharedRunner) },
+		"motivation":     func() (stringer, error) { return Motivation(sharedRunner) },
+		"fig3":           func() (stringer, error) { return Figure3(sharedRunner) },
+		"fig6":           func() (stringer, error) { return Figure6(sharedRunner) },
+		"fig7":           func() (stringer, error) { return Figure7(sharedRunner) },
+		"fig8":           func() (stringer, error) { return Figure8(sharedRunner) },
+		"fig9":           func() (stringer, error) { return Figure9(sharedRunner) },
+		"fig10":          func() (stringer, error) { return Figure10(sharedRunner) },
+		"fig11":          func() (stringer, error) { return Figure11(sharedRunner) },
+		"fig12":          func() (stringer, error) { return Figure12(sharedRunner) },
+		"fig13":          func() (stringer, error) { return Figure13(sharedRunner) },
+		"table1":         func() (stringer, error) { return Table1(sharedRunner) },
+		"table2":         func() (stringer, error) { return Table2(sharedRunner) },
+		"summary":        func() (stringer, error) { return Summary(sharedRunner) },
+		"epc":            func() (stringer, error) { return EPCSweep(sharedRunner) },
+		"predictor":      func() (stringer, error) { return PredictorAblation(sharedRunner) },
+		"eviction":       func() (stringer, error) { return EvictionAblation(sharedRunner) },
+		"loadcost":       func() (stringer, error) { return CostSensitivity(sharedRunner) },
+		"shared":         func() (stringer, error) { return SharedEPC(sharedRunner) },
+		"fleet-sharded":  func() (stringer, error) { return ShardedFleet(sharedRunner) },
+		"fleet-policies": func() (stringer, error) { return FleetPolicies(sharedRunner) },
+		"epc-partition":  func() (stringer, error) { return EPCPartition(sharedRunner) },
+		"saturation":     func() (stringer, error) { return Saturation(sharedRunner) },
+		"backward":       func() (stringer, error) { return BackwardStreams(sharedRunner) },
+		"reclaim":        func() (stringer, error) { return ReclaimAblation(sharedRunner) },
+		"eager":          func() (stringer, error) { return EagerSIP(sharedRunner) },
 	}
 	want := readOutputHashes(t)
 	for id, mk := range runs {

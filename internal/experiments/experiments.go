@@ -19,6 +19,7 @@ import (
 	"sgxpreload/internal/core"
 	"sgxpreload/internal/dfp"
 	"sgxpreload/internal/epc"
+	"sgxpreload/internal/fleet"
 	"sgxpreload/internal/mem"
 	"sgxpreload/internal/sim"
 	"sgxpreload/internal/sip"
@@ -34,8 +35,6 @@ type Params struct {
 	// Threshold is the SIP irregular-access-ratio instrumentation
 	// threshold (the paper's sweet spot is 5%, Figure 9).
 	Threshold float64
-	// MinSiteAccesses filters sites with too few profile samples.
-	MinSiteAccesses uint64
 	// DFP is the predictor operating point (stream list 30, preload
 	// distance 4 — the values the paper settles on in §5.1).
 	DFP dfp.Config
@@ -44,10 +43,9 @@ type Params struct {
 // Default returns the standard parameters.
 func Default() Params {
 	return Params{
-		EPCPages:        2048,
-		Threshold:       0.05,
-		MinSiteAccesses: 32,
-		DFP:             dfp.DefaultConfig(),
+		EPCPages:  2048,
+		Threshold: 0.05,
+		DFP:       dfp.DefaultConfig(),
 	}
 }
 
@@ -95,9 +93,6 @@ func NewRunner(p Params) *Runner {
 	}
 }
 
-// Params returns the runner's parameters.
-func (r *Runner) Params() Params { return r.p }
-
 // SetParallelism bounds the worker pool for sweeps: 1 is fully
 // sequential, n <= 0 resets to GOMAXPROCS. Tables and figures are
 // identical at every setting; only wall-clock time changes.
@@ -108,24 +103,9 @@ func (r *Runner) SetParallelism(n int) {
 	r.workers = n
 }
 
-// Parallelism returns the current worker-pool bound.
-func (r *Runner) Parallelism() int { return r.workers }
-
 // SetProgress installs a per-cell completion callback (nil disables).
 // Calls are serialized by the runner.
 func (r *Runner) SetProgress(p Progress) { r.progress = p }
-
-// reportCell forwards one completed cell to the progress callback.
-func (r *Runner) reportCell(done, total int, label string) {
-	if r.progress == nil {
-		return
-	}
-	r.progressMu.Lock()
-	defer r.progressMu.Unlock()
-	if r.progress != nil {
-		r.progress(done, total, label)
-	}
-}
 
 // Trace returns the (cached) access trace of a workload input. The fill
 // is single-flight: concurrent sweep workers requesting the same trace
@@ -168,7 +148,7 @@ func (r *Runner) selection(w *workload.Workload, threshold float64) (*sip.Select
 		if err != nil {
 			return nil, err
 		}
-		return sip.Select(p, threshold, r.p.MinSiteAccesses), nil
+		return sip.Select(p, threshold, sip.MinSiteAccesses), nil
 	})
 }
 
@@ -283,9 +263,53 @@ func runAlone(enc sim.Enclave, platform sim.SharedConfig) (sim.Result, error) {
 	return res[0].Result, nil
 }
 
-// Run executes workload w's ref input under the given scheme.
-func (r *Runner) Run(w *workload.Workload, scheme sim.Scheme) (sim.Result, error) {
-	return r.result(r.cell(w.Name, scheme))
+// fleetCell is one multi-enclave simulation: an arrival list on a fleet.
+// A one-host fleet with every arrival at t = 0 is a shared-EPC co-run.
+// Fleet cells are not memoized (arrival lists are not comparable keys),
+// and cells may share an arrival list only when it holds no streams.
+type fleetCell struct {
+	label    string
+	arrivals []fleet.Arrival
+	cfg      fleet.Config
+}
+
+// String labels the cell in progress reports and errors.
+func (c *fleetCell) String() string { return c.label }
+
+// fleets runs a study's fleet cells on the worker pool, each cell's hosts
+// on its worker, and returns their results in cell order. It takes the
+// cells' arrivals: fleet.Run closes a started cell's streams on every
+// path, and when a cell fails fleets closes the cells never started.
+func (r *Runner) fleets(study string, cells []*fleetCell) ([]fleet.Result, error) {
+	out, err := sweep(r, study, cells, func(c *fleetCell) (fleet.Result, error) {
+		arrivals := c.arrivals
+		c.arrivals = nil
+		c.cfg.Workers = 1
+		res, err := fleet.Run(arrivals, c.cfg)
+		if err != nil {
+			err = fmt.Errorf("%s/%s: %w", study, c, err)
+		}
+		return res, err
+	})
+	if err != nil {
+		for _, c := range cells {
+			fleet.CloseArrivals(c.arrivals) // nil for the cells the pool started
+		}
+	}
+	return out, err
+}
+
+// arrivals returns one t = 0 arrival per cell, each the cell's enclave:
+// its cached ref trace and, for SIP schemes, its cached site selection.
+func (r *Runner) arrivals(cells ...cell) ([]fleet.Arrival, error) {
+	out := make([]fleet.Arrival, len(cells))
+	for i, c := range cells {
+		var err error
+		if out[i].Enclave, _, err = r.setup(c); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
 }
 
 // RunAll executes the full (workload, scheme) grid and returns results

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"sgxpreload/internal/sim"
-	"sgxpreload/internal/workload"
 )
 
 // The experiment tests assert the paper's qualitative findings — who
@@ -334,11 +333,8 @@ func TestSchemeStringsAndSets(t *testing.T) {
 func TestRunRejectsUninstrumentableSIP(t *testing.T) {
 	// SIP needs the paper's C/C++ instrumenter; a Fortran benchmark must
 	// fail rather than run uninstrumented.
-	w, err := workload.ByName("bwaves")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewRunner(Default()).Run(w, sim.SIP); err == nil {
-		t.Error("Run instrumented a Fortran benchmark")
+	r := NewRunner(Default())
+	if _, err := r.result(r.cell("bwaves", sim.SIP)); err == nil {
+		t.Error("the SIP cell instrumented a Fortran benchmark")
 	}
 }

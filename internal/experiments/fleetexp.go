@@ -7,7 +7,6 @@ import (
 	"sgxpreload/internal/fleet"
 	"sgxpreload/internal/sim"
 	"sgxpreload/internal/stats"
-	"sgxpreload/internal/workload"
 )
 
 // The fleet-policies study: the same skewed arrival stream placed by
@@ -49,44 +48,32 @@ type FleetPoliciesResult struct {
 	Results  []fleet.Result
 }
 
-// FleetPolicies runs the arrival stream under every placement policy.
-// Each run's internal host advancement uses the runner's worker pool;
-// the three runs share the runner's trace cache.
+// FleetPolicies runs the arrival stream under every placement policy,
+// one fleet cell per policy on the runner's worker pool.
 func FleetPolicies(r *Runner) (FleetPoliciesResult, error) {
 	out := FleetPoliciesResult{
 		Hosts:    fleetPolicyHosts,
 		Arrivals: fleetPolicyArrivals,
 		Policies: fleet.Policies(),
 	}
-	arrivals := make([]fleet.Arrival, len(fleetPolicyArrivals))
-	for i, name := range fleetPolicyArrivals {
-		w, err := workload.ByName(name)
-		if err != nil {
-			return out, err
-		}
-		arrivals[i] = fleet.Arrival{
-			At: uint64(i) * fleetArrivalPeriod,
-			Enclave: sim.Enclave{
-				Name:   fmt.Sprintf("%s/%d", name, i),
-				Trace:  r.Trace(w, workload.Ref),
-				Pages:  w.ELRangePages(),
-				Scheme: sim.DFPStop,
-			},
-		}
+	arrivals, err := r.arrivals(r.grid(fleetPolicyArrivals, sim.DFPStop)...)
+	if err != nil {
+		return out, err
 	}
-	for _, policy := range out.Policies {
-		res, err := fleet.Run(arrivals, fleet.Config{
+	for i := range arrivals {
+		arrivals[i].At = uint64(i) * fleetArrivalPeriod
+		arrivals[i].Enclave.Name = fmt.Sprintf("%s/%d", fleetPolicyArrivals[i], i)
+	}
+	cells := make([]*fleetCell, len(out.Policies))
+	for i, policy := range out.Policies {
+		cells[i] = &fleetCell{label: policy.String(), arrivals: arrivals, cfg: fleet.Config{
 			Hosts:    fleetPolicyHosts,
 			Policy:   policy,
 			Platform: sim.SharedConfig{EPCPages: r.p.EPCPages},
-			Workers:  r.workers,
-		})
-		if err != nil {
-			return out, fmt.Errorf("fleet-policies/%s: %w", policy, err)
-		}
-		out.Results = append(out.Results, res)
+		}}
 	}
-	return out, nil
+	out.Results, err = r.fleets("fleet-policies", cells)
+	return out, err
 }
 
 // hogSpread counts the distinct hosts the hogs (lbm launches) landed on.

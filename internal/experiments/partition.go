@@ -5,11 +5,10 @@ import (
 	"math"
 
 	"sgxpreload/internal/epc/arbiter"
-	"sgxpreload/internal/mem"
+	"sgxpreload/internal/fleet"
 	"sgxpreload/internal/obs"
 	"sgxpreload/internal/sim"
 	"sgxpreload/internal/stats"
-	"sgxpreload/internal/workload"
 )
 
 // The EPC-partition study: the same hog-skewed co-run under each quota
@@ -42,81 +41,76 @@ type PartitionResult struct {
 	// Results[p][e] is enclave e's outcome under policy p.
 	Results [][]sim.SharedResult
 	// FaultP99[p][e] is enclave e's fault-service p99 in cycles under
-	// policy p (NaN when the enclave took no faults), attributed from
-	// the shared timeline by the enclave's slice of the page space.
+	// policy p (NaN when the enclave took no faults), attributed by the
+	// enclave's slice of the shared page space.
 	FaultP99 [][]float64
 	// Quotas[p][e] is enclave e's final quota under policy p (0 under
 	// Global, which has no quotas).
 	Quotas [][]int
 }
 
-// EPCPartition runs the grid under every quota policy.
+// EPCPartition runs the grid under every quota policy, one co-run cell
+// per policy on the runner's worker pool.
 func EPCPartition(r *Runner) (PartitionResult, error) {
 	out := PartitionResult{Names: partitionGrid, Policies: arbiter.Policies()}
-	var encs []sim.Enclave
-	var bounds []uint64 // cumulative page-space bounds, one per enclave
-	total := uint64(0)
-	for _, name := range partitionGrid {
-		w, err := workload.ByName(name)
-		if err != nil {
-			return out, err
-		}
-		encs = append(encs, sim.Enclave{
-			Name:   name,
-			Trace:  r.Trace(w, workload.Ref),
-			Pages:  w.ELRangePages(),
-			Scheme: sim.DFPStop,
-		})
-		total += w.ELRangePages()
-		bounds = append(bounds, total)
+	arrivals, err := r.arrivals(r.grid(partitionGrid, sim.DFPStop)...)
+	if err != nil {
+		return out, err
 	}
-	for _, q := range out.Policies {
-		rec := obs.NewRecorder()
-		res, err := sim.RunShared(encs, sim.SharedConfig{
-			EPCPages: partitionEPC,
-			Quota:    q,
-			Hook:     rec,
-		})
-		if err != nil {
-			return out, fmt.Errorf("epc-partition/%s: %w", q, err)
+	cells := make([]*fleetCell, len(out.Policies))
+	hooks := make([]*enclaveLatencies, len(out.Policies))
+	for i, q := range out.Policies {
+		hooks[i] = &enclaveLatencies{arrivals: arrivals}
+		for range arrivals {
+			hooks[i].byEnclave = append(hooks[i].byEnclave, obs.NewFaultLatencySampler())
 		}
-		out.Results = append(out.Results, res)
-		out.FaultP99 = append(out.FaultP99, faultP99ByEnclave(rec.Events(), bounds))
-		quotas := make([]int, len(encs))
-		if q != arbiter.Global {
-			for _, s := range obs.BuildReport(rec.Events()).Quota {
-				if int(s.Enclave) < len(quotas) {
-					quotas[s.Enclave] = int(s.Quota)
-				}
-			}
+		cells[i] = &fleetCell{label: q.String(), arrivals: arrivals, cfg: fleet.Config{
+			Hosts:    1,
+			Platform: sim.SharedConfig{EPCPages: partitionEPC, Quota: q, Hook: hooks[i]},
+		}}
+	}
+	results, err := r.fleets("epc-partition", cells)
+	if err != nil {
+		return out, err
+	}
+	for i, res := range results {
+		host := res.Hosts[0]
+		out.Results = append(out.Results, host.Enclaves)
+		p99 := make([]float64, len(arrivals))
+		for e, s := range hooks[i].byEnclave {
+			p99[e] = s.Percentile(99)
+		}
+		out.FaultP99 = append(out.FaultP99, p99)
+		quotas := host.Quota
+		if quotas == nil { // Global: no quotas
+			quotas = make([]int, len(arrivals))
 		}
 		out.Quotas = append(out.Quotas, quotas)
 	}
 	return out, nil
 }
 
-// faultP99ByEnclave attributes every KindFaultEnd to the enclave whose
-// slice of the shared page space holds the faulting page (ascending
-// exclusive bounds, the engine's admission-order layout) and returns
-// each enclave's fault-latency p99.
-func faultP99ByEnclave(events []obs.Event, bounds []uint64) []float64 {
-	samples := make([][]float64, len(bounds))
-	for _, e := range events {
-		if e.Kind != obs.KindFaultEnd || e.Page == mem.NoPage {
-			continue
-		}
-		for i, hi := range bounds {
-			if uint64(e.Page) < hi {
-				samples[i] = append(samples[i], float64(e.V1))
-				break
-			}
+// enclaveLatencies is a Hook that samples each enclave's fault-service
+// latencies in a t = 0 co-run of arrivals. Enclaves own consecutive page
+// ranges in admission order, and a fault_end goes to the enclave whose
+// range holds its page (mem.NoPage lies past every range).
+type enclaveLatencies struct {
+	arrivals  []fleet.Arrival
+	byEnclave []*obs.FaultLatencySampler
+}
+
+// Emit implements obs.Hook.
+func (h *enclaveLatencies) Emit(e obs.Event) {
+	if e.Kind != obs.KindFaultEnd {
+		return
+	}
+	var hi uint64
+	for i, a := range h.arrivals {
+		if hi += a.Enclave.Pages; uint64(e.Page) < hi {
+			h.byEnclave[i].Emit(e)
+			return
 		}
 	}
-	out := make([]float64, len(bounds))
-	for i, s := range samples {
-		out[i] = stats.Percentile(s, 99)
-	}
-	return out
 }
 
 // StarvedP99 returns the worst small-enclave (non-hog) fault p99 under

@@ -95,30 +95,46 @@ type SaturationResult struct {
 }
 
 // Saturation compiles the spec once per rate multiplier and runs each
-// compiled stream through the same admission-controlled fleet.
+// compiled stream through the same admission-controlled fleet, one
+// fleet cell per multiplier on the runner's worker pool.
 func Saturation(r *Runner) (SaturationResult, error) {
-	out := SaturationResult{Spec: saturationSpec.Name, Hosts: saturationHosts}
-	for _, scale := range saturationScales {
-		arrivals, m, err := spec.Compile(saturationSpec, spec.Options{
+	return saturation(r, saturationScales, func(scale float64) ([]fleet.Arrival, error) {
+		arrivals, _, err := spec.Compile(saturationSpec, spec.Options{
 			Scheme:    sim.DFPStop,
 			DFP:       r.p.DFP,
 			RateScale: scale,
 			Selection: r.Selection,
 		})
+		return arrivals, err
+	})
+}
+
+// saturation runs the sweep over scales. It compiles every scale's
+// arrivals before any runs, and closes them if a later one fails.
+func saturation(r *Runner, scales []float64, compile func(scale float64) ([]fleet.Arrival, error)) (SaturationResult, error) {
+	out := SaturationResult{Spec: saturationSpec.Name, Hosts: saturationHosts}
+	cells := make([]*fleetCell, 0, len(scales))
+	for _, scale := range scales {
+		arrivals, err := compile(scale)
 		if err != nil {
+			for _, c := range cells {
+				fleet.CloseArrivals(c.arrivals)
+			}
 			return out, fmt.Errorf("saturation x%g: %w", scale, err)
 		}
-		res, err := fleet.Run(arrivals, fleet.Config{
+		cells = append(cells, &fleetCell{label: fmt.Sprintf("x%g", scale), arrivals: arrivals, cfg: fleet.Config{
 			Hosts:       saturationHosts,
 			Policy:      fleet.LeastLoaded,
 			Platform:    sim.SharedConfig{EPCPages: r.p.EPCPages},
 			AdmitPeriod: saturationAdmitPeriod,
 			AdmitBurst:  saturationAdmitBurst,
-			Workers:     r.workers,
-		})
-		if err != nil {
-			return out, fmt.Errorf("saturation x%g: %w", scale, err)
-		}
+		}})
+	}
+	results, err := r.fleets("saturation", cells)
+	if err != nil {
+		return out, err
+	}
+	for i, res := range results {
 		var runtimes []float64
 		for _, hr := range res.Hosts {
 			for _, er := range hr.Enclaves {
@@ -126,15 +142,14 @@ func Saturation(r *Runner) (SaturationResult, error) {
 			}
 		}
 		out.Points = append(out.Points, SaturationPoint{
-			Scale:    scale,
-			Launches: len(m.Launches),
+			Scale:    scales[i],
+			Launches: len(res.Placement),
 			Shed:     len(res.Shed),
 			FaultP50: res.FaultP50,
 			FaultP95: res.FaultP95,
 			FaultP99: res.FaultP99,
 			RunP99:   stats.Percentile(runtimes, 99),
 		})
-		r.reportCell(len(out.Points), len(saturationScales), fmt.Sprintf("saturation x%g", scale))
 	}
 	return out, nil
 }

@@ -46,21 +46,3 @@ func TestSaturation(t *testing.T) {
 		}
 	}
 }
-
-// TestSaturationDeterministic: the whole report must be identical when
-// the runner advances hosts sequentially versus in parallel.
-func TestSaturationDeterministic(t *testing.T) {
-	var outs []string
-	for _, workers := range []int{1, 8} {
-		r := NewRunner(Default())
-		r.SetParallelism(workers)
-		a, err := Saturation(r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		outs = append(outs, a.String())
-	}
-	if outs[0] != outs[1] {
-		t.Errorf("saturation report differs across worker counts:\n%s\nvs\n%s", outs[0], outs[1])
-	}
-}

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"sgxpreload/internal/pool"
 )
@@ -29,14 +28,19 @@ func sweep[E, T any](r *Runner, name string, items []E, fn func(E) (T, error)) (
 		return nil, nil
 	}
 	out := make([]T, len(items))
-	var done atomic.Int64
+	var done int // guarded by r.progressMu
 	if err := pool.Run(r.workers, len(items), func(i int) error {
 		v, err := fn(items[i])
 		if err != nil {
 			return err
 		}
 		out[i] = v
-		r.reportCell(int(done.Add(1)), len(items), fmt.Sprint(name, " ", items[i]))
+		if r.progress != nil {
+			r.progressMu.Lock()
+			defer r.progressMu.Unlock()
+			done++
+			r.progress(done, len(items), fmt.Sprint(name, " ", items[i]))
+		}
 		return nil
 	}); err != nil {
 		return nil, err

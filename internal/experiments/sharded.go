@@ -6,7 +6,6 @@ import (
 	"sgxpreload/internal/fleet"
 	"sgxpreload/internal/sim"
 	"sgxpreload/internal/stats"
-	"sgxpreload/internal/workload"
 )
 
 // The sharded-fleet study: the same enclave population simulated over a
@@ -16,9 +15,9 @@ import (
 // solo reference. The settings in between are what a multi-host
 // deployment looks like, and the sweep quantifies how much of the
 // contention slowdown each added EPC domain buys back. Each setting is
-// a static fleet — fleet.Run with every launch at t = 0 and RoundRobin
-// placement — whose hosts advance on the runner's worker pool; the
-// table is byte-identical at any parallelism.
+// a static fleet cell — every launch at t = 0 and RoundRobin placement —
+// and the four cells run on the runner's worker pool; the table is
+// byte-identical at any parallelism.
 
 // shardedFleetBenches is the fleet's composition: two regular, one
 // irregular, one fault-dominated benchmark, replicated twice — eight
@@ -43,34 +42,31 @@ type ShardedFleetResult struct {
 // enclave runs DFP-stop.
 func ShardedFleet(r *Runner) (ShardedFleetResult, error) {
 	out := ShardedFleetResult{Shards: []int{1, 2, 4, 8}}
-	arrivals := make([]fleet.Arrival, len(shardedFleetBenches))
-	for i, name := range shardedFleetBenches {
-		w, err := workload.ByName(name)
-		if err != nil {
-			return out, err
-		}
-		arrivals[i].Enclave = sim.Enclave{
-			Name:   fmt.Sprintf("%s/%d", name, i/4),
-			Trace:  r.Trace(w, workload.Ref),
-			Pages:  w.ELRangePages(),
-			Scheme: sim.DFPStop,
-		}
+	arrivals, err := r.arrivals(r.grid(shardedFleetBenches, sim.DFPStop)...)
+	if err != nil {
+		return out, err
+	}
+	for i := range arrivals {
+		arrivals[i].Enclave.Name = fmt.Sprintf("%s/%d", shardedFleetBenches[i], i/4)
 		out.Names = append(out.Names, arrivals[i].Enclave.Name)
 	}
-	for _, shards := range out.Shards {
-		res, err := fleet.Run(arrivals, fleet.Config{
+	cells := make([]*fleetCell, len(out.Shards))
+	for si, shards := range out.Shards {
+		cells[si] = &fleetCell{label: fmt.Sprint(shards), arrivals: arrivals, cfg: fleet.Config{
 			Hosts:    shards,
 			Policy:   fleet.RoundRobin,
 			Platform: sim.SharedConfig{EPCPages: r.p.EPCPages},
-			Workers:  r.workers,
-		})
-		if err != nil {
-			return out, fmt.Errorf("fleet-sharded/%d: %w", shards, err)
-		}
+		}}
+	}
+	results, err := r.fleets("fleet-sharded", cells)
+	if err != nil {
+		return out, err
+	}
+	for si, res := range results {
 		// Hosts list their enclaves in admission order; walking the
 		// placement maps every result back to its fleet index.
 		cycles := make([]uint64, len(arrivals))
-		admitted := make([]int, shards)
+		admitted := make([]int, out.Shards[si])
 		var faults uint64
 		for i, h := range res.Placement {
 			er := res.Hosts[h].Enclaves[admitted[h]]

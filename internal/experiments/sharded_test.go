@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"fmt"
 	"strings"
 	"testing"
 )
@@ -39,24 +38,5 @@ func TestShardedFleet(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("report missing %q:\n%s", want, out)
 		}
-	}
-}
-
-// TestShardedFleetDeterministic: the study must render identically at
-// any worker-pool size — fleet hosts advance in parallel only between
-// arrival barriers, so parallelism never leaks into the table.
-func TestShardedFleetDeterministic(t *testing.T) {
-	render := func(workers int) string {
-		r := NewRunner(Default())
-		r.SetParallelism(workers)
-		a, err := ShardedFleet(r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return fmt.Sprintf("%#v\n%s", a, a.String())
-	}
-	seq := render(1)
-	if par := render(8); par != seq {
-		t.Error("sharded fleet study differs between 1 and 8 workers")
 	}
 }

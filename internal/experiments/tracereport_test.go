@@ -49,7 +49,7 @@ func TestRunTracedMatchesRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := sharedRunner.Run(w, sim.DFPStop)
+	plain, err := sharedRunner.result(sharedRunner.cell(w.Name, sim.DFPStop))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -173,7 +173,7 @@ type Result struct {
 // Run drives the arrival stream through the fleet to completion.
 func Run(arrivals []Arrival, cfg Config) (Result, error) {
 	fail := func(err error) (Result, error) {
-		closeArrivalStreams(arrivals)
+		CloseArrivals(arrivals)
 		return Result{}, err
 	}
 	if len(arrivals) == 0 {
@@ -247,7 +247,7 @@ func Run(arrivals []Arrival, cfg Config) (Result, error) {
 		// decisions read signals no later arrival could change.
 		if err := advance(func(e *sim.Engine) error { return e.RunUntil(t) }); err != nil {
 			closeHosts()
-			closeArrivalStreams(arrivals[i:])
+			CloseArrivals(arrivals[i:])
 			return Result{}, err
 		}
 		// Admit the whole batch at t back-to-back, in stream order.
@@ -265,7 +265,7 @@ func Run(arrivals []Arrival, cfg Config) (Result, error) {
 				// Admit closed the failing enclave's stream; engines own
 				// the earlier ones and the tail never reached an engine.
 				closeHosts()
-				closeArrivalStreams(arrivals[i:])
+				CloseArrivals(arrivals[i:])
 				return Result{}, fmt.Errorf("fleet: host %d: %w", h, err)
 			}
 			res.Placement = append(res.Placement, h)
@@ -429,14 +429,10 @@ func (b *tokenBucket) take(t uint64) bool {
 // CloseArrivals releases the closeable streams of arrivals that will
 // never reach an engine — for callers that built an arrival slice (for
 // instance by compiling a workload spec) and then abandon it without
-// running. Run itself closes its arrivals' streams on every path, so
-// callers that hand the slice to Run must not also call this.
-func CloseArrivals(arrivals []Arrival) { closeArrivalStreams(arrivals) }
-
-// closeArrivalStreams releases closeable streams of arrivals that never
-// reached an engine — the fleet-level counterpart of Engine.Close on
-// validation and mid-run failure paths.
-func closeArrivalStreams(arrivals []Arrival) {
+// running, and for Run's own validation and mid-run failure paths. Run
+// closes its arrivals' streams on every path, so callers that hand the
+// slice to Run must not also call this.
+func CloseArrivals(arrivals []Arrival) {
 	for _, a := range arrivals {
 		mem.Close(a.Enclave.Stream)
 	}

@@ -42,12 +42,6 @@ type Config struct {
 	// driver's CLOCK service thread runs periodically; DFP piggybacks its
 	// accuracy counters on that scan.
 	ScanPeriod uint64
-	// MaxPending caps the preload worker's backlog. Predictions beyond the
-	// cap push out the stalest queued requests: an old list_to_load that
-	// the worker never reached is stale by construction. Zero means 64;
-	// a negative cap is rejected, since the cap also bounds the channel's
-	// membership scans.
-	MaxPending int
 	// RangeLo and RangeHi bound this enclave's slice of the (possibly
 	// shared) EPC page space; zero values mean the EPC's whole page
 	// space. Used by multi-enclave runs, where each enclave's predictor
@@ -82,6 +76,12 @@ type Config struct {
 	// simulated virtual time.
 	Hook obs.Hook
 }
+
+// MaxPending caps the preload worker's backlog. Predictions beyond the
+// cap push out the stalest queued requests: an old list_to_load that the
+// worker never reached is stale by construction. The cap also bounds the
+// channel's membership scans.
+const MaxPending = 64
 
 // DefaultScanPeriod is the service thread interval used when Config leaves
 // ScanPeriod zero: 2 ms of virtual time at the paper's 3.5 GHz clock.
@@ -164,9 +164,6 @@ func New(cfg Config, e *epc.EPC, ch *channel.Channel) (*Kernel, error) {
 	if cfg.RangeLo >= cfg.RangeHi {
 		return nil, fmt.Errorf("kernel: empty page range [%d, %d)", cfg.RangeLo, cfg.RangeHi)
 	}
-	if cfg.MaxPending < 0 {
-		return nil, fmt.Errorf("kernel: negative MaxPending %d", cfg.MaxPending)
-	}
 	k := &Kernel{cfg: cfg, epc: e, ch: ch, hook: cfg.Hook, pred: cfg.Predictor}
 	if k.hook != nil {
 		ch.SetHook(k.hook)
@@ -178,9 +175,6 @@ func New(cfg Config, e *epc.EPC, ch *channel.Channel) (*Kernel, error) {
 	}
 	if k.cfg.ScanPeriod == 0 {
 		k.cfg.ScanPeriod = DefaultScanPeriod
-	}
-	if k.cfg.MaxPending == 0 {
-		k.cfg.MaxPending = 64
 	}
 	if k.cfg.BackgroundReclaim {
 		if k.cfg.LowWater == 0 {
@@ -437,7 +431,7 @@ func (k *Kernel) predict(page mem.PageID, resume uint64) {
 		return
 	}
 	k.stats.PreloadsQueued += uint64(len(batch))
-	dropped := k.ch.QueueBatch(batch, resume, k.cfg.MaxPending)
+	dropped := k.ch.QueueBatch(batch, resume, MaxPending)
 	k.stats.PreloadsDropped += uint64(dropped)
 }
 
@@ -486,7 +480,7 @@ func (k *Kernel) QueuePrefetch(now uint64, page mem.PageID) {
 		return
 	}
 	k.stats.PreloadsQueued++
-	dropped := k.ch.QueueBatch([]mem.PageID{page}, now, k.cfg.MaxPending)
+	dropped := k.ch.QueueBatch([]mem.PageID{page}, now, MaxPending)
 	k.stats.PreloadsDropped += uint64(dropped)
 }
 

@@ -53,16 +53,6 @@ func TestNewValidation(t *testing.T) {
 	if _, err := build(Config{}, 4, 10); err == nil {
 		t.Fatal("New with zero cost model succeeded")
 	}
-	if _, err := build(Config{Costs: testCosts(), MaxPending: -1}, 4, 10); err == nil {
-		t.Fatal("New with negative MaxPending succeeded")
-	}
-	k, err := build(Config{Costs: testCosts()}, 4, 10)
-	if err != nil {
-		t.Fatalf("New with zero MaxPending: %v", err)
-	}
-	if k.cfg.MaxPending != 64 {
-		t.Fatalf("zero MaxPending became %d, want the default 64", k.cfg.MaxPending)
-	}
 	if _, err := dfp.New(dfp.Config{}); err == nil {
 		t.Fatal("predictor with invalid DFP config built")
 	}
@@ -461,23 +451,19 @@ func TestNewSharedValidation(t *testing.T) {
 
 func TestStaleBacklogDropped(t *testing.T) {
 	d := dfp.DefaultConfig()
-	d.LoadLength = 16
-	k, err := build(Config{
-		Costs:      testCosts(),
-		Predictor:  newDFP(t, d),
-		MaxPending: 8,
-	}, 512, 1<<16)
+	d.LoadLength = 48
+	k, err := build(Config{Costs: testCosts(), Predictor: newDFP(t, d)}, 512, 1<<16)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Two quick stream triggers each queue 16 predictions into a backlog
-	// capped at 8: the stalest must be dropped.
+	// Two quick stream triggers each queue 48 predictions into a backlog
+	// capped at MaxPending (64): the stalest must be dropped.
 	tNow := k.HandleFault(0, 100)
 	tNow = k.HandleFault(tNow, 101)
 	tNow = k.HandleFault(tNow, 5000)
 	k.HandleFault(tNow, 5001)
-	if k.Channel().PendingLen() > 8 {
-		t.Fatalf("pending backlog %d exceeds cap 8", k.Channel().PendingLen())
+	if n := k.Channel().PendingLen(); n > MaxPending {
+		t.Fatalf("pending backlog %d exceeds cap %d", n, MaxPending)
 	}
 	if k.Stats().PreloadsDropped == 0 {
 		t.Fatal("no stale preloads dropped despite backlog overflow")

@@ -194,6 +194,10 @@ type Selection struct {
 	sites       map[mem.SiteID]bool
 }
 
+// MinSiteAccesses is the profile-sample floor for Select: a site
+// profiled fewer times has too few samples to estimate a ratio.
+const MinSiteAccesses = 32
+
 // Select applies the paper's criterion: instrument every site whose
 // profiled irregular-access (Class 3) ratio is at least threshold.
 // Sites with fewer than minAccesses profiled accesses are skipped; pass 0

@@ -262,7 +262,7 @@ func Profile(w Workload, cfg Config) (*Selection, error) {
 	for _, a := range trace {
 		cl.Record(a.Site, a.Page)
 	}
-	sel := sip.Select(cl.Profile(), cfg.Threshold, 32)
+	sel := sip.Select(cl.Profile(), cfg.Threshold, sip.MinSiteAccesses)
 	return &Selection{sel: sel}, nil
 }
 
