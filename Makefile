@@ -80,6 +80,9 @@ trace-smoke:
 
 # Docs drift gate: every cmd/sgxsim flag must be mentioned in at least
 # one of README.md, OBSERVABILITY.md, EXPERIMENTS.md, or WORKLOADS.md,
+# every flag an sgxsim command line in those files or DESIGN.md shows
+# (from `sgxsim ` to the end of the command: a backslash continues it;
+# a backtick, #, |, ;, & or > ends it) must be one cmd/sgxsim defines,
 # every registered workload must appear (backtick-quoted) in
 # WORKLOADS.md's catalog, and every directory under internal/, cmd/,
 # examples/ or bench/ holding non-test Go files must have a
@@ -92,15 +95,22 @@ check-docs:
 		echo "$$modules" | grep -q -F "| \`$$d\` |" || \
 			{ echo "module $$d has no row in DESIGN.md §3"; missing=1; }; \
 	done; \
-	for f in $$(sed -n 's/.*fs\.\(String\|Bool\|Int\|Float64\)("\([a-z-]*\)".*/\2/p' cmd/sgxsim/main.go); do \
+	flags=$$(sed -n 's/.*fs\.\(String\|Bool\|Int\|Float64\)("\([a-z-]*\)".*/\2/p' cmd/sgxsim/main.go); \
+	for f in $$flags; do \
 		grep -q -e "-$$f" README.md OBSERVABILITY.md EXPERIMENTS.md WORKLOADS.md || \
 			{ echo "flag -$$f undocumented in README.md/OBSERVABILITY.md/EXPERIMENTS.md/WORKLOADS.md"; missing=1; }; \
+	done; \
+	for f in $$(awk '/\\$$/ {sub(/\\$$/, ""); buf = buf $$0; next} {print buf $$0; buf = ""}' \
+			README.md OBSERVABILITY.md EXPERIMENTS.md WORKLOADS.md DESIGN.md \
+			| grep -o 'sgxsim [^`#|;&>]*' | tr ' ' '\n' | grep -x -e '-[a-z][a-z-]*' | sort -u); do \
+		echo "$$flags" | grep -q -x -e "$${f#-}" || \
+			{ echo "an sgxsim command line in the docs uses $$f, which cmd/sgxsim does not define"; missing=1; }; \
 	done; \
 	for w in $$($(GO) run ./cmd/sgxsim -list | awk '{print $$1}'); do \
 		grep -q -e "\`$$w\`" WORKLOADS.md || \
 			{ echo "workload $$w missing from WORKLOADS.md"; missing=1; }; \
 	done; \
-	[ $$missing -eq 0 ] && echo "check-docs: all cmd/sgxsim flags, workloads and modules documented"
+	[ $$missing -eq 0 ] && echo "check-docs: all cmd/sgxsim flags, workloads and modules documented; documented command lines use defined flags"
 
 # The full pre-merge gate. The fleet, spec, quota and replay determinism
 # checks run in plain `go test` (TestDeterminismMatrix in cmd/sgxsim);

@@ -17,6 +17,7 @@ import (
 	"sort"
 
 	"sgxpreload/internal/dfp"
+	"sgxpreload/internal/mem"
 	"sgxpreload/internal/sip"
 	"sgxpreload/internal/stats"
 	"sgxpreload/internal/trace"
@@ -84,14 +85,10 @@ func run(args []string, out io.Writer) error {
 	}
 
 	// Site classification (§4.4) and selection (Table 2).
-	cl, err := sip.NewClassifier(*epc, w.ELRangePages(), dfp.DefaultConfig())
+	prof, err := sip.ProfileStream(mem.SliceStream(tr), *epc, w.ELRangePages(), dfp.DefaultConfig())
 	if err != nil {
 		return err
 	}
-	for _, a := range tr {
-		cl.Record(a.Site, a.Page)
-	}
-	prof := cl.Profile()
 	sel := sip.Select(prof, *threshold, sip.MinSiteAccesses)
 
 	fmt.Fprintf(out, "profiled sites:   %d\n", len(prof.Sites))

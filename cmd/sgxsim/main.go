@@ -12,17 +12,18 @@
 //	sgxsim -replay run.jsonl                    # re-derive metrics, no simulation
 //	sgxsim -diff a.jsonl b.jsonl                # first divergence + metric deltas
 //	sgxsim -bench lbm -scheme dfp -serve :8080  # live /metrics, /events, /report
-//	sgxsim -bench lbm -scheme dfp -stream       # O(1)-memory streamed run
-//	sgxsim -bench lbm -stream -repeat 0 -serve :8080  # unbounded, watch live
+//	sgxsim -bench lbm -scheme dfp -repeat 20    # the trace 20 times back-to-back
+//	sgxsim -bench lbm -repeat 0 -serve :8080    # unbounded, watch live
 //	sgxsim -bench lbm,deepsjeng -scheme dfp     # shared-EPC co-run
-//	sgxsim -stream -bench lbm,deepsjeng -scheme dfp-stop  # streamed co-run
 //	sgxsim -bench lbm,mcf,deepsjeng,x264 -fleet 2 -arrival-period 0  # static: 2 EPC domains
 //	sgxsim -bench lbm,leela,nab,leela -fleet 2 -fleet-policy pressure  # cluster: timed arrivals
 //	sgxsim -spec workload.json -fleet 4             # cluster: spec-compiled arrival cohorts
 //	sgxsim -spec workload.json -fleet 4 -rate-scale 2  # same spec at twice the load
 //	sgxsim -list
 //
-// See OBSERVABILITY.md for the trace schema and the replay/diff/serve
+// Every launch pulls its workload's accesses from the generator as the
+// engine runs, so a run's memory does not grow with its length. See
+// OBSERVABILITY.md for the trace schema and the replay/diff/serve
 // workflows.
 package main
 
@@ -80,8 +81,7 @@ func run(args []string, out io.Writer) error {
 		policy     = fs.String("policy", "clock", "EPC eviction: clock | fifo | lru | random")
 		quotaName  = fs.String("quota", "global", "per-enclave EPC quota policy: global | static | prop | adaptive (global = no quotas; see DESIGN.md)")
 		reclaim    = fs.Bool("reclaim", false, "enable the ksgxswapd-style background reclaimer")
-		streamMode = fs.Bool("stream", false, "pull accesses from the workload generator on demand instead of materializing the trace (O(1) memory)")
-		repeat     = fs.Int("repeat", 1, "with -stream, replay the workload's trace this many times back-to-back (0 = run until interrupted; pair with -serve)")
+		repeat     = fs.Int("repeat", 1, "replay each -bench launch's workload trace this many times back-to-back (0 = run until interrupted; pair with -serve)")
 		compare    = fs.Bool("compare", false, "also run the baseline and report the improvement")
 		tracePath  = fs.String("trace", "", "write the run's event timeline (JSONL; a .csv extension selects CSV)")
 		metricsOut = fs.String("metrics-out", "", "write derived metrics (text report; a .svg extension renders the timeline chart)")
@@ -114,9 +114,6 @@ func run(args []string, out io.Writer) error {
 	if *repeat < 0 {
 		return fmt.Errorf("-repeat must be >= 0, got %d", *repeat)
 	}
-	if *repeat != 1 && !*streamMode {
-		return fmt.Errorf("-repeat needs -stream (materialized runs always replay once)")
-	}
 	if *repeat == 0 && *serveAddr == "" {
 		return fmt.Errorf("-repeat 0 runs forever; pair it with -serve to watch the run")
 	}
@@ -141,12 +138,29 @@ func run(args []string, out io.Writer) error {
 	if *specPath != "" && *fleetHosts <= 0 {
 		return fmt.Errorf("-spec compiles a cluster arrival stream; pair it with -fleet N")
 	}
+	if *specPath != "" && *repeat != 1 {
+		return fmt.Errorf("-repeat replays -bench launches; a -spec sets each launch's input itself")
+	}
+	o := runOpts{
+		scheme:     sch,
+		dfp:        d,
+		predictor:  core.Kind(strings.ToLower(*predictor)),
+		reclaim:    *reclaim,
+		threshold:  *threshold,
+		repeat:     *repeat,
+		epcPages:   *epcPages,
+		policy:     pol,
+		quota:      quota,
+		tracePath:  *tracePath,
+		metricsOut: *metricsOut,
+		serveAddr:  *serveAddr,
+		workers:    *parallel,
+	}
 
 	// Every multi-enclave run is a fleet: -fleet N places the -bench list
 	// (or a compiled -spec) onto N hosts as a timed arrival stream, and a
 	// plain -bench a,b co-run is the one-host fleet with every launch at
 	// t = 0 — the shared-EPC engine, reached through the same tail.
-	// Streamed or materialized exactly like the single-bench path.
 	if names := strings.Split(*bench, ","); *fleetHosts > 0 || len(names) > 1 {
 		if *compare {
 			return fmt.Errorf("-compare applies to single-benchmark runs")
@@ -158,27 +172,8 @@ func run(args []string, out io.Writer) error {
 		if err != nil {
 			return err
 		}
-		o := clusterOpts{
-			hosts:         *fleetHosts,
-			placement:     pl,
-			arrivalPeriod: uint64(*arrPeriod),
-			admitPeriod:   uint64(*admPeriod),
-			admitBurst:    *admBurst,
-			scheme:        sch,
-			dfp:           d,
-			predictor:     core.Kind(strings.ToLower(*predictor)),
-			policy:        pol,
-			quota:         quota,
-			epcPages:      *epcPages,
-			stream:        *streamMode,
-			repeat:        *repeat,
-			reclaim:       *reclaim,
-			threshold:     *threshold,
-			tracePath:     *tracePath,
-			metricsOut:    *metricsOut,
-			serveAddr:     *serveAddr,
-			workers:       *parallel,
-		}
+		o.hosts, o.placement = *fleetHosts, pl
+		o.arrivalPeriod, o.admitPeriod, o.admitBurst = uint64(*arrPeriod), uint64(*admPeriod), *admBurst
 		if *fleetHosts <= 0 {
 			o.hosts, o.arrivalPeriod = 1, 0
 		}
@@ -196,67 +191,47 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 
-	enc := sim.Enclave{
-		Name:              w.Name,
-		Pages:             w.ELRangePages(),
-		Scheme:            sch,
-		DFP:               d,
-		Predictor:         core.Kind(strings.ToLower(*predictor)),
-		BackgroundReclaim: *reclaim,
-	}
+	var sel *sip.Selection
 	if sch.UsesSIP() {
-		sel, err := buildSelection(w, *epcPages, d, *threshold)
-		if err != nil {
+		if sel, err = o.selection(w); err != nil {
 			return err
 		}
-		enc.Selection = sel
 		fmt.Fprintf(out, "SIP profile: %d instrumentation points at threshold %.0f%%\n",
 			sel.Points(), *threshold*100)
-	}
-
-	var trace []mem.Access
-	if !*streamMode {
-		trace = w.Generate(workload.Ref)
 	}
 
 	// With -compare, the scheme run and the baseline run are independent
 	// cells; fan them out on the worker pool. Results land by index,
 	// so the report below is identical at any -parallel setting.
-	encs := []sim.Enclave{enc}
+	cells := []runOpts{o}
 	if *compare && sch != sim.Baseline {
-		base := enc
-		base.Scheme = sim.Baseline
-		base.Selection = nil
-		encs = append(encs, base)
+		base := o
+		base.scheme = sim.Baseline
+		cells = append(cells, base)
 	}
 	// The observers watch only the primary run (a baseline comparison
 	// run stays unhooked), and each run is single-goroutine, so the
 	// recorded timeline is byte-identical at any -parallel setting.
-	obsv, err := openObservers(*tracePath, *metricsOut, *serveAddr, 1, out)
+	obsv, err := openObservers(o.tracePath, o.metricsOut, o.serveAddr, 1, out)
 	if err != nil {
 		return err
 	}
 	defer obsv.close()
-	results := make([]sim.Result, len(encs))
-	err = pool.Run(*parallel, len(encs), func(i int) error {
-		enc := encs[i]
-		platform := sim.SharedConfig{EPCPages: *epcPages, EvictPolicy: pol, Quota: quota}
+	results := make([]sim.Result, len(cells))
+	err = pool.Run(o.workers, len(cells), func(i int) error {
+		c := cells[i]
+		platform := c.platform()
 		if i == 0 {
 			platform.Hook = obsv.hook(0)
 		}
-		if *streamMode {
-			// Each cell pulls its own fresh stream, so -compare cells stay
-			// independent under any -parallel setting.
-			enc.Stream = repeatStream(w, *repeat)
-		} else {
-			enc.Trace = trace
-		}
-		res, err := sim.RunShared([]sim.Enclave{enc}, platform)
+		// Each cell pulls its own fresh stream, so -compare cells stay
+		// independent under any -parallel setting.
+		res, err := sim.RunShared([]sim.Enclave{c.enclave(w, w.Name, sel)}, platform)
 		if err != nil {
 			return err
 		}
 		if *progress {
-			fmt.Fprintf(os.Stderr, "  %s run done\n", enc.Scheme)
+			fmt.Fprintf(os.Stderr, "  %s run done\n", c.scheme)
 		}
 		results[i] = res[0].Result
 		return nil
@@ -292,45 +267,69 @@ func run(args []string, out io.Writer) error {
 	return obsv.finish(fmt.Sprintf("%s / %s", w.Name, res.Scheme), out)
 }
 
-// buildSelection profiles the workload's Train input and selects SIP
-// instrumentation sites. The profiling pass pulls the train trace
-// access by access, so it never exists as a slice.
-func buildSelection(w *workload.Workload, epcPages int, d dfp.Config, threshold float64) (*sip.Selection, error) {
-	if !w.Instrumentable {
-		return nil, fmt.Errorf("%s cannot be instrumented (%s)", w.Name, w.Language)
-	}
-	cl, err := sip.NewClassifier(epcPages, w.ELRangePages(), d)
-	if err != nil {
-		return nil, err
-	}
-	src := w.Stream(workload.Train)
-	for a, ok := src.Next(); ok; a, ok = src.Next() {
-		cl.Record(a.Site, a.Page)
-	}
-	return sip.Select(cl.Profile(), threshold, sip.MinSiteAccesses), nil
-}
+// runOpts carries the flag values of a run: the settings every launch
+// shares, the platform of each host, the observers, and — on
+// multi-enclave runs — the fleet's shape.
+type runOpts struct {
+	scheme    sim.Scheme
+	dfp       dfp.Config
+	predictor core.Kind
+	reclaim   bool
+	threshold float64
+	repeat    int
 
-// clusterOpts carries the flag values of a multi-enclave (fleet) run.
-type clusterOpts struct {
+	epcPages int
+	policy   epc.Policy
+	quota    arbiter.Policy
+
+	tracePath  string
+	metricsOut string
+	serveAddr  string
+	workers    int
+
 	hosts         int
 	placement     fleet.Policy
 	arrivalPeriod uint64
 	admitPeriod   uint64
 	admitBurst    int
-	scheme        sim.Scheme
-	dfp           dfp.Config
-	predictor     core.Kind
-	policy        epc.Policy
-	quota         arbiter.Policy
-	epcPages      int
-	stream        bool
-	repeat        int
-	reclaim       bool
-	threshold     float64
-	tracePath     string
-	metricsOut    string
-	serveAddr     string
-	workers       int
+}
+
+// enclave builds one launch of w: its Ref trace pulled o.repeat times
+// under the run's scheme, with sel as its SIP selection when the scheme
+// uses one. The stream starts no generator before the engine's first
+// pull.
+func (o runOpts) enclave(w *workload.Workload, name string, sel *sip.Selection) sim.Enclave {
+	enc := sim.Enclave{
+		Name:              name,
+		Stream:            repeatStream(w, o.repeat),
+		Pages:             w.ELRangePages(),
+		Scheme:            o.scheme,
+		DFP:               o.dfp,
+		Predictor:         o.predictor,
+		BackgroundReclaim: o.reclaim,
+	}
+	if o.scheme.UsesSIP() {
+		enc.Selection = sel
+	}
+	return enc
+}
+
+// platform is one host's platform configuration.
+func (o runOpts) platform() sim.SharedConfig {
+	return sim.SharedConfig{EPCPages: o.epcPages, EvictPolicy: o.policy, Quota: o.quota}
+}
+
+// selection profiles the workload's Train input, streamed, and selects
+// SIP instrumentation sites at o.threshold.
+func (o runOpts) selection(w *workload.Workload) (*sip.Selection, error) {
+	if !w.Instrumentable {
+		return nil, fmt.Errorf("%s cannot be instrumented (%s)", w.Name, w.Language)
+	}
+	p, err := sip.ProfileStream(w.Stream(workload.Train), o.epcPages, w.ELRangePages(), o.dfp)
+	if err != nil {
+		return nil, fmt.Errorf("profile %s: %w", w.Name, err)
+	}
+	return sip.Select(p, o.threshold, sip.MinSiteAccesses), nil
 }
 
 // runClusterFleet turns the benchmark list into a timed arrival stream
@@ -341,34 +340,24 @@ type clusterOpts struct {
 // in parallel between barriers with a deterministic merge, so the
 // report is identical at any parallelism. A zero arrival period
 // launches everything at t = 0: with round-robin placement that is
-// static sharding, and on one host it is the shared-EPC co-run.
-func runClusterFleet(names []string, o clusterOpts, out io.Writer) error {
+// static sharding, and on one host it is the shared-EPC co-run. Each
+// distinct workload is profiled once, however often the list names it.
+func runClusterFleet(names []string, o runOpts, out io.Writer) error {
 	arrivals := make([]fleet.Arrival, len(names))
+	sels := map[string]*sip.Selection{}
 	for i, name := range names {
 		w, err := workload.ByName(strings.TrimSpace(name))
 		if err != nil {
 			return err
 		}
-		enc := sim.Enclave{
-			Name:              fmt.Sprintf("%s/%d", w.Name, i),
-			Pages:             w.ELRangePages(),
-			Scheme:            o.scheme,
-			DFP:               o.dfp,
-			Predictor:         o.predictor,
-			BackgroundReclaim: o.reclaim,
-		}
-		if o.scheme.UsesSIP() {
-			sel, err := buildSelection(w, o.epcPages, o.dfp, o.threshold)
-			if err != nil {
+		sel, ok := sels[w.Name]
+		if !ok && o.scheme.UsesSIP() {
+			if sel, err = o.selection(w); err != nil {
 				return err
 			}
-			enc.Selection = sel
+			sels[w.Name] = sel
 		}
-		if o.stream {
-			enc.Stream = repeatStream(w, o.repeat)
-		} else {
-			enc.Trace = w.Generate(workload.Ref)
-		}
+		enc := o.enclave(w, fmt.Sprintf("%s/%d", w.Name, i), sel)
 		arrivals[i] = fleet.Arrival{At: uint64(i) * o.arrivalPeriod, Enclave: enc}
 	}
 	return runFleetArrivals(arrivals, o, out)
@@ -379,7 +368,7 @@ func runClusterFleet(names []string, o clusterOpts, out io.Writer) error {
 // path. The compilation is seeded by the spec, so the whole run —
 // launch times, workload picks, modifiers, placements, and the report —
 // is identical at any -parallel setting.
-func runSpecFleet(path string, rateScale float64, o clusterOpts, out io.Writer) error {
+func runSpecFleet(path string, rateScale float64, o runOpts, out io.Writer) error {
 	s, err := spec.Load(path)
 	if err != nil {
 		return err
@@ -390,9 +379,7 @@ func runSpecFleet(path string, rateScale float64, o clusterOpts, out io.Writer) 
 		Predictor:         o.predictor,
 		BackgroundReclaim: o.reclaim,
 		RateScale:         rateScale,
-		Selection: func(w *workload.Workload) (*sip.Selection, error) {
-			return buildSelection(w, o.epcPages, o.dfp, o.threshold)
-		},
+		Selection:         o.selection,
 	})
 	if err != nil {
 		return err
@@ -407,11 +394,11 @@ func runSpecFleet(path string, rateScale float64, o clusterOpts, out io.Writer) 
 // report. With -trace every host streams its own timeline — the flat
 // path on one host, <path>.host<N> otherwise. -metrics-out and -serve
 // observe a one-host run's engine through its host hook.
-func runFleetArrivals(arrivals []fleet.Arrival, o clusterOpts, out io.Writer) error {
+func runFleetArrivals(arrivals []fleet.Arrival, o runOpts, out io.Writer) error {
 	cfg := fleet.Config{
 		Hosts:       o.hosts,
 		Policy:      o.placement,
-		Platform:    sim.SharedConfig{EPCPages: o.epcPages, EvictPolicy: o.policy, Quota: o.quota},
+		Platform:    o.platform(),
 		AdmitPeriod: o.admitPeriod,
 		AdmitBurst:  o.admitBurst,
 		Workers:     o.workers,

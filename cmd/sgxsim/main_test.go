@@ -302,25 +302,10 @@ func TestAblationFlags(t *testing.T) {
 	}
 }
 
-func TestStreamFlagMatchesMaterialized(t *testing.T) {
-	// -stream must not change a single byte of the report.
-	mk := func(extra ...string) string {
-		var buf strings.Builder
-		args := append([]string{"-bench", "cactuBSSN", "-scheme", "dfp-stop"}, extra...)
-		if err := run(args, &buf); err != nil {
-			t.Fatal(err)
-		}
-		return buf.String()
-	}
-	if mat, str := mk(), mk("-stream"); mat != str {
-		t.Errorf("-stream changed the report:\n--- materialized\n%s--- streamed\n%s", mat, str)
-	}
-}
-
 func TestStreamRepeat(t *testing.T) {
 	count := func(extra ...string) string {
 		var buf strings.Builder
-		args := append([]string{"-bench", "cactuBSSN", "-stream"}, extra...)
+		args := append([]string{"-bench", "cactuBSSN"}, extra...)
 		if err := run(args, &buf); err != nil {
 			t.Fatal(err)
 		}
@@ -344,13 +329,22 @@ func TestStreamRepeat(t *testing.T) {
 	if n3 != 3*n1 {
 		t.Errorf("-repeat 3 ran %d accesses, want 3x%d", n3, n1)
 	}
+
+	// Every launch of a co-run repeats too: the fleet table's accesses
+	// column of the cactuBSSN enclave triples.
+	var buf strings.Builder
+	if err := run([]string{"-bench", "cactuBSSN,lbm", "-repeat", "3"}, &buf); err != nil {
+		t.Fatal(err)
+	}
+	if !regexp.MustCompile(fmt.Sprintf(`cactuBSSN/0 +\d+ +%d `, n3)).MatchString(buf.String()) {
+		t.Errorf("co-run with -repeat 3: cactuBSSN/0 did not run %d accesses:\n%s", n3, buf.String())
+	}
 }
 
 func TestStreamFlagErrors(t *testing.T) {
 	for _, args := range [][]string{
-		{"-repeat", "3"},             // -repeat without -stream
-		{"-stream", "-repeat", "-1"}, // negative
-		{"-stream", "-repeat", "0"},  // unbounded without -serve
+		{"-repeat", "-1"}, // negative
+		{"-repeat", "0"},  // unbounded without -serve
 	} {
 		var buf strings.Builder
 		if err := run(args, &buf); err == nil {
@@ -361,24 +355,16 @@ func TestStreamFlagErrors(t *testing.T) {
 
 func TestMultiBenchSharedEPC(t *testing.T) {
 	// -bench a,b is a shared-EPC co-simulation — the one-host fleet with
-	// every launch at t=0 — and -stream must not change a byte versus
-	// the same multi-enclave run materialized.
-	mk := func(extra ...string) string {
-		var buf strings.Builder
-		args := append([]string{"-bench", "lbm,deepsjeng", "-scheme", "dfp-stop"}, extra...)
-		if err := run(args, &buf); err != nil {
-			t.Fatal(err)
-		}
-		return buf.String()
+	// every launch at t=0.
+	var buf strings.Builder
+	if err := run([]string{"-bench", "lbm,deepsjeng", "-scheme", "dfp-stop"}, &buf); err != nil {
+		t.Fatal(err)
 	}
-	mat, str := mk(), mk("-stream")
+	out := buf.String()
 	for _, want := range []string{"lbm/0", "deepsjeng/1", "Fleet: 1 hosts", "2 launches"} {
-		if !strings.Contains(mat, want) {
-			t.Errorf("multi-bench output missing %q:\n%s", want, mat)
+		if !strings.Contains(out, want) {
+			t.Errorf("multi-bench output missing %q:\n%s", want, out)
 		}
-	}
-	if mat != str {
-		t.Errorf("-stream changed the multi-bench report:\n--- materialized\n%s--- streamed\n%s", mat, str)
 	}
 }
 
@@ -597,34 +583,6 @@ func TestClusterFleetErrors(t *testing.T) {
 	}
 }
 
-// TestStreamedTraceMatchesMaterialized: -trace must write the same
-// bytes whether the engine materializes the trace or streams it — the
-// StreamSink path cannot perturb the timeline.
-func TestStreamedTraceMatchesMaterialized(t *testing.T) {
-	dir := t.TempDir()
-	mk := func(name string, extra ...string) []byte {
-		path := filepath.Join(dir, name)
-		var buf strings.Builder
-		args := append([]string{"-bench", "cactuBSSN", "-scheme", "dfp-stop", "-trace", path}, extra...)
-		if err := run(args, &buf); err != nil {
-			t.Fatal(err)
-		}
-		data, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return data
-	}
-	mat := mk("mat.jsonl")
-	str := mk("str.jsonl", "-stream")
-	if len(mat) == 0 || string(mat) != string(str) {
-		t.Errorf("streamed trace differs from materialized (%d vs %d bytes)", len(mat), len(str))
-	}
-	if matCSV, strCSV := mk("mat.csv"), mk("str.csv", "-stream"); string(matCSV) != string(strCSV) {
-		t.Error("streamed CSV trace differs from materialized")
-	}
-}
-
 // TestTraceSmoke is the end-to-end -trace memory proof, gated behind
 // SGXSIM_TRACESMOKE=1 (make trace-smoke sets it): a 10M-access streamed
 // run traced to disk must hold peak heap within a fixed ceiling —
@@ -672,7 +630,7 @@ func TestTraceSmoke(t *testing.T) {
 	for _, path := range traces {
 		var buf strings.Builder
 		if err := run([]string{"-bench", "cactuBSSN", "-scheme", "dfp-stop",
-			"-stream", "-repeat", "170", "-trace", path}, &buf); err != nil {
+			"-repeat", "170", "-trace", path}, &buf); err != nil {
 			t.Fatal(err)
 		}
 		if !strings.Contains(buf.String(), "accesses:         10200000") {
@@ -754,6 +712,7 @@ func TestSpecFlagErrors(t *testing.T) {
 		{"-spec", fixtureSpec}, // no -fleet
 		{"-spec", "no/such/spec.json", "-fleet", "2"},
 		{"-spec", fixtureSpec, "-fleet", "2", "-rate-scale", "-1"},
+		{"-spec", fixtureSpec, "-fleet", "2", "-repeat", "2"},
 	} {
 		var buf strings.Builder
 		if err := run(args, &buf); err == nil {

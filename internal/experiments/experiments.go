@@ -123,15 +123,11 @@ func (r *Runner) Trace(w *workload.Workload, in workload.Input) []mem.Access {
 // and it is memoized itself, so the memo holds only ref traces.
 func (r *Runner) Profile(w *workload.Workload) (*sip.Profile, error) {
 	return r.profiles.get(w.Name, func() (*sip.Profile, error) {
-		cl, err := sip.NewClassifier(r.p.EPCPages, w.ELRangePages(), r.p.DFP)
+		p, err := sip.ProfileStream(w.Stream(workload.Train), r.p.EPCPages, w.ELRangePages(), r.p.DFP)
 		if err != nil {
 			return nil, fmt.Errorf("profile %s: %w", w.Name, err)
 		}
-		src := w.Stream(workload.Train)
-		for a, ok := src.Next(); ok; a, ok = src.Next() {
-			cl.Record(a.Site, a.Page)
-		}
-		return cl.Profile(), nil
+		return p, nil
 	})
 }
 

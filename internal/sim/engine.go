@@ -306,7 +306,7 @@ func (st *enclaveState) advance() {
 // engine must be abandoned (Close it); its schedule is no longer
 // meaningful.
 //
-// Saturation: an unbounded run (-stream -repeat 0) eventually pushes a
+// Saturation: an unbounded run (sgxsim -repeat 0) eventually pushes a
 // clock toward 2^64. A wrapped scheduling key would silently corrupt
 // the heap order — the enclave would look *earliest* instead of latest
 // — so the engine detects the wrap and errors out instead of clamping:

@@ -101,6 +101,7 @@ func (p *Profile) Site(site mem.SiteID) SiteProfile {
 type Classifier struct {
 	resident *epc.EPC
 	tracker  *dfp.Predictor
+	pages    mem.PageID // the ELRANGE size
 	profile  Profile
 }
 
@@ -118,6 +119,7 @@ func NewClassifier(epcPages int, elrangePages uint64, streamCfg dfp.Config) (*Cl
 	return &Classifier{
 		resident: resident,
 		tracker:  tracker,
+		pages:    mem.PageID(elrangePages),
 		profile:  Profile{Sites: make(map[mem.SiteID]*SiteProfile)},
 	}, nil
 }
@@ -145,10 +147,11 @@ func (c *Classifier) Record(site mem.SiteID, page mem.PageID) Class {
 	// Install the page in the residency model (evicting CLOCK's victim
 	// when full) and, mirroring DFP's effect, mark its predicted pages
 	// resident too: a Class-2 access only stays cheap because DFP loads
-	// its successors.
+	// its successors. Like the kernel, it skips predictions past the
+	// ELRANGE's end.
 	c.install(page)
 	for _, pp := range predicted {
-		if !c.resident.Present(pp) {
+		if pp < c.pages && !c.resident.Present(pp) {
 			c.install(pp)
 		}
 	}
@@ -178,6 +181,28 @@ func (c *Classifier) install(page mem.PageID) {
 func (c *Classifier) Profile() *Profile {
 	p := c.profile
 	return &p
+}
+
+// ProfileStream is the profiling run: it classifies every access src
+// yields on a classifier built by NewClassifier and returns the profile.
+// An access to a page outside elrangePages is an error naming its index
+// and page. src is closed before ProfileStream returns.
+func ProfileStream(src mem.Stream, epcPages int, elrangePages uint64, streamCfg dfp.Config) (*Profile, error) {
+	defer mem.Close(src)
+	c, err := NewClassifier(epcPages, elrangePages, streamCfg)
+	if err != nil {
+		return nil, err
+	}
+	for i := uint64(0); ; i++ {
+		a, ok := src.Next()
+		if !ok {
+			return c.Profile(), nil
+		}
+		if uint64(a.Page) >= elrangePages {
+			return nil, fmt.Errorf("sip: access %d touches page %d outside its %d pages", i, a.Page, elrangePages)
+		}
+		c.Record(a.Site, a.Page)
+	}
 }
 
 // Selection is the set of sites chosen for instrumentation — the output of

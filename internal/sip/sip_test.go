@@ -184,3 +184,76 @@ func TestSiteProfileZeroTotal(t *testing.T) {
 		t.Error("zero-sample site has nonzero irregular ratio")
 	}
 }
+
+// closeCounter counts Close calls on the stream it wraps.
+type closeCounter struct {
+	mem.Stream
+	closes int
+}
+
+func (c *closeCounter) Close() { c.closes++ }
+
+func TestProfileStreamMatchesRecord(t *testing.T) {
+	r := rng.New(11)
+	tr := make([]mem.Access, 5000)
+	for i := range tr {
+		tr[i] = mem.Access{Site: mem.SiteID(1 + r.Intn(8)), Page: mem.PageID(r.Intn(400))}
+	}
+	c := newClassifier(t, 64)
+	for _, a := range tr {
+		c.Record(a.Site, a.Page)
+	}
+	src := &closeCounter{Stream: mem.SliceStream(tr)}
+	got, err := ProfileStream(src, 64, 1<<16, dfp.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := c.Profile()
+	if got.Accesses != want.Accesses || got.Faults != want.Faults || len(got.Sites) != len(want.Sites) {
+		t.Fatalf("profile %d/%d/%d, want %d/%d/%d", got.Accesses, got.Faults, len(got.Sites),
+			want.Accesses, want.Faults, len(want.Sites))
+	}
+	for site, sp := range want.Sites {
+		if got.Site(site) != *sp {
+			t.Errorf("site %d: %+v, want %+v", site, got.Site(site), *sp)
+		}
+	}
+	if src.closes != 1 {
+		t.Errorf("stream closed %d times, want 1", src.closes)
+	}
+}
+
+func TestProfileStreamRejectsOutOfRange(t *testing.T) {
+	tr := []mem.Access{{Site: 1, Page: 3}, {Site: 1, Page: 4}, {Site: 2, Page: 10}}
+	src := &closeCounter{Stream: mem.SliceStream(tr)}
+	_, err := ProfileStream(src, 4, 10, dfp.DefaultConfig())
+	if err == nil || err.Error() != "sip: access 2 touches page 10 outside its 10 pages" {
+		t.Errorf("err = %v, want the out-of-range access named", err)
+	}
+	if src.closes != 1 {
+		t.Errorf("stream closed %d times on error, want 1", src.closes)
+	}
+	if _, err := ProfileStream(mem.SliceStream(tr), 0, 10, dfp.DefaultConfig()); err == nil {
+		t.Error("zero EPC accepted")
+	}
+}
+
+// TestClassifierSweepToRangeEnd: a stream running into the last ELRANGE
+// page predicts successors past it; like the kernel, the classifier must
+// skip them rather than fail to install them.
+func TestClassifierSweepToRangeEnd(t *testing.T) {
+	const pages = 100
+	cfg := dfp.DefaultConfig()
+	cfg.LoadLength = 32
+	tr := make([]mem.Access, pages)
+	for i := range tr {
+		tr[i] = mem.Access{Site: 1, Page: mem.PageID(i)}
+	}
+	p, err := ProfileStream(mem.SliceStream(tr), 16, pages, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.Accesses != pages || p.Site(1).Class2 == 0 {
+		t.Errorf("profile %+v of a sequential sweep: want %d accesses, some Class 2", p.Site(1), pages)
+	}
+}

@@ -195,39 +195,17 @@ func defaultDFP() dfpConfig { return dfp.DefaultConfig() }
 
 func (c Config) dfpConfig() dfp.Config { return dfpFromPublic(c.DFP) }
 
-// convert turns public accesses into the internal representation,
-// validating pages against the workload's declared range.
-func convert(w Workload, in Input) ([]mem.Access, error) {
-	accs := w.Trace(in)
-	pages := w.Pages()
-	out := make([]mem.Access, len(accs))
-	for i, a := range accs {
-		if a.Page >= pages {
-			return nil, fmt.Errorf("sgxpreload: workload %q access %d touches page %d outside its declared %d pages",
-				w.Name(), i, a.Page, pages)
-		}
-		out[i] = mem.Access{
-			Site:    mem.SiteID(a.Site),
-			Page:    mem.PageID(a.Page),
-			Compute: a.Compute,
-			Write:   a.Write,
-		}
-	}
-	return out, nil
-}
-
 // Run replays the workload's Ref trace under cfg.
 func Run(w Workload, cfg Config) (Result, error) {
 	return RunInput(w, Ref, cfg)
 }
 
-// RunInput replays the given input's trace under cfg.
+// RunInput replays the given input's trace under cfg, pulling it from
+// the workload as the engine runs (see workloadStream). An access
+// outside the workload's declared pages fails the run with an error
+// naming the workload, the access index and the page.
 func RunInput(w Workload, in Input, cfg Config) (Result, error) {
-	trace, err := convert(w, in)
-	if err != nil {
-		return Result{}, err
-	}
-	return cfg.runSolo(sim.Enclave{Trace: trace, Pages: w.Pages()})
+	return cfg.runSolo(sim.Enclave{Name: w.Name(), Stream: workloadStream(w, in), Pages: w.Pages()})
 }
 
 // runSolo runs enc alone on the platform cfg describes, with cfg's
@@ -246,24 +224,17 @@ func (c Config) runSolo(enc sim.Enclave) (Result, error) {
 	return resultFromSim(res[0].Result), nil
 }
 
-// Profile runs the workload's Train input through the SIP classifier and
-// selects instrumentation sites at cfg.Threshold — the library equivalent
-// of the paper's LLVM profiling-and-instrumentation pass.
+// Profile streams the workload's Train input through the SIP classifier
+// and selects instrumentation sites at cfg.Threshold — the library
+// equivalent of the paper's LLVM profiling-and-instrumentation pass. An
+// access outside the workload's declared pages is an error.
 func Profile(w Workload, cfg Config) (*Selection, error) {
 	cfg = cfg.normalize()
-	trace, err := convert(w, Train)
+	p, err := sip.ProfileStream(workloadStream(w, Train), cfg.EPCPages, w.Pages(), cfg.dfpConfig())
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("sgxpreload: workload %q: %w", w.Name(), err)
 	}
-	cl, err := sip.NewClassifier(cfg.EPCPages, w.Pages(), cfg.dfpConfig())
-	if err != nil {
-		return nil, err
-	}
-	for _, a := range trace {
-		cl.Record(a.Site, a.Page)
-	}
-	sel := sip.Select(cl.Profile(), cfg.Threshold, sip.MinSiteAccesses)
-	return &Selection{sel: sel}, nil
+	return &Selection{sel: sip.Select(p, cfg.Threshold, sip.MinSiteAccesses)}, nil
 }
 
 // Benchmarks returns the names of the built-in benchmark models (the

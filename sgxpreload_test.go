@@ -1,6 +1,7 @@
 package sgxpreload_test
 
 import (
+	"strings"
 	"testing"
 
 	"sgxpreload"
@@ -114,9 +115,55 @@ type badWorkload struct{ customWorkload }
 
 func (badWorkload) Pages() uint64 { return 10 } // trace touches pages >= 10
 
+// badStreamer is badWorkload with a Streamer path.
+type badStreamer struct{ badWorkload }
+
+func (b badStreamer) Stream(in sgxpreload.Input) sgxpreload.AccessStream {
+	tr, i := b.Trace(in), 0
+	return sgxpreload.StreamFunc(func() (sgxpreload.Access, bool) {
+		if i == len(tr) {
+			return sgxpreload.Access{}, false
+		}
+		i++
+		return tr[i-1], true
+	})
+}
+
+// TestOutOfRangeWorkloadRejected: an access past the declared pages is
+// an error naming the workload, the access index and the page, at every
+// entry point that takes a Workload, on the slice and the Streamer path.
 func TestOutOfRangeWorkloadRejected(t *testing.T) {
-	if _, err := sgxpreload.Run(badWorkload{}, sgxpreload.Config{}); err == nil {
-		t.Fatal("out-of-range workload accepted")
+	for _, w := range []sgxpreload.Workload{badWorkload{}, badStreamer{}} {
+		entries := map[string]func() error{
+			"Run": func() error { _, err := sgxpreload.Run(w, sgxpreload.Config{}); return err },
+			"RunInput": func() error {
+				_, err := sgxpreload.RunInput(w, sgxpreload.Train, sgxpreload.Config{})
+				return err
+			},
+			"RunWorkloadStream": func() error {
+				_, err := sgxpreload.RunWorkloadStream(w, sgxpreload.Ref, sgxpreload.Config{})
+				return err
+			},
+			"RunShared": func() error {
+				_, err := sgxpreload.RunShared([]sgxpreload.EnclaveSpec{
+					{Workload: customWorkload{}}, {Workload: w},
+				}, sgxpreload.Config{})
+				return err
+			},
+			"Profile": func() error { _, err := sgxpreload.Profile(w, sgxpreload.DefaultConfig()); return err },
+		}
+		for name, call := range entries {
+			err := call()
+			if err == nil {
+				t.Errorf("%T %s: out-of-range workload accepted", w, name)
+				continue
+			}
+			for _, want := range []string{"custom-stride", "access 10 ", "page 10 "} {
+				if !strings.Contains(err.Error(), want) {
+					t.Errorf("%T %s: error %q does not name %q", w, name, err, want)
+				}
+			}
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"sgxpreload/internal/core"
+	"sgxpreload/internal/mem"
 	"sgxpreload/internal/sim"
 )
 
@@ -39,9 +40,12 @@ type SharedResult struct {
 }
 
 // RunShared co-simulates the enclaves' Ref traces on one shared EPC of
-// cfg.EPCPages frames. Each enclave keeps its own fault history, preload
-// queue, and counters; evictions and load-channel serialization are
-// global, so the results expose EPC contention.
+// cfg.EPCPages frames, pulling each from its workload as the engine runs.
+// Each enclave keeps its own fault history, preload queue, and counters;
+// evictions and load-channel serialization are global, so the results
+// expose EPC contention. An access outside its workload's declared pages
+// fails the run with an error naming the workload, the access index and
+// the page.
 func RunShared(enclaves []EnclaveSpec, cfg Config) ([]SharedResult, error) {
 	cfg = cfg.normalize()
 	if len(enclaves) == 0 {
@@ -50,15 +54,14 @@ func RunShared(enclaves []EnclaveSpec, cfg Config) ([]SharedResult, error) {
 	specs := make([]sim.Enclave, len(enclaves))
 	for i, e := range enclaves {
 		if e.Workload == nil {
+			for _, made := range specs[:i] {
+				mem.Close(made.Stream)
+			}
 			return nil, fmt.Errorf("sgxpreload: enclave %d has no workload", i)
-		}
-		trace, err := convert(e.Workload, Ref)
-		if err != nil {
-			return nil, err
 		}
 		specs[i] = sim.Enclave{
 			Name:              e.Workload.Name(),
-			Trace:             trace,
+			Stream:            workloadStream(e.Workload, Ref),
 			Pages:             e.Workload.Pages(),
 			Scheme:            sim.Scheme(e.Scheme),
 			DFP:               dfpFromPublic(e.DFP),

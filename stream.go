@@ -8,13 +8,13 @@ import (
 	"sgxpreload/internal/workload"
 )
 
-// Streaming API. Run materializes the whole trace before simulating;
-// RunStream instead pulls accesses one at a time, so peak memory is
-// independent of trace length — hour-long or synthetic unbounded
-// workloads simulate in O(1) space. Built-in benchmarks stream via
-// Stream (their generators run as coroutines suspended between
-// fixed-size chunks, O(chunk) memory); custom
-// workloads implement Streamer or hand any AccessStream to RunStream.
+// Streaming API. Every run pulls its accesses one at a time as the
+// engine executes them, so the engine's memory is independent of trace
+// length — hour-long or synthetic unbounded workloads simulate in O(1)
+// space. Built-in benchmarks stream via Stream (their generators run as
+// coroutines suspended between fixed-size chunks, O(chunk) memory);
+// custom workloads implement Streamer, or are replayed from the slice
+// their Trace returns. RunStream runs any AccessStream.
 
 // AccessStream is a pull-based access source: Next returns the next
 // access, or ok=false when the trace is exhausted. Implementations need
@@ -49,7 +49,7 @@ func LimitStream(src AccessStream, n uint64) AccessStream {
 
 // RunStream replays accesses pulled from src under cfg, on an enclave of
 // the given virtual range. Accesses outside the range fail the run, as
-// with a materialized workload trace. The engine looks one access ahead;
+// with a workload's trace. The engine looks one access ahead;
 // everything else about the simulation — scheme wiring, cost model,
 // results — is identical to Run.
 func RunStream(src AccessStream, pages uint64, cfg Config) (Result, error) {
@@ -59,27 +59,32 @@ func RunStream(src AccessStream, pages uint64, cfg Config) (Result, error) {
 	if pages == 0 {
 		return Result{}, fmt.Errorf("sgxpreload: RunStream needs the enclave page range")
 	}
-	return cfg.runSolo(sim.Enclave{Stream: internalStream{src}, Pages: pages})
+	return cfg.runSolo(sim.Enclave{Name: "stream", Stream: internalStream{src}, Pages: pages})
 }
 
 // RunWorkloadStream replays the workload's input through the streaming
-// engine: the Streamer path when the workload implements it, and a
-// slice-backed stream over Trace(in) otherwise (correct, but without the
-// memory benefit).
+// engine. It is RunInput: every workload run streams.
 func RunWorkloadStream(w Workload, in Input, cfg Config) (Result, error) {
+	return RunInput(w, in, cfg)
+}
+
+// workloadStream is the engine's source for w's input: the Streamer
+// path when the workload implements it, and a stream over the slice
+// Trace(in) returns otherwise (correct, but without the memory benefit).
+func workloadStream(w Workload, in Input) mem.Stream {
 	if s, ok := w.(Streamer); ok {
-		return RunStream(s.Stream(in), w.Pages(), cfg)
+		return internalStream{s.Stream(in)}
 	}
 	accs := w.Trace(in)
 	i := 0
-	return RunStream(StreamFunc(func() (Access, bool) {
+	return internalStream{StreamFunc(func() (Access, bool) {
 		if i >= len(accs) {
 			return Access{}, false
 		}
 		a := accs[i]
 		i++
 		return a, true
-	}), w.Pages(), cfg)
+	})}
 }
 
 // internalStream presents a public AccessStream to the engine,

@@ -4,6 +4,9 @@ import (
 	"runtime"
 	"testing"
 	"time"
+
+	"sgxpreload/internal/sim"
+	"sgxpreload/internal/workload"
 )
 
 func TestBuiltinBenchmarksImplementStreamer(t *testing.T) {
@@ -18,16 +21,26 @@ func TestBuiltinBenchmarksImplementStreamer(t *testing.T) {
 
 func TestRunWorkloadStreamMatchesRun(t *testing.T) {
 	// The streaming path must be invisible in the results, for both the
-	// coroutine (Streamer) path and the slice-backed fallback.
+	// coroutine (Streamer) path and the slice-backed fallback: each equals
+	// the engine run over the generator's materialized trace.
 	w, err := Benchmark("deepsjeng")
 	if err != nil {
 		t.Fatal(err)
 	}
+	trace := w.(builtin).w.Generate(workload.Ref)
 	for _, scheme := range []Scheme{Baseline, DFPStop} {
 		cfg := Config{Scheme: scheme}
-		materialized, err := Run(w, cfg)
+		materialized, err := cfg.runSolo(sim.Enclave{Trace: trace, Pages: w.Pages()})
 		if err != nil {
 			t.Fatal(err)
+		}
+		run, err := Run(w, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if materialized != run {
+			t.Errorf("%s: Run diverges from the materialized trace:\n  trace %+v\n  run   %+v",
+				scheme, materialized, run)
 		}
 		streamed, err := RunWorkloadStream(w, Ref, cfg)
 		if err != nil {
