@@ -100,9 +100,15 @@ func run(args []string, out io.Writer) error {
 	for s := range prof.Sites {
 		sites = append(sites, uint32(s))
 	}
+	// Most irregular first; ties in ascending site id, so the order does
+	// not depend on the profile map's iteration order.
 	sort.Slice(sites, func(i, j int) bool {
-		return prof.Site(workload.SiteOf(sites[i])).IrregularRatio() >
-			prof.Site(workload.SiteOf(sites[j])).IrregularRatio()
+		ri := prof.Site(workload.SiteOf(sites[i])).IrregularRatio()
+		rj := prof.Site(workload.SiteOf(sites[j])).IrregularRatio()
+		if ri != rj {
+			return ri > rj
+		}
+		return sites[i] < sites[j]
 	})
 	if len(sites) > *topSites {
 		sites = sites[:*topSites]

@@ -59,3 +59,25 @@ func TestUnknownBenchmark(t *testing.T) {
 		t.Fatal("unknown benchmark accepted")
 	}
 }
+
+// TestSiteOrderDeterministic: the site table lists tied sites in
+// ascending id, so repeated runs print identical bytes. lbm's sites 101
+// to 105 share one irregular ratio.
+func TestSiteOrderDeterministic(t *testing.T) {
+	var first string
+	for i := 0; i < 8; i++ {
+		var buf strings.Builder
+		if err := run([]string{"-bench", "lbm"}, &buf); err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			first = buf.String()
+		} else if buf.String() != first {
+			t.Fatalf("run %d printed different bytes:\n%s\nfirst run:\n%s", i, buf.String(), first)
+		}
+	}
+	i104, i105 := strings.Index(first, "\n104 "), strings.Index(first, "\n105 ")
+	if i104 < 0 || i105 < 0 || i104 > i105 {
+		t.Fatalf("tied sites 104 and 105 not listed in ascending order:\n%s", first)
+	}
+}

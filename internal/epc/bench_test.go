@@ -9,8 +9,8 @@ import (
 
 // BenchmarkEPCLookup measures the page-table operations on the fault hot
 // path — Present, Touch, and the Evict+Load pair on a miss — over a full
-// EPC under a pseudo-random page stream. Before the array-backed page
-// table these were map lookups; they are now direct array indexing.
+// EPC under a pseudo-random page stream. The page table is one slice
+// indexed by page, so each lookup is an inlined array index.
 func BenchmarkEPCLookup(b *testing.B) {
 	const (
 		capacity = 4096

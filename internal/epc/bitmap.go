@@ -59,10 +59,7 @@ func (b *Bitmap) Grow(n uint64) {
 	if n <= b.n {
 		return
 	}
-	words := (n + 63) / 64
-	for uint64(len(b.words)) < words {
-		b.words = append(b.words, 0)
-	}
+	b.words = append(b.words, make([]uint64, (n+63)/64-uint64(len(b.words)))...)
 	b.n = n
 }
 

@@ -9,175 +9,186 @@ import (
 	"sgxpreload/internal/rng"
 )
 
-// forceSparse swaps a freshly built EPC onto the map-backed page table,
-// regardless of ELRANGE size. Only valid before any page is loaded.
-func forceSparse(t *testing.T, e *EPC) {
-	t.Helper()
-	if e.Resident() != 0 {
-		t.Fatal("forceSparse on a non-empty EPC")
-	}
-	e.pt = make(sparsePageTable, len(e.frames))
+// pageModel is the reference page table for TestPageTableDifferential: a
+// page→frame map, plus the LIFO free list that decides which frame a load
+// takes.
+type pageModel struct {
+	frames map[mem.PageID]FrameID
+	free   []FrameID
 }
 
-func TestNewSelectsPageTableImplementation(t *testing.T) {
-	small := mustNew(t, 4, 1024)
-	if _, ok := small.pt.(*densePageTable); !ok {
-		t.Fatalf("small ELRANGE uses %T, want *densePageTable", small.pt)
+func newPageModel(capacity int) *pageModel {
+	m := &pageModel{frames: make(map[mem.PageID]FrameID, capacity)}
+	for f := capacity - 1; f >= 0; f-- {
+		m.free = append(m.free, FrameID(f))
 	}
-	big, err := New(4, maxDensePages+1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := big.pt.(sparsePageTable); !ok {
-		t.Fatalf("oversized ELRANGE uses %T, want sparsePageTable", big.pt)
-	}
+	return m
 }
 
-// TestPageTableDifferential drives a dense-table EPC and a map-fallback
-// EPC through an identical random load/touch/evict/victim sequence under
-// every eviction policy and asserts they stay indistinguishable: same
-// victims, same presence answers, same bitmap, same invariants. This is
-// the parity oracle for the reverse-array optimization — any divergence
-// in the page table would surface as a differing victim or bitmap.
+func (m *pageModel) load(p mem.PageID) {
+	m.frames[p] = m.free[len(m.free)-1]
+	m.free = m.free[:len(m.free)-1]
+}
+
+func (m *pageModel) evict(p mem.PageID) bool {
+	f, ok := m.frames[p]
+	if ok {
+		delete(m.frames, p)
+		m.free = append(m.free, f)
+	}
+	return ok
+}
+
+// TestPageTableDifferential drives an EPC and a map-backed reference page
+// table through a random load/touch/evict/victim schedule under every
+// eviction policy, growing the page space twice mid-run, to 2²² pages and
+// past it (the sizes at which the EPC used to switch to a map), each growth
+// registering a new owner range as Engine.Admit does. After every step each
+// page of the schedule must agree with the model on residency, frame and
+// presence bit; Resident and the per-owner counts must match the model, and
+// every victim, the frame bits of a probed page and the failure of a load of
+// a resident page must be consistent with it.
 func TestPageTableDifferential(t *testing.T) {
 	const (
 		capacity = 8
 		pages    = 128
 		steps    = 8000
 		owners   = 4 // pages split into 4 equal owner ranges
+		window   = 64
 	)
+	// Each growth adds an owner range and the top window pages of it to the
+	// schedule's page set.
+	grows := map[int]uint64{2000: 1 << 22, 4000: 1<<22 + pages}
 	for _, policy := range []Policy{PolicyClock, PolicyFIFO, PolicyLRU, PolicyRandom} {
 		t.Run(policy.String(), func(t *testing.T) {
-			mk := func() *EPC {
-				e, err := NewWithPolicy(capacity, pages, policy)
-				if err != nil {
+			e, err := NewWithPolicy(capacity, pages, policy)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var bounds []mem.PageID // owner upper bounds, as registered
+			addOwner := func(hi uint64) {
+				t.Helper()
+				if err := e.AddOwner(hi); err != nil {
 					t.Fatal(err)
 				}
-				for o := 1; o <= owners; o++ {
-					if err := e.AddOwner(uint64(o) * pages / owners); err != nil {
-						t.Fatal(err)
-					}
+				bounds = append(bounds, mem.PageID(hi))
+			}
+			for o := 1; o <= owners; o++ {
+				addOwner(uint64(o) * pages / owners)
+			}
+			universe := make([]mem.PageID, 0, pages+2*window)
+			for p := mem.PageID(0); p < pages; p++ {
+				universe = append(universe, p)
+			}
+			model := newPageModel(capacity)
+			ownerOf := func(p mem.PageID) int {
+				o := 0
+				for p >= bounds[o] {
+					o++
 				}
-				return e
+				return o
 			}
-			dense, sparse := mk(), mk()
-			if _, ok := dense.pt.(*densePageTable); !ok {
-				t.Fatalf("control EPC uses %T, want *densePageTable", dense.pt)
+			resident := func(v mem.PageID) bool {
+				f, ok := model.frames[v]
+				return ok && e.frames[f].page == v
 			}
-			forceSparse(t, sparse)
 
 			r := rng.New(1337)
 			for i := 0; i < steps; i++ {
-				p := mem.PageID(r.Intn(pages))
+				if n, ok := grows[i]; ok {
+					if err := e.Grow(n); err != nil {
+						t.Fatalf("step %d: Grow(%d): %v", i, n, err)
+					}
+					addOwner(n)
+					for p := mem.PageID(n - window); p < mem.PageID(n); p++ {
+						universe = append(universe, p)
+					}
+				}
+				p := universe[r.Intn(len(universe))]
 				switch r.Intn(6) {
 				case 0: // load (evicting if full), preload flag varies
-					if dense.Present(p) != sparse.Present(p) {
-						t.Fatalf("step %d: Present(%d) diverges", i, p)
-					}
-					if dense.Present(p) {
-						continue
-					}
-					if dense.Full() {
-						dv, sv := dense.SelectVictim(), sparse.SelectVictim()
-						if dv != sv {
-							t.Fatalf("step %d: victims diverge: dense %d, sparse %d", i, dv, sv)
+					if _, ok := model.frames[p]; ok {
+						if err := e.Load(p, false); err == nil {
+							t.Fatalf("step %d: Load of resident page %d succeeded", i, p)
 						}
-						dense.Evict(dv)
-						sparse.Evict(sv)
+						break
 					}
-					pre := r.Intn(2) == 0
-					if err := dense.Load(p, pre); err != nil {
-						t.Fatalf("step %d: dense Load(%d): %v", i, p, err)
+					if e.Full() {
+						v := e.SelectVictim()
+						if !resident(v) {
+							t.Fatalf("step %d: victim %d not resident in the model", i, v)
+						}
+						e.Evict(v)
+						model.evict(v)
 					}
-					if err := sparse.Load(p, pre); err != nil {
-						t.Fatalf("step %d: sparse Load(%d): %v", i, p, err)
+					if err := e.Load(p, r.Intn(2) == 0); err != nil {
+						t.Fatalf("step %d: Load(%d): %v", i, p, err)
 					}
+					model.load(p)
 				case 1:
-					if dense.Evict(p) != sparse.Evict(p) {
-						t.Fatalf("step %d: Evict(%d) diverges", i, p)
+					if got, want := e.Evict(p), model.evict(p); got != want {
+						t.Fatalf("step %d: Evict(%d) = %v, model %v", i, p, got, want)
 					}
 				case 2:
-					if dense.Touch(p) != sparse.Touch(p) {
-						t.Fatalf("step %d: Touch(%d) diverges", i, p)
+					if _, want := model.frames[p]; e.Touch(p) != want {
+						t.Fatalf("step %d: Touch(%d) = %v, model %v", i, p, !want, want)
 					}
 				case 3:
-					if dv, sv := dense.SelectVictim(), sparse.SelectVictim(); dv != sv {
-						t.Fatalf("step %d: SelectVictim diverges: dense %d, sparse %d", i, dv, sv)
+					if v := e.SelectVictim(); !resident(v) {
+						t.Fatalf("step %d: SelectVictim = %d, not resident in the model", i, v)
 					}
 				case 4:
-					if dense.Preloaded(p) != sparse.Preloaded(p) || dense.Accessed(p) != sparse.Accessed(p) {
-						t.Fatalf("step %d: frame bits diverge for page %d", i, p)
+					f, ok := model.frames[p]
+					if e.Preloaded(p) != (ok && e.frames[f].preload) || e.Accessed(p) != (ok && accessBit(e, int(f))) {
+						t.Fatalf("step %d: frame bits of page %d disagree with the model's frame %d", i, p, f)
 					}
 				case 5: // owner-filtered victim scan
-					o := r.Intn(owners)
-					if dv, sv := dense.SelectVictimOwned(o), sparse.SelectVictimOwned(o); dv != sv {
-						t.Fatalf("step %d: SelectVictimOwned(%d) diverges: dense %d, sparse %d", i, o, dv, sv)
+					o := r.Intn(len(bounds))
+					v := e.SelectVictimOwned(o)
+					held := false
+					for q := range model.frames {
+						held = held || ownerOf(q) == o
+					}
+					if (v == mem.NoPage && held) || (v != mem.NoPage && (!resident(v) || ownerOf(v) != o)) {
+						t.Fatalf("step %d: SelectVictimOwned(%d) = %d, owner holds frames: %v", i, o, v, held)
 					}
 				}
-				if dense.Resident() != sparse.Resident() {
-					t.Fatalf("step %d: Resident diverges: %d vs %d", i, dense.Resident(), sparse.Resident())
+				if e.Resident() != len(model.frames) {
+					t.Fatalf("step %d: Resident = %d, model %d", i, e.Resident(), len(model.frames))
 				}
-				// Ownership invariant: per-owner counts agree across the
-				// two implementations and sum to the resident total.
-				sum := 0
-				for o := 0; o < owners; o++ {
-					if dr, sr := dense.OwnerResident(o), sparse.OwnerResident(o); dr != sr {
-						t.Fatalf("step %d: OwnerResident(%d) diverges: %d vs %d", i, o, dr, sr)
+				for _, q := range universe {
+					mf, mok := model.frames[q]
+					if f, ok := e.frameOf(q); ok != mok || ok && f != mf {
+						t.Fatalf("step %d: page %d maps to (%d, %v), model (%d, %v)", i, q, f, ok, mf, mok)
 					}
-					sum += dense.OwnerResident(o)
+					if e.Present(q) != mok || e.PresenceBitmap().Get(uint64(q)) != mok {
+						t.Fatalf("step %d: page %d presence disagrees with the model (%v)", i, q, mok)
+					}
 				}
-				if sum != dense.Resident() {
-					t.Fatalf("step %d: owner counts sum to %d, Resident is %d", i, sum, dense.Resident())
+				// Per-owner counts agree with the model and sum to the
+				// resident total.
+				byOwner := make([]int, len(bounds))
+				for q := range model.frames {
+					byOwner[ownerOf(q)]++
+				}
+				for o, n := range byOwner {
+					if got := e.OwnerResident(o); got != n {
+						t.Fatalf("step %d: OwnerResident(%d) = %d, model %d", i, o, got, n)
+					}
+				}
+				if i%1000 == 0 {
+					if err := e.CheckInvariants(); err != nil {
+						t.Fatalf("step %d: %v", i, err)
+					}
 				}
 			}
-			// Final state must agree bit for bit.
-			for p := uint64(0); p < pages; p++ {
-				if dense.PresenceBitmap().Get(p) != sparse.PresenceBitmap().Get(p) {
-					t.Fatalf("presence bitmap diverges at page %d", p)
-				}
+			if e.Pages() != 1<<22+pages {
+				t.Fatalf("Pages = %d after growth, want %d", e.Pages(), 1<<22+pages)
 			}
-			if err := dense.CheckInvariants(); err != nil {
-				t.Fatalf("dense invariants: %v", err)
-			}
-			if err := sparse.CheckInvariants(); err != nil {
-				t.Fatalf("sparse invariants: %v", err)
+			if err := e.CheckInvariants(); err != nil {
+				t.Fatal(err)
 			}
 		})
-	}
-}
-
-// TestSparseFallbackUnderRandomOperations re-runs the structural
-// invariant soak on the map-backed table so the fallback keeps its own
-// coverage even though every default-sized EPC now takes the dense path.
-func TestSparseFallbackUnderRandomOperations(t *testing.T) {
-	const (
-		capacity = 8
-		pages    = 64
-		steps    = 3000
-	)
-	e := mustNew(t, capacity, pages)
-	forceSparse(t, e)
-	r := rng.New(99)
-	for i := 0; i < steps; i++ {
-		p := mem.PageID(r.Intn(pages))
-		switch r.Intn(3) {
-		case 0:
-			if !e.Present(p) {
-				if e.Full() {
-					e.Evict(e.SelectVictim())
-				}
-				if err := e.Load(p, r.Intn(2) == 0); err != nil {
-					t.Fatalf("step %d: Load(%d): %v", i, p, err)
-				}
-			}
-		case 1:
-			e.Evict(p)
-		case 2:
-			e.Touch(p)
-		}
-		if err := e.CheckInvariants(); err != nil {
-			t.Fatalf("step %d: %v", i, err)
-		}
 	}
 }
 
@@ -195,7 +206,7 @@ func clearAccessBit(e *EPC, f int) { e.accessed[f>>6] &^= 1 << (f & 63) }
 
 // refSelectVictim is the linear global victim scan.
 func refSelectVictim(e *EPC) mem.PageID {
-	if e.pt.size() == 0 {
+	if e.Resident() == 0 {
 		return mem.NoPage
 	}
 	switch e.policy {
@@ -338,12 +349,15 @@ type scanVisit struct {
 // TestOwnedScanDifferential drives an EPC using the bitset-backed global
 // and owner scans and one using the linear reference scans through the
 // same random Load/Touch/Evict/SelectVictim/SelectVictimOwned/scan
-// sequence, under every policy, on dense and sparse page tables, at 0
+// sequence, under every policy, on dense and sparse page spaces, at 0
 // (implicit owner 0) to 64 owners and capacities up to 65536 frames (1 and
 // 64 owners only at the largest), including capacities that leave the last
 // bitset word partly filled (100, 4097). After every operation the two
 // must agree on the victim, the CLOCK hand, every frame's page, owner,
 // preload bit and FIFO/LRU stamps, and the access bitset word for word.
+// A dense space holds 2×capacity pages; a sparse one runs the same
+// schedule on every page number multiplied by a stride that spreads the
+// space past 2²² pages, the sizes a map-backed page table once served.
 func TestOwnedScanDifferential(t *testing.T) {
 	for _, capacity := range []int{64, 100, 4096, 4097, 65536} {
 		ownerCounts := []int{0, 1, 5, 64}
@@ -353,11 +367,11 @@ func TestOwnedScanDifferential(t *testing.T) {
 		for _, owners := range ownerCounts {
 			for _, policy := range []Policy{PolicyClock, PolicyFIFO, PolicyLRU, PolicyRandom} {
 				for _, sparse := range []bool{false, true} {
-					table := "dense"
+					layout := "dense"
 					if sparse {
-						table = "sparse"
+						layout = "sparse"
 					}
-					name := fmt.Sprintf("cap=%d/owners=%d/%v/%s", capacity, owners, policy, table)
+					name := fmt.Sprintf("cap=%d/owners=%d/%v/%s", capacity, owners, policy, layout)
 					t.Run(name, func(t *testing.T) {
 						if testing.Short() && capacity > 4097 {
 							t.Skip("large capacity in -short mode")
@@ -371,17 +385,18 @@ func TestOwnedScanDifferential(t *testing.T) {
 }
 
 func ownedScanDifferential(t *testing.T, capacity, owners int, policy Policy, sparse bool) {
-	pages := uint64(2 * capacity)
+	// The schedule draws from 2×capacity slots; slot q is page q×stride.
+	slots, stride := uint64(2*capacity), uint64(1)
+	if sparse {
+		stride = 1<<22/slots + 1
+	}
 	mk := func() *EPC {
-		e, err := NewWithPolicy(capacity, pages, policy)
+		e, err := NewWithPolicy(capacity, slots*stride, policy)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if sparse {
-			forceSparse(t, e)
-		}
 		for o := 1; o <= owners; o++ {
-			if err := e.AddOwner(uint64(o) * pages / uint64(owners)); err != nil {
+			if err := e.AddOwner(uint64(o) * slots / uint64(owners) * stride); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -389,15 +404,20 @@ func ownedScanDifferential(t *testing.T, capacity, owners int, policy Policy, sp
 	}
 	fast, ref := mk(), mk()
 	nOwners := max(owners, 1)
+	// slotRange is owner o's range in slots; ownerRange in pages.
+	slotRange := func(o int) (lo, hi uint64) {
+		return uint64(o) * slots / uint64(nOwners), uint64(o+1) * slots / uint64(nOwners)
+	}
 	ownerRange := func(o int) (lo, hi mem.PageID) {
-		return mem.PageID(uint64(o) * pages / uint64(nOwners)), mem.PageID(uint64(o+1) * pages / uint64(nOwners))
+		slo, shi := slotRange(o)
+		return mem.PageID(slo * stride), mem.PageID(shi * stride)
 	}
 	r := rng.New(uint64(capacity)*131 + uint64(owners)*7 + uint64(policy))
 	// Skewed owner choice, so owners hold very different frame shares.
 	pickOwner := func() int { return r.Intn(r.Intn(nOwners) + 1) }
 	pickPage := func() mem.PageID {
-		lo, hi := ownerRange(pickOwner())
-		return lo + mem.PageID(r.Intn(int(hi-lo)))
+		lo, hi := slotRange(pickOwner())
+		return mem.PageID((lo + uint64(r.Intn(int(hi-lo)))) * stride)
 	}
 	same := func(step int, op string) {
 		t.Helper()
@@ -514,7 +534,9 @@ func ownedScanDifferential(t *testing.T, capacity, owners int, policy Policy, sp
 			}
 		}
 		same(i, op)
-		if capacity <= 100 {
+		// CheckInvariants walks the whole page table, over 2²² entries in
+		// a sparse row, so sparse rows check every 500th step.
+		if capacity <= 100 && (!sparse || i%500 == 0) {
 			if err := fast.CheckInvariants(); err != nil {
 				t.Fatalf("step %d (%s): %v", i, op, err)
 			}

@@ -29,8 +29,11 @@ import (
 // FrameID indexes a physical EPC frame.
 type FrameID uint32
 
-// noFrame marks an unmapped page in the reverse map.
-const noFrame = FrameID(1<<32 - 1)
+// MaxPages bounds the ELRANGE page space of one EPC: 2²⁸ pages, a 1 TiB
+// ELRANGE of 4 KiB pages. The page table costs 4 bytes per page (1 GiB at
+// the bound) and the presence bitmap one bit (32 MiB), so every space New
+// or Grow accepts can actually be allocated; a larger one is an error.
+const MaxPages = 1 << 28
 
 // Policy selects the eviction victim-selection algorithm. The Intel SGX
 // driver the paper builds on uses CLOCK second chance; the alternatives
@@ -87,21 +90,23 @@ type frame struct {
 	touchedAt uint64     // touch sequence number (LRU policy)
 }
 
-// EPC is the enclave page cache state for a single enclave.
+// EPC is the enclave page cache state for a single enclave, or for every
+// enclave sharing one EPC. Its page→frame map is a single slice indexed
+// by page, so the page space it serves is bounded by MaxPages.
 //
 // EPC is not safe for concurrent use; the simulator is a discrete-event
 // model driven from one goroutine, matching the paper's single-threaded
 // benchmarks.
 type EPC struct {
 	frames []frame
-	free   []FrameID // LIFO free list
-	// pt is the page→frame reverse mapping: a flat array indexed by
-	// PageID for ELRANGEs up to maxDensePages (the common case — every
-	// Present/Touch/Load/Evict is then array indexing), a map beyond.
-	pt      pageTable
+	free   []FrameID // LIFO free list; Resident is what it leaves
+	// pt is the page→frame reverse mapping, one entry per ELRANGE page
+	// holding the resident page's frame plus one, so the zero value means
+	// absent: Present, Touch, Load and Evict are array indexing, and the
+	// table is allocated and grown zero-filled.
+	pt      []FrameID
 	present *Bitmap // shared presence bitmap (SIP's BIT_MAP_CHECK)
 	hand    int     // CLOCK hand over frames
-	pages   uint64  // ELRANGE size in pages (bitmap capacity)
 	policy  Policy
 	seq     uint64 // load/touch sequence counter for FIFO/LRU
 	rnd     uint64 // xorshift state for PolicyRandom
@@ -145,15 +150,17 @@ func NewWithPolicy(capacity int, elrangePages uint64, policy Policy) (*EPC, erro
 	if elrangePages == 0 {
 		return nil, fmt.Errorf("epc: ELRANGE must span at least one page")
 	}
+	if elrangePages > MaxPages {
+		return nil, fmt.Errorf("epc: ELRANGE of %d pages exceeds the maximum of %d pages", elrangePages, MaxPages)
+	}
 	if policy < PolicyClock || policy > PolicyRandom {
 		return nil, fmt.Errorf("epc: unknown eviction policy %d", policy)
 	}
 	e := &EPC{
 		frames:  make([]frame, capacity),
 		free:    make([]FrameID, 0, capacity),
-		pt:      newPageTable(elrangePages, capacity),
+		pt:      make([]FrameID, elrangePages),
 		present: NewBitmap(elrangePages),
-		pages:   elrangePages,
 		policy:  policy,
 		rnd:     0x2545f4914f6cdd1d,
 		// One counter and bitset for the implicit owner 0 until AddOwner
@@ -180,17 +187,21 @@ func NewWithPolicy(capacity int, elrangePages uint64, policy Policy) (*EPC, erro
 // behavior over the old pages is identical before and after. This is the
 // dynamic-admission primitive — a newly launched enclave appends its
 // virtual range to a host's shared page space mid-run. The page space
-// only grows; asking for fewer pages than currently covered is an error.
+// only grows; asking for fewer pages than currently covered, or for more
+// than MaxPages, is an error and leaves the EPC unchanged.
 func (e *EPC) Grow(newPages uint64) error {
-	if newPages < e.pages {
-		return fmt.Errorf("epc: cannot shrink ELRANGE from %d to %d pages", e.pages, newPages)
+	pages := e.Pages()
+	if newPages < pages {
+		return fmt.Errorf("epc: cannot shrink ELRANGE from %d to %d pages", pages, newPages)
 	}
-	if newPages == e.pages {
+	if newPages > MaxPages {
+		return fmt.Errorf("epc: cannot grow ELRANGE to %d pages beyond the maximum of %d pages", newPages, MaxPages)
+	}
+	if newPages == pages {
 		return nil
 	}
-	e.pt = growPageTable(e.pt, newPages, len(e.frames))
+	e.pt = append(e.pt, make([]FrameID, newPages-pages)...)
 	e.present.Grow(newPages)
-	e.pages = newPages
 	return nil
 }
 
@@ -202,8 +213,8 @@ func (e *EPC) Grow(newPages uint64) error {
 // enclave runs. Ownership is pure bookkeeping: it never changes which
 // victim the global SelectVictim picks.
 func (e *EPC) AddOwner(hi uint64) error {
-	if hi > e.pages {
-		return fmt.Errorf("epc: owner bound %d beyond ELRANGE of %d pages", hi, e.pages)
+	if hi > e.Pages() {
+		return fmt.Errorf("epc: owner bound %d beyond ELRANGE of %d pages", hi, e.Pages())
 	}
 	var lo mem.PageID
 	if n := len(e.ownerHi); n > 0 {
@@ -278,17 +289,27 @@ func (e *EPC) OwnerAccessed(owner int) int {
 func (e *EPC) Capacity() int { return len(e.frames) }
 
 // Resident returns the number of occupied frames.
-func (e *EPC) Resident() int { return e.pt.size() }
+func (e *EPC) Resident() int { return len(e.frames) - len(e.free) }
 
 // Full reports whether every frame is occupied.
-func (e *EPC) Full() bool { return e.pt.size() == len(e.frames) }
+func (e *EPC) Full() bool { return len(e.free) == 0 }
 
 // Pages returns the ELRANGE size in pages.
-func (e *EPC) Pages() uint64 { return e.pages }
+func (e *EPC) Pages() uint64 { return uint64(len(e.pt)) }
+
+// frameOf returns the frame holding page and whether page is resident.
+// Pages outside ELRANGE read as absent.
+func (e *EPC) frameOf(page mem.PageID) (FrameID, bool) {
+	if uint64(page) >= uint64(len(e.pt)) {
+		return 0, false
+	}
+	f := e.pt[page]
+	return f - 1, f != 0
+}
 
 // Present reports whether page is resident in the EPC.
 func (e *EPC) Present(page mem.PageID) bool {
-	_, ok := e.pt.lookup(page)
+	_, ok := e.frameOf(page)
 	return ok
 }
 
@@ -300,7 +321,7 @@ func (e *EPC) PresenceBitmap() *Bitmap { return e.present }
 // hardware setting the PTE accessed bit on every load/store. It reports
 // whether the page was resident.
 func (e *EPC) Touch(page mem.PageID) bool {
-	f, ok := e.pt.lookup(page)
+	f, ok := e.frameOf(page)
 	if !ok {
 		return false
 	}
@@ -317,10 +338,10 @@ func (e *EPC) Touch(page mem.PageID) bool {
 // must evict first — mirroring the driver, which runs EWB before ELDU when
 // no free EPC page exists) or if the page is already resident.
 func (e *EPC) Load(page mem.PageID, preloaded bool) error {
-	if page >= mem.PageID(e.pages) {
-		return fmt.Errorf("epc: page %d outside ELRANGE of %d pages", page, e.pages)
+	if uint64(page) >= e.Pages() {
+		return fmt.Errorf("epc: page %d outside ELRANGE of %d pages", page, e.Pages())
 	}
-	if _, ok := e.pt.lookup(page); ok {
+	if _, ok := e.frameOf(page); ok {
 		return fmt.Errorf("epc: page %d already resident", page)
 	}
 	if len(e.free) == 0 {
@@ -345,7 +366,7 @@ func (e *EPC) Load(page mem.PageID, preloaded bool) error {
 	} else {
 		e.accessed[f>>6] |= 1 << (f & 63)
 	}
-	e.pt.set(page, f)
+	e.pt[page] = f + 1
 	e.present.Set(uint64(page))
 	return nil
 }
@@ -353,7 +374,7 @@ func (e *EPC) Load(page mem.PageID, preloaded bool) error {
 // Evict removes page from the EPC (the EWB path). It reports whether the
 // page was resident.
 func (e *EPC) Evict(page mem.PageID) bool {
-	f, ok := e.pt.lookup(page)
+	f, ok := e.frameOf(page)
 	if !ok {
 		return false
 	}
@@ -365,7 +386,7 @@ func (e *EPC) Evict(page mem.PageID) bool {
 	e.accessed[f>>6] &^= 1 << (f & 63)
 	e.frames[f] = frame{page: mem.NoPage}
 	e.free = append(e.free, f)
-	e.pt.remove(page)
+	e.pt[page] = 0
 	e.present.Clear(uint64(page))
 	return true
 }
@@ -382,7 +403,7 @@ func (e *EPC) Evict(page mem.PageID) bool {
 // without side effects, so walking the occupancy bitset from the hand
 // visits the frames a frame-by-frame sweep would stop at.
 func (e *EPC) SelectVictim() mem.PageID {
-	if e.pt.size() == 0 {
+	if e.Resident() == 0 {
 		return mem.NoPage
 	}
 	return e.victim(e.occupied)
@@ -481,13 +502,13 @@ func (e *EPC) victimRandom(members []uint64) mem.PageID {
 
 // Preloaded reports whether page is resident and arrived via preloading.
 func (e *EPC) Preloaded(page mem.PageID) bool {
-	f, ok := e.pt.lookup(page)
+	f, ok := e.frameOf(page)
 	return ok && e.frames[f].preload
 }
 
 // Accessed reports whether page is resident with its access bit set.
 func (e *EPC) Accessed(page mem.PageID) bool {
-	f, ok := e.pt.lookup(page)
+	f, ok := e.frameOf(page)
 	return ok && e.accessed[f>>6]&(1<<(f&63)) != 0
 }
 
@@ -530,7 +551,7 @@ func (e *EPC) ScanPreloadBitsRange(lo, hi mem.PageID, clear bool, visit func(pag
 // ResidentPages returns the resident page set in frame order; for tests
 // and tooling.
 func (e *EPC) ResidentPages() []mem.PageID {
-	pages := make([]mem.PageID, 0, e.pt.size())
+	pages := make([]mem.PageID, 0, e.Resident())
 	for i := range e.frames {
 		if p := e.frames[i].page; p != mem.NoPage {
 			pages = append(pages, p)
@@ -554,7 +575,7 @@ func (e *EPC) CheckInvariants() error {
 		}
 		occupied++
 		seen[FrameID(i)] = true
-		f, ok := e.pt.lookup(p)
+		f, ok := e.frameOf(p)
 		if !ok || f != FrameID(i) {
 			return fmt.Errorf("epc: frame %d holds page %d, page table says (%d, %v)",
 				i, p, f, ok)
@@ -610,9 +631,15 @@ func (e *EPC) CheckInvariants() error {
 	}
 	// Entry counts matching plus every occupied frame resolving back to
 	// itself rules out stale or duplicated page-table entries.
-	if e.pt.size() != occupied {
+	mapped := 0
+	for _, f := range e.pt {
+		if f != 0 {
+			mapped++
+		}
+	}
+	if mapped != occupied {
 		return fmt.Errorf("epc: page table holds %d entries, %d frames occupied",
-			e.pt.size(), occupied)
+			mapped, occupied)
 	}
 	if occupied+len(e.free) != len(e.frames) {
 		return fmt.Errorf("epc: %d mapped + %d free != %d frames",

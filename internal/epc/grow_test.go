@@ -1,6 +1,8 @@
 package epc
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"sgxpreload/internal/mem"
@@ -56,45 +58,9 @@ func TestGrowPreservesState(t *testing.T) {
 	}
 }
 
-// TestGrowDenseToSparse: growth past maxDensePages converts the flat
-// reverse array to the map fallback without losing mappings.
-func TestGrowDenseToSparse(t *testing.T) {
-	e, err := New(4, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := e.pt.(*densePageTable); !ok {
-		t.Fatalf("64-page table not dense: %T", e.pt)
-	}
-	for _, p := range []mem.PageID{0, 63} {
-		if err := e.Load(p, false); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := e.Grow(maxDensePages + 1); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := e.pt.(sparsePageTable); !ok {
-		t.Fatalf("post-growth table not sparse: %T", e.pt)
-	}
-	if !e.Present(0) || !e.Present(63) {
-		t.Error("mappings lost in dense->sparse conversion")
-	}
-	if err := e.Load(maxDensePages, false); err != nil {
-		t.Errorf("beyond-dense page not loadable: %v", err)
-	}
-	if err := e.CheckInvariants(); err != nil {
-		t.Error(err)
-	}
-	// Eviction after conversion exercises remove on the sparse table.
-	if !e.Evict(63) || e.Present(63) {
-		t.Error("eviction broken after conversion")
-	}
-}
-
-// TestGrowDenseStaysDense: growth within maxDensePages extends the flat
-// array in place.
-func TestGrowDenseStaysDense(t *testing.T) {
+// TestGrowExtendsPageTable: growth extends the page table in place,
+// keeping every mapping and leaving the new pages absent.
+func TestGrowExtendsPageTable(t *testing.T) {
 	e, err := New(2, 16)
 	if err != nil {
 		t.Fatal(err)
@@ -105,18 +71,70 @@ func TestGrowDenseStaysDense(t *testing.T) {
 	if err := e.Grow(1024); err != nil {
 		t.Fatal(err)
 	}
-	d, ok := e.pt.(*densePageTable)
-	if !ok {
-		t.Fatalf("grown table not dense: %T", e.pt)
-	}
-	if len(d.frames) != 1024 {
-		t.Errorf("dense table covers %d pages, want 1024", len(d.frames))
+	if len(e.pt) != 1024 {
+		t.Errorf("page table covers %d pages, want 1024", len(e.pt))
 	}
 	if !e.Present(3) {
-		t.Error("mapping lost in dense growth")
+		t.Error("mapping lost in growth")
+	}
+	for p := mem.PageID(16); p < 1024; p++ {
+		if e.Present(p) {
+			t.Fatalf("new page %d present after growth", p)
+		}
 	}
 	if err := e.CheckInvariants(); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestPageSpaceBound: New and Grow accept page spaces up to MaxPages, the
+// old 2²²-page array bound included, and reject larger ones with an error
+// naming both sizes; a rejected Grow leaves the EPC as it was.
+func TestPageSpaceBound(t *testing.T) {
+	for _, pages := range []uint64{MaxPages + 1, 1 << 62, 1<<64 - 1} {
+		_, err := New(4, pages)
+		if err == nil {
+			t.Fatalf("New(4, %d) succeeded", pages)
+		}
+		for _, want := range []string{fmt.Sprint(pages), fmt.Sprint(MaxPages)} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("New(4, %d) error %q does not name %s", pages, err, want)
+			}
+		}
+	}
+	e, err := New(4, 1<<22)
+	if err != nil {
+		t.Fatalf("old array bound rejected: %v", err)
+	}
+	if err := e.Load(1<<22-1, true); err != nil {
+		t.Fatal(err)
+	}
+	for _, pages := range []uint64{MaxPages + 1, 1 << 62} {
+		err := e.Grow(pages)
+		if err == nil {
+			t.Fatalf("Grow(%d) succeeded", pages)
+		}
+		for _, want := range []string{fmt.Sprint(pages), fmt.Sprint(MaxPages)} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("Grow(%d) error %q does not name %s", pages, err, want)
+			}
+		}
+	}
+	if e.Pages() != 1<<22 || len(e.pt) != 1<<22 || e.PresenceBitmap().Len() != 1<<22 {
+		t.Fatalf("rejected Grow changed the page space: %d pages, table %d, bitmap %d",
+			e.Pages(), len(e.pt), e.PresenceBitmap().Len())
+	}
+	if !e.Present(1<<22-1) || !e.Preloaded(1<<22-1) || e.Resident() != 1 {
+		t.Fatal("rejected Grow disturbed residency")
+	}
+	if err := e.Grow(1<<22 + 1); err != nil {
+		t.Fatalf("growth past the old array bound rejected: %v", err)
+	}
+	if err := e.Load(1<<22, false); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }
 

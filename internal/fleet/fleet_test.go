@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"sgxpreload/internal/epc"
 	"sgxpreload/internal/epc/arbiter"
 	"sgxpreload/internal/mem"
 	"sgxpreload/internal/obs"
@@ -374,6 +375,22 @@ func TestFleetValidation(t *testing.T) {
 	}
 	if !closed {
 		t.Error("rejected run did not release arrival streams")
+	}
+}
+
+// TestFleetRejectsHugePageSpace: a launch whose pages would grow a host's
+// page space past epc.MaxPages fails the run with an error naming the
+// host, not a panic, at any arrival time.
+func TestFleetRejectsHugePageSpace(t *testing.T) {
+	for _, at := range []uint64{0, 1 << 20} {
+		arr := atTimeZero(enclaves(2))
+		arr[1].At = at
+		arr[1].Enclave.Pages = 1 << 62
+		_, err := Run(arr, Config{Hosts: 1, Platform: sim.SharedConfig{EPCPages: 96}})
+		if err == nil || !strings.Contains(err.Error(), "fleet: host 0:") ||
+			!strings.Contains(err.Error(), fmt.Sprint(epc.MaxPages)) {
+			t.Errorf("arrival at %d: want host 0's page-space error, got %v", at, err)
+		}
 	}
 }
 

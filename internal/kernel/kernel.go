@@ -53,11 +53,9 @@ type Config struct {
 	// finds a free frame skips the synchronous eviction; the write-backs
 	// instead occupy the channel in bursts from the service scan. Off by
 	// default — the paper's measurements fold eviction into the fault
-	// path, and the ablation quantifies the difference.
+	// path, and the ablation quantifies the difference. The watermarks
+	// are 1/32 and 1/16 of the EPC's capacity (see watermarks).
 	BackgroundReclaim bool
-	// LowWater and HighWater are the reclaimer's free-frame watermarks;
-	// zero values select 1/32 and 1/16 of the EPC's capacity.
-	LowWater, HighWater int
 	// Arbiter, when non-nil, arbitrates shared-EPC evictions between
 	// enclaves by frame quota (see package arbiter): an enclave at or
 	// over its quota evicts one of its own frames, an under-quota one
@@ -175,20 +173,6 @@ func New(cfg Config, e *epc.EPC, ch *channel.Channel) (*Kernel, error) {
 	}
 	if k.cfg.ScanPeriod == 0 {
 		k.cfg.ScanPeriod = DefaultScanPeriod
-	}
-	if k.cfg.BackgroundReclaim {
-		if k.cfg.LowWater == 0 {
-			k.cfg.LowWater = e.Capacity() / 32
-		}
-		if k.cfg.HighWater == 0 {
-			k.cfg.HighWater = e.Capacity() / 16
-		}
-		if k.cfg.LowWater < 1 {
-			k.cfg.LowWater = 1
-		}
-		if k.cfg.HighWater <= k.cfg.LowWater {
-			k.cfg.HighWater = k.cfg.LowWater + 1
-		}
 	}
 	k.nextScan = k.cfg.ScanPeriod
 	return k, nil
@@ -568,18 +552,26 @@ func (k *Kernel) emitQuotaVector(now uint64) {
 	}
 }
 
+// watermarks returns the background reclaimer's free-frame watermarks for
+// an EPC of capacity frames: 1/32 and 1/16 of it, at least 1 and 2.
+func watermarks(capacity int) (low, high int) {
+	low = max(capacity/32, 1)
+	return low, max(capacity/16, low+1)
+}
+
 // backgroundReclaim restores the free-frame pool to the high watermark,
 // evicting victims in a batch. The EWB write-backs occupy the load
 // channel (they use the same memory path), so the burst can delay a
 // demand load — the trade the real ksgxswapd makes for a cheaper fault
 // path.
 func (k *Kernel) backgroundReclaim(now uint64) {
+	low, high := watermarks(k.epc.Capacity())
 	free := k.epc.Capacity() - k.epc.Resident()
-	if free >= k.cfg.LowWater {
+	if free >= low {
 		return
 	}
 	var batch uint64
-	for free < k.cfg.HighWater {
+	for free < high {
 		victim := k.selectVictim()
 		if victim == mem.NoPage {
 			break

@@ -373,9 +373,7 @@ func TestBackgroundReclaimMaintainsWatermarks(t *testing.T) {
 		Costs:             testCosts(),
 		ScanPeriod:        1000,
 		BackgroundReclaim: true,
-		LowWater:          4,
-		HighWater:         8,
-	}, 64, 1<<16)
+	}, 64, 1<<16) // watermarks 2 and 4
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -386,8 +384,8 @@ func TestBackgroundReclaimMaintainsWatermarks(t *testing.T) {
 	// EPC full; the next scan must reclaim up to the high watermark.
 	k.MaybeScan(tNow + 10_000_000)
 	free := k.EPC().Capacity() - k.EPC().Resident()
-	if free < 8 {
-		t.Fatalf("free = %d after reclaim scan, want >= HighWater 8", free)
+	if free < 4 {
+		t.Fatalf("free = %d after reclaim scan, want >= high watermark 4", free)
 	}
 	if k.Stats().BackgroundEvictions == 0 {
 		t.Fatal("no background evictions recorded")
@@ -400,9 +398,7 @@ func TestBackgroundReclaimCheapensFaultPath(t *testing.T) {
 		Costs:             cm,
 		ScanPeriod:        1000,
 		BackgroundReclaim: true,
-		LowWater:          4,
-		HighWater:         16,
-	}, 64, 1<<16)
+	}, 64, 1<<16) // watermarks 2 and 4
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -410,7 +406,7 @@ func TestBackgroundReclaimCheapensFaultPath(t *testing.T) {
 	for p := mem.PageID(0); p < 64; p++ {
 		tNow = k.HandleFault(tNow, p)
 	}
-	k.MaybeScan(tNow + 10_000_000) // reclaims 16 frames
+	k.MaybeScan(tNow + 10_000_000) // reclaims 4 frames
 	// With free frames available, a fault pays no synchronous eviction.
 	start := tNow + 20_000_000
 	resume := k.HandleFault(start, 5000)
@@ -424,9 +420,7 @@ func TestBackgroundReclaimBurstOccupiesChannel(t *testing.T) {
 		Costs:             testCosts(),
 		ScanPeriod:        1000,
 		BackgroundReclaim: true,
-		LowWater:          2,
-		HighWater:         10,
-	}, 32, 1<<16)
+	}, 32, 1<<16) // watermarks 1 and 2
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"sgxpreload/internal/epc"
 	"sgxpreload/internal/mem"
 	"sgxpreload/internal/obs"
 )
@@ -156,6 +157,58 @@ func TestAdmitErrors(t *testing.T) {
 	}
 	if err := eng.Drain(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestPageSpaceBound: a declared page space past epc.MaxPages is an
+// error, not a panic — at construction, and when an admission would grow
+// the shared space past the bound, which leaves the engine and its page
+// space as they were.
+func TestPageSpaceBound(t *testing.T) {
+	huge := func(pages uint64, closed *bool) Enclave {
+		return Enclave{Name: "huge", Scheme: Baseline, Pages: pages,
+			Stream: closeProbeStream{onClose: func() { *closed = true }}}
+	}
+	for _, pages := range []uint64{epc.MaxPages + 1, 1 << 62} {
+		closed := false
+		_, err := New([]Enclave{huge(pages, &closed)}, SharedConfig{EPCPages: 64})
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprint(pages)) {
+			t.Errorf("New over %d pages: want an error naming the space, got %v", pages, err)
+		}
+		if !closed {
+			t.Errorf("New over %d pages did not close the stream", pages)
+		}
+	}
+
+	eng, err := NewDynamic(SharedConfig{EPCPages: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	encs := tieBreakEnclaves(3)
+	for _, e := range encs[:2] {
+		if err := eng.Admit(e, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	closed := false
+	err = eng.Admit(huge(epc.MaxPages, &closed), 0)
+	if err == nil || !strings.Contains(err.Error(), fmt.Sprint(epc.MaxPages+128)) {
+		t.Errorf("admission past the bound: want an error naming %d pages, got %v", epc.MaxPages+128, err)
+	}
+	if !closed {
+		t.Error("rejected admission did not close the enclave's stream")
+	}
+	if got := eng.shared.Pages(); got != 128 {
+		t.Fatalf("rejected admission left a %d-page space, want 128", got)
+	}
+	if err := eng.Admit(encs[2], 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(eng.Results()); n != 3 {
+		t.Fatalf("%d results after a rejected admission, want 3", n)
 	}
 }
 

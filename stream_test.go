@@ -1,10 +1,13 @@
 package sgxpreload
 
 import (
+	"fmt"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
+	"sgxpreload/internal/epc"
 	"sgxpreload/internal/sim"
 	"sgxpreload/internal/workload"
 )
@@ -111,6 +114,24 @@ func TestRunStreamValidation(t *testing.T) {
 	}), 10)
 	if _, err := RunStream(oob, 100, Config{}); err == nil {
 		t.Error("out-of-range streamed access accepted")
+	}
+}
+
+// TestRunStreamPageRangeBound: a page range past the EPC's maximum page
+// space is an error naming the range, not a panic, and the old 2²²-page
+// array bound still runs.
+func TestRunStreamPageRangeBound(t *testing.T) {
+	mk := func() AccessStream {
+		return LimitStream(StreamFunc(func() (Access, bool) { return Access{Page: 7}, true }), 10)
+	}
+	for _, pages := range []uint64{epc.MaxPages + 1, 1 << 62} {
+		_, err := RunStream(mk(), pages, DefaultConfig())
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprint(pages)) {
+			t.Errorf("RunStream over %d pages: want an error naming the range, got %v", pages, err)
+		}
+	}
+	if _, err := RunStream(mk(), 1<<22, DefaultConfig()); err != nil {
+		t.Errorf("RunStream over 2^22 pages: %v", err)
 	}
 }
 
