@@ -33,7 +33,7 @@ bench-micro:
 bench-json:
 	{ $(GO) test ./internal/channel/ ./internal/epc/ ./internal/kernel/ \
 		-run '^$$' -bench '$(BENCH_MICRO)' -benchmem ; \
-	  $(GO) test ./internal/sim/ -run '^$$' -bench 'BenchmarkRunStream|BenchmarkStep' -benchmem ; \
+	  $(GO) test ./internal/sim/ -run '^$$' -bench 'BenchmarkRunStream|BenchmarkStep|BenchmarkDrain' -benchmem ; \
 	  $(GO) test ./internal/workload/ -run '^$$' -bench 'BenchmarkStreamPull|BenchmarkGenerate|BenchmarkSitePick|BenchmarkIrrFamilyTables' -benchmem ; \
 	  $(GO) test ./internal/obs/ -run '^$$' -bench 'BenchmarkTraceWrite|BenchmarkStreamSink' -benchmem ; \
 	  $(GO) test ./internal/replay/ -run '^$$' -bench 'BenchmarkTraceParse|BenchmarkReadFile' -benchmem ; \

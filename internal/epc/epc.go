@@ -35,6 +35,21 @@ type FrameID uint32
 // or Grow accepts can actually be allocated; a larger one is an error.
 const MaxPages = 1 << 28
 
+// PageSpaceError reports a page space past MaxPages, asked of New (Grow
+// false) or of Grow. It is a comparable value, so errors.Is matches it
+// through any wrapping, and errors.As recovers the requested size.
+type PageSpaceError struct {
+	Pages uint64 // the requested page space
+	Grow  bool   // whether Grow, rather than New, asked for it
+}
+
+func (e PageSpaceError) Error() string {
+	if e.Grow {
+		return fmt.Sprintf("epc: cannot grow ELRANGE to %d pages beyond the maximum of %d pages", e.Pages, MaxPages)
+	}
+	return fmt.Sprintf("epc: ELRANGE of %d pages exceeds the maximum of %d pages", e.Pages, MaxPages)
+}
+
 // Policy selects the eviction victim-selection algorithm. The Intel SGX
 // driver the paper builds on uses CLOCK second chance; the alternatives
 // exist for the eviction-policy ablation.
@@ -151,7 +166,7 @@ func NewWithPolicy(capacity int, elrangePages uint64, policy Policy) (*EPC, erro
 		return nil, fmt.Errorf("epc: ELRANGE must span at least one page")
 	}
 	if elrangePages > MaxPages {
-		return nil, fmt.Errorf("epc: ELRANGE of %d pages exceeds the maximum of %d pages", elrangePages, MaxPages)
+		return nil, PageSpaceError{Pages: elrangePages}
 	}
 	if policy < PolicyClock || policy > PolicyRandom {
 		return nil, fmt.Errorf("epc: unknown eviction policy %d", policy)
@@ -195,7 +210,7 @@ func (e *EPC) Grow(newPages uint64) error {
 		return fmt.Errorf("epc: cannot shrink ELRANGE from %d to %d pages", pages, newPages)
 	}
 	if newPages > MaxPages {
-		return fmt.Errorf("epc: cannot grow ELRANGE to %d pages beyond the maximum of %d pages", newPages, MaxPages)
+		return PageSpaceError{Pages: newPages, Grow: true}
 	}
 	if newPages == pages {
 		return nil

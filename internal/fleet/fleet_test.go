@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"strings"
@@ -380,16 +381,29 @@ func TestFleetValidation(t *testing.T) {
 
 // TestFleetRejectsHugePageSpace: a launch whose pages would grow a host's
 // page space past epc.MaxPages fails the run with an error naming the
-// host, not a panic, at any arrival time.
+// host and the launch, not a panic, at any arrival time; the EPC's
+// error stays reachable through the wrapping.
 func TestFleetRejectsHugePageSpace(t *testing.T) {
 	for _, at := range []uint64{0, 1 << 20} {
 		arr := atTimeZero(enclaves(2))
 		arr[1].At = at
 		arr[1].Enclave.Pages = 1 << 62
 		_, err := Run(arr, Config{Hosts: 1, Platform: sim.SharedConfig{EPCPages: 96}})
-		if err == nil || !strings.Contains(err.Error(), "fleet: host 0:") ||
-			!strings.Contains(err.Error(), fmt.Sprint(epc.MaxPages)) {
-			t.Errorf("arrival at %d: want host 0's page-space error, got %v", at, err)
+		if err == nil {
+			t.Fatalf("arrival at %d: want host 0's page-space error, got nil", at)
+		}
+		for _, want := range []string{"fleet: host 0:", "enclave 1 (enc0001)", fmt.Sprint(epc.MaxPages)} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("arrival at %d: error %q does not name %q", at, err, want)
+			}
+		}
+		want := epc.PageSpaceError{Pages: 64 + 1<<62, Grow: true}
+		if !errors.Is(err, want) {
+			t.Errorf("arrival at %d: errors.Is(%q, %v) = false", at, err, want)
+		}
+		var pse epc.PageSpaceError
+		if !errors.As(err, &pse) || pse != want {
+			t.Errorf("arrival at %d: errors.As recovers %+v, want %+v", at, pse, want)
 		}
 	}
 }

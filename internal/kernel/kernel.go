@@ -211,6 +211,29 @@ func (k *Kernel) Sync(now uint64) {
 	}
 }
 
+// Horizon returns the first clock at which MaybeScan or Sync would act:
+// at any now below it both are no-ops, so the engine may skip them until
+// an access of this enclave changes kernel or channel state. It is the
+// earliest of the next scan, the in-flight transfer's completion (while
+// one is in flight Sync looks no further) and, with the server idle, the
+// queued head's first startable clock — or 0 when that head is already
+// resident, since peekStartable drops such a head at any now. The load
+// server is shared, so a horizon is only valid while no other enclave of
+// the group runs.
+func (k *Kernel) Horizon() uint64 {
+	h := k.nextScan
+	if done, ok := k.ch.InflightDone(); ok {
+		return min(h, done)
+	}
+	if req, ok := k.ch.PeekPending(); ok {
+		if k.epc.Present(req.Page) {
+			return 0
+		}
+		h = min(h, max64(k.ch.BusyUntil(), req.Enqueued)+1)
+	}
+	return h
+}
+
 // peekStartable drops queued preloads whose pages became resident in the
 // meantime and returns the first one that is still worth loading and could
 // start before now. A head that is not yet startable is left in place —

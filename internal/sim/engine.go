@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 
 	"sgxpreload/internal/channel"
 	"sgxpreload/internal/core"
@@ -24,10 +25,15 @@ import (
 // The engine is incremental: New builds it, each Step executes one
 // access of the enclave whose virtual clock is smallest, and Results can
 // be read at any point (a live metrics endpoint reads them mid-run).
-// Input arrives through pull-based mem.Streams, and the engine looks
-// exactly one access ahead per enclave, so a run's memory footprint is
-// independent of trace length — unbounded generators drive unbounded
-// runs in O(1) memory.
+// Drain and RunUntil execute the same accesses in the same order, in
+// bursts: the earliest enclave keeps running while it would still be
+// picked, the heap is re-keyed once per burst, and below its kernel's
+// quiet horizon an access skips the scan and sync that would find
+// nothing to do. Step, RunUntil and Drain share that one stepping body
+// (burst). Input arrives through pull-based mem.Streams, and the engine
+// looks exactly one access ahead per enclave, so a run's memory
+// footprint is independent of trace length — unbounded generators drive
+// unbounded runs in O(1) memory.
 
 // Engine co-simulates N >= 1 enclaves round-robin over one shared EPC
 // and one load-channel group. Construct with New (fixed cohort) or
@@ -165,11 +171,11 @@ func (e *Engine) Admit(enc Enclave, now uint64) error {
 	if e.shared == nil {
 		shared, err := epc.NewWithPolicy(e.cfg.EPCPages, newTotal, e.cfg.EvictPolicy)
 		if err != nil {
-			return closeErr(err)
+			return closeErr(fmt.Errorf("sim: enclave %d (%s): %w", len(e.states), enc.Name, err))
 		}
 		e.shared = shared
 	} else if err := e.shared.Grow(newTotal); err != nil {
-		return closeErr(err)
+		return closeErr(fmt.Errorf("sim: enclave %d (%s): %w", len(e.states), enc.Name, err))
 	}
 	var ch *channel.Channel
 	if e.chan0 == nil {
@@ -302,9 +308,28 @@ func (st *enclaveState) advance() {
 // the event heap's root, popped or re-keyed in O(log E). It returns
 // false when every stream is exhausted; the error reports an access
 // outside its enclave's declared range, or a virtual clock saturating
-// uint64 (see the saturation note below). After a non-nil error the
-// engine must be abandoned (Close it); its schedule is no longer
-// meaningful.
+// uint64 (see burst). After a non-nil error the engine must be
+// abandoned (Close it); its schedule is no longer meaningful.
+func (e *Engine) Step() (bool, error) {
+	if e.sched.len() == 0 {
+		return false, nil
+	}
+	if err := e.burst(math.MaxUint64, true); err != nil {
+		return false, err
+	}
+	return true, nil
+}
+
+// burst is the one stepping body behind Step, RunUntil and Drain. It
+// runs the heap root's enclave while its next key stays at or below
+// until and still beats the runner-up in (key, enclave) order — exactly
+// the accesses per-access stepping would hand this enclave in a row —
+// and re-keys the heap once, when the burst ends; single stops it after
+// one access. With one runnable enclave there is no runner-up, so a solo
+// run touches the heap only when its stream ends. Within the burst no
+// other enclave acts, so the kernel's quiet horizon stays valid until an
+// access of this enclave does more than hit: below it the access skips
+// the kernel's scan and sync, which would find nothing to do.
 //
 // Saturation: an unbounded run (sgxsim -repeat 0) eventually pushes a
 // clock toward 2^64. A wrapped scheduling key would silently corrupt
@@ -315,35 +340,43 @@ func (st *enclaveState) advance() {
 // infinite-precision schedule. At the default cost model, 2^64 cycles
 // is centuries of simulated time; hitting the error means the run
 // outlived the representation, not that the engine mis-scheduled.
-func (e *Engine) Step() (bool, error) {
-	if e.sched.len() == 0 {
-		return false, nil
+func (e *Engine) burst(until uint64, single bool) error {
+	h := &e.sched
+	idx, key := h.min(), h.hKey[0]
+	st := e.states[idx]
+	up, upKey, upEnc := h.runnerUp()
+	horizon := st.kern.Horizon()
+	for {
+		quiet, err := st.step(&e.costs, key < horizon)
+		if err != nil {
+			return err
+		}
+		// key is st.t + st.next.Compute and is known not to wrap; a step
+		// advances the clock past it (compute plus protocol costs), so a
+		// post-step clock below it means the clock wrapped inside the
+		// step's fault service.
+		if st.t < key {
+			return fmt.Errorf("sim: enclave %s virtual clock saturated uint64 at access %d",
+				st.enc.Name, st.seen-1)
+		}
+		st.advance()
+		if !st.has {
+			h.popMin()
+			return nil
+		}
+		key = st.t + st.next.Compute
+		if key < st.t {
+			return fmt.Errorf("sim: enclave %s scheduling key saturated uint64 at access %d (clock %d + compute %d)",
+				st.enc.Name, st.seen, st.t, st.next.Compute)
+		}
+		if single || key > until || key > upKey || (key == upKey && idx > upEnc) {
+			h.updateMin(key, up)
+			return nil
+		}
+		if !quiet {
+			horizon = st.kern.Horizon()
+		}
 	}
-	st := e.states[e.sched.min()]
-	// The root's key is st.t + st.next.Compute and is known not to wrap;
-	// a step advances the clock past that key (compute plus protocol
-	// costs), so a post-step clock below it means the clock wrapped
-	// inside the step's fault service.
-	oldKey := e.sched.hKey[0]
-	if err := st.step(e.costs); err != nil {
-		return false, err
-	}
-	if st.t < oldKey {
-		return false, fmt.Errorf("sim: enclave %s virtual clock saturated uint64 at access %d",
-			st.enc.Name, st.seen-1)
-	}
-	st.advance()
-	if !st.has {
-		e.sched.popMin()
-		return true, nil
-	}
-	key := st.t + st.next.Compute
-	if key < st.t {
-		return false, fmt.Errorf("sim: enclave %s scheduling key saturated uint64 at access %d (clock %d + compute %d)",
-			st.enc.Name, st.seen, st.t, st.next.Compute)
-	}
-	e.sched.updateMin(key)
-	return true, nil
 }
 
 // Done reports whether every enclave's stream is exhausted.
@@ -399,24 +432,21 @@ func (e *Engine) Quota(i int) int {
 
 // RunUntil steps the engine while its next event is at or before t,
 // stopping when every remaining event is strictly later (or every
-// stream is exhausted). Like run, a stepping error closes the engine's
+// stream is exhausted). A stepping error closes the engine's
 // streams and the engine must be abandoned.
 func (e *Engine) RunUntil(t uint64) error {
-	for {
-		key, ok := e.NextKey()
-		if !ok || key > t {
-			return nil
-		}
-		if _, err := e.Step(); err != nil {
+	for e.sched.len() > 0 && e.sched.hKey[0] <= t {
+		if err := e.burst(t, false); err != nil {
 			e.Close()
 			return err
 		}
 	}
+	return nil
 }
 
-// Drain drives the engine to completion: run exposed for drivers (the
-// fleet layer) that interleave RunUntil phases before the final drain.
-func (e *Engine) Drain() error { return e.run() }
+// Drain drives the engine to completion: RunUntil with no bound. Like
+// RunUntil, a stepping error closes the engine's streams.
+func (e *Engine) Drain() error { return e.RunUntil(math.MaxUint64) }
 
 // Results snapshots every enclave's outcome. It may be called mid-run —
 // a live observer polls it — and again after Done; each call derives a
@@ -452,29 +482,19 @@ func (e *Engine) Close() {
 	}
 }
 
-// run drives the engine to completion.
-func (e *Engine) run() error {
-	for {
-		more, err := e.Step()
-		if err != nil {
-			e.Close()
-			return err
-		}
-		if !more {
-			return nil
-		}
-	}
-}
-
 // step executes one access of the enclave's stream: the enclave-side
 // protocol of the paper — regular accesses, oracle prefetch
 // notifications, and (when SIP instruments the site) the BIT_MAP_CHECK
-// followed by a preload notification instead of a fault.
-func (st *enclaveState) step(costs mem.CostModel) error {
+// followed by a preload notification instead of a fault. quiet says the
+// access issues below the kernel's horizon, so the scan and sync are
+// skipped; the result says whether the kernel is still quiet after the
+// access, which holds only for a quiet access that reached no kernel
+// path but Touch.
+func (st *enclaveState) step(costs *mem.CostModel, quiet bool) (bool, error) {
 	acc := st.next
 	st.seen++
 	if uint64(acc.Page) >= st.enc.Pages {
-		return fmt.Errorf("sim: enclave %s access %d touches page %d outside its %d pages",
+		return false, fmt.Errorf("sim: enclave %s access %d touches page %d outside its %d pages",
 			st.enc.Name, st.seen-1, acc.Page, st.enc.Pages)
 	}
 	page := st.base + acc.Page
@@ -482,8 +502,10 @@ func (st *enclaveState) step(costs mem.CostModel) error {
 	st.t += acc.Compute
 	st.res.ComputeCycles += acc.Compute
 	st.res.Accesses++
-	st.kern.MaybeScan(st.t)
-	st.kern.Sync(st.t)
+	if !quiet {
+		st.kern.MaybeScan(st.t)
+		st.kern.Sync(st.t)
+	}
 
 	if acc.Prefetch {
 		// Oracle-inserted early notification: check the bitmap, post an
@@ -494,9 +516,10 @@ func (st *enclaveState) step(costs mem.CostModel) error {
 			st.t += costs.Notify
 			st.kern.QueuePrefetch(st.t, page)
 			st.res.PrefetchIssued++
+			quiet = false
 		}
 		st.res.Accesses--
-		return nil
+		return quiet, nil
 	}
 
 	if st.sel.Instrumented(acc.Site) {
@@ -510,15 +533,16 @@ func (st *enclaveState) step(costs mem.CostModel) error {
 			// load without leaving the enclave.
 			st.t += costs.Notify
 			st.t = st.kern.NotifyLoad(st.t, page)
+			quiet = false
 		}
 	}
 
 	if st.kern.Touch(page) {
 		st.res.Hits++
 		st.t += costs.Hit
-		return nil
+		return quiet, nil
 	}
 	st.t = st.kern.HandleFault(st.t, page)
 	st.t += costs.Hit
-	return nil
+	return false, nil
 }

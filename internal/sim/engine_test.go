@@ -106,78 +106,84 @@ func TestResultAllocFree(t *testing.T) {
 	}
 }
 
+// drivers run an engine to completion Step by Step, with Drain, or with
+// RunUntil at every next event, and return the first error.
+var drivers = []struct {
+	name  string
+	drive func(*Engine) error
+}{
+	{"Step", func(e *Engine) error {
+		for {
+			more, err := e.Step()
+			if err != nil || !more {
+				return err
+			}
+		}
+	}},
+	{"Drain", (*Engine).Drain},
+	{"RunUntil", func(e *Engine) error {
+		for {
+			next, ok := e.NextKey()
+			if !ok {
+				return nil
+			}
+			if err := e.RunUntil(next); err != nil {
+				return err
+			}
+		}
+	}},
+}
+
 // TestClockSaturation: a run whose virtual time approaches 2^64 must
 // error out, not wrap — a wrapped scheduling key would make the
 // farthest-ahead enclave look earliest and silently corrupt the
 // schedule. The engine detects both spellings of the wrap: the
 // scheduling key (clock + next compute) and the clock itself advancing
-// past 2^64 inside a step's fault service.
+// past 2^64 inside a step's fault service. Every driver must see them:
+// Drain and RunUntil reach the checks inside a burst.
 func TestClockSaturation(t *testing.T) {
-	t.Run("scheduling key wraps", func(t *testing.T) {
+	cases := []struct {
+		name  string
+		trace []mem.Access
+		want  string // the error's wording, empty when the run succeeds
+	}{
 		// Two huge computes: the first access executes, then the
 		// rescheduling key clock + compute exceeds 2^64.
-		enc := Enclave{
-			Name: "sat",
-			Trace: []mem.Access{
-				{Page: 0, Compute: 1 << 63},
-				{Page: 1, Compute: (1 << 63) + 1000},
-			},
-			Pages:  8,
-			Scheme: Baseline,
-		}
-		eng, err := New([]Enclave{enc}, SharedConfig{EPCPages: 16})
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, err = eng.Step()
-		if err == nil || !strings.Contains(err.Error(), "saturated") {
-			t.Fatalf("Step = %v, want scheduling-key saturation error", err)
-		}
-	})
-
-	t.Run("clock wraps inside a step", func(t *testing.T) {
+		{"scheduling key wraps", []mem.Access{
+			{Page: 0, Compute: 1 << 63},
+			{Page: 1, Compute: (1 << 63) + 1000},
+		}, "scheduling key saturated"},
 		// The key clock + compute still fits, but the access faults and
 		// the fault-service cycles push the clock past 2^64.
-		enc := Enclave{
-			Name:   "sat",
-			Trace:  []mem.Access{{Page: 0, Compute: math.MaxUint64 - 2000}},
-			Pages:  8,
-			Scheme: Baseline,
-		}
-		eng, err := New([]Enclave{enc}, SharedConfig{EPCPages: 16})
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, err = eng.Step()
-		if err == nil || !strings.Contains(err.Error(), "saturated") {
-			t.Fatalf("Step = %v, want clock saturation error", err)
-		}
-	})
-
-	t.Run("just below the boundary survives", func(t *testing.T) {
-		enc := Enclave{
-			Name:   "ok",
-			Trace:  []mem.Access{{Page: 0, Compute: 1 << 62}, {Page: 1, Compute: 1 << 62}},
-			Pages:  8,
-			Scheme: Baseline,
-		}
-		eng, err := New([]Enclave{enc}, SharedConfig{EPCPages: 16})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for {
-			more, err := eng.Step()
-			if err != nil {
-				t.Fatalf("Step below the boundary errored: %v", err)
+		{"clock wraps inside a step", []mem.Access{{Page: 0, Compute: math.MaxUint64 - 2000}}, "virtual clock saturated"},
+		{"just below the boundary survives", []mem.Access{{Page: 0, Compute: 1 << 62}, {Page: 1, Compute: 1 << 62}}, ""},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			for _, d := range drivers {
+				t.Run(d.name, func(t *testing.T) {
+					enc := Enclave{Name: "sat", Trace: c.trace, Pages: 8, Scheme: Baseline}
+					eng, err := New([]Enclave{enc}, SharedConfig{EPCPages: 16})
+					if err != nil {
+						t.Fatal(err)
+					}
+					err = d.drive(eng)
+					if c.want == "" {
+						if err != nil {
+							t.Fatalf("run below the boundary errored: %v", err)
+						}
+						if got := eng.Result(0).Accesses; got != uint64(len(c.trace)) {
+							t.Fatalf("ran %d accesses, want %d", got, len(c.trace))
+						}
+						return
+					}
+					if err == nil || !strings.Contains(err.Error(), c.want) {
+						t.Fatalf("%s = %v, want %q", d.name, err, c.want)
+					}
+				})
 			}
-			if !more {
-				break
-			}
-		}
-		if got := eng.Result(0).Accesses; got != 2 {
-			t.Fatalf("ran %d accesses, want 2", got)
-		}
-	})
+		})
+	}
 }
 
 // TestEventHeapProperty: the heap must release enclaves in (key,

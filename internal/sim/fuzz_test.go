@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"testing"
 
 	"sgxpreload/internal/epc/arbiter"
@@ -8,12 +9,14 @@ import (
 )
 
 // FuzzEngine feeds arbitrary byte-derived traces through every scheme: no
-// panic, exact access conservation, monotone time, and the pull-based
-// iterator path produces the identical Result.
+// panic, exact access conservation, monotone time, the pull-based
+// iterator path produces the identical Result, and stepped or barriered
+// two-enclave runs equal Drain's.
 func FuzzEngine(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8}, uint8(1))
 	f.Add([]byte{0}, uint8(0))
 	f.Add([]byte{9, 9, 9, 9, 200, 201, 202}, uint8(4))
+	f.Add([]byte{3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5}, uint8(0x80|7))
 	f.Fuzz(func(t *testing.T, data []byte, schemeSel uint8) {
 		if len(data) > 512 {
 			data = data[:512]
@@ -52,25 +55,46 @@ func FuzzEngine(f *testing.F) {
 				res, streamed)
 		}
 
-		// A two-enclave shared run under a byte-derived quota policy:
-		// the EPC's ownership invariants (per-owner resident counts sum
-		// to Resident, every frame stamped with its range's owner) must
-		// hold after every access, and conservation per enclave.
+		// A two-enclave shared run under a byte-derived quota policy,
+		// driven Step by Step or, when schemeSel's top bit is set, by
+		// RunUntil to byte-derived barriers: the EPC's ownership
+		// invariants (per-owner resident counts sum to Resident, every
+		// frame stamped with its range's owner) must hold after every
+		// step or barrier, conservation per enclave, and the Results
+		// must equal Drain's.
 		quota := arbiter.Policy(int(schemeSel) % 4)
-		eng, err := New([]Enclave{
-			{Name: "a", Trace: trace, Pages: pages, Scheme: scheme},
-			{Name: "b", Trace: trace, Pages: pages, Scheme: scheme},
-		}, SharedConfig{EPCPages: platform.EPCPages, Quota: quota})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for {
-			more, err := eng.Step()
+		pair := func() *Engine {
+			eng, err := New([]Enclave{
+				{Name: "a", Trace: trace, Pages: pages, Scheme: scheme},
+				{Name: "b", Trace: trace, Pages: pages, Scheme: scheme},
+			}, SharedConfig{EPCPages: platform.EPCPages, Quota: quota})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !more {
-				break
+			return eng
+		}
+		drained := pair()
+		if err := drained.Drain(); err != nil {
+			t.Fatal(err)
+		}
+		eng := pair()
+		for i := 0; ; i++ {
+			if schemeSel&0x80 != 0 {
+				next, ok := eng.NextKey()
+				if !ok {
+					break
+				}
+				if err := eng.RunUntil(next + uint64(data[i%len(data)])*500); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				more, err := eng.Step()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !more {
+					break
+				}
 			}
 			if err := eng.shared.CheckInvariants(); err != nil {
 				t.Fatalf("quota %v: %v", quota, err)
@@ -85,6 +109,9 @@ func FuzzEngine(f *testing.F) {
 				t.Fatalf("quota %v: enclave %s conservation violated: %d + %d != %d",
 					quota, r.Name, r.Hits, r.Kernel.DemandFaults, r.Accesses)
 			}
+		}
+		if got, want := fmt.Sprintf("%#v", eng.Results()), fmt.Sprintf("%#v", drained.Results()); got != want {
+			t.Fatalf("quota %v: stepped Results diverge from Drain:\n  got  %.300s\n  want %.300s", quota, got, want)
 		}
 	})
 }

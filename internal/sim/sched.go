@@ -1,5 +1,7 @@
 package sim
 
+import "math"
+
 // The event-heap scheduler. The seed engine picked the next enclave by
 // a linear argmin over clock + nextAccess.Compute — O(E) per step, fine
 // at E <= 8, hostile at fleet sizes. eventHeap replaces it with an
@@ -86,11 +88,40 @@ func (h *eventHeap) push(i int32, key uint64) {
 	h.up(len(h.hEnc) - 1)
 }
 
-// updateMin rewrites the root's key and restores heap order. The root
-// must exist.
-func (h *eventHeap) updateMin(key uint64) {
-	h.hKey[0] = key
-	h.down(0)
+// runnerUp returns the slot, key and enclave of the heap's second entry
+// in (key, enclave) order: the least of the root's up-to-four children,
+// since every other entry sits below one of them. When the root is alone
+// it returns slot 0 with (MaxUint64, MaxInt32), which no root loses to.
+func (h *eventHeap) runnerUp() (int, uint64, int32) {
+	n := len(h.hEnc)
+	if n < 2 {
+		return 0, math.MaxUint64, math.MaxInt32
+	}
+	up, key, enc := 1, h.hKey[1], h.hEnc[1]
+	for c := 2; c < min(n, 5); c++ {
+		if ck, ce := h.hKey[c], h.hEnc[c]; ck < key || (ck == key && ce < enc) {
+			up, key, enc = c, ck, ce
+		}
+	}
+	return up, key, enc
+}
+
+// updateMin rewrites the root's key and restores heap order, given the
+// root's runner-up slot from runnerUp (0 when it has none). Only the
+// root's key has changed since runnerUp, so the sift's first level — the
+// scan for the least child — is already done: the root either stays, or
+// the runner-up takes its place and the root sinks on from the runner-up's
+// slot.
+func (h *eventHeap) updateMin(key uint64, up int) {
+	enc := h.hEnc[0]
+	if up == 0 || key < h.hKey[up] || (key == h.hKey[up] && enc < h.hEnc[up]) {
+		h.hKey[0] = key
+		return
+	}
+	h.hKey[0], h.hEnc[0] = h.hKey[up], h.hEnc[up]
+	h.pos[h.hEnc[0]] = 0
+	h.hKey[up], h.hEnc[up] = key, enc
+	h.down(up)
 }
 
 // popMin removes the root enclave from the heap.

@@ -42,14 +42,19 @@ const benchPages = 32
 
 // benchFleetEngine builds an e-enclave engine over an EPC of epcPages
 // frames under the given quota policy and warms it with two sweeps of
-// every enclave's pages.
-func benchFleetEngine(b *testing.B, e, epcPages int, quota arbiter.Policy) *Engine {
+// every enclave's pages. A nonzero limit caps each enclave's stream at
+// that many accesses, warm-up included.
+func benchFleetEngine(b *testing.B, e, epcPages int, quota arbiter.Policy, limit uint64) *Engine {
 	b.Helper()
 	encs := make([]Enclave, e)
 	for i := range encs {
+		src := benchFleetStream(benchPages, uint64(i)*7919)
+		if limit > 0 {
+			src = mem.Limit(src, limit)
+		}
 		encs[i] = Enclave{
 			Name:   fmt.Sprintf("enc%d", i),
-			Stream: benchFleetStream(benchPages, uint64(i)*7919),
+			Stream: src,
 			Pages:  benchPages,
 			Scheme: Baseline,
 		}
@@ -83,7 +88,7 @@ func benchStaticFleetStep(b *testing.B, e, domains int) {
 		}
 		// The footprint fits the EPC: after the cold sweep the run is
 		// hit-dominated.
-		engines[s] = benchFleetEngine(b, n, n*benchPages+64, arbiter.Global)
+		engines[s] = benchFleetEngine(b, n, n*benchPages+64, arbiter.Global, 0)
 	}
 	var next atomic.Int64
 	b.ReportAllocs()
@@ -104,7 +109,7 @@ func benchStaticFleetStep(b *testing.B, e, domains int) {
 // eviction goes through the arbiter and an owned victim scan, and every
 // service scan feeds the arbiter an owner's access-bit count.
 func benchQuotaStep(b *testing.B, e int) {
-	eng := benchFleetEngine(b, e, e*24, arbiter.Adaptive)
+	eng := benchFleetEngine(b, e, e*24, arbiter.Adaptive, 0)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -126,4 +131,27 @@ func BenchmarkStep(b *testing.B) {
 	for _, e := range []int{8, 64, 1024} {
 		b.Run(fmt.Sprintf("E=%d-adaptive", e), func(b *testing.B) { benchQuotaStep(b, e) })
 	}
+}
+
+// benchDrain drains e enclaves over an EPC of epcPages frames under the
+// given quota policy, each stream capped so that about b.N accesses
+// remain after the warm-up: ns/op is the cost of one access driven by
+// Drain's bursts rather than by Step.
+func benchDrain(b *testing.B, e, epcPages int, quota arbiter.Policy) {
+	perEnclave := (uint64(b.N) + uint64(e) - 1) / uint64(e)
+	eng := benchFleetEngine(b, e, epcPages, quota, 2*benchPages+perEnclave)
+	b.ReportAllocs()
+	b.ResetTimer()
+	if err := eng.Drain(); err != nil {
+		b.Fatal(err)
+	}
+}
+
+// BenchmarkDrain measures one access under Drain: a solo enclave whose
+// pages fit the EPC, so every access after the warm-up hits and the run
+// is one burst, and the 16-enclave oversubscribed adaptive cohort of
+// BenchmarkStep, whose bursts are short and whose accesses keep faulting.
+func BenchmarkDrain(b *testing.B) {
+	b.Run("E=1-hits", func(b *testing.B) { benchDrain(b, 1, benchPages+64, arbiter.Global) })
+	b.Run("E=16-adaptive", func(b *testing.B) { benchDrain(b, 16, 16*24, arbiter.Adaptive) })
 }

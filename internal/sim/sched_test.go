@@ -36,7 +36,9 @@ func linearStep(e *Engine) (bool, error) {
 	if next == nil {
 		return false, nil
 	}
-	if err := next.step(e.costs); err != nil {
+	// Never quiet: the reference scans and syncs the kernel on every
+	// access, the semantics the engine's horizon skip is checked against.
+	if _, err := next.step(&e.costs, false); err != nil {
 		return false, err
 	}
 	next.advance()

@@ -117,7 +117,7 @@ func RunShared(enclaves []Enclave, cfg SharedConfig) ([]SharedResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := eng.run(); err != nil {
+	if err := eng.Drain(); err != nil {
 		return nil, err
 	}
 	return eng.Results(), nil

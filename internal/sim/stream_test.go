@@ -244,11 +244,17 @@ func TestStreamSmoke(t *testing.T) {
 }
 
 // TestStepAllocsO1: in steady state, an engine Step must not allocate —
-// the guard behind the O(1)-allocs-per-access claim. Warm the engine
-// past its ring/map growth phase, then measure.
+// the guard behind the O(1)-allocs-per-access claim — and neither may
+// Drain's bursts. Warm the engine past its ring/map growth phase, then
+// measure.
 func TestStepAllocsO1(t *testing.T) {
-	const pages = 1 << 14
-	eng, err := New([]Enclave{{Stream: syntheticStream(pages), Pages: pages, Scheme: DFPStop}},
+	const (
+		pages = 1 << 14
+		warm  = 200_000 // EPC full, queues at steady size
+		batch = 10_000
+		drain = 100_000
+	)
+	eng, err := New([]Enclave{{Stream: mem.Limit(syntheticStream(pages), warm+6*batch+drain), Pages: pages, Scheme: DFPStop}},
 		SharedConfig{EPCPages: 1024})
 	if err != nil {
 		t.Fatal(err)
@@ -258,17 +264,29 @@ func TestStepAllocsO1(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for i := 0; i < 200_000; i++ { // warm: EPC full, queues at steady size
+	for i := 0; i < warm; i++ {
 		step()
 	}
-	const batch = 10_000
 	perBatch := testing.AllocsPerRun(5, func() {
 		for i := 0; i < batch; i++ {
 			step()
 		}
 	})
 	if perAccess := perBatch / batch; perAccess > 0.01 {
-		t.Errorf("%.4f allocs per access in steady state, want ~0", perAccess)
+		t.Errorf("Step: %.4f allocs per access in steady state, want ~0", perAccess)
+	}
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if err := eng.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if got := eng.Result(0).Accesses; got != warm+6*batch+drain {
+		t.Fatalf("ran %d accesses, want %d", got, warm+6*batch+drain)
+	}
+	if perAccess := float64(after.Mallocs-before.Mallocs) / drain; perAccess > 0.01 {
+		t.Errorf("Drain: %.4f allocs per access in steady state, want ~0", perAccess)
 	}
 }
 
