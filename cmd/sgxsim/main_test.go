@@ -253,6 +253,48 @@ func TestDiffMode(t *testing.T) {
 	}
 }
 
+// TestReplayRejectsHandEditedLines: a recorded trace with one event line
+// rewritten into a form no trace writer produces — JSONL fields
+// reordered, a CSV field with a leading zero — is refused by -replay and
+// -diff with an error naming that line.
+func TestReplayRejectsHandEditedLines(t *testing.T) {
+	const edited = 6 // 1-based line number, past both formats' headers
+	reorder := regexp.MustCompile(`^\{("t":\d+),("kind":"\w+"),`)
+	dir := t.TempDir()
+	for _, tc := range []struct {
+		ext  string
+		edit func(string) string
+	}{
+		{"jsonl", func(line string) string { return reorder.ReplaceAllString(line, `{$2,$1,`) }},
+		{"csv", func(line string) string { return "0" + line }},
+	} {
+		path := filepath.Join(dir, "run."+tc.ext)
+		var buf strings.Builder
+		if err := run([]string{"-bench", "cactuBSSN", "-scheme", "dfp", "-trace", path}, &buf); err != nil {
+			t.Fatal(err)
+		}
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines := strings.Split(string(raw), "\n")
+		if edit := tc.edit(lines[edited-1]); edit != lines[edited-1] {
+			lines[edited-1] = edit
+		} else {
+			t.Fatalf("%s: edit left line %d unchanged: %s", tc.ext, edited, edit)
+		}
+		if err := os.WriteFile(path, []byte(strings.Join(lines, "\n")), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for _, args := range [][]string{{"-replay", path}, {"-diff", path, path}} {
+			err := run(args, &buf)
+			if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("line %d:", edited)) {
+				t.Errorf("%s %v: error %v, want one naming line %d", tc.ext, args, err, edited)
+			}
+		}
+	}
+}
+
 func TestServeFlag(t *testing.T) {
 	var buf strings.Builder
 	if err := run([]string{"-bench", "cactuBSSN", "-scheme", "dfp", "-serve", "127.0.0.1:0"}, &buf); err != nil {

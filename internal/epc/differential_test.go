@@ -139,7 +139,7 @@ func TestPageTableDifferential(t *testing.T) {
 					}
 				case 4:
 					f, ok := model.frames[p]
-					if e.Preloaded(p) != (ok && e.frames[f].preload) || e.Accessed(p) != (ok && accessBit(e, int(f))) {
+					if e.Preloaded(p) != (ok && preloadBit(e, int(f))) || e.Accessed(p) != (ok && accessBit(e, int(f))) {
 						t.Fatalf("step %d: frame bits of page %d disagree with the model's frame %d", i, p, f)
 					}
 				case 5: // owner-filtered victim scan
@@ -200,6 +200,9 @@ func TestPageTableDifferential(t *testing.T) {
 
 // accessBit reports frame f's access bit.
 func accessBit(e *EPC, f int) bool { return e.accessed[f>>6]&(1<<(f&63)) != 0 }
+
+// preloadBit reads frame f's preload bit.
+func preloadBit(e *EPC, f int) bool { return e.preloaded[f>>6]&(1<<(f&63)) != 0 }
 
 // clearAccessBit clears frame f's access bit, one frame at a time.
 func clearAccessBit(e *EPC, f int) { e.accessed[f>>6] &^= 1 << (f & 63) }
@@ -330,12 +333,12 @@ func refOwnerScanStats(e *EPC, owner int) (accessed, resident int) {
 func refScanPreloadBitsRange(e *EPC, lo, hi mem.PageID, clear bool, visit func(page mem.PageID, accessed bool)) {
 	for i := range e.frames {
 		fr := &e.frames[i]
-		if fr.page == mem.NoPage || !fr.preload || fr.page < lo || fr.page >= hi {
+		if fr.page == mem.NoPage || !preloadBit(e, i) || fr.page < lo || fr.page >= hi {
 			continue
 		}
 		visit(fr.page, accessBit(e, i))
 		if clear && accessBit(e, i) {
-			fr.preload = false
+			e.preloaded[i>>6] &^= 1 << (i & 63)
 		}
 	}
 }
@@ -542,10 +545,10 @@ func ownedScanDifferential(t *testing.T, capacity, owners int, policy Policy, sp
 			}
 		}
 	}
-	// Only the bitset-backed EPC is checked: the reference preload scan
-	// clears frame bits without the preload bitset it predates.
-	if err := fast.CheckInvariants(); err != nil {
-		t.Fatal(err)
+	for _, e := range []*EPC{fast, ref} {
+		if err := e.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

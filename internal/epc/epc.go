@@ -99,7 +99,6 @@ func PolicyByName(name string) (Policy, error) {
 // frame is the per-physical-frame metadata the driver keeps.
 type frame struct {
 	page      mem.PageID // resident virtual page, mem.NoPage if free
-	preload   bool       // page arrived via preloading, not a demand fault
 	owner     int32      // owning enclave, stamped at Load, reset at Evict
 	loadedAt  uint64     // load sequence number (FIFO policy)
 	touchedAt uint64     // touch sequence number (LRU policy)
@@ -141,8 +140,9 @@ type EPC struct {
 	// occupied marks every frame that holds a page, in the same layout:
 	// the global victim scan is the owned scan over it.
 	occupied []uint64
-	// preloaded mirrors every frame's preload bit in the same layout, so
-	// the service thread's preload-bit scan visits only preloaded frames.
+	// preloaded holds every frame's preload bit in the same layout (the
+	// only copy of it), so the service thread's preload-bit scan visits
+	// only preloaded frames.
 	preloaded []uint64
 	// accessed holds every frame's hardware access bit in the same layout
 	// (the only copy of it): CLOCK clears a word's member bits in one
@@ -368,7 +368,6 @@ func (e *EPC) Load(page mem.PageID, preloaded bool) error {
 	owner := e.ownerOf(page)
 	e.frames[f] = frame{
 		page:      page,
-		preload:   preloaded,
 		owner:     owner,
 		loadedAt:  e.seq,
 		touchedAt: e.seq,
@@ -518,7 +517,7 @@ func (e *EPC) victimRandom(members []uint64) mem.PageID {
 // Preloaded reports whether page is resident and arrived via preloading.
 func (e *EPC) Preloaded(page mem.PageID) bool {
 	f, ok := e.frameOf(page)
-	return ok && e.frames[f].preload
+	return ok && e.preloaded[f>>6]&(1<<(f&63)) != 0
 }
 
 // Accessed reports whether page is resident with its access bit set.
@@ -549,14 +548,13 @@ func (e *EPC) ScanPreloadBitsRange(lo, hi mem.PageID, clear bool, visit func(pag
 		}
 		for ; m != 0; m &= m - 1 {
 			b := bits.TrailingZeros64(m)
-			fr := &e.frames[w<<6|b]
-			if fr.page < lo || fr.page >= hi {
+			p := e.frames[w<<6|b].page
+			if p < lo || p >= hi {
 				continue
 			}
 			accessed := e.accessed[w]&(1<<b) != 0
-			visit(fr.page, accessed)
+			visit(p, accessed)
 			if clear && accessed {
-				fr.preload = false
 				e.preloaded[w] &^= 1 << b
 			}
 		}
@@ -576,9 +574,9 @@ func (e *EPC) ResidentPages() []mem.PageID {
 }
 
 // CheckInvariants verifies internal consistency: the page table, frame
-// table, free list, presence bitmap, per-owner membership bitsets,
-// occupancy bitset and preload bitset must agree, and no access bit may
-// mark a free frame. Tests call it after random operation sequences.
+// table, free list, presence bitmap, per-owner membership bitsets
+// and occupancy bitset must agree, and no access or preload bit may mark
+// a free frame. Tests call it after random operation sequences.
 func (e *EPC) CheckInvariants() error {
 	occupied := 0
 	seen := make(map[FrameID]bool, len(e.frames))
@@ -619,8 +617,7 @@ func (e *EPC) CheckInvariants() error {
 			ownedTotal, occupied)
 	}
 	// Each owner's bitset holds exactly the frames stamped with that owner;
-	// the occupancy and preload bitsets mirror the frames' page and
-	// preload bit.
+	// the occupancy bitset mirrors the frames' page.
 	if len(e.ownedBits) != len(e.resByOwner) {
 		return fmt.Errorf("epc: %d owner bitsets for %d owners", len(e.ownedBits), len(e.resByOwner))
 	}
@@ -634,14 +631,16 @@ func (e *EPC) CheckInvariants() error {
 	if err := e.checkBitset("occupancy", e.occupied, func(fr *frame) bool { return fr.page != mem.NoPage }); err != nil {
 		return err
 	}
-	if err := e.checkBitset("preload", e.preloaded, func(fr *frame) bool { return fr.preload }); err != nil {
-		return err
-	}
-	// The access bit is the one bitset with no frame-table mirror; it may
+	// The access and preload bits have no frame-table mirror; they may
 	// only mark occupied frames.
-	for w, a := range e.accessed {
-		if stray := a &^ e.occupied[w]; stray != 0 {
-			return fmt.Errorf("epc: access bit set on free frame %d", w<<6|bits.TrailingZeros64(stray))
+	for _, bit := range [...]struct {
+		name string
+		set  []uint64
+	}{{"access", e.accessed}, {"preload", e.preloaded}} {
+		for w, a := range bit.set {
+			if stray := a &^ e.occupied[w]; stray != 0 {
+				return fmt.Errorf("epc: %s bit set on free frame %d", bit.name, w<<6|bits.TrailingZeros64(stray))
+			}
 		}
 	}
 	// Entry counts matching plus every occupied frame resolving back to

@@ -249,8 +249,8 @@ func TestOwnerAccessed(t *testing.T) {
 
 // TestCheckInvariantsCatchesBitsetDrift: an owner bitset that disagrees
 // with the frame stamps or holds a bit past the last frame, an occupancy
-// or preload bitset that disagrees with the frames, and an access bit on a
-// free frame or past the last frame are reported.
+// bitset that disagrees with the frames, and an access or preload bit on
+// a free frame or past the last frame are reported.
 func TestCheckInvariantsCatchesBitsetDrift(t *testing.T) {
 	e := mustNew(t, 8, 64)
 	addOwners(t, e, 2)
@@ -281,22 +281,18 @@ func TestCheckInvariantsCatchesBitsetDrift(t *testing.T) {
 		t.Fatal("occupancy bitset disagreeing with the frame not reported")
 	}
 	e.occupied[0] &^= 1 << 3
-	// Frame 0 holds a demand-loaded page; mark it preloaded in the
-	// bitset only.
-	e.preloaded[0] |= 1
-	if err := e.CheckInvariants(); err == nil {
-		t.Fatal("preload bitset disagreeing with the frame not reported")
+	// Frame 3 is free; set its access or preload bit, then one past the
+	// 8 frames.
+	for _, set := range [][]uint64{e.accessed, e.preloaded} {
+		for _, f := range []uint{3, 9} {
+			set[0] |= 1 << f
+			if err := e.CheckInvariants(); err == nil {
+				t.Fatalf("bit on free frame %d not reported", f)
+			}
+			set[0] &^= 1 << f
+		}
 	}
-	e.preloaded[0] &^= 1
 	if err := e.CheckInvariants(); err != nil {
 		t.Fatal(err)
-	}
-	// Frame 3 is free; set its access bit, then one past the 8 frames.
-	for _, f := range []uint{3, 9} {
-		e.accessed[0] |= 1 << f
-		if err := e.CheckInvariants(); err == nil {
-			t.Fatalf("access bit on free frame %d not reported", f)
-		}
-		e.accessed[0] &^= 1 << f
 	}
 }

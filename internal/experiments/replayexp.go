@@ -72,7 +72,7 @@ func ReplayRun(r *Runner, bench string) (*ReplayReport, error) {
 		return nil, fmt.Errorf("experiments: replay export: %w", err)
 	}
 	var batch strings.Builder
-	if err := recStop.WriteJSONL(&batch); err != nil {
+	if err := obs.WriteJSONL(&batch, recStop.Events()); err != nil {
 		return nil, fmt.Errorf("experiments: replay export: %w", err)
 	}
 	streamIdentical := buf.String() == batch.String()

@@ -328,7 +328,7 @@ func TestFleetHookFactory(t *testing.T) {
 	}
 	for h, rec := range recs {
 		var b strings.Builder
-		if err := rec.WriteJSONL(&b); err != nil {
+		if err := obs.WriteJSONL(&b, rec.Events()); err != nil {
 			t.Fatal(err)
 		}
 		if b.Len() == 0 {

@@ -7,13 +7,13 @@ import (
 	"sgxpreload/internal/obs"
 )
 
-// ExampleRecorder_WriteJSONL shows the trace wire format: a schema
+// ExampleWriteJSONL shows the trace wire format: a schema
 // header line, then one fixed-field-order JSON object per event.
-func ExampleRecorder_WriteJSONL() {
+func ExampleWriteJSONL() {
 	rec := obs.NewRecorder()
 	rec.Emit(obs.Event{T: 5, Kind: obs.KindLoadStart, Page: 7, Batch: 2, V1: 105, V2: 1})
 	rec.Emit(obs.Event{T: 105, Kind: obs.KindLoadComplete, Page: 7, Batch: 2, V2: 1})
-	if err := rec.WriteJSONL(os.Stdout); err != nil {
+	if err := obs.WriteJSONL(os.Stdout, rec.Events()); err != nil {
 		panic(err)
 	}
 	// Output:

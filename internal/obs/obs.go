@@ -140,7 +140,7 @@ type wireBucket struct {
 	kind [256]Kind // KindNone: no name of this length has that byte at pos
 }
 
-// wireIndex is the wire-name → Kind reverse index used by trace parsers,
+// wireIndex is the wire-name → Kind reverse index the trace decoders use,
 // bucketed by name length and built once from kindNames. A lookup is
 // one byte load and one string compare, with no hashing.
 var wireIndex = func() (idx [maxWireName + 1]wireBucket) {
@@ -182,8 +182,11 @@ func distinctPos(kinds []Kind, n int) int {
 	return 0
 }
 
-// kindOf is the lookup behind KindByName and KindByWire.
-func kindOf[S string | []byte](name S) (Kind, bool) {
+// KindByWire resolves a wire name (as the trace encoders write it) back
+// to its Kind. The second result is false for unknown names and for
+// "none", which is never emitted. It neither allocates nor hashes, so
+// the trace decoders resolve kinds without per-line garbage.
+func KindByWire(name []byte) (Kind, bool) {
 	n := len(name)
 	if n == 0 || n > maxWireName {
 		return KindNone, false
@@ -194,16 +197,6 @@ func kindOf[S string | []byte](name S) (Kind, bool) {
 	}
 	return KindNone, false
 }
-
-// KindByName resolves a wire name (as written by the JSONL/CSV exports)
-// back to its Kind. The second result is false for unknown names and for
-// "none", which is never emitted.
-func KindByName(name string) (Kind, bool) { return kindOf(name) }
-
-// KindByWire is KindByName over a byte slice. It neither allocates nor
-// hashes, so byte-level trace parsers resolve kinds without per-line
-// garbage.
-func KindByWire(name []byte) (Kind, bool) { return kindOf(name) }
 
 // Kinds returns every emitted kind in declaration order; reports iterate
 // it so their output is deterministic.

@@ -31,7 +31,7 @@ func TestWriteJSONL(t *testing.T) {
 	r.Emit(Event{T: 5, Kind: KindLoadStart, Page: 7, Batch: 2, V1: 105, V2: 1})
 	r.Emit(Event{T: 9, Kind: KindEvict, Page: mem.NoPage, V1: 1})
 	var b strings.Builder
-	if err := r.WriteJSONL(&b); err != nil {
+	if err := WriteJSONL(&b, r.Events()); err != nil {
 		t.Fatal(err)
 	}
 	want := `{"schema":"sgxpreload-trace","version":1,"fields":["t","kind","page","batch","v1","v2"]}
@@ -47,7 +47,7 @@ func TestWriteCSV(t *testing.T) {
 	r := NewRecorder()
 	r.Emit(Event{T: 5, Kind: KindPreloadQueue, Page: 7, Batch: 2})
 	var b strings.Builder
-	if err := r.WriteCSV(&b); err != nil {
+	if err := WriteCSV(&b, r.Events()); err != nil {
 		t.Fatal(err)
 	}
 	want := "# sgxpreload-trace version=1\nt,kind,page,batch,v1,v2\n5,preload_queue,7,2,0,0\n"
@@ -62,10 +62,10 @@ func TestExportsDeterministic(t *testing.T) {
 		r.Emit(Event{T: i, Kind: Kind(1 + i%uint64(kindCount-1)), Page: mem.PageID(i * 3)})
 	}
 	var a, b strings.Builder
-	if err := r.WriteJSONL(&a); err != nil {
+	if err := WriteJSONL(&a, r.Events()); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.WriteJSONL(&b); err != nil {
+	if err := WriteJSONL(&b, r.Events()); err != nil {
 		t.Fatal(err)
 	}
 	if a.String() != b.String() {
@@ -122,16 +122,18 @@ func TestKindNames(t *testing.T) {
 	}
 }
 
+// TestKindByName: every emitted kind resolves from its wire name, and
+// names that are never emitted miss.
 func TestKindByName(t *testing.T) {
 	for _, k := range Kinds() {
-		got, ok := KindByName(k.String())
+		got, ok := KindByWire([]byte(k.String()))
 		if !ok || got != k {
-			t.Errorf("KindByName(%q) = %v, %v; want %v, true", k.String(), got, ok, k)
+			t.Errorf("KindByWire(%q) = %v, %v; want %v, true", k.String(), got, ok, k)
 		}
 	}
 	for _, bad := range []string{"", "none", "unknown", "fault"} {
-		if _, ok := KindByName(bad); ok {
-			t.Errorf("KindByName(%q) resolved, want miss", bad)
+		if _, ok := KindByWire([]byte(bad)); ok {
+			t.Errorf("KindByWire(%q) resolved, want miss", bad)
 		}
 	}
 }
@@ -146,16 +148,14 @@ func refKindByName(name string) (Kind, bool) {
 	return KindNone, false
 }
 
-// checkKindLookup asserts that KindByWire, KindByName and the reference
-// agree on name.
+// checkKindLookup asserts that KindByWire and the reference agree on
+// name.
 func checkKindLookup(t *testing.T, name []byte) {
 	t.Helper()
 	wk, wok := KindByWire(name)
-	nk, nok := KindByName(string(name))
 	rk, rok := refKindByName(string(name))
-	if wk != nk || wok != nok || wk != rk || wok != rok {
-		t.Errorf("%q: KindByWire = %v, %v; KindByName = %v, %v; reference = %v, %v",
-			name, wk, wok, nk, nok, rk, rok)
+	if wk != rk || wok != rok {
+		t.Errorf("%q: KindByWire = %v, %v; reference = %v, %v", name, wk, wok, rk, rok)
 	}
 }
 

@@ -1,40 +1,6 @@
 package obs
 
-import (
-	"fmt"
-	"io"
-
-	"sgxpreload/internal/mem"
-)
-
-// Trace schema contract. Every exported timeline starts with a header
-// line naming the schema and version, so a reader can refuse traces it
-// does not understand instead of silently misparsing them after a field
-// change. internal/replay enforces both values when loading a trace.
-const (
-	// TraceSchema names the on-disk trace format.
-	TraceSchema = "sgxpreload-trace"
-	// TraceVersion is the current trace format version. Bump it on any
-	// change to the event line shape or field semantics.
-	TraceVersion = 1
-)
-
-// TraceHeaderJSONL returns the header line (without trailing newline)
-// that WriteJSONL emits before the first event.
-func TraceHeaderJSONL() string {
-	return fmt.Sprintf(`{"schema":%q,"version":%d,"fields":["t","kind","page","batch","v1","v2"]}`,
-		TraceSchema, TraceVersion)
-}
-
-// TraceHeaderCSV returns the comment line (without trailing newline)
-// that WriteCSV emits before the column header.
-func TraceHeaderCSV() string {
-	return fmt.Sprintf("# %s version=%d", TraceSchema, TraceVersion)
-}
-
-// TraceColumnsCSV is the CSV column header row (without trailing
-// newline) that follows the schema comment.
-const TraceColumnsCSV = "t,kind,page,batch,v1,v2"
+import "io"
 
 // Recorder is the Hook that keeps raw events: it appends every event to
 // an in-memory timeline in emission order, for exports and charts that
@@ -66,20 +32,10 @@ func (r *Recorder) Len() int { return len(r.events) }
 // Reset discards the timeline, keeping the backing array.
 func (r *Recorder) Reset() { r.events = r.events[:0] }
 
-// pageField renders a PageID for export: mem.NoPage (the background
-// write-back sentinel) becomes -1 so consumers need no 64-bit sentinel
-// knowledge.
-func pageField(p mem.PageID) int64 {
-	if p == mem.NoPage {
-		return -1
-	}
-	return int64(p)
-}
-
 // WireEvent is an Event as the trace renders it: the fields in the
 // trace's order, the kind by name, mem.NoPage as page -1. Its JSON form
-// is one JSONL trace line; the trace reader, the replay diff and the
-// live /events endpoint all use it.
+// is one JSONL trace line; the replay diff and the live /events
+// endpoint use it.
 type WireEvent struct {
 	T     uint64 `json:"t"`
 	Kind  string `json:"kind"`
@@ -94,28 +50,18 @@ func (e Event) Wire() WireEvent {
 	return WireEvent{T: e.T, Kind: e.Kind.String(), Page: pageField(e.Page), Batch: e.Batch, V1: e.V1, V2: e.V2}
 }
 
-// WriteJSONL writes the timeline as JSON Lines: one schema header line,
-// then one event per line with a fixed field order, so identical runs
-// produce identical bytes:
+// WriteJSONL writes a timeline (a Recorder's Events, or a replayed one)
+// as JSON Lines: one schema header line, then one event per line with a
+// fixed field order, so identical runs produce identical bytes:
 //
 //	{"schema":"sgxpreload-trace","version":1,"fields":["t","kind","page","batch","v1","v2"]}
 //	{"t":123,"kind":"fault_begin","page":42,"batch":0,"v1":0,"v2":0}
-func (r *Recorder) WriteJSONL(w io.Writer) error { return WriteJSONL(w, r.events) }
-
-// WriteCSV writes the timeline as CSV — a schema comment line, a column
-// header row, then one event per row in the same deterministic field
-// order as WriteJSONL.
-func (r *Recorder) WriteCSV(w io.Writer) error { return WriteCSV(w, r.events) }
-
-// WriteJSONL writes an event slice in the Recorder's JSONL trace format
-// (header line included). internal/replay uses it to re-serialize a
-// parsed timeline bit-for-bit.
 func WriteJSONL(w io.Writer, events []Event) error {
 	return writeEvents(w, events, FormatJSONL)
 }
 
-// WriteCSV writes an event slice in the Recorder's CSV trace format
-// (schema comment and column header included).
+// WriteCSV writes a timeline as CSV — a schema comment line, a column
+// header row, then one event per row in WriteJSONL's field order.
 func WriteCSV(w io.Writer, events []Event) error {
 	return writeEvents(w, events, FormatCSV)
 }

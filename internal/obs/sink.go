@@ -3,7 +3,6 @@ package obs
 import (
 	"io"
 	"os"
-	"strings"
 )
 
 // StreamSink is the O(1)-memory trace hook: it encodes each event as it
@@ -45,35 +44,6 @@ type StreamSink struct {
 // the sink's memory; one trace line is ~100 bytes, so each handover
 // amortizes the channel round trip over ~600 events.
 const sinkBufBytes = 64 << 10
-
-// Format selects a StreamSink's trace encoding.
-type Format uint8
-
-const (
-	// FormatJSONL writes the JSONL trace format (WriteJSONL's schema).
-	FormatJSONL Format = iota
-	// FormatCSV writes the CSV trace format (WriteCSV's schema).
-	FormatCSV
-)
-
-// encoding returns the format's preamble — its header lines, each
-// newline-terminated — and its per-event line encoder. Every trace
-// writer, streaming or not, starts from it.
-func (f Format) encoding() (preamble string, enc func([]byte, Event) []byte) {
-	if f == FormatCSV {
-		return TraceHeaderCSV() + "\n" + TraceColumnsCSV + "\n", AppendCSV
-	}
-	return TraceHeaderJSONL() + "\n", AppendJSONL
-}
-
-// FormatForPath returns the trace format the CLI conventions assign to
-// a path: CSV for a .csv extension, JSONL otherwise.
-func FormatForPath(path string) Format {
-	if strings.HasSuffix(path, ".csv") {
-		return FormatCSV
-	}
-	return FormatJSONL
-}
 
 // NewStreamSink returns a sink streaming the given format to w, with
 // the schema header already encoded. The caller must Close it to flush

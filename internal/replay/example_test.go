@@ -20,7 +20,7 @@ func Example() {
 
 	// Export the trace (this is what sgxsim -trace writes) ...
 	var trace strings.Builder
-	if err := rec.WriteJSONL(&trace); err != nil {
+	if err := obs.WriteJSONL(&trace, rec.Events()); err != nil {
 		panic(err)
 	}
 

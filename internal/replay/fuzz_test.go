@@ -3,6 +3,7 @@ package replay
 import (
 	"bytes"
 	"io"
+	"slices"
 	"strings"
 	"testing"
 
@@ -20,11 +21,29 @@ func readBoth(t *testing.T, read func(io.Reader) ([]obs.Event, error), input str
 	return events, err
 }
 
+// checkEventLines fails t unless every non-blank line of an accepted
+// input after its headers equals the matching event line of the
+// re-serialized trace out byte for byte. Lines split as the reader
+// splits them: at "\n", with one "\r" before it part of the line end.
+func checkEventLines(t *testing.T, input, out string, headers int) {
+	t.Helper()
+	var in []string
+	for _, line := range strings.Split(input, "\n")[headers:] {
+		if line = strings.TrimSuffix(line, "\r"); line != "" {
+			in = append(in, line)
+		}
+	}
+	want := strings.Split(strings.TrimSuffix(out, "\n"), "\n")[headers:]
+	if !slices.Equal(in, want) {
+		t.Fatalf("accepted event lines differ from their re-serialization:\n%q\nwant\n%q", in, want)
+	}
+}
+
 // FuzzReadJSONL drives the parser with arbitrary bytes — truncated
 // traces, corrupt lines, hostile headers. The invariants: never panic,
 // a sized read agrees with a grown one, and any input the parser accepts
-// must re-serialize and re-parse to the same timeline (accepted inputs
-// are semantically unambiguous).
+// re-serializes to its own event lines, byte for byte, and re-parses to
+// the same timeline.
 func FuzzReadJSONL(f *testing.F) {
 	var valid strings.Builder
 	if err := obs.WriteJSONL(&valid, allKindEvents()); err != nil {
@@ -52,6 +71,7 @@ func FuzzReadJSONL(f *testing.F) {
 		if err := obs.WriteJSONL(&out, events); err != nil {
 			t.Fatalf("re-serialize of accepted input failed: %v", err)
 		}
+		checkEventLines(t, input, out.String(), 1)
 		again, err := ReadJSONL(strings.NewReader(out.String()))
 		if err != nil {
 			t.Fatalf("re-parse of re-serialized input failed: %v", err)
@@ -77,21 +97,16 @@ func FuzzReadJSONL(f *testing.F) {
 	})
 }
 
-// FuzzParseJSONLLine is the per-line differential fuzzer: the optimized
-// parser (fast path + fallback) must agree with the pure encoding/json
-// reference on accept/reject and on the decoded event, for any bytes.
+// FuzzParseJSONLLine is the per-line differential fuzzer: for any
+// bytes, the strict JSONL decoder keeps its relation to the
+// encoding/json reference (lineCodec.mismatch).
 func FuzzParseJSONLLine(f *testing.F) {
 	for _, line := range parserCorpusJSONL() {
 		f.Add(line)
 	}
 	f.Fuzz(func(t *testing.T, line string) {
-		got, gotErr := parseJSONLEvent([]byte(line))
-		want, wantErr := refParseJSONLEvent([]byte(line))
-		if (gotErr == nil) != (wantErr == nil) {
-			t.Fatalf("%q: accept/reject diverges: optimized err=%v, reference err=%v", line, gotErr, wantErr)
-		}
-		if gotErr == nil && got != want {
-			t.Fatalf("%q: value diverges: optimized %+v, reference %+v", line, got, want)
+		if msg := jsonlCodec.mismatch(line); msg != "" {
+			t.Fatal(msg)
 		}
 	})
 }
@@ -102,13 +117,8 @@ func FuzzParseCSVLine(f *testing.F) {
 		f.Add(line)
 	}
 	f.Fuzz(func(t *testing.T, line string) {
-		got, gotErr := parseCSVLine([]byte(line))
-		want, wantErr := refParseCSVEvent([]byte(line))
-		if (gotErr == nil) != (wantErr == nil) {
-			t.Fatalf("%q: accept/reject diverges: optimized err=%v, reference err=%v", line, gotErr, wantErr)
-		}
-		if gotErr == nil && got != want {
-			t.Fatalf("%q: value diverges: optimized %+v, reference %+v", line, got, want)
+		if msg := csvCodec.mismatch(line); msg != "" {
+			t.Fatal(msg)
 		}
 	})
 }
@@ -138,6 +148,7 @@ func FuzzReadCSV(f *testing.F) {
 		if err := obs.WriteCSV(&out, events); err != nil {
 			t.Fatalf("re-serialize of accepted input failed: %v", err)
 		}
+		checkEventLines(t, input, out.String(), 2)
 		again, err := ReadCSV(strings.NewReader(out.String()))
 		if err != nil {
 			t.Fatalf("re-parse of re-serialized input failed: %v", err)

@@ -4,15 +4,24 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
+	"strconv"
 	"strings"
 	"testing"
 
+	"sgxpreload/internal/mem"
 	"sgxpreload/internal/obs"
 )
 
-// refParseJSONLEvent is the pre-optimization JSONL line parser — pure
-// encoding/json, no fast path. The optimized parseJSONLEvent must agree
-// with it on every line: same accept/reject decision, same event.
+// The reference parsers below are the lenient readers this package used
+// before its decoders became the encoders' exact inverses: encoding/json
+// for JSONL, strings.Split and strconv for CSV. They accept lines no
+// writer produces (reordered fields, whitespace, leading zeros, sign
+// prefixes), so they pin the strict decoders from outside: a strict
+// decoder must accept a line exactly when its reference accepts it and
+// the encoder renders the reference's event as that same line, and then
+// both must give the same event.
+
+// refParseJSONLEvent is the pure encoding/json JSONL line parser.
 func refParseJSONLEvent(raw []byte) (obs.Event, error) {
 	var je obs.WireEvent
 	if err := json.Unmarshal(raw, &je); err != nil {
@@ -21,16 +30,85 @@ func refParseJSONLEvent(raw []byte) (obs.Event, error) {
 	return wireToEvent(je.T, je.Kind, je.Page, je.Batch, je.V1, je.V2)
 }
 
-// refParseCSVEvent is the pre-optimization CSV row parser (pure
-// strconv); parseCSVEvent is that code, so the reference calls it
-// directly and the differential pins the fast path against it.
+// refParseCSVEvent is the strings.Split and strconv CSV row parser.
 func refParseCSVEvent(raw []byte) (obs.Event, error) {
-	return parseCSVEvent(string(raw))
+	text := string(raw)
+	fields := strings.Split(text, ",")
+	if len(fields) != 6 {
+		return obs.Event{}, fmt.Errorf("malformed row: %d fields, want 6", len(fields))
+	}
+	t, err := strconv.ParseUint(fields[0], 10, 64)
+	if err != nil {
+		return obs.Event{}, fmt.Errorf("bad t %q", fields[0])
+	}
+	page, err := strconv.ParseInt(fields[2], 10, 64)
+	if err != nil {
+		return obs.Event{}, fmt.Errorf("bad page %q", fields[2])
+	}
+	var rest [3]uint64
+	for i, name := range [...]string{"batch", "v1", "v2"} {
+		v, err := strconv.ParseUint(fields[3+i], 10, 64)
+		if err != nil {
+			return obs.Event{}, fmt.Errorf("bad %s %q", name, fields[3+i])
+		}
+		rest[i] = v
+	}
+	return wireToEvent(t, fields[1], page, rest[0], rest[1], rest[2])
 }
 
-// parserCorpus returns line fragments exercising both parsers' edges:
-// every canonical writer line, plus near-canonical deviations that must
-// take the slow path without changing the verdict.
+// wireToEvent validates and converts one decoded record. page -1 is the
+// writer's rendering of mem.NoPage; other negatives are corruption.
+func wireToEvent(t uint64, kind string, page int64, batch, v1, v2 uint64) (obs.Event, error) {
+	k, ok := obs.KindByWire([]byte(kind))
+	if !ok {
+		return obs.Event{}, fmt.Errorf("unknown event kind %q", kind)
+	}
+	p := mem.PageID(page)
+	switch {
+	case page == -1:
+		p = mem.NoPage
+	case page < 0:
+		return obs.Event{}, fmt.Errorf("negative page %d", page)
+	}
+	return obs.Event{T: t, Kind: k, Page: p, Batch: batch, V1: v1, V2: v2}, nil
+}
+
+// lineCodec is one trace format's strict decoder, its reference parser
+// and its encoder.
+type lineCodec struct {
+	name   string
+	decode func([]byte) (obs.Event, error)
+	ref    func([]byte) (obs.Event, error)
+	encode func([]byte, obs.Event) []byte
+}
+
+var (
+	jsonlCodec = lineCodec{"jsonl", obs.DecodeJSONL, refParseJSONLEvent, obs.AppendJSONL}
+	csvCodec   = lineCodec{"csv", obs.DecodeCSV, refParseCSVEvent, obs.AppendCSV}
+)
+
+// mismatch returns how the strict decoder breaks its relation to the
+// reference on line, or "" when the relation holds: the decoder accepts
+// line exactly when the reference accepts it and the encoder renders
+// the reference's event as line, and then both give the same event.
+func (c lineCodec) mismatch(line string) string {
+	got, gotErr := c.decode([]byte(line))
+	want, wantErr := c.ref([]byte(line))
+	canonical := wantErr == nil && string(c.encode(nil, want)) == line+"\n"
+	switch {
+	case (gotErr == nil) != canonical:
+		return fmt.Sprintf("%s %q: strict err=%v; reference (%+v, %v), canonical=%v",
+			c.name, line, gotErr, want, wantErr, canonical)
+	case gotErr == nil && got != want:
+		return fmt.Sprintf("%s %q: strict %+v, reference %+v", c.name, line, got, want)
+	}
+	return ""
+}
+
+// parserCorpusJSONL returns lines exercising the decoders' edges: every
+// canonical writer line, plus near misses — lines the reference accepts
+// but no writer produces, which the strict decoder must reject, and
+// lines both reject.
 func parserCorpusJSONL() []string {
 	var lines []string
 	for _, e := range allKindEvents() {
@@ -74,15 +152,15 @@ func parserCorpusCSV() []string {
 	}
 	lines = append(lines,
 		"1,scan,0,0,0,0",
-		"01,scan,0,0,0,0",                   // leading zero: strconv accepts
+		"01,scan,0,0,0,0",                   // leading zero: only the reference accepts
 		"1,scan,007,0,0,0",                  // leading zeros
 		"1,scan,-1,0,0,0",                   // NoPage sentinel
-		"1,scan,-01,0,0,0",                  // ParseInt accepts "-01" as -1
-		"1,scan,-2,0,0,0",                   // negative page: rejected by wireToEvent
+		"1,scan,-01,0,0,0",                  // ParseInt reads "-01" as -1; not canonical
+		"1,scan,-2,0,0,0",                   // negative page: both reject
 		"1,nope,0,0,0,0",                    // unknown kind
 		"1,none,0,0,0,0",                    // never-emitted kind
-		"+1,scan,0,0,0,0",                   // ParseUint accepts a sign prefix
-		"1,scan,+7,0,0,0",                   // ParseInt accepts a sign prefix
+		"+1,scan,0,0,0,0",                   // ParseUint accepts a sign prefix; not canonical
+		"1,scan,+7,0,0,0",                   // ParseInt accepts a sign prefix; not canonical
 		"18446744073709551615,scan,0,0,0,0", // max uint64
 		"18446744073709551616,scan,0,0,0,0", // overflow
 		"1,scan,9223372036854775807,0,0,0",  // max int64 page
@@ -100,45 +178,30 @@ func parserCorpusCSV() []string {
 	return lines
 }
 
-// TestParserDifferentialJSONL: on every corpus line, the optimized
-// parser and the pure-JSON reference make the same accept/reject
-// decision and produce the same event.
+// TestParserDifferentialJSONL: on every corpus line, the strict JSONL
+// decoder keeps its relation to the encoding/json reference.
 func TestParserDifferentialJSONL(t *testing.T) {
 	for _, line := range parserCorpusJSONL() {
-		got, gotErr := parseJSONLEvent([]byte(line))
-		want, wantErr := refParseJSONLEvent([]byte(line))
-		if (gotErr == nil) != (wantErr == nil) {
-			t.Errorf("%q: accept/reject diverges: optimized err=%v, reference err=%v", line, gotErr, wantErr)
-			continue
-		}
-		if gotErr == nil && got != want {
-			t.Errorf("%q: value diverges: optimized %+v, reference %+v", line, got, want)
+		if msg := jsonlCodec.mismatch(line); msg != "" {
+			t.Error(msg)
 		}
 	}
 }
 
 func TestParserDifferentialCSV(t *testing.T) {
 	for _, line := range parserCorpusCSV() {
-		got, gotErr := parseCSVLine([]byte(line))
-		want, wantErr := refParseCSVEvent([]byte(line))
-		if (gotErr == nil) != (wantErr == nil) {
-			t.Errorf("%q: accept/reject diverges: optimized err=%v, reference err=%v", line, gotErr, wantErr)
-			continue
-		}
-		if gotErr == nil && got != want {
-			t.Errorf("%q: value diverges: optimized %+v, reference %+v", line, got, want)
+		if msg := csvCodec.mismatch(line); msg != "" {
+			t.Error(msg)
 		}
 	}
 }
 
 // TestParserDifferentialRandom mutates canonical lines at random byte
-// positions and re-checks parser agreement — the mutations land exactly
-// on the boundary between "canonical" and "slow path" where a fast
-// scanner bug would hide.
+// positions and re-checks the relation — the mutations land exactly on
+// the boundary between a writer's line and a near miss, where a strict
+// decoder bug would hide.
 func TestParserDifferentialRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
-	jsonl := parserCorpusJSONL()
-	csv := parserCorpusCSV()
 	mutate := func(s string) string {
 		if len(s) == 0 {
 			return s
@@ -156,20 +219,14 @@ func TestParserDifferentialRandom(t *testing.T) {
 		}
 		return string(b)
 	}
-	for i := 0; i < 20_000; i++ {
-		line := mutate(jsonl[rng.Intn(len(jsonl))])
-		got, gotErr := parseJSONLEvent([]byte(line))
-		want, wantErr := refParseJSONLEvent([]byte(line))
-		if (gotErr == nil) != (wantErr == nil) || (gotErr == nil && got != want) {
-			t.Fatalf("jsonl %q: optimized (%+v, %v) vs reference (%+v, %v)", line, got, gotErr, want, wantErr)
-		}
-	}
-	for i := 0; i < 20_000; i++ {
-		line := mutate(csv[rng.Intn(len(csv))])
-		got, gotErr := parseCSVLine([]byte(line))
-		want, wantErr := refParseCSVEvent([]byte(line))
-		if (gotErr == nil) != (wantErr == nil) || (gotErr == nil && got != want) {
-			t.Fatalf("csv %q: optimized (%+v, %v) vs reference (%+v, %v)", line, got, gotErr, want, wantErr)
+	for _, c := range []struct {
+		codec  lineCodec
+		corpus []string
+	}{{jsonlCodec, parserCorpusJSONL()}, {csvCodec, parserCorpusCSV()}} {
+		for i := 0; i < 20_000; i++ {
+			if msg := c.codec.mismatch(mutate(c.corpus[rng.Intn(len(c.corpus))])); msg != "" {
+				t.Fatal(msg)
+			}
 		}
 	}
 }

@@ -135,6 +135,10 @@ func TestJSONLRejectsCorruptLines(t *testing.T) {
 		{"float field", `{"t":1.5,"kind":"scan","page":0,"batch":0,"v1":0,"v2":0}`},
 		{"negative counter", `{"t":1,"kind":"scan","page":0,"batch":-3,"v1":0,"v2":0}`},
 		{"not an object", `[1,2,3]`},
+		{"reordered fields", `{"kind":"scan","t":1,"page":0,"batch":0,"v1":0,"v2":0}`},
+		{"whitespace", `{"t": 1,"kind":"scan","page":0,"batch":0,"v1":0,"v2":0}`},
+		{"leading zero", `{"t":01,"kind":"scan","page":0,"batch":0,"v1":0,"v2":0}`},
+		{"sign prefix", `{"t":+1,"kind":"scan","page":0,"batch":0,"v1":0,"v2":0}`},
 	}
 	for _, tc := range tests {
 		_, err := ReadJSONL(strings.NewReader(head + tc.lines + "\n"))
@@ -159,6 +163,9 @@ func TestCSVRejectsCorruptRows(t *testing.T) {
 		{"unknown kind", "1,warp_drive,0,0,0,0"},
 		{"bad number", "one,scan,0,0,0,0"},
 		{"negative page below sentinel", "1,scan,-2,0,0,0"},
+		{"leading zero", "01,scan,0,0,0,0"},
+		{"sign prefix", "+1,scan,0,0,0,0"},
+		{"sentinel with a leading zero", "1,scan,-01,0,0,0"},
 	}
 	for _, tc := range tests {
 		_, err := ReadCSV(strings.NewReader(head + tc.row + "\n"))

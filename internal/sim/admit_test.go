@@ -41,10 +41,10 @@ func TestDynamicCohortAtZeroEqualsNew(t *testing.T) {
 		t.Errorf("dynamic cohort at t=0 diverges from New:\n  static  %.300s\n  dynamic %.300s", a, b)
 	}
 	var ba, bb strings.Builder
-	if err := recA.WriteJSONL(&ba); err != nil {
+	if err := obs.WriteJSONL(&ba, recA.Events()); err != nil {
 		t.Fatal(err)
 	}
-	if err := recB.WriteJSONL(&bb); err != nil {
+	if err := obs.WriteJSONL(&bb, recB.Events()); err != nil {
 		t.Fatal(err)
 	}
 	if ba.String() != bb.String() {

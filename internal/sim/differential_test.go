@@ -61,7 +61,7 @@ func (a diffArtifacts) hash() string {
 func artifactsOf(t testing.TB, res interface{}, rec *obs.Recorder) diffArtifacts {
 	t.Helper()
 	var b strings.Builder
-	if err := rec.WriteJSONL(&b); err != nil {
+	if err := obs.WriteJSONL(&b, rec.Events()); err != nil {
 		t.Fatal(err)
 	}
 	return diffArtifacts{
@@ -128,7 +128,7 @@ func multiCell(t testing.TB, schemeA, schemeB Scheme, benchA, benchB string) dif
 		t.Fatal(err)
 	}
 	var b strings.Builder
-	if err := rec.WriteJSONL(&b); err != nil {
+	if err := obs.WriteJSONL(&b, rec.Events()); err != nil {
 		t.Fatal(err)
 	}
 	return diffArtifacts{

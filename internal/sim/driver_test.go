@@ -219,7 +219,7 @@ type driverRun struct {
 func render(t *testing.T, results []sim.SharedResult, rec *obs.Recorder) driverRun {
 	t.Helper()
 	var b strings.Builder
-	if err := rec.WriteJSONL(&b); err != nil {
+	if err := obs.WriteJSONL(&b, rec.Events()); err != nil {
 		t.Fatal(err)
 	}
 	events, err := replay.ReadJSONL(strings.NewReader(b.String()))

@@ -384,9 +384,9 @@ func (e *Engine) Done() bool { return e.sched.len() == 0 }
 
 // NextKey returns the virtual time of the engine's next scheduled event
 // (the clock-plus-compute key of the earliest runnable enclave) and
-// whether any enclave is still runnable. The fleet layer compares it
-// against arrival timestamps to interleave host execution with the
-// front door on one shared clock.
+// whether any enclave is still runnable. Only tests read it, to check
+// the scheduler's key against the drivers; the fleet layer barriers
+// with RunUntil at each arrival instead.
 func (e *Engine) NextKey() (uint64, bool) {
 	if e.sched.len() == 0 {
 		return 0, false

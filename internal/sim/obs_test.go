@@ -58,7 +58,7 @@ func TestEventStreamDeterministic(t *testing.T) {
 			t.Fatal(err)
 		}
 		var b strings.Builder
-		if err := rec.WriteJSONL(&b); err != nil {
+		if err := obs.WriteJSONL(&b, rec.Events()); err != nil {
 			t.Fatal(err)
 		}
 		return b.String()

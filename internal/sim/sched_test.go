@@ -96,7 +96,7 @@ func tieBreakCell(t testing.TB, e int) diffArtifacts {
 		t.Fatal(err)
 	}
 	var b strings.Builder
-	if err := rec.WriteJSONL(&b); err != nil {
+	if err := obs.WriteJSONL(&b, rec.Events()); err != nil {
 		t.Fatal(err)
 	}
 	return diffArtifacts{
@@ -157,10 +157,10 @@ func TestDifferentialHeapVsLinear(t *testing.T) {
 			}
 			if hooked {
 				var hb, lb strings.Builder
-				if err := recHeap.WriteJSONL(&hb); err != nil {
+				if err := obs.WriteJSONL(&hb, recHeap.Events()); err != nil {
 					t.Fatal(err)
 				}
-				if err := recLin.WriteJSONL(&lb); err != nil {
+				if err := obs.WriteJSONL(&lb, recLin.Events()); err != nil {
 					t.Fatal(err)
 				}
 				if hb.String() != lb.String() {
