@@ -13,7 +13,9 @@
 //
 // The channel is a pure time-keeper: it tracks the in-progress load and the
 // pending preload batch, and leaves all policy (eviction, priorities,
-// counters) to the kernel package that drives it.
+// counters) to the kernel package that drives it. Demand loads and
+// write-back bursts are synchronous Transfers, so the in-flight slot
+// holds only a started preload, from Begin until Retire.
 //
 // The pending queue sits on the fault-servicing hot path (every Sync pops
 // it, every prediction probes it), so it is a ring-buffer deque:
@@ -29,22 +31,6 @@ import (
 	"sgxpreload/internal/obs"
 )
 
-// Load describes one page transfer occupying the channel.
-type Load struct {
-	// Page being transferred into the EPC.
-	Page mem.PageID
-	// Start is the cycle the channel began the transfer.
-	Start uint64
-	// Done is the cycle the transfer completes (Start + occupancy).
-	Done uint64
-	// Preload records whether the transfer was speculative (queued by a
-	// predictor) rather than demanded by a fault or a SIP notification.
-	Preload bool
-	// Batch tags the prediction batch a preload belongs to; zero for
-	// demand loads.
-	Batch uint64
-}
-
 // Request is a queued (not yet started) preload.
 type Request struct {
 	Page  mem.PageID
@@ -58,14 +44,18 @@ type Request struct {
 // has its own preload queue, but transfers serialize on the same
 // hardware).
 type server struct {
-	inflight  Load // valid only while busy
+	// The in-flight slot (Begin's transfer), valid while busy.
+	page      mem.PageID
+	batch     uint64
+	preload   bool
 	busy      bool
 	busyUntil uint64
 	started   uint64 // total transfers begun
 }
 
 // Channel is the single-server load queue. Construct with New; Sibling
-// adds a channel sharing an existing one's server.
+// adds a channel sharing an existing one's server. A demand load or a
+// write-back burst is one Transfer; only a started preload is in flight.
 //
 // The pending queue keeps one invariant: each batch ID occupies one
 // contiguous run of the deque, and IDs strictly increase from front to
@@ -113,23 +103,9 @@ func (c *Channel) Sibling() *Channel { return newChannel(c.srv) }
 // load is in progress it returns the completion time of the last one (or 0).
 func (c *Channel) BusyUntil() uint64 { return c.srv.busyUntil }
 
-// Inflight returns the in-progress load, if any.
-func (c *Channel) Inflight() (Load, bool) {
-	if !c.srv.busy {
-		return Load{}, false
-	}
-	return c.srv.inflight, true
-}
-
 // InflightDone returns the completion time of the transfer in flight.
-// It is Inflight for the kernel's per-access sync check: that path only
-// ever needs Done, and skipping the Load copy matters at fleet-scale
-// step rates.
 func (c *Channel) InflightDone() (uint64, bool) {
-	if !c.srv.busy {
-		return 0, false
-	}
-	return c.srv.inflight.Done, true
+	return c.srv.busyUntil, c.srv.busy
 }
 
 // InflightPage returns the page of the in-progress load, or mem.NoPage.
@@ -137,47 +113,70 @@ func (c *Channel) InflightPage() mem.PageID {
 	if !c.srv.busy {
 		return mem.NoPage
 	}
-	return c.srv.inflight.Page
+	return c.srv.page
 }
 
 // Idle reports whether no load is in progress.
 func (c *Channel) Idle() bool { return !c.srv.busy }
 
 // Begin starts a transfer of page at cycle start, occupying the channel
-// for occupancy cycles. The caller must have completed any in-progress
-// load first (start must be >= BusyUntil) — the non-preemptibility rule.
-func (c *Channel) Begin(page mem.PageID, start, occupancy uint64, preload bool, batch uint64) Load {
-	if c.srv.busy {
-		panic("channel: Begin while a load is in progress")
-	}
-	if start < c.srv.busyUntil {
-		panic("channel: Begin before the channel is free (time went backwards)")
-	}
-	ld := Load{Page: page, Start: start, Done: start + occupancy, Preload: preload, Batch: batch}
-	c.srv.inflight = ld
-	c.srv.busy = true
-	c.srv.busyUntil = ld.Done
-	c.srv.started++
+// for occupancy cycles, and leaves it in the in-flight slot until Retire.
+// The caller must have retired any in-progress load first (start must be
+// >= BusyUntil) — the non-preemptibility rule.
+func (c *Channel) Begin(page mem.PageID, start, occupancy uint64, preload bool, batch uint64) {
+	c.checkFree(start)
+	s := c.srv
+	s.page, s.batch, s.preload, s.busy = page, batch, preload, true
+	s.busyUntil = start + occupancy
+	s.started++
 	if c.hook != nil {
-		c.hook.Emit(obs.Event{T: ld.Start, Kind: obs.KindLoadStart,
-			Page: ld.Page, Batch: ld.Batch, V1: ld.Done, V2: boolV(ld.Preload)})
+		c.hook.Emit(obs.Event{T: start, Kind: obs.KindLoadStart,
+			Page: page, Batch: batch, V1: s.busyUntil, V2: boolV(preload)})
 	}
-	return ld
 }
 
-// CompleteInflight retires the in-progress load and returns it. It panics
-// if the channel is idle; callers check Inflight first.
-func (c *Channel) CompleteInflight() Load {
-	if !c.srv.busy {
-		panic("channel: CompleteInflight on idle channel")
-	}
-	ld := c.srv.inflight
-	c.srv.busy = false
+// Transfer runs a synchronous demand load (ELDU) of page, or a write-back
+// burst (page mem.NoPage), from cycle start for occupancy cycles and
+// returns the cycle it completes. It leaves the state and emits the events
+// of Begin followed at once by Retire, but never writes the in-flight
+// slot: the requester holds the channel throughout. Like Begin, it panics
+// while a load is in progress or when start is before BusyUntil.
+func (c *Channel) Transfer(page mem.PageID, start, occupancy uint64) (done uint64) {
+	c.checkFree(start)
+	done = start + occupancy
+	c.srv.busyUntil = done
+	c.srv.started++
 	if c.hook != nil {
-		c.hook.Emit(obs.Event{T: ld.Done, Kind: obs.KindLoadComplete,
-			Page: ld.Page, Batch: ld.Batch, V2: boolV(ld.Preload)})
+		c.hook.Emit(obs.Event{T: start, Kind: obs.KindLoadStart, Page: page, V1: done})
+		c.hook.Emit(obs.Event{T: done, Kind: obs.KindLoadComplete, Page: page})
 	}
-	return ld
+	return done
+}
+
+// checkFree panics unless the server is idle and free by start.
+func (c *Channel) checkFree(start uint64) {
+	if c.srv.busy {
+		panic("channel: transfer begun while a load is in progress")
+	}
+	if start < c.srv.busyUntil {
+		panic("channel: transfer begun before the channel is free (time went backwards)")
+	}
+}
+
+// Retire ends the in-progress load and returns its page and whether it
+// was a preload. It panics if the channel is idle; callers check Idle or
+// InflightDone first.
+func (c *Channel) Retire() (page mem.PageID, preload bool) {
+	s := c.srv
+	if !s.busy {
+		panic("channel: Retire on idle channel")
+	}
+	s.busy = false
+	if c.hook != nil {
+		c.hook.Emit(obs.Event{T: s.busyUntil, Kind: obs.KindLoadComplete,
+			Page: s.page, Batch: s.batch, V2: boolV(s.preload)})
+	}
+	return s.page, s.preload
 }
 
 // at returns the request at logical position i (0 = front). Valid only

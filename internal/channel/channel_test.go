@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"sgxpreload/internal/mem"
+	"sgxpreload/internal/obs"
 )
 
 func TestBeginComplete(t *testing.T) {
@@ -11,9 +12,9 @@ func TestBeginComplete(t *testing.T) {
 	if !c.Idle() {
 		t.Fatal("new channel not idle")
 	}
-	ld := c.Begin(5, 100, 44000, false, 0)
-	if ld.Done != 44100 {
-		t.Fatalf("Done = %d, want 44100", ld.Done)
+	c.Begin(5, 100, 44000, true, 3)
+	if c.BusyUntil() != 44100 {
+		t.Fatalf("BusyUntil = %d, want 44100", c.BusyUntil())
 	}
 	if c.Idle() {
 		t.Fatal("channel idle during transfer")
@@ -21,9 +22,12 @@ func TestBeginComplete(t *testing.T) {
 	if got := c.InflightPage(); got != 5 {
 		t.Fatalf("InflightPage() = %d, want 5", got)
 	}
-	done := c.CompleteInflight()
-	if done.Page != 5 || !c.Idle() {
-		t.Fatalf("CompleteInflight() = %+v, idle=%v", done, c.Idle())
+	if done, ok := c.InflightDone(); !ok || done != 44100 {
+		t.Fatalf("InflightDone() = %d, %v, want 44100, true", done, ok)
+	}
+	page, preload := c.Retire()
+	if page != 5 || !preload || !c.Idle() {
+		t.Fatalf("Retire() = %d, %v, idle=%v", page, preload, c.Idle())
 	}
 	if c.Started() != 1 {
 		t.Fatalf("Started() = %d, want 1", c.Started())
@@ -49,27 +53,103 @@ func TestBeginBeforeFreePanics(t *testing.T) {
 	}()
 	c := New()
 	c.Begin(1, 0, 100, false, 0)
-	c.CompleteInflight()
+	c.Retire()
 	c.Begin(2, 50, 100, false, 0) // channel busy until 100
 }
 
 func TestCompleteIdlePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("CompleteInflight on idle channel did not panic")
+			t.Fatal("Retire on idle channel did not panic")
 		}
 	}()
-	New().CompleteInflight()
+	New().Retire()
 }
 
 func TestInflightOnIdle(t *testing.T) {
 	c := New()
-	if _, ok := c.Inflight(); ok {
-		t.Fatal("Inflight() = ok on idle channel")
+	if !c.Idle() {
+		t.Fatal("Idle() = false on a new channel")
+	}
+	if _, ok := c.InflightDone(); ok {
+		t.Fatal("InflightDone() = ok on idle channel")
 	}
 	if got := c.InflightPage(); got != mem.NoPage {
 		t.Fatalf("InflightPage() = %d, want NoPage", got)
 	}
+	// A synchronous transfer never occupies the in-flight slot.
+	c.Transfer(9, 0, 100)
+	if !c.Idle() || c.InflightPage() != mem.NoPage {
+		t.Fatalf("after Transfer: idle %v, inflight page %d", c.Idle(), c.InflightPage())
+	}
+}
+
+// TestTransferMatchesBeginRetire is the differential behind the fault
+// path's synchronous transfer: over a run of demand loads and write-back
+// bursts, with preloads begun and retired between them, Transfer leaves
+// BusyUntil, Started and Idle where Begin followed by Retire leaves them
+// and emits the same events. Both channels also check the absolute
+// values, so a slip shared by the two paths cannot hide. Transfer panics
+// where Begin does.
+func TestTransferMatchesBeginRetire(t *testing.T) {
+	tr, ref := New(), New()
+	trRec, refRec := obs.NewRecorder(), obs.NewRecorder()
+	tr.SetHook(trRec)
+	ref.SetHook(refRec)
+	var want uint64 // busy-until both channels must reach
+	for i := 0; i < 40; i++ {
+		page := mem.PageID(i)
+		if i%5 == 4 {
+			page = mem.NoPage // a write-back burst
+		}
+		start, occ := want+uint64(i%3)*7, uint64(100+i)
+		want = start + occ
+		if i%4 == 1 {
+			// A preload through the slot on both channels first.
+			for _, c := range []*Channel{tr, ref} {
+				c.Begin(mem.PageID(1000+i), start, occ, true, uint64(i))
+				c.Retire()
+			}
+			start, want = want, want+occ
+		}
+		if done := tr.Transfer(page, start, occ); done != want {
+			t.Fatalf("transfer %d: Transfer = %d, want %d", i, done, want)
+		}
+		ref.Begin(page, start, occ, false, 0)
+		ref.Retire()
+		for _, c := range []*Channel{tr, ref} {
+			if !c.Idle() || c.BusyUntil() != want || c.Started() != ref.Started() {
+				t.Fatalf("transfer %d: idle %v, BusyUntil %d, Started %d; want idle, %d, %d",
+					i, c.Idle(), c.BusyUntil(), c.Started(), want, ref.Started())
+			}
+		}
+	}
+	if got := tr.Started(); got != 50 {
+		t.Fatalf("Started() = %d after 40 transfers and 10 preloads, want 50", got)
+	}
+	got, wantEv := trRec.Events(), refRec.Events()
+	if len(got) != len(wantEv) {
+		t.Fatalf("Transfer emitted %d events, Begin+Retire %d", len(got), len(wantEv))
+	}
+	for i := range got {
+		if got[i] != wantEv[i] {
+			t.Fatalf("event %d: Transfer %+v, Begin+Retire %+v", i, got[i], wantEv[i])
+		}
+	}
+
+	mustPanic := func(what string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Fatalf("Transfer %s did not panic", what)
+			}
+		}()
+		f()
+	}
+	busy := New()
+	busy.Begin(1, 0, 100, true, 1)
+	mustPanic("while a preload is in flight", func() { busy.Transfer(2, 100, 10) })
+	mustPanic("before the channel is free", func() { tr.Transfer(2, want-1, 10) })
 }
 
 func TestQueueBatchFIFO(t *testing.T) {
@@ -293,8 +373,12 @@ func TestBusyUntilMonotone(t *testing.T) {
 	var last uint64
 	for i := 0; i < 100; i++ {
 		start := c.BusyUntil() + uint64(i%7)
-		c.Begin(mem.PageID(i), start, 1000, i%2 == 0, 0)
-		c.CompleteInflight()
+		if i%2 == 0 {
+			c.Begin(mem.PageID(i), start, 1000, true, 0)
+			c.Retire()
+		} else {
+			c.Transfer(mem.PageID(i), start, 1000)
+		}
 		if c.BusyUntil() < last {
 			t.Fatalf("BusyUntil went backwards: %d < %d", c.BusyUntil(), last)
 		}

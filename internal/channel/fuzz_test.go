@@ -1,6 +1,7 @@
 package channel
 
 import (
+	"slices"
 	"testing"
 
 	"sgxpreload/internal/mem"
@@ -9,8 +10,8 @@ import (
 
 // FuzzPendingQueue drives the pending-preload queue with an arbitrary
 // interleaving of QueueBatch, pop-and-start, peek-then-start,
-// AbortBatchContaining, RemovePending, and AbortPending under MaxPending
-// pressure, and checks the conservation
+// AbortBatchContaining, RemovePending, AbortPending and synchronous
+// demand Transfers under MaxPending pressure, and checks the conservation
 // law every request obeys: each queued request is eventually started,
 // removed (the SIP notify path), or aborted with an accounted count —
 // never duplicated, never lost. An abort must take the whole batch of the
@@ -29,9 +30,13 @@ import (
 // The seed corpus covers the interesting collisions directly (overflow
 // drops racing pops, aborting a batch that was partially popped,
 // queue/peek/pop churn that wraps the ring past its capacity); the fuzzer
-// explores interleavings around them. Op 5 is retired and does nothing,
-// so the other ops keep their numbers and saved inputs keep their
-// meaning.
+// explores interleavings around them.
+//
+// A twin channel mirrors every transfer: each started preload runs as
+// Begin then Retire on both, and each op-5 Transfer runs on the twin as
+// Begin then Retire of a demand load. After every op the two must agree
+// on BusyUntil, Started and Idle, and at the end their load events must
+// be identical — Transfer is Begin followed by Retire with no slot.
 func FuzzPendingQueue(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 3, 1, 2, 3, 4, 5}) // one batch, then pops
@@ -48,12 +53,15 @@ func FuzzPendingQueue(f *testing.F) {
 		6, 6, 1, 1, 0, 5, 20, 21, 22, 23, 24, 6, 1, 6, 1, 6, 1,
 		0, 4, 30, 31, 32, 33, 6, 1, 1, 1, 0, 3, 40, 41, 42, 6, 6, 1, 1, 1,
 	})
+	// Demand transfers between queueing, pops and a peek-then-start.
+	f.Add([]byte{0, 3, 1, 2, 3, 5, 9, 2, 10, 1, 5, 200, 3, 63, 6, 5, 7, 0, 0, 1, 5, 1, 1, 1})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		c := New()
-		rec := obs.NewRecorder()
+		c, twin := New(), New()
+		rec, twinRec := obs.NewRecorder(), obs.NewRecorder()
 		c.SetHook(rec)
+		twin.SetHook(twinRec)
 		const maxPending = 8
-		var queued, started, removed uint64
+		var queued, started, removed, transfers uint64
 		var now uint64
 		next := func(i *int) byte {
 			if *i >= len(data) {
@@ -84,6 +92,18 @@ func FuzzPendingQueue(f *testing.F) {
 			if c.PendingContains(256) {
 				t.Fatal("PendingContains(256) is true for a page never queued")
 			}
+		}
+		// preload runs r's transfer through the in-flight slot on both
+		// channels, as the kernel's Sync would.
+		preload := func(r Request) {
+			start := max(c.BusyUntil(), r.Enqueued)
+			for _, ch := range []*Channel{c, twin} {
+				ch.Begin(r.Page, start, 100, true, r.Batch)
+				if page, spec := ch.Retire(); page != r.Page || !spec {
+					t.Fatalf("Retire = (%d, %v), began preload of %d", page, spec, r.Page)
+				}
+			}
+			started++
 		}
 		for i := 0; i < len(data); {
 			now++
@@ -118,13 +138,7 @@ func FuzzPendingQueue(f *testing.F) {
 					if r.Batch == 0 {
 						t.Fatal("popped request has the zero batch tag")
 					}
-					start := c.BusyUntil()
-					if r.Enqueued > start {
-						start = r.Enqueued
-					}
-					c.Begin(r.Page, start, 100, true, r.Batch)
-					c.CompleteInflight()
-					started++
+					preload(r)
 				} else if before != 0 {
 					t.Fatalf("PopPending failed with %d pending", before)
 				}
@@ -190,13 +204,21 @@ func FuzzPendingQueue(f *testing.F) {
 				if !popOK || popped != r {
 					t.Fatalf("PopPending = (%v, %v) after PeekPending = %v", popped, popOK, r)
 				}
-				start := c.BusyUntil()
-				if r.Enqueued > start {
-					start = r.Enqueued
+				preload(r)
+			case 5: // a demand load: one synchronous Transfer
+				page := mem.PageID(next(&i))
+				start := c.BusyUntil() + uint64(next(&i)%4)
+				occ := 50 + uint64(next(&i)%64)
+				if done := c.Transfer(page, start, occ); done != start+occ {
+					t.Fatalf("Transfer(%d, %d, %d) = %d", page, start, occ, done)
 				}
-				c.Begin(r.Page, start, 100, true, r.Batch)
-				c.CompleteInflight()
-				started++
+				twin.Begin(page, start, occ, false, 0)
+				twin.Retire()
+				transfers++
+			}
+			if c.BusyUntil() != twin.BusyUntil() || c.Started() != twin.Started() || c.Idle() != twin.Idle() {
+				t.Fatalf("channel (BusyUntil %d, Started %d, idle %v) != Begin+Retire twin (%d, %d, %v)",
+					c.BusyUntil(), c.Started(), c.Idle(), twin.BusyUntil(), twin.Started(), twin.Idle())
 			}
 			checkQueue()
 			if c.Aborted() < prevAborted {
@@ -207,8 +229,9 @@ func FuzzPendingQueue(f *testing.F) {
 					queued, started, removed, c.Aborted(), c.PendingLen())
 			}
 		}
-		if got := c.Started(); got != started {
-			t.Fatalf("channel Started() = %d, harness began %d transfers", got, started)
+		if got := c.Started(); got != started+transfers {
+			t.Fatalf("channel Started() = %d, harness began %d preloads and %d transfers",
+				got, started, transfers)
 		}
 		// The event stream must tell the same story as the counters.
 		counts := map[obs.Kind]uint64{}
@@ -222,9 +245,18 @@ func FuzzPendingQueue(f *testing.F) {
 			t.Fatalf("%d abort events, want %d (aborted %d + removed %d)",
 				counts[obs.KindPreloadAbort], want, c.Aborted(), removed)
 		}
-		if counts[obs.KindLoadStart] != started || counts[obs.KindLoadComplete] != started {
-			t.Fatalf("%d start / %d complete events, began %d transfers",
-				counts[obs.KindLoadStart], counts[obs.KindLoadComplete], started)
+		if counts[obs.KindLoadStart] != started+transfers || counts[obs.KindLoadComplete] != started+transfers {
+			t.Fatalf("%d start / %d complete events, began %d preloads and %d transfers",
+				counts[obs.KindLoadStart], counts[obs.KindLoadComplete], started, transfers)
+		}
+		var loads []obs.Event
+		for _, e := range rec.Events() {
+			if e.Kind == obs.KindLoadStart || e.Kind == obs.KindLoadComplete {
+				loads = append(loads, e)
+			}
+		}
+		if twinLoads := twinRec.Events(); !slices.Equal(loads, twinLoads) {
+			t.Fatalf("load events differ from the Begin+Retire twin:\n  got  %v\n  want %v", loads, twinLoads)
 		}
 	})
 }

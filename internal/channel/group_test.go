@@ -20,18 +20,21 @@ func TestSiblingSharesServer(t *testing.T) {
 	if b.BusyUntil() != 100 {
 		t.Fatalf("b BusyUntil = %d, want 100", b.BusyUntil())
 	}
-	// b can complete a's transfer (any kernel retires completions).
-	ld := b.CompleteInflight()
-	if ld.Page != 1 || !a.Idle() {
-		t.Fatalf("cross-channel completion broken: %+v, a idle %v", ld, a.Idle())
+	// b can retire a's transfer (any kernel retires completions).
+	if page, _ := b.Retire(); page != 1 || !a.Idle() {
+		t.Fatalf("cross-channel completion broken: page %d, a idle %v", page, a.Idle())
 	}
 	// Begin on b must respect a's busy-until.
 	b.Begin(2, 100, 50, false, 0)
 	if a.BusyUntil() != 150 {
 		t.Fatalf("a BusyUntil = %d, want 150", a.BusyUntil())
 	}
-	b.CompleteInflight()
-	if a.Started() != 2 || b.Started() != 2 {
+	b.Retire()
+	// So must a synchronous transfer on a.
+	if done := a.Transfer(3, 150, 25); done != 175 || b.BusyUntil() != 175 {
+		t.Fatalf("Transfer on a: done %d, b BusyUntil %d, want 175", done, b.BusyUntil())
+	}
+	if a.Started() != 3 || b.Started() != 3 {
 		t.Fatalf("Started() not shared: %d, %d", a.Started(), b.Started())
 	}
 }

@@ -104,8 +104,10 @@ type Stats struct {
 	PreloadsQueued uint64
 	// PreloadsStarted counts preloads that actually occupied the channel.
 	PreloadsStarted uint64
-	// PreloadsDropped counts queued preloads dropped before starting
-	// (batch aborts, stale-backlog evictions, or found-present skips).
+	// PreloadsDropped counts queued preloads dropped before starting by
+	// backlog overflow, found-present skips, SIP removals and the DFP-stop
+	// shutdown. Requests an in-window batch abort drops are not counted:
+	// InWindowAborts counts those faults, not the requests.
 	PreloadsDropped uint64
 	// NotifyLoads counts SIP notifications that triggered a page load.
 	NotifyLoads uint64
@@ -200,14 +202,14 @@ func (k *Kernel) Sync(now uint64) {
 			if done > now {
 				return
 			}
-			k.complete(k.ch.CompleteInflight())
+			k.install(k.ch.Retire())
 			continue
 		}
 		req, ok := k.peekStartable(now)
 		if !ok {
 			return
 		}
-		k.beginLoad(req.Page, max64(k.ch.BusyUntil(), req.Enqueued), true, req.Batch)
+		k.beginLoad(req.Page, max64(k.ch.BusyUntil(), req.Enqueued), req.Batch)
 	}
 }
 
@@ -263,35 +265,37 @@ func (k *Kernel) peekStartable(now uint64) (channel.Request, bool) {
 	}
 }
 
-// beginLoad starts a transfer at start, performing the EWB eviction first
-// when the EPC is full. The transfer's channel occupancy is the load cost
-// plus the eviction cost when a victim had to be written back.
-func (k *Kernel) beginLoad(page mem.PageID, start uint64, preload bool, batch uint64) channel.Load {
-	occ := k.cfg.Costs.Load
-	if preload {
-		occ += k.cfg.Costs.PreloadExtra
+// beginLoad starts the queued preload of page at start, after the EWB
+// eviction when the EPC is full. It is the only transfer left in the
+// channel's in-flight slot; Sync retires it once it is done.
+func (k *Kernel) beginLoad(page mem.PageID, start, batch uint64) {
+	occ := k.cfg.Costs.Load + k.cfg.Costs.PreloadExtra + k.evictIfFull(start)
+	k.stats.PreloadsStarted++
+	if k.pred != nil {
+		k.pred.NotePreloaded(1)
 	}
-	if k.epc.Full() {
-		// No free frame: evict synchronously on the load path. With the
-		// background reclaimer keeping watermarks this is the fallback for
-		// bursts that outrun it.
-		victim := k.selectVictim()
-		if victim != mem.NoPage {
-			k.epc.Evict(victim)
-			k.stats.Evictions++
-			occ += k.cfg.Costs.Evict
-			if k.hook != nil {
-				k.hook.Emit(obs.Event{T: start, Kind: obs.KindEvict, Page: victim})
-			}
-		}
+	k.ch.Begin(page, start, occ, true, batch)
+}
+
+// evictIfFull writes one victim back (EWB) at start when the EPC has no
+// free frame, and returns the channel occupancy that adds to the load
+// behind it: the eviction cost, or 0 when no victim was needed. With the
+// background reclaimer keeping watermarks this is the fallback for bursts
+// that outrun it.
+func (k *Kernel) evictIfFull(start uint64) uint64 {
+	if !k.epc.Full() {
+		return 0
 	}
-	if preload {
-		k.stats.PreloadsStarted++
-		if k.pred != nil {
-			k.pred.NotePreloaded(1)
-		}
+	victim := k.selectVictim()
+	if victim == mem.NoPage {
+		return 0
 	}
-	return k.ch.Begin(page, start, occ, preload, batch)
+	k.epc.Evict(victim)
+	k.stats.Evictions++
+	if k.hook != nil {
+		k.hook.Emit(obs.Event{T: start, Kind: obs.KindEvict, Page: victim})
+	}
+	return k.cfg.Costs.Evict
 }
 
 // selectVictim picks the next eviction victim. With no arbiter (the
@@ -314,19 +318,15 @@ func (k *Kernel) selectVictim() mem.PageID {
 	return k.epc.SelectVictim()
 }
 
-// complete installs a finished transfer into the EPC.
-func (k *Kernel) complete(ld channel.Load) {
-	if ld.Page == mem.NoPage {
-		// A background write-back burst: nothing to install.
-		return
-	}
-	if k.epc.Present(ld.Page) {
+// install puts a transferred page into the EPC.
+func (k *Kernel) install(page mem.PageID, preload bool) {
+	if k.epc.Present(page) {
 		// A demand load raced a queued duplicate; keep the resident copy.
 		return
 	}
-	if err := k.epc.Load(ld.Page, ld.Preload); err != nil {
-		// The eviction in beginLoad guaranteed a free frame; any failure
-		// is a simulator bug, not a runtime condition.
+	if err := k.epc.Load(page, preload); err != nil {
+		// The eviction before the transfer guaranteed a free frame; any
+		// failure is a simulator bug, not a runtime condition.
 		panic("kernel: install failed: " + err.Error())
 	}
 }
@@ -393,15 +393,16 @@ func (k *Kernel) HandleFault(now uint64, page mem.PageID) uint64 {
 // The load takes the channel as soon as the (non-preemptible) in-progress
 // transfer finishes, jumping ahead of any queued preloads: the requester
 // performs the ELDU itself, while the preload worker runs at lower
-// priority.
+// priority. The requester holds the channel for the whole ELDU, so the
+// load is one synchronous Transfer.
 func (k *Kernel) loadNow(t uint64, page mem.PageID) uint64 {
-	start := max64(t, k.ch.BusyUntil())
-	if _, busy := k.ch.Inflight(); busy {
-		k.complete(k.ch.CompleteInflight())
+	if !k.ch.Idle() {
+		k.install(k.ch.Retire())
 	}
-	ld := k.beginLoad(page, start, false, 0)
-	k.complete(k.ch.CompleteInflight())
-	return ld.Done
+	start := max64(t, k.ch.BusyUntil())
+	done := k.ch.Transfer(page, start, k.cfg.Costs.Load+k.evictIfFull(start))
+	k.install(page, false)
+	return done
 }
 
 // worthQueueing reports whether a preload of page is worth queueing: it
@@ -613,12 +614,10 @@ func (k *Kernel) backgroundReclaim(now uint64) {
 	}
 	// Occupy the channel with the write-back burst. If a transfer is in
 	// progress the burst starts after it (non-preemptible either way).
-	start := max64(now, k.ch.BusyUntil())
-	if _, busy := k.ch.Inflight(); busy {
-		k.complete(k.ch.CompleteInflight())
+	if !k.ch.Idle() {
+		k.install(k.ch.Retire())
 	}
-	k.ch.Begin(mem.NoPage, start, batch*k.cfg.Costs.Evict, false, 0)
-	k.complete(k.ch.CompleteInflight())
+	k.ch.Transfer(mem.NoPage, max64(now, k.ch.BusyUntil()), batch*k.cfg.Costs.Evict)
 }
 
 func max64(a, b uint64) uint64 {

@@ -192,6 +192,38 @@ func TestDemandJumpsAheadOfPendingPreloads(t *testing.T) {
 	}
 }
 
+// A demand load is one synchronous transfer: it retires the preload in
+// flight (installing it), runs to completion, installs its own page, and
+// leaves the channel's in-flight slot empty for the next preload.
+func TestTransferLeavesSlotIdle(t *testing.T) {
+	d := dfp.DefaultConfig()
+	cm := testCosts()
+	k := newKernel(t, 64, &d)
+	tNow := k.HandleFault(0, 100)
+	tNow = k.HandleFault(tNow, 101) // queues 102..105
+	k.Sync(tNow + 1)                // 102 in flight, 103..105 pending
+	k.HandleFault(tNow+1, 5000)
+	ch := k.Channel()
+	if !ch.Idle() || ch.InflightPage() != mem.NoPage {
+		t.Fatalf("after a demand load: idle %v, in-flight page %d", ch.Idle(), ch.InflightPage())
+	}
+	if !k.Present(102) || !k.Present(5000) {
+		t.Fatalf("present: preload 102 %v, demand 5000 %v", k.Present(102), k.Present(5000))
+	}
+	if want := tNow + cm.PreloadExtra + 2*cm.Load; ch.BusyUntil() != want {
+		t.Fatalf("BusyUntil = %d, want %d (the preload, then the demand load)", ch.BusyUntil(), want)
+	}
+	if ch.Started() != 4 || k.Stats().PreloadsStarted != 1 {
+		t.Fatalf("Started %d, PreloadsStarted %d; want 4 transfers, 1 of them a preload",
+			ch.Started(), k.Stats().PreloadsStarted)
+	}
+	// The SIP notify path demand-loads the same way.
+	k.NotifyLoad(ch.BusyUntil()+1, 6000)
+	if !ch.Idle() || !k.Present(6000) {
+		t.Fatalf("after a notify load: idle %v, 6000 present %v", ch.Idle(), k.Present(6000))
+	}
+}
+
 func TestNotifyLoadSkipsWorldSwitch(t *testing.T) {
 	k := newKernel(t, 8, nil)
 	cm := testCosts()
@@ -499,6 +531,28 @@ func TestSyncDropsRequestsForResidentPages(t *testing.T) {
 	// batch, so everything is consistent — no duplicate installs.
 	if err := k.EPC().CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// A queued preload whose page is already resident when the worker
+// reaches it is dropped and counted in PreloadsDropped. No engine
+// workload reaches this path (a demand or notify load removes its page
+// from the queue), so it is driven here directly.
+func TestPreloadAccountingResidentHead(t *testing.T) {
+	d := dfp.DefaultConfig()
+	k := newKernel(t, 8, &d)
+	k.Channel().QueueBatch([]mem.PageID{7, 8}, 0, MaxPending)
+	if err := k.EPC().Load(7, false); err != nil {
+		t.Fatal(err)
+	}
+	k.Sync(1)
+	st := k.Stats()
+	if st.PreloadsDropped != 1 || st.PreloadsStarted != 1 || k.Channel().PendingLen() != 0 {
+		t.Fatalf("dropped %d, started %d, pending %d; want 1, 1, 0",
+			st.PreloadsDropped, st.PreloadsStarted, k.Channel().PendingLen())
+	}
+	if k.Channel().InflightPage() != 8 {
+		t.Fatalf("in flight %d, want 8", k.Channel().InflightPage())
 	}
 }
 
