@@ -1,6 +1,7 @@
 package dfp
 
 import (
+	"slices"
 	"testing"
 
 	"sgxpreload/internal/mem"
@@ -16,6 +17,10 @@ func FuzzPredictors(f *testing.F) {
 	f.Add([]byte{0, 0, 0})
 	f.Add([]byte{255, 254, 253, 252})
 	f.Add([]byte{10, 11, 12, 200, 13, 14, 250, 251})
+	// Pages 37, 74, 37, 38, 37, 74, 75, 37: the 37→74 transition
+	// repeats before 37 faults again, so Markov's successor list must
+	// keep 74 once.
+	f.Add([]byte{1, 2, 1, 0, 1, 2, 0, 1})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		cfg := DefaultConfig()
 		ms, err := New(cfg)
@@ -52,9 +57,17 @@ func FuzzPredictors(f *testing.F) {
 				if len(out) > cfg.LoadLength {
 					t.Fatalf("prediction longer than LoadLength: %d", len(out))
 				}
-				for _, p := range out {
+				// The kernel queues a batch as is, so a duplicate or the
+				// faulting page itself would load a page twice.
+				for j, p := range out {
 					if p == mem.NoPage {
 						t.Fatal("predicted the NoPage sentinel")
+					}
+					if p == page {
+						t.Fatalf("fault on %d predicted the faulting page: %v", page, out)
+					}
+					if slices.Contains(out[:j], p) {
+						t.Fatalf("fault on %d predicted page %d twice: %v", page, p, out)
 					}
 				}
 			}

@@ -561,18 +561,6 @@ func (e *EPC) ScanPreloadBitsRange(lo, hi mem.PageID, clear bool, visit func(pag
 	}
 }
 
-// ResidentPages returns the resident page set in frame order; for tests
-// and tooling.
-func (e *EPC) ResidentPages() []mem.PageID {
-	pages := make([]mem.PageID, 0, e.Resident())
-	for i := range e.frames {
-		if p := e.frames[i].page; p != mem.NoPage {
-			pages = append(pages, p)
-		}
-	}
-	return pages
-}
-
 // CheckInvariants verifies internal consistency: the page table, frame
 // table, free list, presence bitmap, per-owner membership bitsets
 // and occupancy bitset must agree, and no access or preload bit may mark

@@ -29,9 +29,6 @@ type ReplayReport struct {
 	// EventsIdentical records whether the parsed timeline equals the
 	// recorded one event-for-event.
 	EventsIdentical bool
-	// StreamIdentical records whether the streaming sink export (the
-	// `sgxsim -trace` path) produced the same bytes as the batch writer.
-	StreamIdentical bool
 	// Diff compares the DFP timeline (a) against DFP-stop (b).
 	Diff replay.Diff
 }
@@ -59,23 +56,13 @@ func ReplayRun(r *Runner, bench string) (*ReplayReport, error) {
 		return nil, err
 	}
 
-	// Export through the streaming sink — the same path `sgxsim -trace`
-	// uses — and cross-check it against the batch writer: the two
-	// encoders must produce identical bytes for the same timeline.
+	// WriteJSONL is the streaming sink over the timeline: the same
+	// encoder `sgxsim -trace` writes with.
 	live := recStop.Events()
 	var buf bytes.Buffer
-	sink := obs.NewStreamSink(&buf, obs.FormatJSONL)
-	for _, e := range live {
-		sink.Emit(e)
-	}
-	if err := sink.Close(); err != nil {
+	if err := obs.WriteJSONL(&buf, live); err != nil {
 		return nil, fmt.Errorf("experiments: replay export: %w", err)
 	}
-	var batch strings.Builder
-	if err := obs.WriteJSONL(&batch, recStop.Events()); err != nil {
-		return nil, fmt.Errorf("experiments: replay export: %w", err)
-	}
-	streamIdentical := buf.String() == batch.String()
 	replayed, err := replay.ReadJSONL(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		return nil, fmt.Errorf("experiments: replay parse: %w", err)
@@ -93,7 +80,6 @@ func ReplayRun(r *Runner, bench string) (*ReplayReport, error) {
 		TraceBytes:      buf.Len(),
 		ReportIdentical: liveReport == replayReport,
 		EventsIdentical: eventsIdentical,
-		StreamIdentical: streamIdentical,
 		Diff:            replay.Compare(recDFP.Events(), recStop.Events()),
 	}, nil
 }
@@ -111,7 +97,6 @@ func (a *ReplayReport) String() string {
 	}
 	fmt.Fprintf(&b, "round-trip events:   %s\n", status(a.EventsIdentical))
 	fmt.Fprintf(&b, "round-trip report:   %s\n", status(a.ReportIdentical))
-	fmt.Fprintf(&b, "stream vs batch:     %s\n", status(a.StreamIdentical))
 	fmt.Fprintf(&b, "diff (a = %s dfp, b = %s dfp-stop):\n", a.Benchmark, a.Benchmark)
 	b.WriteString(a.Diff.String())
 	return b.String()

@@ -105,8 +105,7 @@ type Stats struct {
 	// PreloadsStarted counts preloads that actually occupied the channel.
 	PreloadsStarted uint64
 	// PreloadsDropped counts queued preloads dropped before starting by
-	// backlog overflow, found-present skips, SIP removals and the DFP-stop
-	// shutdown. Requests an in-window batch abort drops are not counted:
+	// backlog overflow, SIP removals and the DFP-stop shutdown. Requests an in-window batch abort drops are not counted:
 	// InWindowAborts counts those faults, not the requests.
 	PreloadsDropped uint64
 	// NotifyLoads counts SIP notifications that triggered a page load.
@@ -218,51 +217,35 @@ func (k *Kernel) Sync(now uint64) {
 // an access of this enclave changes kernel or channel state. It is the
 // earliest of the next scan, the in-flight transfer's completion (while
 // one is in flight Sync looks no further) and, with the server idle, the
-// queued head's first startable clock — or 0 when that head is already
-// resident, since peekStartable drops such a head at any now. The load
-// server is shared, so a horizon is only valid while no other enclave of
-// the group runs.
+// queued head's first startable clock. The load server is shared, so a
+// horizon is only valid while no other enclave of the group runs.
 func (k *Kernel) Horizon() uint64 {
 	h := k.nextScan
 	if done, ok := k.ch.InflightDone(); ok {
 		return min(h, done)
 	}
 	if req, ok := k.ch.PeekPending(); ok {
-		if k.epc.Present(req.Page) {
-			return 0
-		}
 		h = min(h, max64(k.ch.BusyUntil(), req.Enqueued)+1)
 	}
 	return h
 }
 
-// peekStartable drops queued preloads whose pages became resident in the
-// meantime and returns the first one that is still worth loading and could
-// start before now. A head that is not yet startable is left in place —
+// peekStartable pops and returns the queued head when it could start
+// before now. A head that is not yet startable is left in place —
 // PeekPending makes the no-work case O(1), where the old pop-and-restore
 // drained and rebuilt the whole queue on every non-startable Sync.
+//
+// A queued page is never resident: worthQueueing admits only absent
+// pages, predicted batches hold no duplicates, and a demand or notify
+// load removes its page from the queue before loading it. A violation
+// panics in install.
 func (k *Kernel) peekStartable(now uint64) (channel.Request, bool) {
-	for {
-		req, ok := k.ch.PeekPending()
-		if !ok {
-			return channel.Request{}, false
-		}
-		if k.epc.Present(req.Page) {
-			k.ch.PopPending()
-			k.stats.PreloadsDropped++
-			if k.hook != nil {
-				k.hook.Emit(obs.Event{T: max64(k.ch.BusyUntil(), req.Enqueued),
-					Kind: obs.KindPreloadAbort, Page: req.Page, Batch: req.Batch,
-					V1: obs.AbortResident})
-			}
-			continue
-		}
-		if start := max64(k.ch.BusyUntil(), req.Enqueued); start >= now {
-			return channel.Request{}, false
-		}
-		k.ch.PopPending()
-		return req, true
+	req, ok := k.ch.PeekPending()
+	if !ok || max64(k.ch.BusyUntil(), req.Enqueued) >= now {
+		return channel.Request{}, false
 	}
+	k.ch.PopPending()
+	return req, true
 }
 
 // beginLoad starts the queued preload of page at start, after the EWB
@@ -320,13 +303,10 @@ func (k *Kernel) selectVictim() mem.PageID {
 
 // install puts a transferred page into the EPC.
 func (k *Kernel) install(page mem.PageID, preload bool) {
-	if k.epc.Present(page) {
-		// A demand load raced a queued duplicate; keep the resident copy.
-		return
-	}
 	if err := k.epc.Load(page, preload); err != nil {
-		// The eviction before the transfer guaranteed a free frame; any
-		// failure is a simulator bug, not a runtime condition.
+		// The eviction before the transfer guaranteed a free frame and
+		// the page was absent when it was queued or faulted; any failure
+		// is a simulator bug, not a runtime condition.
 		panic("kernel: install failed: " + err.Error())
 	}
 }

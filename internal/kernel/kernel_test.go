@@ -534,28 +534,6 @@ func TestSyncDropsRequestsForResidentPages(t *testing.T) {
 	}
 }
 
-// A queued preload whose page is already resident when the worker
-// reaches it is dropped and counted in PreloadsDropped. No engine
-// workload reaches this path (a demand or notify load removes its page
-// from the queue), so it is driven here directly.
-func TestPreloadAccountingResidentHead(t *testing.T) {
-	d := dfp.DefaultConfig()
-	k := newKernel(t, 8, &d)
-	k.Channel().QueueBatch([]mem.PageID{7, 8}, 0, MaxPending)
-	if err := k.EPC().Load(7, false); err != nil {
-		t.Fatal(err)
-	}
-	k.Sync(1)
-	st := k.Stats()
-	if st.PreloadsDropped != 1 || st.PreloadsStarted != 1 || k.Channel().PendingLen() != 0 {
-		t.Fatalf("dropped %d, started %d, pending %d; want 1, 1, 0",
-			st.PreloadsDropped, st.PreloadsStarted, k.Channel().PendingLen())
-	}
-	if k.Channel().InflightPage() != 8 {
-		t.Fatalf("in flight %d, want 8", k.Channel().InflightPage())
-	}
-}
-
 func TestQueuePrefetchFilters(t *testing.T) {
 	k := newKernel(t, 8, nil)
 	tNow := k.HandleFault(0, 3)

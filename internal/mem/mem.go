@@ -22,10 +22,6 @@ const PageShift = 12
 // (ELRANGE). Page 0 is the first page of the enclave heap region.
 type PageID uint64
 
-// PageOf returns the page containing the given enclave-relative byte
-// address.
-func PageOf(addr uint64) PageID { return PageID(addr >> PageShift) }
-
 // Addr returns the first byte address of the page.
 func (p PageID) Addr() uint64 { return uint64(p) << PageShift }
 

@@ -1,37 +1,10 @@
 package mem
 
-import (
-	"testing"
-	"testing/quick"
-)
+import "testing"
 
-func TestPageOfAndAddr(t *testing.T) {
-	tests := []struct {
-		addr uint64
-		page PageID
-	}{
-		{0, 0},
-		{4095, 0},
-		{4096, 1},
-		{1 << 30, 1 << 18},
-	}
-	for _, tt := range tests {
-		if got := PageOf(tt.addr); got != tt.page {
-			t.Errorf("PageOf(%d) = %d, want %d", tt.addr, got, tt.page)
-		}
-	}
+func TestPageAddr(t *testing.T) {
 	if got := PageID(5).Addr(); got != 5*4096 {
 		t.Errorf("Addr() = %d, want %d", got, 5*4096)
-	}
-}
-
-func TestPageOfAddrRoundTrip(t *testing.T) {
-	f := func(p uint32) bool {
-		page := PageID(p)
-		return PageOf(page.Addr()) == page
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -13,7 +13,8 @@ var benchTimeline = sinkEvents(10_000)
 
 // writeJSONLFmt is the pre-optimization writer (fmt.Fprintf per line
 // through a bufio.Writer), kept as the benchmark baseline so the
-// speedup claimed in BENCH_engine.json stays reproducible.
+// speedup claimed in BENCH_engine.json stays reproducible, and as the
+// independent encoder the sink tests compare trace bytes against.
 func writeJSONLFmt(w io.Writer, events []Event) error {
 	bw := bufio.NewWriterSize(w, 1<<16)
 	fmt.Fprintln(bw, TraceHeaderJSONL())

@@ -43,19 +43,6 @@ func (s *FaultLatencySampler) Merge(o *FaultLatencySampler) {
 	s.n += o.n
 }
 
-// histogram bins the sampled latencies over the given ascending bounds:
-// Counts[i] holds latencies <= bounds[i], the last slot the overflow.
-func (s *FaultLatencySampler) histogram(bounds []uint64) Histogram {
-	h := Histogram{Bounds: bounds, Counts: make([]uint64, len(bounds)+1), Total: uint64(s.n)}
-	for v, c := range s.counts {
-		h.Sum += v * uint64(c)
-		h.Max = max(h.Max, v)
-		slot, _ := slices.BinarySearch(bounds, v)
-		h.Counts[slot] += uint64(c)
-	}
-	return h
-}
-
 // Percentile returns the p-th percentile (0..100) of the sampled
 // latencies, NaN when nothing was sampled. It is stats.Percentile over
 // the raw samples, bit for bit: the same linear interpolation between

@@ -87,15 +87,17 @@ type busyRun struct{ lo, hi uint64 }
 // Summary is a Hook that folds every event into the Report state as it
 // is emitted, so a run's report needs no recorded timeline: memory grows
 // with the channel's busy runs and the service thread's scans, not with
-// the event count. The channel-utilization buckets need the run's final
-// span, so the channel's transfers are kept as busy runs and bucketed
-// when Report is called. Like Recorder it rides one single-goroutine run
-// and takes no locks.
+// the event count. Fault latencies are counted straight into the
+// report's fixed bounds, so their state is O(len(DefaultLatencyBounds)).
+// The channel-utilization buckets need the run's final span, so the
+// channel's transfers are kept as busy runs and bucketed when Report is
+// called. Like Recorder it rides one single-goroutine run and takes no
+// locks.
 type Summary struct {
 	counts    [kindCount]uint64
 	span      uint64
 	runs      []busyRun
-	latency   *FaultLatencySampler
+	latency   Histogram
 	accuracy  []Point
 	occupancy []Point
 	streams   StreamStats
@@ -106,7 +108,8 @@ type Summary struct {
 
 // NewSummary returns an empty Summary.
 func NewSummary() *Summary {
-	return &Summary{latency: NewFaultLatencySampler()}
+	bounds := DefaultLatencyBounds()
+	return &Summary{latency: Histogram{Bounds: bounds, Counts: make([]uint64, len(bounds)+1)}}
 }
 
 // Emit implements Hook.
@@ -130,7 +133,14 @@ func (s *Summary) Emit(e Event) {
 			s.runs = append(s.runs, busyRun{e.T, e.V1})
 		}
 	case KindFaultEnd:
-		s.latency.Emit(e)
+		// The first bound >= V1 names the slot; past the last bound
+		// lies the overflow slot.
+		h := &s.latency
+		slot, _ := slices.BinarySearch(h.Bounds, e.V1)
+		h.Counts[slot]++
+		h.Total++
+		h.Sum += e.V1
+		h.Max = max(h.Max, e.V1)
 	case KindAccuracy:
 		// Scans before the first preload have no accuracy to report.
 		if e.V1 != 0 {
@@ -161,10 +171,13 @@ func (s *Summary) Emit(e Event) {
 // Summary stays usable: later events extend the next Report, never the
 // one already returned.
 func (s *Summary) Report() Report {
+	latency := s.latency
+	latency.Bounds = slices.Clone(latency.Bounds)
+	latency.Counts = slices.Clone(latency.Counts)
 	r := Report{
 		Counts:    s.counts,
 		Span:      s.span,
-		Latency:   s.latency.histogram(DefaultLatencyBounds()),
+		Latency:   latency,
 		Accuracy:  slices.Clip(s.accuracy),
 		Occupancy: slices.Clip(s.occupancy),
 		Streams:   s.streams,

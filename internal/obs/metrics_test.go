@@ -142,10 +142,12 @@ func TestSummaryReportIsSnapshot(t *testing.T) {
 	s := NewSummary()
 	s.Emit(Event{T: 1, Kind: KindQuotaRebalance, Batch: 0, V1: 10})
 	s.Emit(Event{T: 2, Kind: KindScan, V2: 5})
+	s.Emit(Event{T: 2, Kind: KindFaultEnd, V1: 30_000})
 	r := s.Report()
 	before := r.String()
 	s.Emit(Event{T: 3, Kind: KindQuotaRebalance, Batch: 0, V1: 20})
 	s.Emit(Event{T: 4, Kind: KindScan, V2: 6})
+	s.Emit(Event{T: 5, Kind: KindFaultEnd, V1: 30_000})
 	if r.String() != before {
 		t.Fatalf("earlier report changed:\n%s\nwant:\n%s", r.String(), before)
 	}

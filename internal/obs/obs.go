@@ -242,9 +242,6 @@ const (
 	AbortSIP uint64 = 3
 	// AbortStop: the DFP-stop global abort abandoned the backlog.
 	AbortStop uint64 = 4
-	// AbortResident: the page was already resident when the preload
-	// worker reached it.
-	AbortResident uint64 = 5
 )
 
 // Event is one engine occurrence on the virtual timeline. The field

@@ -57,31 +57,19 @@ func (e Event) Wire() WireEvent {
 //	{"schema":"sgxpreload-trace","version":1,"fields":["t","kind","page","batch","v1","v2"]}
 //	{"t":123,"kind":"fault_begin","page":42,"batch":0,"v1":0,"v2":0}
 func WriteJSONL(w io.Writer, events []Event) error {
-	return writeEvents(w, events, FormatJSONL)
+	s := NewStreamSink(w, FormatJSONL)
+	for _, e := range events {
+		s.Emit(e)
+	}
+	return s.Close()
 }
 
 // WriteCSV writes a timeline as CSV — a schema comment line, a column
 // header row, then one event per row in WriteJSONL's field order.
 func WriteCSV(w io.Writer, events []Event) error {
-	return writeEvents(w, events, FormatCSV)
-}
-
-// writeEvents encodes the format's preamble plus the timeline into one
-// reusable buffer, flushing to w whenever it fills — the whole export
-// performs a handful of large writes regardless of timeline length.
-func writeEvents(w io.Writer, events []Event, f Format) error {
-	preamble, enc := f.encoding()
-	buf := make([]byte, 0, 1<<16)
-	buf = append(buf, preamble...)
+	s := NewStreamSink(w, FormatCSV)
 	for _, e := range events {
-		buf = enc(buf, e)
-		if len(buf) >= 1<<16-256 {
-			if _, err := w.Write(buf); err != nil {
-				return err
-			}
-			buf = buf[:0]
-		}
+		s.Emit(e)
 	}
-	_, err := w.Write(buf)
-	return err
+	return s.Close()
 }

@@ -3,16 +3,18 @@ package obs
 import (
 	"bytes"
 	"errors"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"sgxpreload/internal/mem"
 )
 
 // sinkEvents builds enough varied events to force several buffer
-// rotations through the background writer (>64 KiB of output). Field
+// flushes (>64 KiB of output). Field
 // magnitudes follow what the engine actually emits — T is a growing
 // cycle count, pages fit the EPC, v1 is a latency in cycles — so the
 // write benchmarks sharing this helper measure representative lines.
@@ -37,17 +39,17 @@ func sinkEvents(n int) []Event {
 }
 
 // TestStreamSinkMatchesWrite is the sink's core contract: streaming a
-// timeline event by event through the double-buffered writer produces
-// exactly the bytes the batch writers produce, in both formats, across
-// many buffer handovers.
+// timeline event by event produces exactly the bytes the independent
+// fmt reference writers produce, in both formats, across many buffer
+// flushes.
 func TestStreamSinkMatchesWrite(t *testing.T) {
 	events := sinkEvents(5000)
 	for _, tc := range []struct {
 		format Format
-		write  func(*bytes.Buffer, []Event) error
+		write  func(io.Writer, []Event) error
 	}{
-		{FormatJSONL, func(b *bytes.Buffer, e []Event) error { return WriteJSONL(b, e) }},
-		{FormatCSV, func(b *bytes.Buffer, e []Event) error { return WriteCSV(b, e) }},
+		{FormatJSONL, writeJSONLFmt},
+		{FormatCSV, writeCSVFmt},
 	} {
 		var want bytes.Buffer
 		if err := tc.write(&want, events); err != nil {
@@ -62,7 +64,7 @@ func TestStreamSinkMatchesWrite(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(got.Bytes(), want.Bytes()) {
-			t.Errorf("format %d: sink output (%d bytes) diverges from batch writer (%d bytes)",
+			t.Errorf("format %d: sink output (%d bytes) diverges from the fmt reference (%d bytes)",
 				tc.format, got.Len(), want.Len())
 		}
 		if s.Events() != len(events) {
@@ -80,7 +82,7 @@ func TestStreamSinkEmptyTimeline(t *testing.T) {
 		t.Fatal(err)
 	}
 	var want bytes.Buffer
-	if err := WriteJSONL(&want, nil); err != nil {
+	if err := writeJSONLFmt(&want, nil); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got.Bytes(), want.Bytes()) {
@@ -99,45 +101,92 @@ func TestStreamSinkCloseIdempotent(t *testing.T) {
 	}
 }
 
-// failAfter fails every write once n bytes have been accepted.
-type failAfter struct {
-	n   int
-	err error
+// failOnce fails the first write made once n bytes have been
+// accepted, and accepts every write before and after it.
+type failOnce struct {
+	n      int
+	err    error
+	failed bool
+	writes int // writes after the failure
 }
 
-func (w *failAfter) Write(p []byte) (int, error) {
-	if w.n <= 0 {
+func (w *failOnce) Write(p []byte) (int, error) {
+	switch {
+	case w.failed:
+		w.writes++
+	case w.n <= 0:
+		w.failed = true
 		return 0, w.err
+	default:
+		w.n -= len(p)
 	}
-	w.n -= len(p)
 	return len(p), nil
 }
 
 // TestStreamSinkWriteErrorLatched: the engine-facing Emit never fails;
-// the first underlying write error is latched and surfaced by Close.
+// the first underlying write error is latched, later output is
+// discarded rather than written past the hole, and Close surfaces the
+// error even though the writer would accept later writes.
 func TestStreamSinkWriteErrorLatched(t *testing.T) {
 	wantErr := errors.New("disk full")
-	s := NewStreamSink(&failAfter{n: 100 << 10, err: wantErr}, FormatJSONL)
+	w := &failOnce{n: 100 << 10, err: wantErr}
+	s := NewStreamSink(w, FormatJSONL)
 	for _, e := range sinkEvents(20_000) { // ~1.5 MiB, fails partway
 		s.Emit(e)
 	}
 	if err := s.Close(); !errors.Is(err, wantErr) {
 		t.Errorf("Close = %v, want %v", err, wantErr)
 	}
+	if !w.failed || w.writes != 0 {
+		t.Errorf("failed = %v, %d writes after the failure; want true, 0", w.failed, w.writes)
+	}
+}
+
+// TestStreamSinkNoGoroutine: the sink writes on the emitting goroutine,
+// so creating one, streaming several buffers through it and closing it
+// never raises the process's goroutine count.
+func TestStreamSinkNoGoroutine(t *testing.T) {
+	before := runtime.NumGoroutine()
+	s := NewStreamSink(io.Discard, FormatJSONL)
+	for _, e := range sinkEvents(5000) {
+		s.Emit(e)
+	}
+	during := runtime.NumGoroutine()
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	after := runtime.NumGoroutine()
+	if during > before || after > before {
+		t.Errorf("goroutines: %d before the sink, %d while streaming, %d after Close", before, during, after)
+	}
+}
+
+// TestStreamSinkEmitAfterClosePanics: a closed sink has written its
+// tail, so a later event must fail loudly instead of vanishing.
+func TestStreamSinkEmitAfterClosePanics(t *testing.T) {
+	s := NewStreamSink(io.Discard, FormatJSONL)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("Emit after Close did not panic")
+		}
+	}()
+	s.Emit(Event{T: 1, Kind: KindFaultBegin})
 }
 
 // TestStreamSinkFile: the file constructor picks the format from the
-// extension, owns the file, and the result round-trips through the
-// batch writer byte for byte.
+// extension, owns the file, and writes the fmt reference's bytes.
 func TestStreamSinkFile(t *testing.T) {
 	events := sinkEvents(300)
 	dir := t.TempDir()
 	for _, tc := range []struct {
 		name  string
-		write func(*bytes.Buffer, []Event) error
+		write func(io.Writer, []Event) error
 	}{
-		{"trace.jsonl", func(b *bytes.Buffer, e []Event) error { return WriteJSONL(b, e) }},
-		{"trace.csv", func(b *bytes.Buffer, e []Event) error { return WriteCSV(b, e) }},
+		{"trace.jsonl", writeJSONLFmt},
+		{"trace.csv", writeCSVFmt},
 	} {
 		path := filepath.Join(dir, tc.name)
 		s, err := NewStreamSinkFile(path)
@@ -159,7 +208,7 @@ func TestStreamSinkFile(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(got, want.Bytes()) {
-			t.Errorf("%s: file diverges from batch writer", tc.name)
+			t.Errorf("%s: file diverges from the fmt reference", tc.name)
 		}
 	}
 }

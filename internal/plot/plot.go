@@ -12,7 +12,6 @@ package plot
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 )
 
@@ -280,19 +279,4 @@ func fmtTick(v float64) string {
 func esc(s string) string {
 	r := strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;", `"`, "&quot;")
 	return r.Replace(s)
-}
-
-// SortedSeries returns the series sorted by name; figures built from maps
-// use it to stay deterministic.
-func SortedSeries(m map[string]Series) []Series {
-	names := make([]string, 0, len(m))
-	for n := range m {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	out := make([]Series, len(names))
-	for i, n := range names {
-		out[i] = m[n]
-	}
-	return out
 }

@@ -108,13 +108,3 @@ func TestTicksAreRound(t *testing.T) {
 		}
 	}
 }
-
-func TestSortedSeries(t *testing.T) {
-	m := map[string]Series{
-		"b": {Name: "b"}, "a": {Name: "a"}, "c": {Name: "c"},
-	}
-	got := SortedSeries(m)
-	if got[0].Name != "a" || got[1].Name != "b" || got[2].Name != "c" {
-		t.Fatalf("SortedSeries order: %v", got)
-	}
-}

@@ -2,8 +2,9 @@
 // derived metrics in internal/obs can be recomputed — and two runs can
 // be compared — without re-simulating anything.
 //
-// The reader is the writer's inverse. The writers are obs.WriteJSONL,
-// obs.WriteCSV and obs.StreamSink; a trace must start with its format's
+// The reader is the writer's inverse. The one writer is obs.StreamSink,
+// which obs.WriteJSONL and obs.WriteCSV run over a slice; a trace must
+// start with its format's
 // header lines (obs.Format.Header, naming obs.TraceSchema and
 // obs.TraceVersion) byte for byte, so a field change can never silently
 // misparse an old artifact, and every other non-blank line goes through

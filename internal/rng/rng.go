@@ -65,17 +65,6 @@ func (s *Source) Chance(p float64) bool {
 	return s.Float64() < p
 }
 
-// Perm returns a pseudo-random permutation of [0, n).
-func (s *Source) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		j := s.Intn(i + 1)
-		p[i] = p[j]
-		p[j] = i
-	}
-	return p
-}
-
 // Fork returns a new Source deterministically derived from this one,
 // leaving the parent's stream position advanced by one. Forking lets a
 // workload give each phase an independent stream without manual seed

@@ -96,17 +96,6 @@ func TestChanceRoughlyCalibrated(t *testing.T) {
 	}
 }
 
-func TestPermIsPermutation(t *testing.T) {
-	p := New(11).Perm(50)
-	seen := make([]bool, 50)
-	for _, v := range p {
-		if v < 0 || v >= 50 || seen[v] {
-			t.Fatalf("Perm not a permutation: %v", p)
-		}
-		seen[v] = true
-	}
-}
-
 func TestForkIndependence(t *testing.T) {
 	parent := New(1)
 	child := parent.Fork()

@@ -187,7 +187,7 @@ func TestClockSaturation(t *testing.T) {
 }
 
 // TestEventHeapProperty: the heap must release enclaves in (key,
-// index)-lexicographic order under random pushes and re-keys — the
+// index)-lexicographic order under random pushes and root re-keys — the
 // total order behind the strict first-min tie-break.
 func TestEventHeapProperty(t *testing.T) {
 	r := rng.New(20260808)
@@ -200,12 +200,13 @@ func TestEventHeapProperty(t *testing.T) {
 			keys[i] = r.Uint64n(64) // tiny key space: ties everywhere
 			h.push(int32(i), keys[i])
 		}
-		// Random upward re-keys through fix (keys are monotone in the
-		// engine, but the structure must not depend on it).
-		for j := 0; j < n/2; j++ {
-			i := int32(r.Intn(n))
+		// Random upward root re-keys through runnerUp and updateMin,
+		// the way burst re-keys the enclave it ran.
+		for j := 0; j < 2*n; j++ {
+			i := h.min()
+			up, _, _ := h.runnerUp()
 			keys[i] += r.Uint64n(32)
-			h.fix(i, keys[i])
+			h.updateMin(keys[i], up)
 		}
 		order := make([]int32, 0, n)
 		for h.len() > 0 {

@@ -4,19 +4,18 @@ import "math"
 
 // The event-heap scheduler. The seed engine picked the next enclave by
 // a linear argmin over clock + nextAccess.Compute — O(E) per step, fine
-// at E <= 8, hostile at fleet sizes. eventHeap replaces it with an
-// indexed binary min-heap at O(log E) per step, ordered
-// lexicographically by (key, enclave index) so the root is *exactly*
-// the enclave the seed's strict first-min scan would have picked: among
-// equal keys the lowest index wins, byte for byte (the golden
-// differential tests are the proof obligation).
+// at E <= 8, hostile at fleet sizes. eventHeap replaces it with a
+// min-heap at O(log E) per step, ordered lexicographically by (key,
+// enclave index) so the root is *exactly* the enclave the seed's strict
+// first-min scan would have picked: among equal keys the lowest index
+// wins, byte for byte (the golden differential tests are the proof
+// obligation).
 //
 // The layout is struct-of-arrays: hKey and hEnc are parallel slices (a
-// heap slot's key and enclave index live at the same offset), and pos
-// maps enclave index back to its slot. A sift therefore walks two flat
-// uint64/int32 arrays — cache lines, not pointers — and the whole
-// structure is allocated once in New, so heap maintenance contributes
-// zero allocations per Step.
+// heap slot's key and enclave index live at the same offset). A sift
+// therefore walks two flat uint64/int32 arrays — cache lines, not
+// pointers — and the whole structure is allocated once in New, so heap
+// maintenance contributes zero allocations per Step.
 //
 // The heap is 4-ary, not binary: the dominant operation is sifting the
 // freshly-run root back down (its new key usually passes most of the
@@ -25,32 +24,21 @@ import "math"
 // the whole child scan. Measured on BenchmarkStep, 4-ary beats binary
 // by a consistent few percent per Step at fleet sizes.
 //
-// Scheduling keys are monotone: an enclave's new key after a step is
-// its advanced clock plus the next access's compute, and the clock
-// advances by at least the compute the old key already included. Step
-// therefore only ever needs reheapUp for the just-run root in theory —
-// but fix() handles both directions so the invariant is structural, not
-// assumed.
+// The engine only ever touches the root: burst re-keys it in place
+// (runnerUp, then updateMin) and popMin removes it once its stream is
+// exhausted. Pushes insert new enclaves. No operation addresses an
+// enclave below the root, so the heap keeps no enclave→slot index.
 
-// invalidPos marks an enclave that is out of the heap (stream
-// exhausted).
-const invalidPos = int32(-1)
-
-// eventHeap is the indexed min-heap over runnable enclaves.
+// eventHeap is the min-heap over runnable enclaves.
 type eventHeap struct {
 	hKey []uint64 // heap slot -> scheduling key (clock + next compute)
 	hEnc []int32  // heap slot -> enclave index
-	pos  []int32  // enclave index -> heap slot, invalidPos when absent
 }
 
 // init sizes the heap's arrays for n enclaves with no entries.
 func (h *eventHeap) init(n int) {
 	h.hKey = make([]uint64, 0, n)
 	h.hEnc = make([]int32, 0, n)
-	h.pos = make([]int32, n)
-	for i := range h.pos {
-		h.pos[i] = invalidPos
-	}
 }
 
 // len reports the number of runnable enclaves.
@@ -67,24 +55,17 @@ func (h *eventHeap) less(a, b int) bool {
 		(h.hKey[a] == h.hKey[b] && h.hEnc[a] < h.hEnc[b])
 }
 
-// swap exchanges heap slots a and b, keeping pos in sync.
+// swap exchanges heap slots a and b.
 func (h *eventHeap) swap(a, b int) {
 	h.hKey[a], h.hKey[b] = h.hKey[b], h.hKey[a]
 	h.hEnc[a], h.hEnc[b] = h.hEnc[b], h.hEnc[a]
-	h.pos[h.hEnc[a]] = int32(a)
-	h.pos[h.hEnc[b]] = int32(b)
 }
 
-// push inserts enclave i with the given key. Indices past the size the
-// heap was initialized with extend the pos array — dynamic admission
-// appends enclaves after init.
+// push inserts enclave i with the given key. Dynamic admission pushes
+// enclaves past the count the heap was initialized with.
 func (h *eventHeap) push(i int32, key uint64) {
-	for int(i) >= len(h.pos) {
-		h.pos = append(h.pos, invalidPos)
-	}
 	h.hKey = append(h.hKey, key)
 	h.hEnc = append(h.hEnc, i)
-	h.pos[i] = int32(len(h.hEnc) - 1)
 	h.up(len(h.hEnc) - 1)
 }
 
@@ -119,7 +100,6 @@ func (h *eventHeap) updateMin(key uint64, up int) {
 		return
 	}
 	h.hKey[0], h.hEnc[0] = h.hKey[up], h.hEnc[up]
-	h.pos[h.hEnc[0]] = 0
 	h.hKey[up], h.hEnc[up] = key, enc
 	h.down(up)
 }
@@ -127,26 +107,15 @@ func (h *eventHeap) updateMin(key uint64, up int) {
 // popMin removes the root enclave from the heap.
 func (h *eventHeap) popMin() {
 	last := len(h.hEnc) - 1
-	h.pos[h.hEnc[0]] = invalidPos
 	if last > 0 {
 		h.hKey[0] = h.hKey[last]
 		h.hEnc[0] = h.hEnc[last]
-		h.pos[h.hEnc[0]] = 0
 	}
 	h.hKey = h.hKey[:last]
 	h.hEnc = h.hEnc[:last]
 	if last > 0 {
 		h.down(0)
 	}
-}
-
-// fix restores heap order after enclave i's key changed to key, in
-// either direction. Enclave i must be in the heap.
-func (h *eventHeap) fix(i int32, key uint64) {
-	s := int(h.pos[i])
-	h.hKey[s] = key
-	h.up(s)
-	h.down(s)
 }
 
 // up sifts slot s toward the root.
@@ -190,9 +159,7 @@ func (h *eventHeap) down(s int) {
 			break
 		}
 		h.hKey[s], h.hEnc[s] = kk, ke
-		h.pos[ke] = int32(s)
 		s = kid
 	}
 	h.hKey[s], h.hEnc[s] = key, enc
-	h.pos[enc] = int32(s)
 }

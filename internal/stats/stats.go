@@ -24,21 +24,6 @@ func Mean(xs []float64) float64 {
 	return s / float64(len(xs))
 }
 
-// GeoMean returns the geometric mean of xs (0 if any x <= 0 or empty).
-func GeoMean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var s float64
-	for _, x := range xs {
-		if x <= 0 {
-			return 0
-		}
-		s += math.Log(x)
-	}
-	return math.Exp(s / float64(len(xs)))
-}
-
 // Normalized returns value/baseline — the "normalized execution time" of
 // the paper's figures (1.0 = baseline, below 1.0 = faster). It returns
 // NaN when baseline is 0.

@@ -26,18 +26,6 @@ func TestMean(t *testing.T) {
 	}
 }
 
-func TestGeoMean(t *testing.T) {
-	if got := GeoMean([]float64{1, 4}); math.Abs(got-2) > 1e-12 {
-		t.Fatalf("GeoMean(1,4) = %v, want 2", got)
-	}
-	if got := GeoMean(nil); got != 0 {
-		t.Fatalf("GeoMean(nil) = %v, want 0", got)
-	}
-	if got := GeoMean([]float64{1, -1}); got != 0 {
-		t.Fatalf("GeoMean with negative = %v, want 0", got)
-	}
-}
-
 func TestNormalized(t *testing.T) {
 	if got := Normalized(50, 100); got != 0.5 {
 		t.Fatalf("Normalized(50, 100) = %v", got)
