@@ -44,10 +44,12 @@ type Request struct {
 // has its own preload queue, but transfers serialize on the same
 // hardware).
 type server struct {
-	// The in-flight slot (Begin's transfer), valid while busy.
+	// The in-flight slot (Begin's preload), valid while busy. owner is
+	// the beginning enclave's EPC owner: whichever sibling retires the
+	// preload installs it under that owner.
 	page      mem.PageID
 	batch     uint64
-	preload   bool
+	owner     int
 	busy      bool
 	busyUntil uint64
 	started   uint64 // total transfers begun
@@ -119,28 +121,30 @@ func (c *Channel) InflightPage() mem.PageID {
 // Idle reports whether no load is in progress.
 func (c *Channel) Idle() bool { return !c.srv.busy }
 
-// Begin starts a transfer of page at cycle start, occupying the channel
-// for occupancy cycles, and leaves it in the in-flight slot until Retire.
-// The caller must have retired any in-progress load first (start must be
-// >= BusyUntil) — the non-preemptibility rule.
-func (c *Channel) Begin(page mem.PageID, start, occupancy uint64, preload bool, batch uint64) {
+// Begin starts a preload of page for owner at cycle start, occupying the
+// channel for occupancy cycles, and leaves it in the in-flight slot until
+// Retire. The caller must have retired any in-progress load first (start
+// must be >= BusyUntil) — the non-preemptibility rule. Its events carry
+// V2 = 1, marking the transfer speculative.
+func (c *Channel) Begin(page mem.PageID, start, occupancy, batch uint64, owner int) {
 	c.checkFree(start)
 	s := c.srv
-	s.page, s.batch, s.preload, s.busy = page, batch, preload, true
+	s.page, s.batch, s.owner, s.busy = page, batch, owner, true
 	s.busyUntil = start + occupancy
 	s.started++
 	if c.hook != nil {
 		c.hook.Emit(obs.Event{T: start, Kind: obs.KindLoadStart,
-			Page: page, Batch: batch, V1: s.busyUntil, V2: boolV(preload)})
+			Page: page, Batch: batch, V1: s.busyUntil, V2: 1})
 	}
 }
 
 // Transfer runs a synchronous demand load (ELDU) of page, or a write-back
 // burst (page mem.NoPage), from cycle start for occupancy cycles and
-// returns the cycle it completes. It leaves the state and emits the events
-// of Begin followed at once by Retire, but never writes the in-flight
-// slot: the requester holds the channel throughout. Like Begin, it panics
-// while a load is in progress or when start is before BusyUntil.
+// returns the cycle it completes. It leaves the state of Begin followed at
+// once by Retire, and emits their events with V2 = 0 and no batch, but
+// never writes the in-flight slot: the requester holds the channel
+// throughout. Like Begin, it panics while a load is in progress or when
+// start is before BusyUntil.
 func (c *Channel) Transfer(page mem.PageID, start, occupancy uint64) (done uint64) {
 	c.checkFree(start)
 	done = start + occupancy
@@ -163,10 +167,10 @@ func (c *Channel) checkFree(start uint64) {
 	}
 }
 
-// Retire ends the in-progress load and returns its page and whether it
-// was a preload. It panics if the channel is idle; callers check Idle or
+// Retire ends the in-progress preload and returns its page and the owner
+// that began it. It panics if the channel is idle; callers check Idle or
 // InflightDone first.
-func (c *Channel) Retire() (page mem.PageID, preload bool) {
+func (c *Channel) Retire() (page mem.PageID, owner int) {
 	s := c.srv
 	if !s.busy {
 		panic("channel: Retire on idle channel")
@@ -174,9 +178,9 @@ func (c *Channel) Retire() (page mem.PageID, preload bool) {
 	s.busy = false
 	if c.hook != nil {
 		c.hook.Emit(obs.Event{T: s.busyUntil, Kind: obs.KindLoadComplete,
-			Page: s.page, Batch: s.batch, V2: boolV(s.preload)})
+			Page: s.page, Batch: s.batch, V2: 1})
 	}
-	return s.page, s.preload
+	return s.page, s.owner
 }
 
 // at returns the request at logical position i (0 = front). Valid only
@@ -302,14 +306,6 @@ func (c *Channel) dropEvent(r Request, now uint64, reason uint64) {
 		c.hook.Emit(obs.Event{T: now, Kind: obs.KindPreloadAbort,
 			Page: r.Page, Batch: r.Batch, V1: reason})
 	}
-}
-
-// boolV encodes a flag as an event value.
-func boolV(b bool) uint64 {
-	if b {
-		return 1
-	}
-	return 0
 }
 
 // AbortBatchContaining drops every queued request belonging to the batch

@@ -12,7 +12,7 @@ func TestBeginComplete(t *testing.T) {
 	if !c.Idle() {
 		t.Fatal("new channel not idle")
 	}
-	c.Begin(5, 100, 44000, true, 3)
+	c.Begin(5, 100, 44000, 3, 7)
 	if c.BusyUntil() != 44100 {
 		t.Fatalf("BusyUntil = %d, want 44100", c.BusyUntil())
 	}
@@ -25,9 +25,9 @@ func TestBeginComplete(t *testing.T) {
 	if done, ok := c.InflightDone(); !ok || done != 44100 {
 		t.Fatalf("InflightDone() = %d, %v, want 44100, true", done, ok)
 	}
-	page, preload := c.Retire()
-	if page != 5 || !preload || !c.Idle() {
-		t.Fatalf("Retire() = %d, %v, idle=%v", page, preload, c.Idle())
+	page, owner := c.Retire()
+	if page != 5 || owner != 7 || !c.Idle() {
+		t.Fatalf("Retire() = %d, %d, idle=%v; want 5, 7, idle", page, owner, c.Idle())
 	}
 	if c.Started() != 1 {
 		t.Fatalf("Started() = %d, want 1", c.Started())
@@ -41,8 +41,8 @@ func TestBeginWhileBusyPanics(t *testing.T) {
 		}
 	}()
 	c := New()
-	c.Begin(1, 0, 100, false, 0)
-	c.Begin(2, 200, 100, false, 0)
+	c.Begin(1, 0, 100, 0, 0)
+	c.Begin(2, 200, 100, 0, 0)
 }
 
 func TestBeginBeforeFreePanics(t *testing.T) {
@@ -52,9 +52,9 @@ func TestBeginBeforeFreePanics(t *testing.T) {
 		}
 	}()
 	c := New()
-	c.Begin(1, 0, 100, false, 0)
+	c.Begin(1, 0, 100, 0, 0)
 	c.Retire()
-	c.Begin(2, 50, 100, false, 0) // channel busy until 100
+	c.Begin(2, 50, 100, 0, 0) // channel busy until 100
 }
 
 func TestCompleteIdlePanics(t *testing.T) {
@@ -88,9 +88,10 @@ func TestInflightOnIdle(t *testing.T) {
 // path's synchronous transfer: over a run of demand loads and write-back
 // bursts, with preloads begun and retired between them, Transfer leaves
 // BusyUntil, Started and Idle where Begin followed by Retire leaves them
-// and emits the same events. Both channels also check the absolute
-// values, so a slip shared by the two paths cannot hide. Transfer panics
-// where Begin does.
+// and emits the same events, except V2: Begin marks its transfer
+// speculative (1), Transfer not (0). Both channels also check the
+// absolute values, so a slip shared by the two paths cannot hide.
+// Transfer panics where Begin does.
 func TestTransferMatchesBeginRetire(t *testing.T) {
 	tr, ref := New(), New()
 	trRec, refRec := obs.NewRecorder(), obs.NewRecorder()
@@ -107,7 +108,7 @@ func TestTransferMatchesBeginRetire(t *testing.T) {
 		if i%4 == 1 {
 			// A preload through the slot on both channels first.
 			for _, c := range []*Channel{tr, ref} {
-				c.Begin(mem.PageID(1000+i), start, occ, true, uint64(i))
+				c.Begin(mem.PageID(1000+i), start, occ, uint64(i), i%3)
 				c.Retire()
 			}
 			start, want = want, want+occ
@@ -115,7 +116,7 @@ func TestTransferMatchesBeginRetire(t *testing.T) {
 		if done := tr.Transfer(page, start, occ); done != want {
 			t.Fatalf("transfer %d: Transfer = %d, want %d", i, done, want)
 		}
-		ref.Begin(page, start, occ, false, 0)
+		ref.Begin(page, start, occ, 0, 0)
 		ref.Retire()
 		for _, c := range []*Channel{tr, ref} {
 			if !c.Idle() || c.BusyUntil() != want || c.Started() != ref.Started() {
@@ -132,8 +133,15 @@ func TestTransferMatchesBeginRetire(t *testing.T) {
 		t.Fatalf("Transfer emitted %d events, Begin+Retire %d", len(got), len(wantEv))
 	}
 	for i := range got {
-		if got[i] != wantEv[i] {
-			t.Fatalf("event %d: Transfer %+v, Begin+Retire %+v", i, got[i], wantEv[i])
+		w := wantEv[i]
+		if w.V2 != 1 {
+			t.Fatalf("event %d: Begin+Retire %+v, want V2 = 1", i, w)
+		}
+		if p := got[i].Page; p < 1000 || p == mem.NoPage {
+			w.V2 = 0 // a demand load or write-back burst
+		}
+		if got[i] != w {
+			t.Fatalf("event %d: Transfer %+v, Begin+Retire %+v", i, got[i], w)
 		}
 	}
 
@@ -147,7 +155,7 @@ func TestTransferMatchesBeginRetire(t *testing.T) {
 		f()
 	}
 	busy := New()
-	busy.Begin(1, 0, 100, true, 1)
+	busy.Begin(1, 0, 100, 1, 0)
 	mustPanic("while a preload is in flight", func() { busy.Transfer(2, 100, 10) })
 	mustPanic("before the channel is free", func() { tr.Transfer(2, want-1, 10) })
 }
@@ -374,7 +382,7 @@ func TestBusyUntilMonotone(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		start := c.BusyUntil() + uint64(i%7)
 		if i%2 == 0 {
-			c.Begin(mem.PageID(i), start, 1000, true, 0)
+			c.Begin(mem.PageID(i), start, 1000, 0, 0)
 			c.Retire()
 		} else {
 			c.Transfer(mem.PageID(i), start, 1000)

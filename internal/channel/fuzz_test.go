@@ -33,10 +33,12 @@ import (
 // explores interleavings around them.
 //
 // A twin channel mirrors every transfer: each started preload runs as
-// Begin then Retire on both, and each op-5 Transfer runs on the twin as
-// Begin then Retire of a demand load. After every op the two must agree
-// on BusyUntil, Started and Idle, and at the end their load events must
-// be identical — Transfer is Begin followed by Retire with no slot.
+// Begin then Retire on both, under an owner derived from its batch that
+// Retire must hand back, and each op-5 Transfer runs on the twin as Begin
+// then Retire. After every op the two must agree on BusyUntil, Started
+// and Idle, and at the end their load events must be identical except
+// V2, which is 1 for every Begin and 0 for a Transfer — Transfer is Begin
+// followed by Retire with no slot.
 func FuzzPendingQueue(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 3, 1, 2, 3, 4, 5}) // one batch, then pops
@@ -63,6 +65,7 @@ func FuzzPendingQueue(f *testing.F) {
 		const maxPending = 8
 		var queued, started, removed, transfers uint64
 		var now uint64
+		var demand []bool // per load event of c: whether a Transfer emitted it
 		next := func(i *int) byte {
 			if *i >= len(data) {
 				return 0
@@ -97,12 +100,14 @@ func FuzzPendingQueue(f *testing.F) {
 		// channels, as the kernel's Sync would.
 		preload := func(r Request) {
 			start := max(c.BusyUntil(), r.Enqueued)
+			owner := int(r.Batch % 3)
 			for _, ch := range []*Channel{c, twin} {
-				ch.Begin(r.Page, start, 100, true, r.Batch)
-				if page, spec := ch.Retire(); page != r.Page || !spec {
-					t.Fatalf("Retire = (%d, %v), began preload of %d", page, spec, r.Page)
+				ch.Begin(r.Page, start, 100, r.Batch, owner)
+				if page, o := ch.Retire(); page != r.Page || o != owner {
+					t.Fatalf("Retire = (%d, %d), began preload of %d for owner %d", page, o, r.Page, owner)
 				}
 			}
+			demand = append(demand, false, false)
 			started++
 		}
 		for i := 0; i < len(data); {
@@ -212,8 +217,9 @@ func FuzzPendingQueue(f *testing.F) {
 				if done := c.Transfer(page, start, occ); done != start+occ {
 					t.Fatalf("Transfer(%d, %d, %d) = %d", page, start, occ, done)
 				}
-				twin.Begin(page, start, occ, false, 0)
+				twin.Begin(page, start, occ, 0, 0)
 				twin.Retire()
+				demand = append(demand, true, true)
 				transfers++
 			}
 			if c.BusyUntil() != twin.BusyUntil() || c.Started() != twin.Started() || c.Idle() != twin.Idle() {
@@ -255,8 +261,17 @@ func FuzzPendingQueue(f *testing.F) {
 				loads = append(loads, e)
 			}
 		}
-		if twinLoads := twinRec.Events(); !slices.Equal(loads, twinLoads) {
-			t.Fatalf("load events differ from the Begin+Retire twin:\n  got  %v\n  want %v", loads, twinLoads)
+		want := slices.Clone(twinRec.Events())
+		for i := range want {
+			if want[i].V2 != 1 {
+				t.Fatalf("twin load event %d = %+v, Begin must emit V2 = 1", i, want[i])
+			}
+			if demand[i] {
+				want[i].V2 = 0
+			}
+		}
+		if !slices.Equal(loads, want) {
+			t.Fatalf("load events differ from the Begin+Retire twin:\n  got  %v\n  want %v", loads, want)
 		}
 	})
 }

@@ -9,8 +9,8 @@ import (
 func TestSiblingSharesServer(t *testing.T) {
 	a := New()
 	b := a.Sibling()
-	// A transfer begun on a occupies b too.
-	a.Begin(1, 0, 100, false, 0)
+	// A preload begun on a for owner 2 occupies b too.
+	a.Begin(1, 0, 100, 0, 2)
 	if b.Idle() {
 		t.Fatal("shared server: b idle while a is transferring")
 	}
@@ -20,12 +20,13 @@ func TestSiblingSharesServer(t *testing.T) {
 	if b.BusyUntil() != 100 {
 		t.Fatalf("b BusyUntil = %d, want 100", b.BusyUntil())
 	}
-	// b can retire a's transfer (any kernel retires completions).
-	if page, _ := b.Retire(); page != 1 || !a.Idle() {
-		t.Fatalf("cross-channel completion broken: page %d, a idle %v", page, a.Idle())
+	// b can retire a's preload (any kernel retires completions), and
+	// learns the owner a began it for.
+	if page, owner := b.Retire(); page != 1 || owner != 2 || !a.Idle() {
+		t.Fatalf("cross-channel completion broken: page %d, owner %d, a idle %v", page, owner, a.Idle())
 	}
 	// Begin on b must respect a's busy-until.
-	b.Begin(2, 100, 50, false, 0)
+	b.Begin(2, 100, 50, 0, 0)
 	if a.BusyUntil() != 150 {
 		t.Fatalf("a BusyUntil = %d, want 150", a.BusyUntil())
 	}

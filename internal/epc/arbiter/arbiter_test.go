@@ -101,19 +101,14 @@ func buildEPC(t *testing.T, capacity, res0, res1 int) *epc.EPC {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e.AddOwner(32); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.AddOwner(64); err != nil {
-		t.Fatal(err)
-	}
+	e.AddOwner() // owner 1 loads pages [32, 64)
 	for p := 0; p < res0; p++ {
-		if err := e.Load(mem.PageID(p), false); err != nil {
+		if err := e.Load(mem.PageID(p), 0, false); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for p := 0; p < res1; p++ {
-		if err := e.Load(mem.PageID(32+p), false); err != nil {
+		if err := e.Load(mem.PageID(32+p), 1, false); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -100,8 +100,10 @@ func FuzzArbiter(f *testing.F) {
 				if err := e.Grow(uint64(n+1) * fuzzOwnerPages); err != nil {
 					t.Fatal(err)
 				}
-				if err := e.AddOwner(uint64(n+1) * fuzzOwnerPages); err != nil {
-					t.Fatal(err)
+				if n > 0 {
+					if owner := e.AddOwner(); owner != n {
+						t.Fatalf("EPC AddOwner returned owner %d, want %d", owner, n)
+					}
 				}
 				if owner := a.AddEnclave(d); owner != n {
 					t.Fatalf("AddEnclave returned owner %d, want %d", owner, n)
@@ -146,7 +148,7 @@ func FuzzArbiter(f *testing.F) {
 					}
 					e.Evict(victim)
 				}
-				if err := e.Load(p, false); err != nil {
+				if err := e.Load(p, o, false); err != nil {
 					t.Fatal(err)
 				}
 			case op == 4:

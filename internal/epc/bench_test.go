@@ -21,7 +21,7 @@ func BenchmarkEPCLookup(b *testing.B) {
 		b.Fatal(err)
 	}
 	for p := mem.PageID(0); p < capacity; p++ {
-		if err := e.Load(p, false); err != nil {
+		if err := e.Load(p, 0, false); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -42,7 +42,7 @@ func BenchmarkEPCLookup(b *testing.B) {
 				e.Evict(v)
 			}
 		}
-		if err := e.Load(p, i%2 == 0); err != nil {
+		if err := e.Load(p, 0, i%2 == 0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -60,7 +60,7 @@ func BenchmarkEPCPresent(b *testing.B) {
 		b.Fatal(err)
 	}
 	for p := mem.PageID(0); p < capacity; p++ {
-		if err := e.Load(p, false); err != nil {
+		if err := e.Load(p, 0, false); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -89,7 +89,7 @@ func BenchmarkSelectVictim(b *testing.B) {
 				b.Fatal(err)
 			}
 			for p := mem.PageID(0); p < capacity; p++ {
-				if err := e.Load(p, false); err != nil {
+				if err := e.Load(p, 0, false); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -99,7 +99,7 @@ func BenchmarkSelectVictim(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				v := e.SelectVictim()
 				e.Evict(v)
-				if err := e.Load(next, false); err != nil {
+				if err := e.Load(next, 0, false); err != nil {
 					b.Fatal(err)
 				}
 				next = v // the evicted page is the next one to load
@@ -126,15 +126,13 @@ func BenchmarkSelectVictimOwned(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				for o := 1; o <= owners; o++ {
-					if err := e.AddOwner(uint64(o * span)); err != nil {
-						b.Fatal(err)
-					}
+				for o := 1; o < owners; o++ {
+					e.AddOwner()
 				}
 				// Round-robin fill: frame f goes to owner f%16.
 				for i := 0; i < capacity; i++ {
 					o, k := i%owners, i/owners
-					if err := e.Load(mem.PageID(o*span+k), false); err != nil {
+					if err := e.Load(mem.PageID(o*span+k), o, false); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -144,7 +142,7 @@ func BenchmarkSelectVictimOwned(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					v := e.SelectVictimOwned(0)
 					e.Evict(v)
-					if err := e.Load(mem.PageID(next), false); err != nil {
+					if err := e.Load(mem.PageID(next), 0, false); err != nil {
 						b.Fatal(err)
 					}
 					next = int(v) // the evicted page is the next one to load
@@ -169,16 +167,14 @@ func BenchmarkOwnerAccessed(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			for o := 1; o <= owners; o++ {
-				if err := e.AddOwner(uint64(o * span)); err != nil {
-					b.Fatal(err)
-				}
+			for o := 1; o < owners; o++ {
+				e.AddOwner()
 			}
 			// Round-robin fill: frame f goes to owner f%owners; every
 			// other frame is a preload, whose access bit starts clear.
 			for i := 0; i < capacity; i++ {
 				o, k := i%owners, i/owners
-				if err := e.Load(mem.PageID(o*span+k), i%2 == 1); err != nil {
+				if err := e.Load(mem.PageID(o*span+k), o, i%2 == 1); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -2,6 +2,7 @@ package epc
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 	"testing"
 
@@ -43,11 +44,12 @@ func (m *pageModel) evict(p mem.PageID) bool {
 // table through a random load/touch/evict/victim schedule under every
 // eviction policy, growing the page space twice mid-run, to 2²² pages and
 // past it (the sizes at which the EPC used to switch to a map), each growth
-// registering a new owner range as Engine.Admit does. After every step each
-// page of the schedule must agree with the model on residency, frame and
-// presence bit; Resident and the per-owner counts must match the model, and
-// every victim, the frame bits of a probed page and the failure of a load of
-// a resident page must be consistent with it.
+// registering a new owner for the grown range as Engine.Admit does, and
+// every load stamped with its page's owner. After every step each page of
+// the schedule must agree with the model on residency, frame and presence;
+// Resident and the per-owner counts must match the model, and every victim,
+// the frame bits of a probed page and the failure of a load of a resident
+// page must be consistent with it.
 func TestPageTableDifferential(t *testing.T) {
 	const (
 		capacity = 8
@@ -65,11 +67,15 @@ func TestPageTableDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var bounds []mem.PageID // owner upper bounds, as registered
+			// bounds[o] is owner o's exclusive upper page bound; its
+			// lower bound is bounds[o-1], or 0 for owner 0.
+			var bounds []mem.PageID
 			addOwner := func(hi uint64) {
 				t.Helper()
-				if err := e.AddOwner(hi); err != nil {
-					t.Fatal(err)
+				if len(bounds) > 0 {
+					if o := e.AddOwner(); o != len(bounds) {
+						t.Fatalf("AddOwner() = %d, want %d", o, len(bounds))
+					}
 				}
 				bounds = append(bounds, mem.PageID(hi))
 			}
@@ -81,7 +87,7 @@ func TestPageTableDifferential(t *testing.T) {
 				universe = append(universe, p)
 			}
 			model := newPageModel(capacity)
-			ownerOf := func(p mem.PageID) int {
+			pageOwner := func(p mem.PageID) int {
 				o := 0
 				for p >= bounds[o] {
 					o++
@@ -108,7 +114,7 @@ func TestPageTableDifferential(t *testing.T) {
 				switch r.Intn(6) {
 				case 0: // load (evicting if full), preload flag varies
 					if _, ok := model.frames[p]; ok {
-						if err := e.Load(p, false); err == nil {
+						if err := e.Load(p, pageOwner(p), false); err == nil {
 							t.Fatalf("step %d: Load of resident page %d succeeded", i, p)
 						}
 						break
@@ -121,7 +127,7 @@ func TestPageTableDifferential(t *testing.T) {
 						e.Evict(v)
 						model.evict(v)
 					}
-					if err := e.Load(p, r.Intn(2) == 0); err != nil {
+					if err := e.Load(p, pageOwner(p), r.Intn(2) == 0); err != nil {
 						t.Fatalf("step %d: Load(%d): %v", i, p, err)
 					}
 					model.load(p)
@@ -147,9 +153,9 @@ func TestPageTableDifferential(t *testing.T) {
 					v := e.SelectVictimOwned(o)
 					held := false
 					for q := range model.frames {
-						held = held || ownerOf(q) == o
+						held = held || pageOwner(q) == o
 					}
-					if (v == mem.NoPage && held) || (v != mem.NoPage && (!resident(v) || ownerOf(v) != o)) {
+					if (v == mem.NoPage && held) || (v != mem.NoPage && (!resident(v) || pageOwner(v) != o)) {
 						t.Fatalf("step %d: SelectVictimOwned(%d) = %d, owner holds frames: %v", i, o, v, held)
 					}
 				}
@@ -161,7 +167,7 @@ func TestPageTableDifferential(t *testing.T) {
 					if f, ok := e.frameOf(q); ok != mok || ok && f != mf {
 						t.Fatalf("step %d: page %d maps to (%d, %v), model (%d, %v)", i, q, f, ok, mf, mok)
 					}
-					if e.Present(q) != mok || e.PresenceBitmap().Get(uint64(q)) != mok {
+					if e.Present(q) != mok {
 						t.Fatalf("step %d: page %d presence disagrees with the model (%v)", i, q, mok)
 					}
 				}
@@ -169,7 +175,7 @@ func TestPageTableDifferential(t *testing.T) {
 				// resident total.
 				byOwner := make([]int, len(bounds))
 				for q := range model.frames {
-					byOwner[ownerOf(q)]++
+					byOwner[pageOwner(q)]++
 				}
 				for o, n := range byOwner {
 					if got := e.OwnerResident(o); got != n {
@@ -329,7 +335,9 @@ func refOwnerScanStats(e *EPC, owner int) (accessed, resident int) {
 	return accessed, resident
 }
 
-// refScanPreloadBitsRange is the frame-walking preload-bit scan.
+// refScanPreloadBitsRange is the frame-walking preload-bit scan over the
+// pages in [lo, hi), the oracle for ClearAccessedPreloads over an owner's
+// range.
 func refScanPreloadBitsRange(e *EPC, lo, hi mem.PageID, clear bool, visit func(page mem.PageID, accessed bool)) {
 	for i := range e.frames {
 		fr := &e.frames[i]
@@ -343,21 +351,19 @@ func refScanPreloadBitsRange(e *EPC, lo, hi mem.PageID, clear bool, visit func(p
 	}
 }
 
-// scanVisit is one page reported by a preload-bit scan.
-type scanVisit struct {
-	page     mem.PageID
-	accessed bool
-}
-
 // TestOwnedScanDifferential drives an EPC using the bitset-backed global
 // and owner scans and one using the linear reference scans through the
 // same random Load/Touch/Evict/SelectVictim/SelectVictimOwned/scan
 // sequence, under every policy, on dense and sparse page spaces, at 0
 // (implicit owner 0) to 64 owners and capacities up to 65536 frames (1 and
 // 64 owners only at the largest), including capacities that leave the last
-// bitset word partly filled (100, 4097). After every operation the two
-// must agree on the victim, the CLOCK hand, every frame's page, owner,
-// preload bit and FIFO/LRU stamps, and the access bitset word for word.
+// bitset word partly filled (100, 4097). The owners' ranges have random
+// sizes and lie in random order, since the loader's stamp, not a page
+// bound, decides ownership. The scan step checks ClearAccessedPreloads
+// against the frame walk over the owner's range. After every operation
+// the two must agree on the victim, the scan's count, the CLOCK hand,
+// every frame's page, owner and FIFO/LRU stamps, and the access and
+// preload bitsets word for word.
 // A dense space holds 2×capacity pages; a sparse one runs the same
 // schedule on every page number multiplied by a stride that spreads the
 // space past 2²² pages, the sizes a map-backed page table once served.
@@ -393,29 +399,49 @@ func ownedScanDifferential(t *testing.T, capacity, owners int, policy Policy, sp
 	if sparse {
 		stride = 1<<22/slots + 1
 	}
+	nOwners := max(owners, 1)
 	mk := func() *EPC {
 		e, err := NewWithPolicy(capacity, slots*stride, policy)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for o := 1; o <= owners; o++ {
-			if err := e.AddOwner(uint64(o) * slots / uint64(owners) * stride); err != nil {
-				t.Fatal(err)
-			}
+		for o := 1; o < nOwners; o++ {
+			e.AddOwner()
 		}
 		return e
 	}
 	fast, ref := mk(), mk()
-	nOwners := max(owners, 1)
-	// slotRange is owner o's range in slots; ownerRange in pages.
-	slotRange := func(o int) (lo, hi uint64) {
-		return uint64(o) * slots / uint64(nOwners), uint64(o+1) * slots / uint64(nOwners)
+	r := rng.New(uint64(capacity)*131 + uint64(owners)*7 + uint64(policy))
+	// The layout: cuts split the slots into nOwners non-empty runs of
+	// random size, and run j belongs to owner perm[j].
+	cutSet := map[uint64]bool{0: true, slots: true}
+	for len(cutSet) < nOwners+1 {
+		cutSet[1+uint64(r.Intn(int(slots-1)))] = true
 	}
+	cuts := slices.Sorted(maps.Keys(cutSet))
+	perm := make([]int, nOwners)
+	for j := range perm {
+		perm[j] = j
+	}
+	for j := len(perm) - 1; j > 0; j-- {
+		k := r.Intn(j + 1)
+		perm[j], perm[k] = perm[k], perm[j]
+	}
+	run := make([]int, nOwners) // run[o] is owner o's run
+	for j, o := range perm {
+		run[o] = j
+	}
+	// slotRange is owner o's range in slots; ownerRange in pages.
+	slotRange := func(o int) (lo, hi uint64) { return cuts[run[o]], cuts[run[o]+1] }
 	ownerRange := func(o int) (lo, hi mem.PageID) {
 		slo, shi := slotRange(o)
 		return mem.PageID(slo * stride), mem.PageID(shi * stride)
 	}
-	r := rng.New(uint64(capacity)*131 + uint64(owners)*7 + uint64(policy))
+	pageOwner := func(p mem.PageID) int {
+		slot := uint64(p) / stride
+		j, _ := slices.BinarySearch(cuts, slot+1)
+		return perm[j-1]
+	}
 	// Skewed owner choice, so owners hold very different frame shares.
 	pickOwner := func() int { return r.Intn(r.Intn(nOwners) + 1) }
 	pickPage := func() mem.PageID {
@@ -434,9 +460,9 @@ func ownedScanDifferential(t *testing.T, capacity, owners int, policy Policy, sp
 			}
 		}
 		for w := range fast.accessed {
-			if fast.accessed[w] != ref.accessed[w] {
-				t.Fatalf("step %d (%s): access word %d is %#x, reference %#x",
-					step, op, w, fast.accessed[w], ref.accessed[w])
+			if fast.accessed[w] != ref.accessed[w] || fast.preloaded[w] != ref.preloaded[w] {
+				t.Fatalf("step %d (%s): access/preload word %d is %#x/%#x, reference %#x/%#x",
+					step, op, w, fast.accessed[w], fast.preloaded[w], ref.accessed[w], ref.preloaded[w])
 			}
 		}
 	}
@@ -463,10 +489,10 @@ func ownedScanDifferential(t *testing.T, capacity, owners int, policy Policy, sp
 			ref.Evict(rv)
 		}
 		pre := r.Intn(3) == 0
-		if err := fast.Load(p, pre); err != nil {
+		if err := fast.Load(p, pageOwner(p), pre); err != nil {
 			t.Fatalf("step %d: Load(%d): %v", step, p, err)
 		}
-		if err := ref.Load(p, pre); err != nil {
+		if err := ref.Load(p, pageOwner(p), pre); err != nil {
 			t.Fatalf("step %d: reference Load(%d): %v", step, p, err)
 		}
 	}
@@ -519,21 +545,18 @@ func ownedScanDifferential(t *testing.T, capacity, owners int, policy Policy, sp
 			}
 		case 7:
 			op = "scan"
-			// Mostly an owner's exact range (the kernel's scan), sometimes
-			// an arbitrary one that may straddle owners.
-			lo, hi := ownerRange(pickOwner())
-			if r.Intn(4) == 0 {
-				lo, hi = pickPage(), pickPage()
-				if lo > hi {
-					lo, hi = hi, lo
+			// The kernel's service scan: count and clear one owner's
+			// accessed preloads.
+			o := pickOwner()
+			lo, hi := ownerRange(o)
+			want := 0
+			refScanPreloadBitsRange(ref, lo, hi, true, func(_ mem.PageID, acc bool) {
+				if acc {
+					want++
 				}
-			}
-			clear := r.Intn(2) == 0
-			var fs, rs []scanVisit
-			fast.ScanPreloadBitsRange(lo, hi, clear, func(p mem.PageID, acc bool) { fs = append(fs, scanVisit{p, acc}) })
-			refScanPreloadBitsRange(ref, lo, hi, clear, func(p mem.PageID, acc bool) { rs = append(rs, scanVisit{p, acc}) })
-			if !slices.Equal(fs, rs) {
-				t.Fatalf("step %d: ScanPreloadBitsRange(%d, %d) visited %v, reference %v", i, lo, hi, fs, rs)
+			})
+			if got := fast.ClearAccessedPreloads(o); got != want {
+				t.Fatalf("step %d: ClearAccessedPreloads(%d) = %d, reference %d over [%d, %d)", i, o, got, want, lo, hi)
 			}
 		}
 		same(i, op)
@@ -569,7 +592,7 @@ func TestClockAllAccessedLap(t *testing.T) {
 				t.Run(name, func(t *testing.T) {
 					mk := func() *EPC {
 						e := mustNew(t, capacity, uint64(2*capacity))
-						addOwners(t, e, 2)
+						owner := addOwners(t, e, 2)
 						// Frames are handed out in order; frame f holds owner
 						// 0's page f when f has the hand's parity, else owner
 						// 1's page capacity+f. Demand loads set every bit.
@@ -578,7 +601,7 @@ func TestClockAllAccessedLap(t *testing.T) {
 							if f%2 != hand%2 {
 								p += mem.PageID(capacity)
 							}
-							if err := e.Load(p, false); err != nil {
+							if err := e.Load(p, owner(p), false); err != nil {
 								t.Fatal(err)
 							}
 						}

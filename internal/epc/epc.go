@@ -12,11 +12,12 @@
 // word f/64), so CLOCK advances a word at a time and working-set counts
 // are popcounts.
 //
-// It also maintains the presence bitmap shared between the enclave and the
-// untrusted OS that SIP's BIT_MAP_CHECK consults: one bit per enclave
-// virtual page, updated only when a page is loaded or evicted. The paper
-// notes this bitmap leaks nothing beyond what the OS already knows, since
-// the OS manages EPC residency in the first place.
+// Each fact is kept once. Presence is the page table: Present answers
+// SIP's BIT_MAP_CHECK, the bitmap the paper shares between the enclave
+// and the untrusted OS (it leaks nothing beyond what the OS already
+// knows, since the OS manages EPC residency in the first place).
+// Ownership is the stamp the loader passes to Load; the EPC holds no
+// page ranges, so the page space's layout is the caller's alone.
 package epc
 
 import (
@@ -31,8 +32,8 @@ type FrameID uint32
 
 // MaxPages bounds the ELRANGE page space of one EPC: 2²⁸ pages, a 1 TiB
 // ELRANGE of 4 KiB pages. The page table costs 4 bytes per page (1 GiB at
-// the bound) and the presence bitmap one bit (32 MiB), so every space New
-// or Grow accepts can actually be allocated; a larger one is an error.
+// the bound), so every space New or Grow accepts can actually be
+// allocated; a larger one is an error.
 const MaxPages = 1 << 28
 
 // PageSpaceError reports a page space past MaxPages, asked of New (Grow
@@ -117,20 +118,16 @@ type EPC struct {
 	// pt is the page→frame reverse mapping, one entry per ELRANGE page
 	// holding the resident page's frame plus one, so the zero value means
 	// absent: Present, Touch, Load and Evict are array indexing, and the
-	// table is allocated and grown zero-filled.
-	pt      []FrameID
-	present *Bitmap // shared presence bitmap (SIP's BIT_MAP_CHECK)
-	hand    int     // CLOCK hand over frames
-	policy  Policy
-	seq     uint64 // load/touch sequence counter for FIFO/LRU
-	rnd     uint64 // xorshift state for PolicyRandom
-	// Ownership: the shared page space is a sequence of disjoint
-	// per-enclave ranges registered in ascending order via AddOwner.
-	// ownerHi[i] is the exclusive upper bound of owner i's range (its
-	// lower bound is ownerHi[i-1], or 0 for owner 0). With no owners
-	// registered every page belongs to the implicit owner 0 — the solo
-	// degenerate case, where ownership is pure bookkeeping.
-	ownerHi    []mem.PageID
+	// table is allocated and grown zero-filled. It is also the presence
+	// bitmap SIP's BIT_MAP_CHECK reads.
+	pt     []FrameID
+	hand   int // CLOCK hand over frames
+	policy Policy
+	seq    uint64 // load/touch sequence counter for FIFO/LRU
+	rnd    uint64 // xorshift state for PolicyRandom
+	// Ownership: every frame is stamped at Load with the owner its loader
+	// names. Owner 0 exists from New — the solo case, where ownership is
+	// pure bookkeeping — and AddOwner appends the next.
 	resByOwner []int // resident frame count per owner
 	// ownedBits[o] is owner o's frame membership bitset: bit f%64 of word
 	// f/64 is set while frame f holds one of o's pages. Owner-scoped scans
@@ -172,14 +169,11 @@ func NewWithPolicy(capacity int, elrangePages uint64, policy Policy) (*EPC, erro
 		return nil, fmt.Errorf("epc: unknown eviction policy %d", policy)
 	}
 	e := &EPC{
-		frames:  make([]frame, capacity),
-		free:    make([]FrameID, 0, capacity),
-		pt:      make([]FrameID, elrangePages),
-		present: NewBitmap(elrangePages),
-		policy:  policy,
-		rnd:     0x2545f4914f6cdd1d,
-		// One counter and bitset for the implicit owner 0 until AddOwner
-		// is called.
+		frames:     make([]frame, capacity),
+		free:       make([]FrameID, 0, capacity),
+		pt:         make([]FrameID, elrangePages),
+		policy:     policy,
+		rnd:        0x2545f4914f6cdd1d,
 		resByOwner: make([]int, 1),
 		ownedBits:  [][]uint64{make([]uint64, (capacity+63)/64)},
 		occupied:   make([]uint64, (capacity+63)/64),
@@ -216,58 +210,19 @@ func (e *EPC) Grow(newPages uint64) error {
 		return nil
 	}
 	e.pt = append(e.pt, make([]FrameID, newPages-pages)...)
-	e.present.Grow(newPages)
 	return nil
 }
 
-// AddOwner registers the next enclave's page range, whose exclusive
-// upper bound is hi (its lower bound is the previous owner's bound, or 0
-// for the first owner). Ranges must be registered in ascending order
-// before any page inside them is loaded, matching Engine.Admit, which
-// grows the page space and registers the new range before the admitted
-// enclave runs. Ownership is pure bookkeeping: it never changes which
-// victim the global SelectVictim picks.
-func (e *EPC) AddOwner(hi uint64) error {
-	if hi > e.Pages() {
-		return fmt.Errorf("epc: owner bound %d beyond ELRANGE of %d pages", hi, e.Pages())
-	}
-	var lo mem.PageID
-	if n := len(e.ownerHi); n > 0 {
-		lo = e.ownerHi[n-1]
-	}
-	if mem.PageID(hi) <= lo {
-		return fmt.Errorf("epc: owner bound %d not above previous bound %d", hi, lo)
-	}
-	e.ownerHi = append(e.ownerHi, mem.PageID(hi))
-	if len(e.ownerHi) > 1 {
-		e.resByOwner = append(e.resByOwner, 0)
-		e.ownedBits = append(e.ownedBits, make([]uint64, (len(e.frames)+63)/64))
-	}
-	return nil
+// AddOwner registers the next owner and returns its index: 1 for the
+// first call, since owner 0 exists from New. Engine.Admit calls it for
+// every enclave after the first, so owner i is enclave i. Ownership is
+// pure bookkeeping: it never changes which victim the global
+// SelectVictim picks.
+func (e *EPC) AddOwner() int {
+	e.resByOwner = append(e.resByOwner, 0)
+	e.ownedBits = append(e.ownedBits, make([]uint64, len(e.occupied)))
+	return len(e.resByOwner) - 1
 }
-
-// ownerOf maps a page to its owning enclave index: binary search over the
-// ascending range bounds, or the implicit owner 0 when none are
-// registered.
-func (e *EPC) ownerOf(page mem.PageID) int32 {
-	lo, hi := 0, len(e.ownerHi)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if page >= e.ownerHi[mid] {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return int32(lo)
-}
-
-// Owners returns the number of registered owner ranges (0 when the EPC is
-// running in the implicit single-owner mode).
-func (e *EPC) Owners() int { return len(e.ownerHi) }
-
-// OwnerOf returns the owner index of page.
-func (e *EPC) OwnerOf(page mem.PageID) int { return int(e.ownerOf(page)) }
 
 // OwnerResident returns the number of frames currently held by owner.
 func (e *EPC) OwnerResident(owner int) int {
@@ -275,15 +230,6 @@ func (e *EPC) OwnerResident(owner int) int {
 		return 0
 	}
 	return e.resByOwner[owner]
-}
-
-// ownerBound returns the exclusive upper page bound of owner o's range:
-// unbounded for the implicit owner 0 when no ranges are registered.
-func (e *EPC) ownerBound(o int32) mem.PageID {
-	if len(e.ownerHi) == 0 {
-		return mem.NoPage
-	}
-	return e.ownerHi[o]
 }
 
 // OwnerAccessed counts owner's resident frames with the access bit set,
@@ -322,15 +268,13 @@ func (e *EPC) frameOf(page mem.PageID) (FrameID, bool) {
 	return f - 1, f != 0
 }
 
-// Present reports whether page is resident in the EPC.
+// Present reports whether page is resident in the EPC. It is SIP's
+// BIT_MAP_CHECK, which the enclave runs without an exit: pages outside
+// ELRANGE read as absent.
 func (e *EPC) Present(page mem.PageID) bool {
 	_, ok := e.frameOf(page)
 	return ok
 }
-
-// PresenceBitmap exposes the shared presence bitmap. SIP's runtime checks
-// it from "inside the enclave"; the OS updates it on load and eviction.
-func (e *EPC) PresenceBitmap() *Bitmap { return e.present }
 
 // Touch sets the access bit of the frame holding page, mirroring the
 // hardware setting the PTE accessed bit on every load/store. It reports
@@ -348,13 +292,17 @@ func (e *EPC) Touch(page mem.PageID) bool {
 	return true
 }
 
-// Load installs page into a free frame, marking it as preloaded when
-// preloaded is true. It returns an error if the EPC is full (the caller
-// must evict first — mirroring the driver, which runs EWB before ELDU when
-// no free EPC page exists) or if the page is already resident.
-func (e *EPC) Load(page mem.PageID, preloaded bool) error {
+// Load installs page into a free frame stamped with owner, marking it as
+// preloaded when preloaded is true. It returns an error if the EPC is
+// full (the caller must evict first — mirroring the driver, which runs
+// EWB before ELDU when no free EPC page exists), if the page is already
+// resident, or if owner is not registered.
+func (e *EPC) Load(page mem.PageID, owner int, preloaded bool) error {
 	if uint64(page) >= e.Pages() {
 		return fmt.Errorf("epc: page %d outside ELRANGE of %d pages", page, e.Pages())
+	}
+	if owner < 0 || owner >= len(e.resByOwner) {
+		return fmt.Errorf("epc: owner %d not registered (%d owners)", owner, len(e.resByOwner))
 	}
 	if _, ok := e.frameOf(page); ok {
 		return fmt.Errorf("epc: page %d already resident", page)
@@ -365,10 +313,9 @@ func (e *EPC) Load(page mem.PageID, preloaded bool) error {
 	f := e.free[len(e.free)-1]
 	e.free = e.free[:len(e.free)-1]
 	e.seq++
-	owner := e.ownerOf(page)
 	e.frames[f] = frame{
 		page:      page,
-		owner:     owner,
+		owner:     int32(owner),
 		loadedAt:  e.seq,
 		touchedAt: e.seq,
 	}
@@ -381,7 +328,6 @@ func (e *EPC) Load(page mem.PageID, preloaded bool) error {
 		e.accessed[f>>6] |= 1 << (f & 63)
 	}
 	e.pt[page] = f + 1
-	e.present.Set(uint64(page))
 	return nil
 }
 
@@ -401,7 +347,6 @@ func (e *EPC) Evict(page mem.PageID) bool {
 	e.frames[f] = frame{page: mem.NoPage}
 	e.free = append(e.free, f)
 	e.pt[page] = 0
-	e.present.Clear(uint64(page))
 	return true
 }
 
@@ -526,45 +471,32 @@ func (e *EPC) Accessed(page mem.PageID) bool {
 	return ok && e.accessed[f>>6]&(1<<(f&63)) != 0
 }
 
-// ScanPreloadBitsRange visits every resident preloaded page in [lo, hi)
-// and reports it to visit together with its access bit. The kernel
-// service thread piggybacks on its CLOCK access-bit scan to maintain
-// DFP's PreloadedPageList; this method is that scan. When clear is true
-// the preload bit of visited accessed pages is cleared so each correct
-// preload is counted once. In multi-enclave mode each enclave's service
-// scan covers only its own ELRANGE slice of the shared EPC; [0, Pages())
-// scans the whole page space. Pages are visited in frame
-// order, and only preloaded frames are walked: those of one owner when
-// [lo, hi) lies inside that owner's range (every kernel's own slice, solo
-// runs included), else every owner's.
-func (e *EPC) ScanPreloadBitsRange(lo, hi mem.PageID, clear bool, visit func(page mem.PageID, accessed bool)) {
-	var owned []uint64
-	if o := e.ownerOf(lo); int(o) < len(e.ownedBits) && hi <= e.ownerBound(o) {
-		owned = e.ownedBits[o]
+// ClearAccessedPreloads counts owner's resident preloaded frames whose
+// access bit is set and clears their preload bits, so each correct
+// preload is counted once. The kernel service thread piggybacks it on its
+// CLOCK access-bit scan to maintain DFP's accuracy counter; each enclave
+// counts only the frames stamped with its own owner, a word at a time.
+func (e *EPC) ClearAccessedPreloads(owner int) int {
+	if owner < 0 || owner >= len(e.ownedBits) {
+		return 0
 	}
-	for w, m := range e.preloaded {
-		if owned != nil {
-			m &= owned[w]
-		}
-		for ; m != 0; m &= m - 1 {
-			b := bits.TrailingZeros64(m)
-			p := e.frames[w<<6|b].page
-			if p < lo || p >= hi {
-				continue
-			}
-			accessed := e.accessed[w]&(1<<b) != 0
-			visit(p, accessed)
-			if clear && accessed {
-				e.preloaded[w] &^= 1 << b
-			}
+	n := 0
+	for w, m := range e.ownedBits[owner] {
+		if hit := m & e.preloaded[w] & e.accessed[w]; hit != 0 {
+			n += bits.OnesCount64(hit)
+			e.preloaded[w] &^= hit
 		}
 	}
+	return n
 }
 
 // CheckInvariants verifies internal consistency: the page table, frame
-// table, free list, presence bitmap, per-owner membership bitsets
-// and occupancy bitset must agree, and no access or preload bit may mark
-// a free frame. Tests call it after random operation sequences.
+// table, free list, per-owner counters, per-owner membership bitsets and
+// occupancy bitset must agree, and no access or preload bit may mark a
+// free frame. Tests call it after random operation sequences. Whether
+// each stamp names the right owner is the loader's contract, which the
+// EPC cannot see; the engine's tests check it against the enclaves'
+// page ranges.
 func (e *EPC) CheckInvariants() error {
 	occupied := 0
 	seen := make(map[FrameID]bool, len(e.frames))
@@ -580,13 +512,6 @@ func (e *EPC) CheckInvariants() error {
 		if !ok || f != FrameID(i) {
 			return fmt.Errorf("epc: frame %d holds page %d, page table says (%d, %v)",
 				i, p, f, ok)
-		}
-		if !e.present.Get(uint64(p)) {
-			return fmt.Errorf("epc: resident page %d absent from presence bitmap", p)
-		}
-		if o := e.frames[i].owner; o != e.ownerOf(p) {
-			return fmt.Errorf("epc: frame %d (page %d) stamped owner %d, range says %d",
-				i, p, o, e.ownerOf(p))
 		}
 		resByOwner[e.frames[i].owner]++
 	}
@@ -655,9 +580,6 @@ func (e *EPC) CheckInvariants() error {
 		if e.frames[f].page != mem.NoPage {
 			return fmt.Errorf("epc: free frame %d holds page %d", f, e.frames[f].page)
 		}
-	}
-	if got := e.present.Count(); got != uint64(occupied) {
-		return fmt.Errorf("epc: presence bitmap count %d != %d resident", got, occupied)
 	}
 	return nil
 }

@@ -2,7 +2,6 @@ package epc
 
 import (
 	"testing"
-	"testing/quick"
 
 	"sgxpreload/internal/mem"
 	"sgxpreload/internal/rng"
@@ -41,14 +40,17 @@ func TestLoadAndPresence(t *testing.T) {
 	if e.Present(3) {
 		t.Fatal("page 3 present in empty EPC")
 	}
-	if err := e.Load(3, false); err != nil {
+	if err := e.Load(3, 0, false); err != nil {
 		t.Fatalf("Load(3): %v", err)
 	}
 	if !e.Present(3) {
 		t.Fatal("page 3 absent after load")
 	}
-	if !e.PresenceBitmap().Get(3) {
-		t.Fatal("presence bitmap not updated on load")
+	// Presence is the page table: a page beyond ELRANGE reads absent.
+	for _, p := range []mem.PageID{100, mem.NoPage} {
+		if e.Present(p) || e.Touch(p) {
+			t.Fatalf("page %d outside ELRANGE reads present", p)
+		}
 	}
 	if e.Resident() != 1 {
 		t.Fatalf("Resident() = %d, want 1", e.Resident())
@@ -57,23 +59,23 @@ func TestLoadAndPresence(t *testing.T) {
 
 func TestLoadErrors(t *testing.T) {
 	e := mustNew(t, 1, 10)
-	if err := e.Load(5, false); err != nil {
+	if err := e.Load(5, 0, false); err != nil {
 		t.Fatalf("Load(5): %v", err)
 	}
-	if err := e.Load(5, false); err == nil {
+	if err := e.Load(5, 0, false); err == nil {
 		t.Fatal("double load succeeded, want error")
 	}
-	if err := e.Load(6, false); err == nil {
+	if err := e.Load(6, 0, false); err == nil {
 		t.Fatal("load into full EPC succeeded, want error")
 	}
-	if err := e.Load(50, false); err == nil {
+	if err := e.Load(50, 0, false); err == nil {
 		t.Fatal("load outside ELRANGE succeeded, want error")
 	}
 }
 
 func TestEvictFreesFrame(t *testing.T) {
 	e := mustNew(t, 1, 10)
-	if err := e.Load(5, false); err != nil {
+	if err := e.Load(5, 0, false); err != nil {
 		t.Fatalf("Load(5): %v", err)
 	}
 	if !e.Evict(5) {
@@ -82,10 +84,7 @@ func TestEvictFreesFrame(t *testing.T) {
 	if e.Present(5) {
 		t.Fatal("page 5 present after eviction")
 	}
-	if e.PresenceBitmap().Get(5) {
-		t.Fatal("presence bitmap still set after eviction")
-	}
-	if err := e.Load(6, false); err != nil {
+	if err := e.Load(6, 0, false); err != nil {
 		t.Fatalf("Load(6) after eviction: %v", err)
 	}
 }
@@ -100,7 +99,7 @@ func TestEvictAbsentPage(t *testing.T) {
 func TestClockPrefersUnaccessedVictim(t *testing.T) {
 	e := mustNew(t, 3, 100)
 	for _, p := range []mem.PageID{1, 2, 3} {
-		if err := e.Load(p, false); err != nil {
+		if err := e.Load(p, 0, false); err != nil {
 			t.Fatalf("Load(%d): %v", p, err)
 		}
 	}
@@ -118,7 +117,7 @@ func TestClockPrefersUnaccessedVictim(t *testing.T) {
 func TestClockSecondChanceTermination(t *testing.T) {
 	e := mustNew(t, 4, 100)
 	for p := mem.PageID(0); p < 4; p++ {
-		if err := e.Load(p, false); err != nil {
+		if err := e.Load(p, 0, false); err != nil {
 			t.Fatalf("Load(%d): %v", p, err)
 		}
 		e.Touch(p)
@@ -139,7 +138,7 @@ func TestSelectVictimEmpty(t *testing.T) {
 
 func TestPreloadBitLifecycle(t *testing.T) {
 	e := mustNew(t, 4, 100)
-	if err := e.Load(7, true); err != nil {
+	if err := e.Load(7, 0, true); err != nil {
 		t.Fatalf("Load(7, preload): %v", err)
 	}
 	if !e.Preloaded(7) {
@@ -149,16 +148,9 @@ func TestPreloadBitLifecycle(t *testing.T) {
 		t.Fatal("preloaded page arrived with access bit set")
 	}
 
-	// Unaccessed preloads are visited but keep their bit.
-	var visits, accessed int
-	e.ScanPreloadBitsRange(0, mem.PageID(e.Pages()), true, func(_ mem.PageID, acc bool) {
-		visits++
-		if acc {
-			accessed++
-		}
-	})
-	if visits != 1 || accessed != 0 {
-		t.Fatalf("scan saw %d visits, %d accessed; want 1, 0", visits, accessed)
+	// An unaccessed preload is not counted and keeps its bit.
+	if n := e.ClearAccessedPreloads(0); n != 0 {
+		t.Fatalf("scan counted %d accessed preloads, want 0", n)
 	}
 	if !e.Preloaded(7) {
 		t.Fatal("unaccessed preload bit cleared by scan")
@@ -166,23 +158,20 @@ func TestPreloadBitLifecycle(t *testing.T) {
 
 	// After a touch the scan counts it once and clears the bit.
 	e.Touch(7)
-	accessed = 0
-	e.ScanPreloadBitsRange(0, mem.PageID(e.Pages()), true, func(_ mem.PageID, acc bool) {
-		if acc {
-			accessed++
-		}
-	})
-	if accessed != 1 {
-		t.Fatalf("scan counted %d accessed preloads, want 1", accessed)
+	if n := e.ClearAccessedPreloads(0); n != 1 {
+		t.Fatalf("scan counted %d accessed preloads, want 1", n)
 	}
 	if e.Preloaded(7) {
 		t.Fatal("preload bit survived counting scan")
+	}
+	if n := e.ClearAccessedPreloads(0); n != 0 {
+		t.Fatalf("second scan counted %d accessed preloads, want 0", n)
 	}
 }
 
 func TestDemandLoadArrivesAccessed(t *testing.T) {
 	e := mustNew(t, 4, 100)
-	if err := e.Load(1, false); err != nil {
+	if err := e.Load(1, 0, false); err != nil {
 		t.Fatalf("Load: %v", err)
 	}
 	if !e.Accessed(1) {
@@ -220,7 +209,7 @@ func TestInvariantsUnderRandomOperations(t *testing.T) {
 					}
 					e.Evict(v)
 				}
-				if err := e.Load(p, r.Intn(2) == 0); err != nil {
+				if err := e.Load(p, 0, r.Intn(2) == 0); err != nil {
 					t.Fatalf("step %d: Load(%d): %v", i, p, err)
 				}
 			}
@@ -240,52 +229,6 @@ func TestInvariantsUnderRandomOperations(t *testing.T) {
 		}
 		if e.Resident() > capacity {
 			t.Fatalf("step %d: resident %d exceeds capacity %d", i, e.Resident(), capacity)
-		}
-	}
-}
-
-func TestBitmapProperties(t *testing.T) {
-	f := func(idx []uint16) bool {
-		b := NewBitmap(1 << 16)
-		set := make(map[uint64]bool)
-		for _, i := range idx {
-			b.Set(uint64(i))
-			set[uint64(i)] = true
-		}
-		if b.Count() != uint64(len(set)) {
-			return false
-		}
-		for i := range set {
-			if !b.Get(i) {
-				return false
-			}
-		}
-		for _, i := range idx {
-			b.Clear(uint64(i))
-		}
-		return b.Count() == 0
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestBitmapOutOfRange(t *testing.T) {
-	b := NewBitmap(10)
-	if b.Get(100) {
-		t.Fatal("out-of-range Get = true")
-	}
-	b.Set(100)   // must not panic
-	b.Clear(100) // must not panic
-	if b.Count() != 0 {
-		t.Fatalf("Count() = %d after out-of-range Set, want 0", b.Count())
-	}
-}
-
-func TestBitmapLen(t *testing.T) {
-	for _, n := range []uint64{1, 63, 64, 65, 1000} {
-		if got := NewBitmap(n).Len(); got != n {
-			t.Fatalf("NewBitmap(%d).Len() = %d", n, got)
 		}
 	}
 }

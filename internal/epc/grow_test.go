@@ -8,20 +8,19 @@ import (
 	"sgxpreload/internal/mem"
 )
 
-// TestGrowPreservesState: growing the page space keeps residency, bits,
-// and the presence bitmap intact, and the new pages are loadable.
+// TestGrowPreservesState: growing the page space keeps residency and
+// bits intact, and the new pages are loadable.
 func TestGrowPreservesState(t *testing.T) {
 	e, err := New(4, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, p := range []mem.PageID{1, 5, 7} {
-		if err := e.Load(p, p == 5); err != nil {
+		if err := e.Load(p, 0, p == 5); err != nil {
 			t.Fatal(err)
 		}
 	}
-	bm := e.PresenceBitmap() // handle taken before growth must stay valid
-	if err := e.Load(9, false); err == nil {
+	if err := e.Load(9, 0, false); err == nil {
 		t.Fatal("page 9 loadable before growth")
 	}
 
@@ -37,14 +36,14 @@ func TestGrowPreservesState(t *testing.T) {
 	if !e.Preloaded(5) {
 		t.Error("preload bit lost across Grow")
 	}
-	if !bm.Get(5) || bm.Get(9) {
-		t.Error("pre-growth bitmap handle out of sync")
+	if e.Present(9) {
+		t.Error("new page 9 present after growth")
 	}
-	if err := e.Load(9, false); err != nil {
+	if err := e.Load(9, 0, false); err != nil {
 		t.Errorf("page 9 not loadable after growth: %v", err)
 	}
-	if !bm.Get(9) {
-		t.Error("pre-growth bitmap handle missed post-growth load")
+	if !e.Present(9) {
+		t.Error("page 9 absent after its post-growth load")
 	}
 	if err := e.CheckInvariants(); err != nil {
 		t.Error(err)
@@ -65,7 +64,7 @@ func TestGrowExtendsPageTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Load(3, false); err != nil {
+	if err := e.Load(3, 0, false); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.Grow(1024); err != nil {
@@ -106,7 +105,7 @@ func TestPageSpaceBound(t *testing.T) {
 	if err != nil {
 		t.Fatalf("old array bound rejected: %v", err)
 	}
-	if err := e.Load(1<<22-1, true); err != nil {
+	if err := e.Load(1<<22-1, 0, true); err != nil {
 		t.Fatal(err)
 	}
 	for _, pages := range []uint64{MaxPages + 1, 1 << 62} {
@@ -120,9 +119,9 @@ func TestPageSpaceBound(t *testing.T) {
 			}
 		}
 	}
-	if e.Pages() != 1<<22 || len(e.pt) != 1<<22 || e.PresenceBitmap().Len() != 1<<22 {
-		t.Fatalf("rejected Grow changed the page space: %d pages, table %d, bitmap %d",
-			e.Pages(), len(e.pt), e.PresenceBitmap().Len())
+	if e.Pages() != 1<<22 || len(e.pt) != 1<<22 {
+		t.Fatalf("rejected Grow changed the page space: %d pages, table %d",
+			e.Pages(), len(e.pt))
 	}
 	if !e.Present(1<<22-1) || !e.Preloaded(1<<22-1) || e.Resident() != 1 {
 		t.Fatal("rejected Grow disturbed residency")
@@ -130,7 +129,7 @@ func TestPageSpaceBound(t *testing.T) {
 	if err := e.Grow(1<<22 + 1); err != nil {
 		t.Fatalf("growth past the old array bound rejected: %v", err)
 	}
-	if err := e.Load(1<<22, false); err != nil {
+	if err := e.Load(1<<22, 0, false); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.CheckInvariants(); err != nil {
@@ -145,21 +144,18 @@ func TestGrowThenAddOwner(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e.AddOwner(8); err != nil {
-		t.Fatal(err)
-	}
 	for _, p := range []mem.PageID{1, 5} {
-		if err := e.Load(p, false); err != nil {
+		if err := e.Load(p, 0, false); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if err := e.Grow(16); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.AddOwner(16); err != nil {
-		t.Fatal(err)
+	if o := e.AddOwner(); o != 1 {
+		t.Fatalf("AddOwner() = %d after growth, want 1", o)
 	}
-	if err := e.Load(9, false); err != nil {
+	if err := e.Load(9, 1, false); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.CheckInvariants(); err != nil {

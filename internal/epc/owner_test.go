@@ -7,60 +7,74 @@ import (
 	"sgxpreload/internal/rng"
 )
 
-// addOwners registers n equal ranges over the EPC's page space.
-func addOwners(t *testing.T, e *EPC, n int) {
+// addOwners registers owners until the EPC has n and returns the owner
+// of each page when the page space splits into n equal ranges — the
+// layout Engine.Admit gives n enclaves of equal size, whose kernels stamp
+// their pages with it.
+func addOwners(t *testing.T, e *EPC, n int) func(mem.PageID) int {
 	t.Helper()
-	for o := 1; o <= n; o++ {
-		if err := e.AddOwner(uint64(o) * e.Pages() / uint64(n)); err != nil {
+	for o := 1; o < n; o++ {
+		if got := e.AddOwner(); got != o {
+			t.Fatalf("AddOwner() = %d, want %d", got, o)
+		}
+	}
+	pages := e.Pages()
+	return func(p mem.PageID) int { return int(uint64(p) * uint64(n) / pages) }
+}
+
+// TestAddOwnerNumbersOwners: owner 0 exists from New, AddOwner hands out
+// the next index, and Load stamps only a registered owner.
+func TestAddOwnerNumbersOwners(t *testing.T) {
+	e := mustNew(t, 4, 100)
+	for _, o := range []int{-1, 1} {
+		if err := e.Load(3, o, false); err == nil {
+			t.Fatalf("Load under unregistered owner %d accepted", o)
+		}
+	}
+	if e.Resident() != 0 {
+		t.Fatal("rejected Load left a frame occupied")
+	}
+	for want := 1; want <= 3; want++ {
+		if got := e.AddOwner(); got != want {
+			t.Fatalf("AddOwner() = %d, want %d", got, want)
+		}
+	}
+	// Stamps follow the loader, not the page number.
+	for _, c := range []struct {
+		p mem.PageID
+		o int
+	}{{90, 0}, {1, 3}, {2, 3}} {
+		if err := e.Load(c.p, c.o, false); err != nil {
 			t.Fatal(err)
 		}
 	}
-}
-
-func TestAddOwnerValidation(t *testing.T) {
-	e := mustNew(t, 4, 100)
-	if err := e.AddOwner(101); err == nil {
-		t.Fatal("AddOwner beyond ELRANGE accepted")
+	if err := e.Load(4, 4, false); err == nil {
+		t.Fatal("Load under unregistered owner 4 accepted")
 	}
-	if err := e.AddOwner(0); err == nil {
-		t.Fatal("AddOwner(0) accepted")
-	}
-	if err := e.AddOwner(40); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.AddOwner(40); err == nil {
-		t.Fatal("non-ascending AddOwner accepted")
-	}
-	if err := e.AddOwner(100); err != nil {
-		t.Fatal(err)
-	}
-	if e.Owners() != 2 {
-		t.Fatalf("Owners() = %d, want 2", e.Owners())
-	}
-	for page, want := range map[mem.PageID]int{0: 0, 39: 0, 40: 1, 99: 1} {
-		if got := e.OwnerOf(page); got != want {
-			t.Fatalf("OwnerOf(%d) = %d, want %d", page, got, want)
+	for o, want := range []int{1, 0, 0, 2} {
+		if got := e.OwnerResident(o); got != want {
+			t.Fatalf("OwnerResident(%d) = %d, want %d", o, got, want)
 		}
 	}
+	if err := e.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
 }
 
-// TestImplicitSingleOwner: without AddOwner every page belongs to owner 0
-// and the owned scan is the global scan.
+// TestImplicitSingleOwner: without AddOwner every page is loaded under
+// owner 0, and the owned scan is the global scan.
 func TestImplicitSingleOwner(t *testing.T) {
 	e := mustNew(t, 4, 64)
-	for p := mem.PageID(0); p < 4; p++ {
-		if err := e.Load(p, false); err != nil {
+	for _, p := range []mem.PageID{0, 1, 2, 63} {
+		if err := e.Load(p, 0, false); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if e.Owners() != 0 {
-		t.Fatalf("Owners() = %d, want 0", e.Owners())
 	}
 	if got := e.OwnerResident(0); got != 4 {
 		t.Fatalf("OwnerResident(0) = %d, want 4", got)
 	}
-	if got := e.OwnerOf(63); got != 0 {
-		t.Fatalf("OwnerOf(63) = %d, want 0", got)
+	if got := e.OwnerResident(1); got != 0 {
+		t.Fatalf("OwnerResident(1) = %d, want 0", got)
 	}
 	if err := e.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -71,7 +85,7 @@ func TestImplicitSingleOwner(t *testing.T) {
 // three owner ranges and checks the counters after every step.
 func TestOwnerCountersTrackLoadEvict(t *testing.T) {
 	e := mustNew(t, 6, 96)
-	addOwners(t, e, 3)
+	owner := addOwners(t, e, 3)
 	r := rng.New(7)
 	for i := 0; i < 4000; i++ {
 		p := mem.PageID(r.Intn(96))
@@ -79,7 +93,7 @@ func TestOwnerCountersTrackLoadEvict(t *testing.T) {
 			if e.Full() {
 				e.Evict(e.SelectVictim())
 			}
-			if err := e.Load(p, r.Intn(2) == 0); err != nil {
+			if err := e.Load(p, owner(p), r.Intn(2) == 0); err != nil {
 				t.Fatalf("step %d: %v", i, err)
 			}
 		} else {
@@ -108,10 +122,10 @@ func TestSelectVictimOwnedRespectsOwnership(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			addOwners(t, e, 2) // owner 0: [0,32), owner 1: [32,64)
+			owner := addOwners(t, e, 2) // owner 0: [0,32), owner 1: [32,64)
 			// Owner 0 gets 5 pages, owner 1 gets 3; all touched.
 			for _, p := range []mem.PageID{0, 1, 2, 3, 4, 32, 33, 34} {
-				if err := e.Load(p, false); err != nil {
+				if err := e.Load(p, owner(p), false); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -144,9 +158,9 @@ func TestSelectVictimOwnedRespectsOwnership(t *testing.T) {
 // would under the global hand.
 func TestOwnedClockSparesForeignBits(t *testing.T) {
 	e := mustNew(t, 8, 64)
-	addOwners(t, e, 2)
+	owner := addOwners(t, e, 2)
 	for _, p := range []mem.PageID{0, 1, 32, 33} {
-		if err := e.Load(p, false); err != nil {
+		if err := e.Load(p, owner(p), false); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -162,10 +176,11 @@ func TestOwnedClockSparesForeignBits(t *testing.T) {
 	}
 }
 
-// TestOwnedScanDegenerateMatchesGlobal pins the refactor's safety
-// property: with a single owner covering the whole page space, an
-// interleaved random workload produces the identical victim sequence
-// whether it asks the global or the owned scan.
+// TestOwnedScanDegenerateMatchesGlobal pins the owned scan's safety
+// property: with every page loaded under one owner, an interleaved random
+// workload produces the identical victim sequence whether it asks the
+// global or the owned scan — owner 0 on a solo EPC, or an added owner
+// holding every frame while owner 0 holds none.
 func TestOwnedScanDegenerateMatchesGlobal(t *testing.T) {
 	for _, policy := range []Policy{PolicyClock, PolicyFIFO, PolicyLRU, PolicyRandom} {
 		t.Run(policy.String(), func(t *testing.T) {
@@ -175,9 +190,7 @@ func TestOwnedScanDegenerateMatchesGlobal(t *testing.T) {
 					t.Fatal(err)
 				}
 				if owned {
-					if err := e.AddOwner(128); err != nil {
-						t.Fatal(err)
-					}
+					e.AddOwner()
 				}
 				return e
 			}
@@ -191,7 +204,7 @@ func TestOwnedScanDegenerateMatchesGlobal(t *testing.T) {
 						continue
 					}
 					if global.Full() {
-						gv, ov := global.SelectVictim(), owned.SelectVictimOwned(0)
+						gv, ov := global.SelectVictim(), owned.SelectVictimOwned(1)
 						if gv != ov {
 							t.Fatalf("step %d: global victim %d, owned victim %d", i, gv, ov)
 						}
@@ -199,17 +212,17 @@ func TestOwnedScanDegenerateMatchesGlobal(t *testing.T) {
 						owned.Evict(ov)
 					}
 					pre := r.Intn(2) == 0
-					if err := global.Load(p, pre); err != nil {
+					if err := global.Load(p, 0, pre); err != nil {
 						t.Fatal(err)
 					}
-					if err := owned.Load(p, pre); err != nil {
+					if err := owned.Load(p, 1, pre); err != nil {
 						t.Fatal(err)
 					}
 				case 1:
 					global.Touch(p)
 					owned.Touch(p)
 				case 2:
-					gv, ov := global.SelectVictim(), owned.SelectVictimOwned(0)
+					gv, ov := global.SelectVictim(), owned.SelectVictimOwned(1)
 					if gv != ov {
 						t.Fatalf("step %d: global victim %d, owned victim %d", i, gv, ov)
 					}
@@ -221,14 +234,14 @@ func TestOwnedScanDegenerateMatchesGlobal(t *testing.T) {
 
 func TestOwnerAccessed(t *testing.T) {
 	e := mustNew(t, 8, 64)
-	addOwners(t, e, 2)
+	owner := addOwners(t, e, 2)
 	// Owner 0: two demand loads (accessed) + one preload (not accessed).
 	// Owner 1: one preload.
 	for _, c := range []struct {
 		p   mem.PageID
 		pre bool
 	}{{0, false}, {1, false}, {2, true}, {32, true}} {
-		if err := e.Load(c.p, c.pre); err != nil {
+		if err := e.Load(c.p, owner(c.p), c.pre); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -253,9 +266,9 @@ func TestOwnerAccessed(t *testing.T) {
 // a free frame or past the last frame are reported.
 func TestCheckInvariantsCatchesBitsetDrift(t *testing.T) {
 	e := mustNew(t, 8, 64)
-	addOwners(t, e, 2)
+	owner := addOwners(t, e, 2)
 	for _, p := range []mem.PageID{0, 1, 32} {
-		if err := e.Load(p, false); err != nil {
+		if err := e.Load(p, owner(p), false); err != nil {
 			t.Fatal(err)
 		}
 	}

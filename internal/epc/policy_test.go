@@ -44,7 +44,7 @@ func TestNewWithPolicyRejectsUnknown(t *testing.T) {
 func TestFIFOEvictsOldestLoad(t *testing.T) {
 	e := mustPolicy(t, 3, 100, PolicyFIFO)
 	for _, p := range []mem.PageID{5, 6, 7} {
-		if err := e.Load(p, false); err != nil {
+		if err := e.Load(p, 0, false); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -55,7 +55,7 @@ func TestFIFOEvictsOldestLoad(t *testing.T) {
 		t.Fatalf("FIFO victim = %d, want 5 (oldest load)", v)
 	}
 	e.Evict(5)
-	if err := e.Load(8, false); err != nil {
+	if err := e.Load(8, 0, false); err != nil {
 		t.Fatal(err)
 	}
 	if v := e.SelectVictim(); v != 6 {
@@ -66,7 +66,7 @@ func TestFIFOEvictsOldestLoad(t *testing.T) {
 func TestLRUEvictsLeastRecentlyTouched(t *testing.T) {
 	e := mustPolicy(t, 3, 100, PolicyLRU)
 	for _, p := range []mem.PageID{1, 2, 3} {
-		if err := e.Load(p, false); err != nil {
+		if err := e.Load(p, 0, false); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -87,7 +87,7 @@ func TestRandomVictimIsResidentAndDeterministic(t *testing.T) {
 	mk := func() []mem.PageID {
 		e := mustPolicy(t, 8, 100, PolicyRandom)
 		for p := mem.PageID(0); p < 8; p++ {
-			if err := e.Load(p, false); err != nil {
+			if err := e.Load(p, 0, false); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -126,7 +126,7 @@ func TestAllPoliciesSurviveRandomWorkload(t *testing.T) {
 						t.Fatalf("step %d: bad victim %d", i, v)
 					}
 				}
-				if err := e.Load(p, r.Intn(3) == 0); err != nil {
+				if err := e.Load(p, 0, r.Intn(3) == 0); err != nil {
 					t.Fatalf("step %d: %v", i, err)
 				}
 			}
@@ -139,7 +139,7 @@ func TestAllPoliciesSurviveRandomWorkload(t *testing.T) {
 
 func TestVictimByMinSkipsFreeFrames(t *testing.T) {
 	e := mustPolicy(t, 4, 100, PolicyFIFO)
-	if err := e.Load(9, false); err != nil {
+	if err := e.Load(9, 0, false); err != nil {
 		t.Fatal(err)
 	}
 	if v := e.SelectVictim(); v != 9 {
@@ -147,29 +147,37 @@ func TestVictimByMinSkipsFreeFrames(t *testing.T) {
 	}
 }
 
-func TestScanPreloadBitsRange(t *testing.T) {
+// TestClearAccessedPreloads: the scan counts only the named owner's
+// accessed preloads and clears only their preload bits.
+func TestClearAccessedPreloads(t *testing.T) {
 	e := mustPolicy(t, 8, 100, PolicyClock)
-	for _, p := range []mem.PageID{10, 20, 30} {
-		if err := e.Load(p, true); err != nil {
+	e.AddOwner()
+	for _, c := range []struct {
+		p     mem.PageID
+		owner int
+		pre   bool
+		touch bool
+	}{{10, 0, true, true}, {20, 1, true, true}, {21, 1, true, false}, {22, 1, false, false}, {30, 0, true, true}} {
+		if err := e.Load(c.p, c.owner, c.pre); err != nil {
 			t.Fatal(err)
 		}
-		e.Touch(p)
-	}
-	var seen []mem.PageID
-	e.ScanPreloadBitsRange(15, 25, true, func(p mem.PageID, acc bool) {
-		if !acc {
-			t.Errorf("page %d not accessed", p)
+		if c.touch {
+			e.Touch(c.p)
 		}
-		seen = append(seen, p)
-	})
-	if len(seen) != 1 || seen[0] != 20 {
-		t.Fatalf("range scan saw %v, want [20]", seen)
 	}
-	// Pages outside the range keep their preload bits.
-	if !e.Preloaded(10) || !e.Preloaded(30) {
-		t.Fatal("range scan cleared bits outside its range")
+	if n := e.ClearAccessedPreloads(1); n != 1 {
+		t.Fatalf("owner 1 scan counted %d, want 1 (page 20)", n)
 	}
-	if e.Preloaded(20) {
-		t.Fatal("scanned accessed page kept its preload bit")
+	// Owner 0's preloads and owner 1's unaccessed one keep their bits.
+	for p, want := range map[mem.PageID]bool{10: true, 20: false, 21: true, 22: false, 30: true} {
+		if e.Preloaded(p) != want {
+			t.Fatalf("Preloaded(%d) = %v after owner 1's scan, want %v", p, !want, want)
+		}
+	}
+	if n := e.ClearAccessedPreloads(0); n != 2 {
+		t.Fatalf("owner 0 scan counted %d, want 2 (pages 10, 30)", n)
+	}
+	if n := e.ClearAccessedPreloads(2); n != 0 {
+		t.Fatalf("unregistered owner 2 scan counted %d, want 0", n)
 	}
 }

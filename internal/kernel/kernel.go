@@ -42,10 +42,11 @@ type Config struct {
 	// driver's CLOCK service thread runs periodically; DFP piggybacks its
 	// accuracy counters on that scan.
 	ScanPeriod uint64
-	// RangeLo and RangeHi bound this enclave's slice of the (possibly
-	// shared) EPC page space; zero values mean the EPC's whole page
-	// space. Used by multi-enclave runs, where each enclave's predictor
-	// and service scan must only see its own pages.
+	// RangeLo and RangeHi bound the pages this enclave may preload in the
+	// (possibly shared) EPC page space; zero values mean the EPC's whole
+	// page space. Multi-enclave runs set them to the enclave's own slice,
+	// so a prediction never preloads another enclave's pages. The service
+	// scan needs no bound: it counts the frames stamped with Owner.
 	RangeLo, RangeHi mem.PageID
 	// BackgroundReclaim enables the real driver's ksgxswapd behavior: a
 	// background thread keeps free EPC frames between two watermarks by
@@ -64,7 +65,7 @@ type Config struct {
 	// shared EPC must share one arbiter.
 	Arbiter *arbiter.Arbiter
 	// Owner is this kernel's enclave index with the shared EPC and the
-	// arbiter (0 in solo runs).
+	// arbiter (0 in solo runs): every page it loads is stamped with it.
 	Owner int
 	// Hook, when non-nil, receives the kernel's event timeline (faults,
 	// loads, evictions, scans, DFP-stop; see package obs). The hook is
@@ -151,7 +152,7 @@ type Kernel struct {
 // New builds a kernel over an EPC and a load channel. Multiple kernels
 // sharing one EPC and sibling channels (channel.Sibling) model multiple
 // enclaves contending for the same physical EPC (the paper's §5.6): each
-// enclave keeps its own fault history, preload queue, bitmap view, and
+// enclave keeps its own fault history, preload queue, owner stamp and
 // counters, while evictions and transfer serialization are global.
 func New(cfg Config, e *epc.EPC, ch *channel.Channel) (*Kernel, error) {
 	if err := cfg.Costs.Validate(); err != nil {
@@ -180,7 +181,7 @@ func New(cfg Config, e *epc.EPC, ch *channel.Channel) (*Kernel, error) {
 }
 
 // EPC exposes the enclave page cache (read-mostly; tests and the SIP
-// runtime use the presence bitmap).
+// runtime read its presence).
 func (k *Kernel) EPC() *epc.EPC { return k.epc }
 
 // Channel exposes the load channel for tests and tooling.
@@ -201,7 +202,7 @@ func (k *Kernel) Sync(now uint64) {
 			if done > now {
 				return
 			}
-			k.install(k.ch.Retire())
+			k.retire()
 			continue
 		}
 		req, ok := k.peekStartable(now)
@@ -257,7 +258,7 @@ func (k *Kernel) beginLoad(page mem.PageID, start, batch uint64) {
 	if k.pred != nil {
 		k.pred.NotePreloaded(1)
 	}
-	k.ch.Begin(page, start, occ, true, batch)
+	k.ch.Begin(page, start, occ, batch, k.cfg.Owner)
 }
 
 // evictIfFull writes one victim back (EWB) at start when the EPC has no
@@ -301,9 +302,16 @@ func (k *Kernel) selectVictim() mem.PageID {
 	return k.epc.SelectVictim()
 }
 
-// install puts a transferred page into the EPC.
-func (k *Kernel) install(page mem.PageID, preload bool) {
-	if err := k.epc.Load(page, preload); err != nil {
+// retire ends the in-flight preload and installs its page under the
+// owner that began it, which may be another enclave of the channel group.
+func (k *Kernel) retire() {
+	page, owner := k.ch.Retire()
+	k.install(page, owner, true)
+}
+
+// install puts a transferred page into the EPC, stamped with owner.
+func (k *Kernel) install(page mem.PageID, owner int, preload bool) {
+	if err := k.epc.Load(page, owner, preload); err != nil {
 		// The eviction before the transfer guaranteed a free frame and
 		// the page was absent when it was queued or faulted; any failure
 		// is a simulator bug, not a runtime condition.
@@ -377,11 +385,11 @@ func (k *Kernel) HandleFault(now uint64, page mem.PageID) uint64 {
 // load is one synchronous Transfer.
 func (k *Kernel) loadNow(t uint64, page mem.PageID) uint64 {
 	if !k.ch.Idle() {
-		k.install(k.ch.Retire())
+		k.retire()
 	}
 	start := max64(t, k.ch.BusyUntil())
 	done := k.ch.Transfer(page, start, k.cfg.Costs.Load+k.evictIfFull(start))
-	k.install(page, false)
+	k.install(page, k.cfg.Owner, false)
 	return done
 }
 
@@ -500,12 +508,7 @@ func (k *Kernel) MaybeScan(now uint64) {
 		k.arbiterScan(now)
 		return
 	}
-	accessed := 0
-	k.epc.ScanPreloadBitsRange(k.cfg.RangeLo, k.cfg.RangeHi, true, func(_ mem.PageID, acc bool) {
-		if acc {
-			accessed++
-		}
-	})
+	accessed := k.epc.ClearAccessedPreloads(k.cfg.Owner)
 	k.pred.NoteAccessed(accessed)
 	if k.hook != nil {
 		k.hook.Emit(obs.Event{T: now, Kind: obs.KindScan,
@@ -540,12 +543,13 @@ func (k *Kernel) arbiterScan(now uint64) {
 	if !arb.NoteScan(k.cfg.Owner, k.epc.OwnerAccessed(k.cfg.Owner)) {
 		return
 	}
-	k.emitQuotaVector(now)
+	k.EmitQuotaVector(now)
 }
 
-// emitQuotaVector emits one KindQuotaRebalance event per enclave, in
-// index order, carrying the enclave's quota and resident count.
-func (k *Kernel) emitQuotaVector(now uint64) {
+// EmitQuotaVector emits one KindQuotaRebalance event per enclave, in
+// index order, carrying the enclave's quota and resident count: at a
+// rebalance, and from Engine.Admit when an admission recomputes quotas.
+func (k *Kernel) EmitQuotaVector(now uint64) {
 	if k.hook == nil || k.cfg.Arbiter == nil {
 		return
 	}
@@ -595,7 +599,7 @@ func (k *Kernel) backgroundReclaim(now uint64) {
 	// Occupy the channel with the write-back burst. If a transfer is in
 	// progress the burst starts after it (non-preemptible either way).
 	if !k.ch.Idle() {
-		k.install(k.ch.Retire())
+		k.retire()
 	}
 	k.ch.Transfer(mem.NoPage, max64(now, k.ch.BusyUntil()), batch*k.cfg.Costs.Evict)
 }

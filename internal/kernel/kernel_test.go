@@ -252,23 +252,25 @@ func TestNotifyLoadOnResidentPage(t *testing.T) {
 	}
 }
 
-func TestPresenceBitmapTracksResidency(t *testing.T) {
+// TestPresenceTracksResidency: the presence SIP's BIT_MAP_CHECK reads
+// (the EPC's page table) follows the kernel's loads and evictions.
+func TestPresenceTracksResidency(t *testing.T) {
 	k := newKernel(t, 2, nil)
-	bm := k.EPC().PresenceBitmap()
+	e := k.EPC()
 	tNow := k.HandleFault(0, 1)
 	tNow = k.HandleFault(tNow, 2)
-	if !bm.Get(1) || !bm.Get(2) {
-		t.Fatal("bitmap missing resident pages")
+	if !e.Present(1) || !e.Present(2) {
+		t.Fatal("presence missing resident pages")
 	}
 	k.HandleFault(tNow, 3) // evicts one of 1, 2
 	set := 0
-	for _, p := range []uint64{1, 2, 3} {
-		if bm.Get(p) {
+	for _, p := range []mem.PageID{1, 2, 3} {
+		if e.Present(p) {
 			set++
 		}
 	}
 	if set != 2 {
-		t.Fatalf("bitmap shows %d resident of {1,2,3}, want 2", set)
+		t.Fatalf("presence shows %d resident of {1,2,3}, want 2", set)
 	}
 }
 

@@ -65,6 +65,7 @@ func (l *preloadLedger) Emit(e obs.Event) {
 // when the run ends. It also pins what kernel.Stats.PreloadsDropped
 // counts: every abort except the in-window ones, which only
 // InWindowAborts records (once per fault, not per dropped request).
+// Every cell ends with checkOwnership.
 func TestPreloadAccounting(t *testing.T) {
 	check := func(label string, encs []Enclave, cfg SharedConfig) (inWindow uint64) {
 		t.Helper()
@@ -77,6 +78,9 @@ func TestPreloadAccounting(t *testing.T) {
 		ledger.ranges(eng)
 		if err := eng.Drain(); err != nil {
 			t.Fatal(err)
+		}
+		if err := checkOwnership(eng); err != nil {
+			t.Fatalf("%s: %v", label, err)
 		}
 		for i, st := range eng.states {
 			s := st.kern.Stats()

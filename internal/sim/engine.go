@@ -11,7 +11,6 @@ import (
 	"sgxpreload/internal/epc/arbiter"
 	"sgxpreload/internal/kernel"
 	"sgxpreload/internal/mem"
-	"sgxpreload/internal/obs"
 	"sgxpreload/internal/sip"
 )
 
@@ -64,12 +63,12 @@ type Engine struct {
 
 // enclaveState is the per-enclave execution cursor.
 type enclaveState struct {
-	enc    Enclave
-	src    mem.Stream
-	kern   *kernel.Kernel
-	bitmap *epc.Bitmap
-	sel    *sip.Selection // nil unless the scheme uses SIP
-	base   mem.PageID     // offset of the enclave's range in shared space
+	enc  Enclave
+	src  mem.Stream
+	kern *kernel.Kernel
+	epc  *epc.EPC       // the shared EPC, whose Present is SIP's BIT_MAP_CHECK
+	sel  *sip.Selection // nil unless the scheme uses SIP
+	base mem.PageID     // offset of the enclave's range in shared space
 
 	next mem.Access // one-access lookahead (the scheduler needs Compute)
 	has  bool
@@ -147,9 +146,9 @@ func newEngine(enclaves []Enclave, cfg SharedConfig) (*Engine, error) {
 
 // Admit adds an enclave to the engine with its virtual clock starting
 // at now — the launch primitive behind dynamic fleet admission. The
-// enclave's pages append to the shared space (the EPC's page table and
-// presence bitmap grow in place; resident pages, access/preload bits,
-// and the CLOCK hand are untouched), its channel joins the host's
+// enclave's pages append to the shared space (the EPC's page table grows
+// in place; resident pages, access/preload bits, and the CLOCK hand are
+// untouched), it becomes the EPC's next owner, its channel joins the host's
 // group, and its first access is scheduled at now plus its compute.
 // Callers must not pass a now earlier than an already-executed event;
 // the fleet front door admits arrivals in timestamp order, which
@@ -188,14 +187,14 @@ func (e *Engine) Admit(enc Enclave, now uint64) error {
 	if err != nil {
 		return closeErr(err)
 	}
-	// Register the enclave's page range with the EPC's owner tracking —
+	// Enclave i is EPC owner i, whose kernel stamps every page it loads —
 	// always, arbitrated or not: with quotas off the stamps are inert
 	// bookkeeping, and the reporting layers read the per-owner resident
-	// counts either way. Registration happens only after buildState
-	// succeeded, so a failed admission leaves no phantom owner range and
-	// the engine stays usable.
-	if err := e.shared.AddOwner(newTotal); err != nil {
-		return closeErr(err)
+	// counts either way. Owner 0 exists from the EPC's creation; a later
+	// enclave registers the next owner only after buildState succeeded,
+	// so a failed admission leaves no phantom owner.
+	if len(e.states) > 0 {
+		e.shared.AddOwner()
 	}
 	st.t = now
 	st.advance()
@@ -209,13 +208,7 @@ func (e *Engine) Admit(enc Enclave, now uint64) error {
 		// first enclave on; with the default Global policy no arbiter
 		// exists and traces are byte-identical to earlier revisions.
 		e.arb.AddEnclave(enc.Pages)
-		if e.cfg.Hook != nil {
-			for i := 0; i < e.arb.N(); i++ {
-				e.cfg.Hook.Emit(obs.Event{T: now, Kind: obs.KindQuotaRebalance,
-					Page: mem.NoPage, Batch: uint64(i), V1: uint64(e.arb.Quota(i)),
-					V2: uint64(e.shared.OwnerResident(i))})
-			}
-		}
+		st.kern.EmitQuotaVector(now)
 	}
 	if st.has {
 		key := now + st.next.Compute
@@ -276,12 +269,12 @@ func buildState(e Enclave, cfg SharedConfig, shared *epc.EPC, ch *channel.Channe
 		return nil, fmt.Errorf("sim: enclave %s: %w", e.Name, err)
 	}
 	st := &enclaveState{
-		enc:    e,
-		src:    e.source(),
-		kern:   k,
-		bitmap: shared.PresenceBitmap(),
-		base:   base,
-		res:    Result{Scheme: e.Scheme},
+		enc:  e,
+		src:  e.source(),
+		kern: k,
+		epc:  shared,
+		base: base,
+		res:  Result{Scheme: e.Scheme},
 	}
 	if e.Scheme.UsesSIP() {
 		st.sel = e.Selection
@@ -512,7 +505,7 @@ func (st *enclaveState) step(costs *mem.CostModel, quiet bool) (bool, error) {
 		// asynchronous load if absent, continue without waiting.
 		st.t += costs.BitmapCheck
 		st.res.PrefetchChecks++
-		if !st.bitmap.Get(uint64(page)) {
+		if !st.epc.Present(page) {
 			st.t += costs.Notify
 			st.kern.QueuePrefetch(st.t, page)
 			st.res.PrefetchIssued++
@@ -526,7 +519,7 @@ func (st *enclaveState) step(costs *mem.CostModel, quiet bool) (bool, error) {
 		// SIP: BIT_MAP_CHECK before the access.
 		st.t += costs.BitmapCheck
 		st.res.SIPChecks++
-		if st.bitmap.Get(uint64(page)) {
+		if st.epc.Present(page) {
 			st.res.SIPPresent++
 		} else {
 			// Absent: notify the kernel preload thread and wait for the

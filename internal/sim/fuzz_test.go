@@ -57,11 +57,11 @@ func FuzzEngine(f *testing.F) {
 
 		// A two-enclave shared run under a byte-derived quota policy,
 		// driven Step by Step or, when schemeSel's top bit is set, by
-		// RunUntil to byte-derived barriers: the EPC's ownership
-		// invariants (per-owner resident counts sum to Resident, every
-		// frame stamped with its range's owner) must hold after every
-		// step or barrier, conservation per enclave, and the Results
-		// must equal Drain's.
+		// RunUntil to byte-derived barriers: the EPC's invariants and
+		// checkOwnership (each enclave's resident count is the number of
+		// its range's pages present, and the counts sum to the EPC's)
+		// must hold after every step or barrier, conservation per
+		// enclave, and the Results must equal Drain's.
 		quota := arbiter.Policy(int(schemeSel) % 4)
 		pair := func() *Engine {
 			eng, err := New([]Enclave{
@@ -99,10 +99,9 @@ func FuzzEngine(f *testing.F) {
 			if err := eng.shared.CheckInvariants(); err != nil {
 				t.Fatalf("quota %v: %v", quota, err)
 			}
-		}
-		if sum := eng.OwnerResident(0) + eng.OwnerResident(1); sum != eng.EPCResident() {
-			t.Fatalf("quota %v: owner residents sum to %d, EPC holds %d",
-				quota, sum, eng.EPCResident())
+			if err := checkOwnership(eng); err != nil {
+				t.Fatalf("quota %v: %v", quota, err)
+			}
 		}
 		for _, r := range eng.Results() {
 			if r.Hits+r.Kernel.DemandFaults != r.Accesses {

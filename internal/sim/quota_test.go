@@ -1,12 +1,112 @@
 package sim
 
 import (
+	"fmt"
 	"testing"
 
 	"sgxpreload/internal/epc/arbiter"
+	"sgxpreload/internal/mem"
 	"sgxpreload/internal/obs"
 	"sgxpreload/internal/rng"
 )
+
+// checkOwnership checks the owner stamps the kernels pass to the shared
+// EPC against the enclaves' page ranges, which only the engine knows:
+// enclave i's resident frame count must equal the number of present
+// pages in [base_i, base_i+Pages_i), and the counts must sum to
+// EPCResident. A preload that one enclave began and another's kernel
+// retired under its own owner breaks it.
+func checkOwnership(e *Engine) error {
+	sum := 0
+	for i, st := range e.states {
+		present := 0
+		for p := st.base; p < st.base+mem.PageID(st.enc.Pages); p++ {
+			if e.shared.Present(p) {
+				present++
+			}
+		}
+		if got := e.OwnerResident(i); got != present {
+			return fmt.Errorf("enclave %d (%s): OwnerResident = %d, %d pages of its range present",
+				i, st.enc.Name, got, present)
+		}
+		sum += present
+	}
+	if sum != e.EPCResident() {
+		return fmt.Errorf("owner residents sum to %d, EPC holds %d", sum, e.EPCResident())
+	}
+	return nil
+}
+
+// sweepTrace generates forward runs of 8 to 39 pages from random starts,
+// with about a load's time of compute before each access, so DFP's
+// preloads start and stay in flight while other enclaves run.
+func sweepTrace(r *rng.Source, n int, pages uint64) []mem.Access {
+	out := make([]mem.Access, 0, n)
+	for len(out) < n {
+		pos, run := r.Uint64n(pages), 8+r.Intn(32)
+		for i := 0; i < run && len(out) < n; i++ {
+			out = append(out, mem.Access{Site: 1, Page: mem.PageID((pos + uint64(i)) % pages),
+				Compute: 30000 + r.Uint64n(60000)})
+		}
+	}
+	return out
+}
+
+// TestOwnershipOneHostFleet admits DFP enclaves into one dynamic engine at
+// staggered launch times, settling the engine with RunUntil before each
+// batch of arrivals as a one-host fleet does, under every quota policy.
+// The enclaves' preloads share one load channel, so kernels retire each
+// other's preloads; checkOwnership must hold at every barrier and at the
+// end, and some preload must have been retired by another enclave.
+func TestOwnershipOneHostFleet(t *testing.T) {
+	for _, q := range arbiter.Policies() {
+		t.Run(q.String(), func(t *testing.T) {
+			eng, err := NewDynamic(SharedConfig{EPCPages: 128, Quota: q, ScanPeriod: 1_000_000})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer eng.Close()
+			r := rng.New(31)
+			for i, at := range []uint64{0, 300_000, 300_000} {
+				if err := eng.RunUntil(at); err != nil {
+					t.Fatal(err)
+				}
+				if err := checkOwnership(eng); err != nil {
+					t.Fatalf("before arrival %d at t=%d: %v", i, at, err)
+				}
+				pages := uint64(40 + 30*i)
+				enc := Enclave{Name: fmt.Sprint("e", i), Trace: sweepTrace(r, 1500, pages), Pages: pages, Scheme: DFP}
+				if err := eng.Admit(enc, at); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// A preload leaves the in-flight slot during a step of an
+			// enclave whose range does not hold its page: a retirement by
+			// another enclave's kernel.
+			cross := 0
+			for !eng.Done() {
+				runner := eng.states[eng.sched.min()]
+				before := eng.chan0.InflightPage()
+				if _, err := eng.Step(); err != nil {
+					t.Fatal(err)
+				}
+				if before != mem.NoPage && eng.chan0.InflightPage() != before &&
+					(before < runner.base || before >= runner.base+mem.PageID(runner.enc.Pages)) {
+					cross++
+				}
+				if err := checkOwnership(eng); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if cross == 0 {
+				t.Fatal("no kernel retired another enclave's preload")
+			}
+			if err := eng.shared.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
 
 // quotaEnclaves builds a small contending cohort: one large hog and two
 // small enclaves, each replaying a random trace over its own range.
@@ -34,12 +134,8 @@ func TestQuotaPoliciesComplete(t *testing.T) {
 			if err := eng.shared.CheckInvariants(); err != nil {
 				t.Fatal(err)
 			}
-			sum := 0
-			for i := range eng.states {
-				sum += eng.OwnerResident(i)
-			}
-			if sum != eng.EPCResident() {
-				t.Fatalf("owner residents sum to %d, EPC holds %d", sum, eng.EPCResident())
+			if err := checkOwnership(eng); err != nil {
+				t.Fatal(err)
 			}
 			for _, r := range eng.Results() {
 				if r.Hits+r.Kernel.DemandFaults != r.Accesses {
@@ -171,7 +267,13 @@ func TestQuotaAdmitRecompute(t *testing.T) {
 	if q0, q1 := eng.Quota(0), eng.Quota(1); q0 != 75 || q1 != 25 {
 		t.Fatalf("quotas after mid-run admit = (%d, %d), want (75, 25)", q0, q1)
 	}
+	if err := checkOwnership(eng); err != nil {
+		t.Fatal(err)
+	}
 	if err := eng.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	if err := checkOwnership(eng); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -199,6 +301,9 @@ func TestQuotaBelowMinResident(t *testing.T) {
 			t.Fatalf("quota %v: %v", q, err)
 		}
 		if err := eng.shared.CheckInvariants(); err != nil {
+			t.Fatalf("quota %v: %v", q, err)
+		}
+		if err := checkOwnership(eng); err != nil {
 			t.Fatalf("quota %v: %v", q, err)
 		}
 		for _, res := range eng.Results() {

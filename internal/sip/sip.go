@@ -172,7 +172,7 @@ func (c *Classifier) install(page mem.PageID) {
 	}
 	// The residency model spans the same ELRANGE as the run; a page
 	// outside it would be a workload bug surfaced by the returned error.
-	if err := c.resident.Load(page, false); err != nil {
+	if err := c.resident.Load(page, 0, false); err != nil {
 		panic("sip: residency model: " + err.Error())
 	}
 }
