@@ -121,8 +121,9 @@ func (a *Arbiter) Quota(owner int) int {
 // AddEnclave registers the next enclave (index N()) with its declared
 // footprint in pages and recomputes every quota: evenly under Static,
 // footprint-proportional under Proportional and (as the starting
-// estimate) under Adaptive. Engine.Admit calls it right after
-// registering the enclave's page range with the EPC.
+// estimate) under Adaptive. Engine.Admit calls it when it commits an
+// admission, after every step that can fail has passed, so only built
+// enclaves hold a quota.
 func (a *Arbiter) AddEnclave(declaredPages uint64) int {
 	if declaredPages == 0 {
 		declaredPages = 1

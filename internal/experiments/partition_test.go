@@ -6,6 +6,9 @@ import (
 	"testing"
 
 	"sgxpreload/internal/epc/arbiter"
+	"sgxpreload/internal/fleet"
+	"sgxpreload/internal/obs"
+	"sgxpreload/internal/sim"
 )
 
 // TestEPCPartition pins the study's headline: on the hog-skew grid,
@@ -51,6 +54,42 @@ func TestEPCPartition(t *testing.T) {
 	for _, want := range []string{"quota", "fault-p99", "global", "adaptive", "lbm", "worst small-enclave"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("report missing %q:\n%s", want, out)
+		}
+	}
+}
+
+// TestEnclaveLatencyAttribution checks the one copy of the shared page
+// layout outside package sim: enclaveLatencies attributes a fault_end to
+// an enclave by assuming consecutive page ranges in admission order.
+// Under every quota policy, on the study's grid, each enclave's sampled
+// fault count must equal its kernel's DemandFaults, and every fault_end
+// the host emits must be attributed to some enclave.
+func TestEnclaveLatencyAttribution(t *testing.T) {
+	arrivals, err := sharedRunner.arrivals(sharedRunner.grid(partitionGrid, sim.DFPStop)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range arbiter.Policies() {
+		lat := &enclaveLatencies{arrivals: arrivals}
+		for range arrivals {
+			lat.byEnclave = append(lat.byEnclave, obs.NewFaultLatencySampler())
+		}
+		all := obs.NewFaultLatencySampler()
+		res, err := fleet.Run(arrivals, fleet.Config{Hosts: 1,
+			Platform: sim.SharedConfig{EPCPages: partitionEPC, Quota: q, Hook: obs.Tee(lat, all)}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		attributed := 0
+		for e, r := range res.Hosts[0].Enclaves {
+			n := lat.byEnclave[e].Count()
+			attributed += n
+			if uint64(n) != r.Kernel.DemandFaults {
+				t.Errorf("quota %v enclave %s: %d faults sampled, kernel counts %d", q, r.Name, n, r.Kernel.DemandFaults)
+			}
+		}
+		if attributed != all.Count() || attributed == 0 {
+			t.Errorf("quota %v: %d of %d fault_end events attributed", q, attributed, all.Count())
 		}
 	}
 }

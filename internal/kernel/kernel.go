@@ -209,7 +209,7 @@ func (k *Kernel) Sync(now uint64) {
 		if !ok {
 			return
 		}
-		k.beginLoad(req.Page, max64(k.ch.BusyUntil(), req.Enqueued), req.Batch)
+		k.beginLoad(req.Page, max(k.ch.BusyUntil(), req.Enqueued), req.Batch)
 	}
 }
 
@@ -226,7 +226,7 @@ func (k *Kernel) Horizon() uint64 {
 		return min(h, done)
 	}
 	if req, ok := k.ch.PeekPending(); ok {
-		h = min(h, max64(k.ch.BusyUntil(), req.Enqueued)+1)
+		h = min(h, max(k.ch.BusyUntil(), req.Enqueued)+1)
 	}
 	return h
 }
@@ -242,7 +242,7 @@ func (k *Kernel) Horizon() uint64 {
 // panics in install.
 func (k *Kernel) peekStartable(now uint64) (channel.Request, bool) {
 	req, ok := k.ch.PeekPending()
-	if !ok || max64(k.ch.BusyUntil(), req.Enqueued) >= now {
+	if !ok || max(k.ch.BusyUntil(), req.Enqueued) >= now {
 		return channel.Request{}, false
 	}
 	k.ch.PopPending()
@@ -387,7 +387,7 @@ func (k *Kernel) loadNow(t uint64, page mem.PageID) uint64 {
 	if !k.ch.Idle() {
 		k.retire()
 	}
-	start := max64(t, k.ch.BusyUntil())
+	start := max(t, k.ch.BusyUntil())
 	done := k.ch.Transfer(page, start, k.cfg.Costs.Load+k.evictIfFull(start))
 	k.install(page, k.cfg.Owner, false)
 	return done
@@ -601,12 +601,5 @@ func (k *Kernel) backgroundReclaim(now uint64) {
 	if !k.ch.Idle() {
 		k.retire()
 	}
-	k.ch.Transfer(mem.NoPage, max64(now, k.ch.BusyUntil()), batch*k.cfg.Costs.Evict)
-}
-
-func max64(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
+	k.ch.Transfer(mem.NoPage, max(now, k.ch.BusyUntil()), batch*k.cfg.Costs.Evict)
 }

@@ -2,10 +2,12 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
 	"sgxpreload/internal/epc"
+	"sgxpreload/internal/epc/arbiter"
 	"sgxpreload/internal/mem"
 	"sgxpreload/internal/obs"
 )
@@ -130,33 +132,100 @@ func TestDynamicSignals(t *testing.T) {
 	}
 }
 
-// TestAdmitErrors: admission failures close the enclave's stream and
-// leave the engine usable; constructor-level validation fails fast.
+// TestAdmitErrors: admission is one transaction. A dynamic engine under
+// static quotas, hooked, is offered one failing enclave of each kind
+// between its good admissions — zero pages, an unknown predictor, a page
+// space past epc.MaxPages, and a launch plus first compute past uint64 —
+// before its first enclave too, when the EPC does not exist yet. Each
+// failure must close the enclave's stream and leave the engine exactly as
+// an engine never offered it: same page space, owners and quotas, and
+// the same results and events to the end of the run.
 func TestAdmitErrors(t *testing.T) {
 	if _, err := NewDynamic(SharedConfig{}); err == nil {
 		t.Error("NewDynamic with zero EPCPages: want error")
 	}
-	eng, err := NewDynamic(SharedConfig{EPCPages: 64})
-	if err != nil {
-		t.Fatal(err)
+	good := tieBreakEnclaves(3)
+	launches := []uint64{0, 200_000, 400_000}
+	bad := []struct {
+		name string
+		enc  Enclave
+		now  uint64 // 0: at the next good enclave's launch
+		want string
+	}{
+		{"zero-pages", Enclave{Scheme: Baseline}, 0, "zero pages"},
+		{"unknown-predictor", Enclave{Pages: 100, Scheme: DFP, Predictor: "bogus"}, 0, "bogus"},
+		{"past-max-pages", Enclave{Pages: epc.MaxPages + 1, Scheme: Baseline}, 0, "maximum"},
+		{"saturated-launch", Enclave{Pages: 8, Scheme: Baseline}, math.MaxUint64 - 10, "saturated"},
 	}
-	closed := false
-	bad := Enclave{Name: "zero", Scheme: Baseline,
-		Stream: closeProbeStream{onClose: func() { closed = true }}}
-	if err := eng.Admit(bad, 0); err == nil || !strings.Contains(err.Error(), "zero pages") {
-		t.Errorf("zero-page admission: want error, got %v", err)
-	}
-	if !closed {
-		t.Error("zero-page admission did not close the enclave's stream")
-	}
-	// The engine survives a rejected admission.
-	for _, e := range tieBreakEnclaves(2) {
-		if err := eng.Admit(e, 0); err != nil {
+	run := func(offer bool) ([]SharedResult, string) {
+		rec := obs.NewRecorder()
+		eng, err := NewDynamic(SharedConfig{EPCPages: 96, Quota: arbiter.Static, Hook: rec})
+		if err != nil {
 			t.Fatal(err)
 		}
+		space := func() uint64 {
+			if eng.shared == nil {
+				return 0
+			}
+			return eng.shared.Pages()
+		}
+		for i, enc := range good {
+			if err := eng.RunUntil(launches[i]); err != nil {
+				t.Fatal(err)
+			}
+			for _, b := range bad {
+				if !offer {
+					break
+				}
+				pages, events := space(), len(rec.Events())
+				closed := false
+				enc := b.enc
+				enc.Name = b.name
+				enc.Stream = &closeProbeStream{
+					acc:     []mem.Access{{Compute: 1 << 40}},
+					onClose: func() { closed = true },
+				}
+				now := launches[i]
+				if b.now != 0 {
+					now = b.now
+				}
+				err := eng.Admit(enc, now)
+				if err == nil || !strings.Contains(err.Error(), b.want) {
+					t.Errorf("before admission %d, %s: want an error containing %q, got %v", i, b.name, b.want, err)
+				}
+				if !closed {
+					t.Errorf("before admission %d, %s: the enclave's stream was not closed", i, b.name)
+				}
+				if got := space(); got != pages {
+					t.Errorf("before admission %d, %s: page space %d, want %d", i, b.name, got, pages)
+				}
+				if n := len(eng.Results()); n != i || eng.arb.N() != i {
+					t.Errorf("before admission %d, %s: %d results and %d quota owners, want %d", i, b.name, n, eng.arb.N(), i)
+				}
+				if n := len(rec.Events()); n != events {
+					t.Errorf("before admission %d, %s: %d events emitted", i, b.name, n-events)
+				}
+			}
+			if err := eng.Admit(enc, launches[i]); err != nil {
+				t.Fatalf("admission %d after rejected ones: %v", i, err)
+			}
+		}
+		if err := eng.Drain(); err != nil {
+			t.Fatal(err)
+		}
+		var b strings.Builder
+		if err := obs.WriteJSONL(&b, rec.Events()); err != nil {
+			t.Fatal(err)
+		}
+		return eng.Results(), b.String()
 	}
-	if err := eng.Drain(); err != nil {
-		t.Fatal(err)
+	wantRes, wantEvents := run(false)
+	gotRes, gotEvents := run(true)
+	if a, b := fmt.Sprintf("%#v", wantRes), fmt.Sprintf("%#v", gotRes); a != b {
+		t.Errorf("rejected admissions changed the results:\n  never offered %.300s\n  offered       %.300s", a, b)
+	}
+	if wantEvents != gotEvents {
+		t.Errorf("rejected admissions changed the timeline: %s", firstDiffLine(wantEvents, gotEvents))
 	}
 }
 
@@ -167,7 +236,7 @@ func TestAdmitErrors(t *testing.T) {
 func TestPageSpaceBound(t *testing.T) {
 	huge := func(pages uint64, closed *bool) Enclave {
 		return Enclave{Name: "huge", Scheme: Baseline, Pages: pages,
-			Stream: closeProbeStream{onClose: func() { *closed = true }}}
+			Stream: &closeProbeStream{onClose: func() { *closed = true }}}
 	}
 	for _, pages := range []uint64{epc.MaxPages + 1, 1 << 62} {
 		closed := false
@@ -212,9 +281,20 @@ func TestPageSpaceBound(t *testing.T) {
 	}
 }
 
-// closeProbeStream is an empty stream that records Close — for
+// closeProbeStream yields acc, then ends, and records Close — for
 // asserting stream-release on admission failure.
-type closeProbeStream struct{ onClose func() }
+type closeProbeStream struct {
+	acc     []mem.Access
+	onClose func()
+}
 
-func (closeProbeStream) Next() (mem.Access, bool) { return mem.Access{}, false }
-func (s closeProbeStream) Close()                 { s.onClose() }
+func (s *closeProbeStream) Next() (mem.Access, bool) {
+	if len(s.acc) == 0 {
+		return mem.Access{}, false
+	}
+	a := s.acc[0]
+	s.acc = s.acc[1:]
+	return a, true
+}
+
+func (s *closeProbeStream) Close() { s.onClose() }

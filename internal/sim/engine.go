@@ -36,9 +36,10 @@ import (
 
 // Engine co-simulates N >= 1 enclaves round-robin over one shared EPC
 // and one load-channel group. Construct with New (fixed cohort) or
-// NewDynamic (enclaves join mid-run via Admit), drive with Step.
+// NewDynamic (enclaves join mid-run via Admit), drive with Step. The
+// shared page-space size lives only in the EPC, and an admission either
+// builds its enclave or changes nothing.
 type Engine struct {
-	costs  mem.CostModel
 	states []*enclaveState
 	// sched is the event heap over runnable enclaves, keyed on
 	// clock + nextAccess.Compute with the seed's strict first-min
@@ -48,13 +49,13 @@ type Engine struct {
 
 	// Admission machinery. cfg is the resolved platform configuration
 	// (costs normalized, hook concrete); shared is the one physical EPC
-	// (nil until a dynamic engine admits its first enclave); chan0 is a
-	// member of the host's channel group, kept to spawn siblings; total
-	// is the shared page-space extent, the next admission's base offset.
+	// (nil until the first enclave is built), whose page count is the
+	// shared page space and so the next admission's base offset;
+	// chans seeds the host's channel group, and every enclave's channel
+	// is a sibling of it.
 	cfg    SharedConfig
 	shared *epc.EPC
-	chan0  *channel.Channel
-	total  uint64
+	chans  *channel.Channel
 	// arb is the EPC quota arbiter shared by every kernel of this
 	// domain; nil under the Global policy (the default), in which case
 	// nothing about victim selection changes.
@@ -95,21 +96,18 @@ func New(enclaves []Enclave, cfg SharedConfig) (*Engine, error) {
 // host shape, where enclaves launch mid-run via Admit. A dynamic engine
 // admitting its whole cohort at time zero is byte-identical to New over
 // that cohort — both go through the same admission wiring in the same
-// order.
-func NewDynamic(cfg SharedConfig) (*Engine, error) {
-	// The static path validates capacity when it creates the EPC; a
-	// dynamic engine defers EPC creation to the first admission, so
-	// fail fast here instead of on an arrival mid-run.
+// order — and both check the platform configuration before any enclave
+// arrives, so a bad platform fails here, not on an arrival mid-run.
+func NewDynamic(cfg SharedConfig) (*Engine, error) { return newEngine(nil, cfg) }
+
+// newEngine is the shared construction path: check and normalize the
+// platform configuration, then admit the initial cohort (possibly empty)
+// at time zero.
+func newEngine(enclaves []Enclave, cfg SharedConfig) (*Engine, error) {
 	if cfg.EPCPages <= 0 {
+		closeEnclaveStreams(enclaves)
 		return nil, fmt.Errorf("sim: EPCPages must be positive, got %d", cfg.EPCPages)
 	}
-	return newEngine(nil, cfg)
-}
-
-// newEngine is the shared construction path: normalize the platform
-// configuration, then admit the initial cohort (possibly empty) at time
-// zero.
-func newEngine(enclaves []Enclave, cfg SharedConfig) (*Engine, error) {
 	if cfg.HookFactory != nil {
 		closeEnclaveStreams(enclaves)
 		return nil, fmt.Errorf("sim: SharedConfig.HookFactory is resolved per host by the fleet layer; an engine takes a concrete Hook")
@@ -121,7 +119,7 @@ func newEngine(enclaves []Enclave, cfg SharedConfig) (*Engine, error) {
 		closeEnclaveStreams(enclaves)
 		return nil, err
 	}
-	eng := &Engine{costs: cfg.Costs, cfg: cfg}
+	eng := &Engine{cfg: cfg, chans: channel.New()}
 	if cfg.Quota != arbiter.Global {
 		arb, err := arbiter.New(cfg.Quota, cfg.EPCPages)
 		if err != nil {
@@ -152,55 +150,64 @@ func newEngine(enclaves []Enclave, cfg SharedConfig) (*Engine, error) {
 // group, and its first access is scheduled at now plus its compute.
 // Callers must not pass a now earlier than an already-executed event;
 // the fleet front door admits arrivals in timestamp order, which
-// guarantees that. On error the enclave's stream is closed and the
-// engine remains usable — except after a saturation error, which
-// poisons the schedule like a Step error does.
+// guarantees that.
+//
+// Admission is one transaction, like an enclave build: every step that
+// can fail runs before anything is changed, so on error the enclave's
+// stream is closed and the engine is exactly as it was — its page space,
+// owners, quotas, schedule, later results and events are those of an
+// engine never offered the enclave.
 func (e *Engine) Admit(enc Enclave, now uint64) error {
 	closeErr := func(err error) error {
 		mem.Close(enc.Stream)
 		return err
 	}
+	idx := len(e.states)
 	if enc.Pages == 0 {
-		return closeErr(fmt.Errorf("sim: enclave %d (%s) declares zero pages", len(e.states), enc.Name))
+		return closeErr(fmt.Errorf("sim: enclave %d (%s) declares zero pages", idx, enc.Name))
 	}
-	newTotal := e.total + enc.Pages
-	if newTotal < e.total {
-		return closeErr(fmt.Errorf("sim: enclave %s overflows the shared page space (%d + %d pages)", enc.Name, e.total, enc.Pages))
+	shared, base := e.shared, uint64(0)
+	if shared != nil {
+		base = shared.Pages()
 	}
-	if e.shared == nil {
-		shared, err := epc.NewWithPolicy(e.cfg.EPCPages, newTotal, e.cfg.EvictPolicy)
-		if err != nil {
-			return closeErr(fmt.Errorf("sim: enclave %d (%s): %w", len(e.states), enc.Name, err))
+	total := base + enc.Pages
+	if total < base {
+		return closeErr(fmt.Errorf("sim: enclave %s overflows the shared page space (%d + %d pages)", enc.Name, base, enc.Pages))
+	}
+	if shared == nil {
+		var err error
+		if shared, err = epc.NewWithPolicy(e.cfg.EPCPages, total, e.cfg.EvictPolicy); err != nil {
+			return closeErr(fmt.Errorf("sim: enclave %d (%s): %w", idx, enc.Name, err))
 		}
-		e.shared = shared
-	} else if err := e.shared.Grow(newTotal); err != nil {
-		return closeErr(fmt.Errorf("sim: enclave %d (%s): %w", len(e.states), enc.Name, err))
 	}
-	var ch *channel.Channel
-	if e.chan0 == nil {
-		ch = channel.New()
-		e.chan0 = ch
-	} else {
-		ch = e.chan0.Sibling()
-	}
-	st, err := buildState(enc, e.cfg, e.shared, ch, mem.PageID(e.total), e.arb, len(e.states))
+	st, err := buildState(enc, e.cfg, shared, e.chans.Sibling(), mem.PageID(base), e.arb, idx)
 	if err != nil {
 		return closeErr(err)
 	}
-	// Enclave i is EPC owner i, whose kernel stamps every page it loads —
-	// always, arbitrated or not: with quotas off the stamps are inert
-	// bookkeeping, and the reporting layers read the per-owner resident
-	// counts either way. Owner 0 exists from the EPC's creation; a later
-	// enclave registers the next owner only after buildState succeeded,
-	// so a failed admission leaves no phantom owner.
-	if len(e.states) > 0 {
-		e.shared.AddOwner()
-	}
 	st.t = now
 	st.advance()
-	idx := len(e.states)
+	key := now + st.next.Compute
+	if st.has && key < now {
+		return closeErr(fmt.Errorf("sim: enclave %s scheduling key saturated uint64 at admission (launch %d + compute %d)",
+			enc.Name, now, st.next.Compute))
+	}
+	// Grow is the last step that can fail, and a failed Grow leaves the
+	// EPC unchanged; a fresh EPC already spans total, so it is a no-op.
+	if err := shared.Grow(total); err != nil {
+		return closeErr(fmt.Errorf("sim: enclave %d (%s): %w", idx, enc.Name, err))
+	}
+
+	// Commit. Enclave i is EPC owner i, whose kernel stamps every page
+	// it loads — always, arbitrated or not: with quotas off the stamps
+	// are inert bookkeeping, and the reporting layers read the per-owner
+	// resident counts either way. Owner 0 exists from the EPC's
+	// creation; each later enclave registers the next owner.
+	if e.shared == nil {
+		e.shared = shared
+	} else {
+		shared.AddOwner()
+	}
 	e.states = append(e.states, st)
-	e.total = newTotal
 	if e.arb != nil {
 		// Quotas recompute over the whole cohort at every admission
 		// (static shares shrink, proportional shares re-split). Emit the
@@ -211,11 +218,6 @@ func (e *Engine) Admit(enc Enclave, now uint64) error {
 		st.kern.EmitQuotaVector(now)
 	}
 	if st.has {
-		key := now + st.next.Compute
-		if key < now {
-			return fmt.Errorf("sim: enclave %s scheduling key saturated uint64 at admission (launch %d + compute %d)",
-				enc.Name, now, st.next.Compute)
-		}
 		e.sched.push(int32(idx), key)
 	}
 	return nil
@@ -340,7 +342,7 @@ func (e *Engine) burst(until uint64, single bool) error {
 	up, upKey, upEnc := h.runnerUp()
 	horizon := st.kern.Horizon()
 	for {
-		quiet, err := st.step(&e.costs, key < horizon)
+		quiet, err := st.step(&e.cfg.Costs, key < horizon)
 		if err != nil {
 			return err
 		}

@@ -86,11 +86,11 @@ func TestOwnershipOneHostFleet(t *testing.T) {
 			cross := 0
 			for !eng.Done() {
 				runner := eng.states[eng.sched.min()]
-				before := eng.chan0.InflightPage()
+				before := eng.chans.InflightPage()
 				if _, err := eng.Step(); err != nil {
 					t.Fatal(err)
 				}
-				if before != mem.NoPage && eng.chan0.InflightPage() != before &&
+				if before != mem.NoPage && eng.chans.InflightPage() != before &&
 					(before < runner.base || before >= runner.base+mem.PageID(runner.enc.Pages)) {
 					cross++
 				}

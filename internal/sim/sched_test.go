@@ -38,7 +38,7 @@ func linearStep(e *Engine) (bool, error) {
 	}
 	// Never quiet: the reference scans and syncs the kernel on every
 	// access, the semantics the engine's horizon skip is checked against.
-	if _, err := next.step(&e.costs, false); err != nil {
+	if _, err := next.step(&e.cfg.Costs, false); err != nil {
 		return false, err
 	}
 	next.advance()

@@ -1,8 +1,6 @@
 package sim
 
 import (
-	"fmt"
-
 	"sgxpreload/internal/core"
 	"sgxpreload/internal/dfp"
 	"sgxpreload/internal/epc"
@@ -110,9 +108,6 @@ type SharedResult struct {
 // next access), so channel serialization and evictions interleave
 // exactly as a time-sliced platform would interleave them.
 func RunShared(enclaves []Enclave, cfg SharedConfig) ([]SharedResult, error) {
-	if len(enclaves) == 0 {
-		return nil, fmt.Errorf("sim: RunShared needs at least one enclave")
-	}
 	eng, err := New(enclaves, cfg)
 	if err != nil {
 		return nil, err
