@@ -461,7 +461,8 @@ func taggedTracePath(path, tag string) string {
 // repeatStream replays the workload's Ref trace n times back-to-back,
 // regenerating the coroutine stream at each cycle boundary (n == 0
 // repeats forever). Memory stays O(1) at any n, and Close releases the
-// current cycle's coroutine.
+// current cycle's coroutine. Like the generator streams it cycles, it is
+// a mem.Chunker, so the engine reads each generator chunk in place.
 func repeatStream(w *workload.Workload, n int) mem.Stream {
 	return &repeated{w: w, n: n, cycle: 1, cur: w.Stream(workload.Ref)}
 }
@@ -477,14 +478,31 @@ func (r *repeated) Next() (mem.Access, bool) {
 		if a, ok := r.cur.Next(); ok {
 			return a, true
 		}
-		if r.n > 0 && r.cycle >= r.n {
-			r.cur = nil
-			break
-		}
-		r.cycle++
-		r.cur = r.w.Stream(workload.Ref)
+		r.nextCycle()
 	}
 	return mem.Access{}, false
+}
+
+// Chunk forwards to the current cycle's generator stream.
+func (r *repeated) Chunk(max int) []mem.Access {
+	for r.cur != nil {
+		if c := r.cur.(mem.Chunker).Chunk(max); len(c) > 0 {
+			return c
+		}
+		r.nextCycle()
+	}
+	return nil
+}
+
+// nextCycle starts the next cycle's stream once the current one is
+// exhausted, or ends the stream after the last cycle.
+func (r *repeated) nextCycle() {
+	if r.n > 0 && r.cycle >= r.n {
+		r.cur = nil
+		return
+	}
+	r.cycle++
+	r.cur = r.w.Stream(workload.Ref)
 }
 
 func (r *repeated) Close() {

@@ -13,8 +13,12 @@ import (
 	"testing"
 	"time"
 
+	"sgxpreload/internal/mem"
+	"sgxpreload/internal/mem/memtest"
 	"sgxpreload/internal/obs"
 	"sgxpreload/internal/replay"
+	"sgxpreload/internal/rng"
+	"sgxpreload/internal/workload"
 )
 
 func TestList(t *testing.T) {
@@ -381,6 +385,31 @@ func TestStreamRepeat(t *testing.T) {
 	if !regexp.MustCompile(fmt.Sprintf(`cactuBSSN/0 +\d+ +%d `, n3)).MatchString(buf.String()) {
 		t.Errorf("co-run with -repeat 3: cactuBSSN/0 did not run %d accesses:\n%s", n3, buf.String())
 	}
+}
+
+// TestChunkRepeat: the -repeat stream read through Next and Chunk
+// interleaved at random, directly and under a Limit whose cap falls
+// inside a later cycle, yields exactly what Next alone yields: the Ref
+// trace once per cycle.
+func TestChunkRepeat(t *testing.T) {
+	w, err := workload.ByName("exchange2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := w.Generate(workload.Ref)
+	r := rng.New(1)
+	for _, n := range []int{1, 3} {
+		var want []mem.Access
+		for range n {
+			want = append(want, ref...)
+		}
+		memtest.Equal(t, fmt.Sprintf("-repeat %d by Next", n), mem.Collect(repeatStream(w, n)), want)
+		memtest.Equal(t, fmt.Sprintf("-repeat %d mixed", n), memtest.PullMixed(t, repeatStream(w, n), r, 200), want)
+	}
+	// Unbounded: a cap two and a half cycles in.
+	limit := uint64(5 * len(ref) / 2)
+	want := append(append(append([]mem.Access(nil), ref...), ref...), ref[:len(ref)/2]...)
+	memtest.Equal(t, "-repeat 0 under a limit", memtest.PullMixed(t, mem.Limit(repeatStream(w, 0), limit), r, 200), want)
 }
 
 func TestStreamFlagErrors(t *testing.T) {

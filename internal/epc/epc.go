@@ -97,6 +97,16 @@ func PolicyByName(name string) (Policy, error) {
 	return 0, fmt.Errorf("epc: unknown eviction policy %q (want clock, fifo, lru, or random)", name)
 }
 
+// Validate reports whether p is one of the defined policies. NewWithPolicy
+// checks it, and so does an engine at construction, before its first
+// EPC exists.
+func (p Policy) Validate() error {
+	if p < PolicyClock || p > PolicyRandom {
+		return fmt.Errorf("epc: unknown eviction policy %d", p)
+	}
+	return nil
+}
+
 // frame is the per-physical-frame metadata the driver keeps.
 type frame struct {
 	page      mem.PageID // resident virtual page, mem.NoPage if free
@@ -165,8 +175,8 @@ func NewWithPolicy(capacity int, elrangePages uint64, policy Policy) (*EPC, erro
 	if elrangePages > MaxPages {
 		return nil, PageSpaceError{Pages: elrangePages}
 	}
-	if policy < PolicyClock || policy > PolicyRandom {
-		return nil, fmt.Errorf("epc: unknown eviction policy %d", policy)
+	if err := policy.Validate(); err != nil {
+		return nil, err
 	}
 	e := &EPC{
 		frames:     make([]frame, capacity),

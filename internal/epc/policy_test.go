@@ -39,6 +39,16 @@ func TestNewWithPolicyRejectsUnknown(t *testing.T) {
 	if _, err := NewWithPolicy(4, 10, Policy(99)); err == nil {
 		t.Fatal("unknown policy accepted")
 	}
+	for _, p := range []Policy{-1, PolicyRandom + 1, 99} {
+		if err := p.Validate(); err == nil {
+			t.Errorf("Policy(%d).Validate() accepted an unknown policy", p)
+		}
+	}
+	for p := PolicyClock; p <= PolicyRandom; p++ {
+		if err := p.Validate(); err != nil {
+			t.Errorf("%s.Validate() = %v", p, err)
+		}
+	}
 }
 
 func TestFIFOEvictsOldestLoad(t *testing.T) {

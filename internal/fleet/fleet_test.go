@@ -489,6 +489,31 @@ type closeProbe struct {
 func (s closeProbe) Next() (mem.Access, bool) { return mem.Access{}, false }
 func (s closeProbe) Close()                   { s.onClose() }
 
+// TestFleetRejectsEvictPolicy: a platform with an unknown eviction
+// policy fails while the hosts are built, with the engine's own
+// construction error, before any arrival is admitted; every arrival's
+// stream is released.
+func TestFleetRejectsEvictPolicy(t *testing.T) {
+	platform := sim.SharedConfig{EPCPages: 64, EvictPolicy: 99}
+	_, want := sim.NewDynamic(platform)
+	if want == nil {
+		t.Fatal("sim.NewDynamic accepted eviction policy 99")
+	}
+	closed := 0
+	arr := make([]Arrival, 4)
+	for i := range arr {
+		arr[i] = Arrival{At: uint64(i) * 1000, Enclave: sim.Enclave{Name: fmt.Sprintf("e%d", i),
+			Stream: closeProbe{onClose: func() { closed++ }}, Pages: 8, Scheme: sim.Baseline}}
+	}
+	_, err := Run(arr, Config{Hosts: 2, Platform: platform, Workers: 1})
+	if err == nil || err.Error() != want.Error() {
+		t.Fatalf("Run error %v; want the construction error %q", err, want)
+	}
+	if closed != len(arr) {
+		t.Errorf("%d of %d arrival streams closed", closed, len(arr))
+	}
+}
+
 // TestHostReportQuota: hosts under an arbitration policy report each
 // enclave's quota and resident frames; Global hosts report nil quotas.
 // The platform's Quota flows to every host's engine unchanged.

@@ -1,6 +1,9 @@
 // Package mem defines the leaf types shared by every layer of the SGX
 // preloading simulator: page and site identifiers, memory-access records,
-// and the cycle cost model published in the paper.
+// and the cycle cost model published in the paper. It also holds the
+// engine's input contract: a Stream hands over accesses one Next at a
+// time, and a stream that already holds its next accesses in memory may
+// also be a Chunker, which hands them over as a slice.
 //
 // The simulator works at page granularity because that is all SGX exposes
 // to the untrusted OS: on an enclave page fault the bottom 12 bits of the

@@ -3,14 +3,28 @@ package mem
 // Stream is a pull-based source of accesses: the incremental engine's
 // input contract. Next returns the next access of the trace and true, or
 // a zero Access and false when the trace is exhausted. A Stream may be
-// unbounded — the engine only ever looks one access ahead, so a stream
-// that never returns false drives an arbitrarily long run in O(1)
-// memory.
+// unbounded — the engine looks one access ahead, and holds no more than
+// a chunk the stream already had in memory, so a stream that never
+// returns false drives an arbitrarily long run in O(1) memory.
 //
 // Implementations must be deterministic and single-consumer: the engine
-// pulls from exactly one goroutine and never rewinds.
+// pulls from exactly one goroutine and never rewinds. Next is the whole
+// contract; a stream that already holds its next accesses in memory may
+// also implement Chunker, and the engine then reads them in chunks.
 type Stream interface {
 	Next() (Access, bool)
+}
+
+// Chunker is optionally implemented by streams whose next accesses
+// already sit in memory: a materialized trace (SliceStream), a generator
+// coroutine's current chunk, a Limit over either. Chunk returns and
+// consumes up to max (> 0) next accesses, the same accesses Next would
+// have returned one by one; an empty result means the stream is
+// exhausted. The slice is read-only and stays valid only until the next
+// call on the stream (Next, Chunk or Close), which may overwrite it.
+// Next and Chunk may be interleaved freely.
+type Chunker interface {
+	Chunk(max int) []Access
 }
 
 // Closer is optionally implemented by streams that hold resources (the
@@ -43,9 +57,9 @@ type sliceStream struct {
 	i     int
 }
 
-// SliceStream returns a Stream replaying trace in order. Next never
-// allocates, so a slice-fed engine run costs exactly what the
-// materialized engines cost.
+// SliceStream returns a Stream replaying trace in order. It is a
+// Chunker whose Chunk hands over the rest of the trace in place, so a
+// slice-fed engine run walks the trace without a call per access.
 func SliceStream(trace []Access) Stream { return &sliceStream{trace: trace} }
 
 func (s *sliceStream) Next() (Access, bool) {
@@ -55,6 +69,17 @@ func (s *sliceStream) Next() (Access, bool) {
 	a := s.trace[s.i]
 	s.i++
 	return a, true
+}
+
+// Chunk returns up to max of the remaining accesses, capped so that an
+// append to it cannot write into the trace.
+func (s *sliceStream) Chunk(max int) []Access {
+	c := s.trace[s.i:]
+	if len(c) > max {
+		c = c[:max]
+	}
+	s.i += len(c)
+	return c[:len(c):len(c)]
 }
 
 // Collect drains s into a slice — the inverse adapter, for tooling that
@@ -75,8 +100,13 @@ func Collect(s Stream) []Access {
 // smoke test's trace length). Limit releases s as soon as it reports the
 // end, at the cap or at s's own end, so a generator coroutine under it
 // does not outlive the run; Close releases s early, and s is released at
-// most once. A Closer s therefore cannot be read past the cap.
+// most once. A Closer s therefore cannot be read past the cap. When s is
+// a Chunker, so is the limited stream: its Chunk asks s for no more than
+// the accesses left under the cap, so s is never consumed past it.
 func Limit(s Stream, n uint64) Stream {
+	if c, ok := s.(Chunker); ok {
+		return &chunkLimit{limitStream: limitStream{src: s, left: n}, ck: c}
+	}
 	return &limitStream{src: s, left: n}
 }
 
@@ -100,4 +130,24 @@ func (l *limitStream) Next() (Access, bool) {
 func (l *limitStream) Close() {
 	Close(l.src)
 	l.src, l.left = nil, 0
+}
+
+// chunkLimit is Limit over a Chunker.
+type chunkLimit struct {
+	limitStream
+	ck Chunker // the source as a Chunker; read only while left > 0
+}
+
+func (l *chunkLimit) Chunk(max int) []Access {
+	if l.left > 0 {
+		if uint64(max) > l.left {
+			max = int(l.left)
+		}
+		if c := l.ck.Chunk(max); len(c) > 0 {
+			l.left -= uint64(len(c))
+			return c
+		}
+	}
+	l.Close()
+	return nil
 }

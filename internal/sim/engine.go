@@ -32,7 +32,9 @@ import (
 // (burst). Input arrives through pull-based mem.Streams, and the engine
 // looks exactly one access ahead per enclave, so a run's memory
 // footprint is independent of trace length — unbounded generators drive
-// unbounded runs in O(1) memory.
+// unbounded runs in O(1) memory. A stream that is also a mem.Chunker
+// hands over the accesses it holds in memory as a slice, which the
+// lookahead walks without a call per access.
 
 // Engine co-simulates N >= 1 enclaves round-robin over one shared EPC
 // and one load-channel group. Construct with New (fixed cohort) or
@@ -70,6 +72,14 @@ type enclaveState struct {
 	epc  *epc.EPC       // the shared EPC, whose Present is SIP's BIT_MAP_CHECK
 	sel  *sip.Selection // nil unless the scheme uses SIP
 	base mem.PageID     // offset of the enclave's range in shared space
+
+	// Chunked input. chunk[pos:] are the accesses a mem.Chunker src
+	// handed over that the lookahead has not yet taken; pull is what
+	// advance calls once they are spent: src itself when it is
+	// Next-only, else a chunkRefill over it.
+	chunk []mem.Access
+	pos   int
+	pull  mem.Stream
 
 	next mem.Access // one-access lookahead (the scheduler needs Compute)
 	has  bool
@@ -118,6 +128,10 @@ func newEngine(enclaves []Enclave, cfg SharedConfig) (*Engine, error) {
 	if err := cfg.Costs.Validate(); err != nil {
 		closeEnclaveStreams(enclaves)
 		return nil, err
+	}
+	if err := cfg.EvictPolicy.Validate(); err != nil {
+		closeEnclaveStreams(enclaves)
+		return nil, fmt.Errorf("sim: %w", err)
 	}
 	eng := &Engine{cfg: cfg, chans: channel.New()}
 	if cfg.Quota != arbiter.Global {
@@ -278,6 +292,10 @@ func buildState(e Enclave, cfg SharedConfig, shared *epc.EPC, ch *channel.Channe
 		base: base,
 		res:  Result{Scheme: e.Scheme},
 	}
+	st.pull = st.src
+	if ck, ok := st.src.(mem.Chunker); ok {
+		st.pull = &chunkRefill{st: st, ck: ck}
+	}
 	if e.Scheme.UsesSIP() {
 		st.sel = e.Selection
 	}
@@ -293,9 +311,35 @@ func (e Enclave) source() mem.Stream {
 	return e.Stream
 }
 
-// advance pulls the enclave's next access into the lookahead slot.
+// advance pulls the enclave's next access into the lookahead slot: from
+// the current chunk while it lasts, else through pull. A Next-only
+// stream never has a chunk, so it is called once per access, one
+// predictable branch away from a bare Next; a Chunker is called once
+// per chunk. burst, which advances once per access, spells the same
+// code out, because advance is over the compiler's inlining budget.
 func (st *enclaveState) advance() {
-	st.next, st.has = st.src.Next()
+	if st.pos < len(st.chunk) {
+		st.next = st.chunk[st.pos]
+		st.pos++
+		return
+	}
+	st.next, st.has = st.pull.Next()
+}
+
+// chunkRefill is a Chunker source's pull: its Next takes the source's
+// next chunk as the enclave's current one and returns its first access.
+type chunkRefill struct {
+	st *enclaveState
+	ck mem.Chunker
+}
+
+func (r *chunkRefill) Next() (mem.Access, bool) {
+	c := r.ck.Chunk(math.MaxInt)
+	if len(c) == 0 {
+		return mem.Access{}, false
+	}
+	r.st.chunk, r.st.pos = c, 1
+	return c[0], true
 }
 
 // Step executes one access: the enclave with the smallest virtual clock
@@ -354,8 +398,11 @@ func (e *Engine) burst(until uint64, single bool) error {
 			return fmt.Errorf("sim: enclave %s virtual clock saturated uint64 at access %d",
 				st.enc.Name, st.seen-1)
 		}
-		st.advance()
-		if !st.has {
+		// st.advance(), by hand (see advance).
+		if st.pos < len(st.chunk) {
+			st.next = st.chunk[st.pos]
+			st.pos++
+		} else if st.next, st.has = st.pull.Next(); !st.has {
 			h.popMin()
 			return nil
 		}
@@ -473,7 +520,12 @@ func (e *Engine) Close() {
 		if st == nil {
 			continue
 		}
-		mem.Close(st.src)
+		if c, ok := st.src.(mem.Closer); ok {
+			c.Close()
+			// The stream is over, and its chunk may be a buffer that
+			// Close released.
+			st.chunk, st.pos = nil, 0
+		}
 	}
 }
 

@@ -80,6 +80,31 @@ func TestNewClosesStreamsOnError(t *testing.T) {
 	})
 }
 
+// TestNewRejectsEvictPolicy: an unknown eviction policy is a platform
+// error, so construction reports it, as it does a bad EPCPages, hook or
+// cost model, rather than every admission after it. A fixed cohort's
+// streams are released and never pulled.
+func TestNewRejectsEvictPolicy(t *testing.T) {
+	bad := SharedConfig{EPCPages: 64, EvictPolicy: 99}
+	if eng, err := NewDynamic(bad); err == nil || !strings.Contains(err.Error(), "unknown eviction policy 99") {
+		t.Fatalf("NewDynamic with eviction policy 99 = %v, %v; want an unknown-policy error", eng, err)
+	}
+	streams := make([]*closerStream, 3)
+	encs := make([]Enclave, len(streams))
+	for i := range streams {
+		streams[i] = &closerStream{trace: []mem.Access{{Page: 0, Compute: 10}}}
+		encs[i] = Enclave{Name: string(rune('a' + i)), Stream: streams[i], Pages: 8, Scheme: Baseline}
+	}
+	if _, err := New(encs, bad); err == nil || !strings.Contains(err.Error(), "unknown eviction policy 99") {
+		t.Fatalf("New with eviction policy 99: err = %v", err)
+	}
+	for i, s := range streams {
+		if !s.closed || s.i != 0 {
+			t.Errorf("enclave %d stream: closed %v after %d pulls; want closed and never pulled", i, s.closed, s.i)
+		}
+	}
+}
+
 // TestResultAllocFree: Result(i) must derive a single enclave's
 // snapshot — no O(E) materialization, no per-call allocation — so a
 // live scraper polling one enclave of a large run costs O(1). The seed

@@ -7,6 +7,7 @@ import (
 
 	"sgxpreload/internal/epc/arbiter"
 	"sgxpreload/internal/mem"
+	"sgxpreload/internal/workload"
 )
 
 // Scale benchmarks for the event-heap scheduler: per-access cost with
@@ -154,4 +155,45 @@ func benchDrain(b *testing.B, e, epcPages int, quota arbiter.Policy) {
 func BenchmarkDrain(b *testing.B) {
 	b.Run("E=1-hits", func(b *testing.B) { benchDrain(b, 1, benchPages+64, arbiter.Global) })
 	b.Run("E=16-adaptive", func(b *testing.B) { benchDrain(b, 16, 16*24, arbiter.Adaptive) })
+}
+
+// BenchmarkDrainSource measures one access of a fault-heavy solo run
+// (lbm's Ref trace under DFP on the paper's 2048-frame EPC, one fault
+// in five accesses, as in bench's solo-faults) under Drain, fed as a
+// materialized trace the engine reads in chunks (slice) and through the
+// same slice stream with its Chunk method hidden (next-only). The
+// difference is the per-access cost of pulling through Next.
+func BenchmarkDrainSource(b *testing.B) {
+	w, err := workload.ByName("lbm")
+	if err != nil {
+		b.Fatal(err)
+	}
+	tr := w.Generate(workload.Ref)
+	feeds := []struct {
+		name string
+		enc  func(tr []mem.Access) Enclave
+	}{
+		{"slice", func(tr []mem.Access) Enclave { return Enclave{Trace: tr} }},
+		{"next-only", func(tr []mem.Access) Enclave { return Enclave{Stream: nextOnly{mem.SliceStream(tr)}} }},
+	}
+	for _, f := range feeds {
+		b.Run(f.name, func(b *testing.B) {
+			b.ReportAllocs()
+			// One engine per pass over the trace; building it is not
+			// timed.
+			for left := b.N; left > 0; left -= len(tr) {
+				b.StopTimer()
+				enc := f.enc(tr[:min(left, len(tr))])
+				enc.Name, enc.Pages, enc.Scheme = w.Name, w.ELRangePages(), DFP
+				eng, err := New([]Enclave{enc}, SharedConfig{EPCPages: 2048})
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				if err := eng.Drain(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }

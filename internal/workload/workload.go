@@ -152,7 +152,8 @@ const blockLen = 8192
 // runs as a coroutine (iter.Pull) that fills a chunkLen-access buffer and
 // is suspended between chunks, so arbitrarily long traces never exist as
 // a slice and the coroutine switches once per chunk, not once per access.
-// The coroutine starts on the first Next, so a stream built ahead of its
+// The stream is a mem.Chunker, so the engine reads each chunk in place.
+// The coroutine starts on the first pull, so a stream built ahead of its
 // run (a compiled spec's launches) holds no goroutine until it is pulled.
 // The stream is exhausted-or-Closed: draining it to the end releases the
 // coroutine, and Close releases it early (an abandoned engine run).
@@ -169,15 +170,17 @@ const chunkLen = 64
 var chunkPool = sync.Pool{New: func() any { return new([chunkLen]mem.Access) }}
 
 // genStream adapts a generator to mem.Stream through an iter.Pull
-// coroutine started on the first Next. It serves accesses from the
-// chunk the coroutine last yielded and resumes it when the chunk is spent.
+// coroutine started on the first pull. It serves accesses from the chunk
+// the coroutine last yielded, one by one (Next) or as a slice of that
+// chunk (Chunk, so it is a mem.Chunker), and resumes the coroutine when
+// the chunk is spent.
 type genStream struct {
 	w     *Workload
 	in    Input
 	chunk []mem.Access // the chunk being served
 	pos   int          // next unserved index into chunk
 	buf   *[chunkLen]mem.Access
-	next  func() ([]mem.Access, bool) // nil until the first Next
+	next  func() ([]mem.Access, bool) // nil until the first pull
 	stop  func()
 	done  bool
 }
@@ -189,6 +192,20 @@ func (s *genStream) Next() (mem.Access, bool) {
 	a := s.chunk[s.pos]
 	s.pos++
 	return a, true
+}
+
+// Chunk returns up to max of the accesses left in the chunk the
+// coroutine last yielded, resuming it first when that chunk is spent.
+func (s *genStream) Chunk(max int) []mem.Access {
+	if s.pos == len(s.chunk) && !s.refill() {
+		return nil
+	}
+	c := s.chunk[s.pos:]
+	if len(c) > max {
+		c = c[:max]
+	}
+	s.pos += len(c)
+	return c
 }
 
 // refill resumes the coroutine for its next chunk, starting it on the
@@ -239,7 +256,7 @@ func (s *genStream) start() {
 
 // Close releases the generator coroutine and returns its chunk buffer to
 // the pool; safe to call repeatedly, after exhaustion, and before the
-// first Next (a no-op then).
+// first pull (a no-op then).
 func (s *genStream) Close() {
 	s.done = true
 	s.chunk, s.pos = nil, 0
