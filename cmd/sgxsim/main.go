@@ -335,10 +335,10 @@ func (o runOpts) selection(w *workload.Workload) (*sip.Selection, error) {
 // runClusterFleet turns the benchmark list into a timed arrival stream
 // (launch i at i * arrivalPeriod) and drives it through the fleet
 // layer: one engine per host, each its own EPC domain, placements made
-// by the selected policy at each arrival barrier, launches past the
-// token bucket's rate shed at the front door. The fleet advances hosts
-// in parallel between barriers with a deterministic merge, so the
-// report is identical at any parallelism. A zero arrival period
+// by the selected policy in arrival order, launches past the token
+// bucket's rate shed at the front door. The fleet advances hosts in
+// parallel and settles them before each placement that reads their
+// signals, so the report is identical at any parallelism. A zero arrival period
 // launches everything at t = 0: with round-robin placement that is
 // static sharding, and on one host it is the shared-EPC co-run. Each
 // distinct workload is profiled once, however often the list names it.

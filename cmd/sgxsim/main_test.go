@@ -571,7 +571,7 @@ func TestClusterFleet(t *testing.T) {
 				t.Errorf("-fleet %s output missing %q:\n%s", policy, want, out)
 			}
 		}
-		// Hosts advance on worker goroutines between arrival barriers;
+		// Hosts advance on worker goroutines between synchronizations;
 		// the report must be deterministic run to run.
 		if again := mk(policy); again != out {
 			t.Errorf("-fleet %s output is not deterministic", policy)

@@ -15,8 +15,8 @@ import (
 // benchmarks, and the hogs arrive at indices 0, 4, 8 of a four-host
 // fleet — the adversarial alignment for round-robin, which places
 // launch i on host i mod 4 and therefore stacks every hog on host 0.
-// Load-aware placement reads the hosts' live signals at each arrival
-// barrier instead: pressure-aware sees host 0's EPC occupancy climb
+// Load-aware placement reads the hosts' live signals, settled at each
+// arrival, instead: pressure-aware sees host 0's EPC occupancy climb
 // after the first hog and routes the later hogs to idle hosts, so the
 // tail of the fault-service latency distribution — the faults queued
 // behind a thrashing host's load channel — collapses. The comparison
@@ -34,7 +34,7 @@ var fleetPolicyArrivals = []string{
 const (
 	fleetPolicyHosts = 4
 	// fleetArrivalPeriod spaces launches far enough apart that a hog's
-	// EPC occupancy is visible at the next arrival barrier, but close
+	// EPC occupancy is visible at the next arrival's placement, but close
 	// enough that the hogs' runs overlap — the contention the policies
 	// must navigate.
 	fleetArrivalPeriod = 2_000_000

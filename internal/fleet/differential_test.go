@@ -9,7 +9,10 @@ import (
 	"testing"
 
 	"sgxpreload/internal/epc/arbiter"
+	"sgxpreload/internal/mem"
 	"sgxpreload/internal/obs"
+	"sgxpreload/internal/pool"
+	"sgxpreload/internal/rng"
 	"sgxpreload/internal/sim"
 	"sgxpreload/internal/workload"
 )
@@ -166,4 +169,161 @@ func checkIdleHost(t *testing.T, res Result, h int) {
 		}
 	}
 	t.Errorf("no table row for idle host %d in:\n%s", h, res.String())
+}
+
+// runBarriered is the reference fleet loop: at every distinct arrival
+// timestamp every host runs until that time, then the batch is bucketed,
+// placed and admitted in stream order. Run reaches the same admissions
+// at the same virtual times while settling hosts only before a placement
+// that reads their signals; the differential below holds it to this
+// loop.
+func runBarriered(arrivals []Arrival, cfg Config) (Result, error) {
+	if err := validate(arrivals, cfg); err != nil {
+		CloseArrivals(arrivals)
+		return Result{}, err
+	}
+	c, err := newCluster(cfg)
+	if err != nil {
+		CloseArrivals(arrivals)
+		return Result{}, err
+	}
+	advance := func(step func(*sim.Engine) error) error {
+		return pool.Run(cfg.Workers, len(c.hosts), func(h int) error {
+			if err := step(c.hosts[h].eng); err != nil {
+				return fmt.Errorf("fleet: host %d: %w", h, err)
+			}
+			return nil
+		})
+	}
+	bucket := newTokenBucket(cfg.AdmitPeriod, cfg.AdmitBurst)
+	res := Result{Policy: cfg.Policy, Placement: make([]int, 0, len(arrivals))}
+	pl := newPlacer(cfg)
+	i := 0
+	for i < len(arrivals) {
+		t := arrivals[i].At
+		if err := advance(func(e *sim.Engine) error { return e.RunUntil(t) }); err != nil {
+			c.close()
+			CloseArrivals(arrivals[i:])
+			return Result{}, err
+		}
+		for i < len(arrivals) && arrivals[i].At == t {
+			a := arrivals[i]
+			i++
+			if !bucket.take(t) {
+				res.Placement = append(res.Placement, -1)
+				res.Shed = append(res.Shed, a.Enclave.Name)
+				mem.Close(a.Enclave.Stream)
+				continue
+			}
+			h := pl.place(c.hosts, a.Enclave.Name)
+			if err := c.hosts[h].eng.Admit(a.Enclave, t); err != nil {
+				c.close()
+				CloseArrivals(arrivals[i:])
+				return Result{}, fmt.Errorf("fleet: host %d: %w", h, err)
+			}
+			res.Placement = append(res.Placement, h)
+		}
+	}
+	if err := advance((*sim.Engine).Drain); err != nil {
+		c.close()
+		return Result{}, err
+	}
+	c.report(&res)
+	return res, nil
+}
+
+// randomArrivals draws an arrival stream mixing ties at one timestamp,
+// bursts, short gaps inside running work and late arrivals that find
+// every earlier launch finished, over four workload keys so Affinity
+// sees repeat launches. About a third of the accesses, first ones
+// included, carry zero compute, so an admission's first access falls at
+// its arrival time.
+func randomArrivals(r *rng.Source) []Arrival {
+	schemes := []sim.Scheme{sim.Baseline, sim.DFP, sim.DFPStop}
+	out := make([]Arrival, 1+r.Intn(16))
+	var t uint64
+	for i := range out {
+		switch r.Intn(6) {
+		case 0, 1: // a tie with the previous arrival
+		case 2:
+			t += 1 + r.Uint64n(1000)
+		case 3:
+			t += 1 + r.Uint64n(200_000)
+		case 4:
+			t += 1 << 30
+		default:
+			t += r.Uint64n(20_000)
+		}
+		pages := 8 + r.Uint64n(40)
+		trace := make([]mem.Access, 20+r.Intn(100))
+		for j := range trace {
+			var compute uint64
+			if !r.Chance(0.3) {
+				compute = r.Uint64n(3000)
+			}
+			trace[j] = mem.Access{Page: mem.PageID(r.Uint64n(pages)), Compute: compute}
+		}
+		out[i] = Arrival{At: t, Enclave: sim.Enclave{Name: fmt.Sprintf("w%d/%d", r.Intn(4), i),
+			Trace: trace, Pages: pages, Scheme: schemes[r.Intn(len(schemes))]}}
+	}
+	return out
+}
+
+// runDigested runs the fleet through run with a JSONL digest recorder
+// on every host, returning the Result's %#v and each host's digest.
+func runDigested(t *testing.T, run func([]Arrival, Config) (Result, error), arrivals []Arrival, cfg Config) (string, []string) {
+	t.Helper()
+	tls := make([]timelineDigest, cfg.Hosts)
+	cfg.Platform.HookFactory = func(h int) obs.Hook {
+		tls[h] = newTimeline()
+		return tls[h]
+	}
+	res, err := run(arrivals, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	digests := make([]string, len(tls))
+	for h := range tls {
+		digests[h] = tls[h].digest(t)
+	}
+	return fmt.Sprintf("%#v", res), digests
+}
+
+// TestSyncDifferential: over random arrival streams, Run equals the
+// barriered reference — the same %#v Result and the same JSONL bytes on
+// every host — for every placement and quota policy, 1 to 4 hosts,
+// admission control on and off, at 1, 2 and 4 workers.
+func TestSyncDifferential(t *testing.T) {
+	quotas := arbiter.Policies()
+	for k := 0; k < 2*len(Policies())*len(quotas)*4*2; k++ {
+		r := rng.New(uint64(k) + 1)
+		cfg := Config{
+			Policy:   Policies()[k%4],
+			Platform: sim.SharedConfig{EPCPages: 32 + r.Intn(64), Quota: quotas[k/4%len(quotas)]},
+			Hosts:    1 + k/16%4,
+		}
+		if k/64%2 == 1 {
+			cfg.AdmitPeriod, cfg.AdmitBurst = 1+r.Uint64n(50_000), 1+r.Intn(3)
+		}
+		arrivals := randomArrivals(r)
+		name := fmt.Sprintf("%d/%s/%s/H=%d/admit=%d", k, cfg.Policy, cfg.Platform.Quota, cfg.Hosts, cfg.AdmitPeriod)
+		t.Run(name, func(t *testing.T) {
+			wantRes, wantTL := runDigested(t, runBarriered, arrivals, cfg)
+			for _, workers := range []int{1, 2, 4} {
+				wcfg := cfg
+				wcfg.Workers = workers
+				gotRes, gotTL := runDigested(t, Run, arrivals, wcfg)
+				if gotRes != wantRes {
+					t.Errorf("workers=%d: result diverges from the barriered reference:\n  run %.400s\n  ref %.400s",
+						workers, gotRes, wantRes)
+				}
+				for h := range wantTL {
+					if gotTL[h] != wantTL[h] {
+						t.Errorf("workers=%d host %d: JSONL diverges from the barriered reference: %s vs %s",
+							workers, h, gotTL[h], wantTL[h])
+					}
+				}
+			}
+		})
+	}
 }

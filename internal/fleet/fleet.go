@@ -16,13 +16,20 @@
 // domain — own epc.EPC, own load-channel group, own dynamic engine
 // (sim.NewDynamic) — and enclave clocks are absolute virtual time (an
 // enclave admitted at T starts its clock at T). Hosts share no
-// simulated state, so between arrival timestamps they advance
-// independently, in parallel, with no cross-host synchronization. At
-// each arrival timestamp T the fleet barriers: every host runs until
-// its next event is past T, then the batch of arrivals at T is
-// processed in stream order — bucket check, placement, admission —
-// against host signals that are fully settled at T. Parallelism lives
-// only between barriers, so the entire run — placements, sheds, every
+// simulated state, so they advance independently, in parallel, and
+// synchronize only where a placement reads their signals. Arrivals are
+// processed in stream order — bucket check, placement — and a placed
+// launch joins its host's queue of admissions not yet applied. Only a
+// placement that reads live host signals (least-loaded, pressure-aware,
+// and an affinity workload's first launch, on two or more hosts) first
+// settles every host at its arrival time T: each applies its queue in
+// stream order, one RunUntil per distinct timestamp and then Admit, and
+// runs until its next event is past T. Round-robin, a known affinity
+// key, a one-host fleet and a shed launch never wait on another host.
+// After the stream ends each host applies its queue and drains. Every
+// host thus sees the same admissions at the same virtual times whatever
+// the other hosts do, every placement reads signals no later arrival
+// could change, and the entire run — placements, sheds, every
 // per-enclave result, every latency percentile — is identical at any
 // worker count. A one-host fleet with every arrival at time zero and no
 // admission control is byte-identical to sim.RunShared over the same
@@ -126,8 +133,8 @@ type Config struct {
 	// admitted back-to-back before the rate limit bites. Defaults to 1
 	// when AdmitPeriod is set.
 	AdmitBurst int
-	// Workers bounds the goroutines advancing hosts between arrival
-	// barriers; <= 0 means GOMAXPROCS. Never affects results.
+	// Workers bounds the goroutines advancing hosts between
+	// synchronizations; <= 0 means GOMAXPROCS. Never affects results.
 	Workers int
 }
 
@@ -172,115 +179,191 @@ type Result struct {
 
 // Run drives the arrival stream through the fleet to completion.
 func Run(arrivals []Arrival, cfg Config) (Result, error) {
-	fail := func(err error) (Result, error) {
+	if err := validate(arrivals, cfg); err != nil {
 		CloseArrivals(arrivals)
 		return Result{}, err
 	}
+	c, err := newCluster(cfg)
+	if err != nil {
+		CloseArrivals(arrivals)
+		return Result{}, err
+	}
+
+	bucket := newTokenBucket(cfg.AdmitPeriod, cfg.AdmitBurst)
+	res := Result{Policy: cfg.Policy, Placement: make([]int, 0, len(arrivals))}
+	pl := newPlacer(cfg)
+	for i, a := range arrivals {
+		if !bucket.take(a.At) {
+			res.Placement = append(res.Placement, -1)
+			res.Shed = append(res.Shed, a.Enclave.Name)
+			mem.Close(a.Enclave.Stream)
+			continue
+		}
+		if pl.readsSignals(a.Enclave.Name) {
+			// Settle every host at a.At so the placement reads signals
+			// no later arrival could change.
+			if onSync != nil {
+				onSync()
+			}
+			if err := c.settle(a.At); err != nil {
+				c.close()
+				CloseArrivals(arrivals[i:])
+				return Result{}, err
+			}
+		}
+		h := pl.place(c.hosts, a.Enclave.Name)
+		c.hosts[h].queue = append(c.hosts[h].queue, a)
+		res.Placement = append(res.Placement, h)
+	}
+	// The stream is exhausted; each host applies what it still holds
+	// and drains to completion.
+	if err := c.settle(math.MaxUint64); err != nil {
+		c.close()
+		return Result{}, err
+	}
+	c.report(&res)
+	return res, nil
+}
+
+// onSync, when set, is called once per host synchronization before a
+// placement; the package's tests count synchronizations through it.
+var onSync func()
+
+// validate checks a run's inputs before any host is built.
+func validate(arrivals []Arrival, cfg Config) error {
 	if len(arrivals) == 0 {
-		return fail(fmt.Errorf("fleet: need at least one arrival"))
+		return fmt.Errorf("fleet: need at least one arrival")
 	}
 	if cfg.Hosts < 1 {
-		return fail(fmt.Errorf("fleet: need at least one host, got %d", cfg.Hosts))
+		return fmt.Errorf("fleet: need at least one host, got %d", cfg.Hosts)
 	}
 	if cfg.Platform.Hook != nil && cfg.Platform.HookFactory != nil {
-		return fail(fmt.Errorf("fleet: Platform takes Hook or HookFactory, not both"))
+		return fmt.Errorf("fleet: Platform takes Hook or HookFactory, not both")
 	}
 	if cfg.Platform.Hook != nil && cfg.Hosts > 1 {
-		return fail(fmt.Errorf("fleet: cannot share one hook across %d hosts (set HookFactory for per-host recording)", cfg.Hosts))
+		return fmt.Errorf("fleet: cannot share one hook across %d hosts (set HookFactory for per-host recording)", cfg.Hosts)
 	}
 	for i := 1; i < len(arrivals); i++ {
 		if arrivals[i].At < arrivals[i-1].At {
-			return fail(fmt.Errorf("fleet: arrival %d at t=%d precedes arrival %d at t=%d; the front door is a time-ordered stream",
-				i, arrivals[i].At, i-1, arrivals[i-1].At))
+			return fmt.Errorf("fleet: arrival %d at t=%d precedes arrival %d at t=%d; the front door is a time-ordered stream",
+				i, arrivals[i].At, i-1, arrivals[i-1].At)
 		}
 	}
+	return nil
+}
 
-	// Build the hosts: each its own dynamic engine with a latency
-	// sampler teed in front of the host's (optional) recording hook.
-	hosts := make([]*sim.Engine, cfg.Hosts)
-	samplers := make([]*obs.FaultLatencySampler, cfg.Hosts)
-	for h := range hosts {
+// host is one EPC domain: its dynamic engine, the latency sampler teed
+// in front of its recording hook, and the admissions placed on it but
+// not yet applied.
+type host struct {
+	eng     *sim.Engine
+	sampler *obs.FaultLatencySampler
+	// queue holds the arrivals placed on this host and not yet
+	// admitted, in stream order.
+	queue []Arrival
+	// at is the time the host last ran until: every event at or before
+	// it has executed, and admissions at it may still follow. A fresh
+	// engine has no events, so it starts at 0.
+	at uint64
+}
+
+// settle applies the host's queued admissions in stream order — one
+// RunUntil per distinct timestamp, then Admit — and runs the host until
+// t. An arrival stays queued until its admission starts, so on failure
+// the queue holds exactly the arrivals no engine owns.
+func (h *host) settle(t uint64) error {
+	for len(h.queue) > 0 {
+		a := h.queue[0]
+		if err := h.runUntil(a.At); err != nil {
+			return err
+		}
+		h.queue = h.queue[1:]
+		if err := h.eng.Admit(a.Enclave, a.At); err != nil {
+			return err
+		}
+	}
+	return h.runUntil(t)
+}
+
+// runUntil runs the host until t unless it is already there: running
+// it again at a timestamp it has admitted at would execute a
+// zero-compute first access before a later admission at that time.
+func (h *host) runUntil(t uint64) error {
+	if t <= h.at {
+		return nil
+	}
+	h.at = t
+	return h.eng.RunUntil(t)
+}
+
+// cluster is a run's hosts and the worker bound that advances them.
+type cluster struct {
+	hosts   []host
+	workers int
+	busy    []int // settle's scratch: the hosts with work to do
+}
+
+// newCluster builds the hosts: each its own dynamic engine with a
+// latency sampler teed in front of the host's (optional) recording hook.
+func newCluster(cfg Config) (*cluster, error) {
+	c := &cluster{hosts: make([]host, cfg.Hosts), workers: cfg.Workers}
+	for h := range c.hosts {
 		pcfg := cfg.Platform
 		if pcfg.HookFactory != nil {
 			pcfg.Hook = cfg.Platform.HookFactory(h)
 			pcfg.HookFactory = nil
 		}
-		samplers[h] = obs.NewFaultLatencySampler()
-		pcfg.Hook = obs.Tee(samplers[h], pcfg.Hook)
+		s := obs.NewFaultLatencySampler()
+		pcfg.Hook = obs.Tee(s, pcfg.Hook)
 		eng, err := sim.NewDynamic(pcfg)
 		if err != nil {
-			for _, e := range hosts[:h] {
-				e.Close()
+			for _, b := range c.hosts[:h] {
+				b.eng.Close()
 			}
-			return fail(err)
+			return nil, err
 		}
-		hosts[h] = eng
+		c.hosts[h] = host{eng: eng, sampler: s}
 	}
-	closeHosts := func() {
-		for _, e := range hosts {
-			if e != nil {
-				e.Close()
-			}
-		}
-	}
+	return c, nil
+}
 
-	// advance runs step on every host on the worker pool; a failure names
-	// its host, and the lowest-index host's error wins at any worker
-	// count.
-	advance := func(step func(*sim.Engine) error) error {
-		return pool.Run(cfg.Workers, len(hosts), func(h int) error {
-			if err := step(hosts[h]); err != nil {
-				return fmt.Errorf("fleet: host %d: %w", h, err)
-			}
-			return nil
-		})
-	}
-
-	bucket := newTokenBucket(cfg.AdmitPeriod, cfg.AdmitBurst)
-	res := Result{Policy: cfg.Policy, Placement: make([]int, 0, len(arrivals))}
-	pl := &placer{policy: cfg.Policy, affinity: make(map[string]int)}
-
-	i := 0
-	for i < len(arrivals) {
-		t := arrivals[i].At
-		// Barrier: settle every host at t so the batch's placement
-		// decisions read signals no later arrival could change.
-		if err := advance(func(e *sim.Engine) error { return e.RunUntil(t) }); err != nil {
-			closeHosts()
-			CloseArrivals(arrivals[i:])
-			return Result{}, err
-		}
-		// Admit the whole batch at t back-to-back, in stream order.
-		for i < len(arrivals) && arrivals[i].At == t {
-			a := arrivals[i]
-			i++
-			if !bucket.take(t) {
-				res.Placement = append(res.Placement, -1)
-				res.Shed = append(res.Shed, a.Enclave.Name)
-				mem.Close(a.Enclave.Stream)
-				continue
-			}
-			h := pl.place(hosts, a.Enclave.Name)
-			if err := hosts[h].Admit(a.Enclave, t); err != nil {
-				// Admit closed the failing enclave's stream; engines own
-				// the earlier ones and the tail never reached an engine.
-				closeHosts()
-				CloseArrivals(arrivals[i:])
-				return Result{}, fmt.Errorf("fleet: host %d: %w", h, err)
-			}
-			res.Placement = append(res.Placement, h)
+// settle brings every host to t on the worker pool. A host already at t
+// with nothing queued is skipped, so after the first of a burst of
+// signal-reading placements at one timestamp only the host the last
+// placement fed is settled, inline. A failure names its host, and the
+// lowest-index host's error wins at any worker count.
+func (c *cluster) settle(t uint64) error {
+	c.busy = c.busy[:0]
+	for h := range c.hosts {
+		if len(c.hosts[h].queue) > 0 || c.hosts[h].at < t {
+			c.busy = append(c.busy, h)
 		}
 	}
-	// The stream is exhausted; drain every host to completion.
-	if err := advance((*sim.Engine).Drain); err != nil {
-		closeHosts()
-		return Result{}, err
-	}
+	return pool.Run(c.workers, len(c.busy), func(i int) error {
+		h := c.busy[i]
+		if err := c.hosts[h].settle(t); err != nil {
+			return fmt.Errorf("fleet: host %d: %w", h, err)
+		}
+		return nil
+	})
+}
 
-	// Assemble the reports: per-host and fleet-wide pooled percentiles.
+// close abandons the run: every engine closes the streams it owns, and
+// every queued arrival, which no engine owns, is closed too — also on
+// hosts the pool never started after a failure.
+func (c *cluster) close() {
+	for _, h := range c.hosts {
+		h.eng.Close()
+		CloseArrivals(h.queue)
+	}
+}
+
+// report assembles the per-host reports and the fleet-wide pooled
+// percentiles into res.
+func (c *cluster) report(res *Result) {
 	pooled := obs.NewFaultLatencySampler()
-	for h, eng := range hosts {
-		s := samplers[h]
+	for _, h := range c.hosts {
+		eng, s := h.eng, h.sampler
 		pooled.Merge(s)
 		enclaves := eng.Results()
 		resident := make([]int, len(enclaves))
@@ -309,21 +392,44 @@ func Run(arrivals []Arrival, cfg Config) (Result, error) {
 	res.FaultP50 = pooled.Percentile(50)
 	res.FaultP95 = pooled.Percentile(95)
 	res.FaultP99 = pooled.Percentile(99)
-	return res, nil
 }
 
 // placer carries the placement state one run accumulates: the
 // round-robin cursor and, for Affinity, the last host each workload ran
-// on. Placements happen in stream order after the arrival barrier, so
-// both are deterministic functions of the arrival stream alone.
+// on. Placements happen in stream order, so both are deterministic
+// functions of the arrival stream alone.
 type placer struct {
 	policy   Policy
+	hosts    int
 	admitted int            // round-robin cursor over admitted launches
 	affinity map[string]int // workload key -> host of its last launch
 }
 
+func newPlacer(cfg Config) *placer {
+	return &placer{policy: cfg.Policy, hosts: cfg.Hosts, affinity: make(map[string]int)}
+}
+
+// readsSignals reports whether placing the next admitted launch, named
+// name, reads the hosts' live signals, so that every host must first be
+// settled at its arrival time: LeastLoaded and PressureAware always do,
+// Affinity only for a workload's first launch, RoundRobin never, and no
+// policy on a one-host fleet.
+func (p *placer) readsSignals(name string) bool {
+	if p.hosts < 2 {
+		return false
+	}
+	switch p.policy {
+	case LeastLoaded, PressureAware:
+		return true
+	case Affinity:
+		_, known := p.affinity[affinityKey(name)]
+		return !known
+	}
+	return false
+}
+
 // place picks the host for the next admitted enclave.
-func (p *placer) place(hosts []*sim.Engine, name string) int {
+func (p *placer) place(hosts []host, name string) int {
 	p.admitted++
 	switch p.policy {
 	case LeastLoaded:
@@ -331,8 +437,8 @@ func (p *placer) place(hosts []*sim.Engine, name string) int {
 	case PressureAware:
 		best := 0
 		for h := 1; h < len(hosts); h++ {
-			hr, br := hosts[h].EPCResident(), hosts[best].EPCResident()
-			if hr < br || (hr == br && hosts[h].Running() < hosts[best].Running()) {
+			a, b := hosts[h].eng, hosts[best].eng
+			if hr, br := a.EPCResident(), b.EPCResident(); hr < br || (hr == br && a.Running() < b.Running()) {
 				best = h
 			}
 		}
@@ -352,10 +458,10 @@ func (p *placer) place(hosts []*sim.Engine, name string) int {
 
 // leastLoaded returns the host with the fewest running enclaves, ties
 // to the lower host index.
-func leastLoaded(hosts []*sim.Engine) int {
+func leastLoaded(hosts []host) int {
 	best := 0
 	for h := 1; h < len(hosts); h++ {
-		if hosts[h].Running() < hosts[best].Running() {
+		if hosts[h].eng.Running() < hosts[best].eng.Running() {
 			best = h
 		}
 	}

@@ -70,7 +70,8 @@ func TestOneHostFleetEqualsRunShared(t *testing.T) {
 
 // TestFleetDeterministicAcrossWorkers: the whole result — placements,
 // sheds, per-enclave results, latency percentiles — is identical at any
-// worker count, because parallelism lives only between arrival barriers.
+// worker count, because hosts synchronize before every placement that
+// reads their signals.
 func TestFleetDeterministicAcrossWorkers(t *testing.T) {
 	for _, policy := range Policies() {
 		run := func(workers int) string {
@@ -453,41 +454,122 @@ func slowFailStream(delay int, pages uint64) mem.Stream {
 	})
 }
 
-// TestFleetErrorNamesHost: a host's mid-run failure comes back naming
-// the host, and when several hosts fail the lowest-index host's error
-// wins at every worker count — host 0 fails after 50k accesses, host 3
-// on its first, yet the report is always host 0's, the error a
-// sequential drain would have hit first. A late fifth arrival moves the
-// failures from the final drain into an arrival barrier; both paths
-// name the host.
-func TestFleetErrorNamesHost(t *testing.T) {
-	bad := func(delay int) sim.Enclave {
-		return sim.Enclave{Name: fmt.Sprintf("bad-after-%d", delay),
-			Stream: slowFailStream(delay, 8), Pages: 8, Scheme: sim.Baseline}
+// probeArrivals wraps every arrival's stream in a counting closeProbe
+// and returns the per-arrival close counts.
+func probeArrivals(arr []Arrival) []int {
+	closes := make([]int, len(arr))
+	for i := range arr {
+		e := &arr[i].Enclave
+		if e.Stream == nil {
+			e.Stream, e.Trace = mem.SliceStream(e.Trace), nil
+		}
+		e.Stream = closeProbe{Stream: e.Stream, onClose: func() { closes[i]++ }}
 	}
-	for _, barrier := range []bool{false, true} {
+	return closes
+}
+
+// TestFleetErrorNamesHost: a host's mid-run failure comes back naming
+// the host; when several hosts fail in one settle the lowest-index
+// host's error wins, and every arrival stream is closed exactly once,
+// at every worker count (0 meaning GOMAXPROCS).
+//
+//   - drain: round-robin settles only at the final drain, where host 0
+//     fails after 50k accesses and host 3 on its first — host 0's error,
+//     the one a sequential drain hits first. With late, a fifth arrival
+//     still queued on host 0 is closed unadmitted.
+//   - epoch: affinity settles before each first launch of a key. The
+//     last one finds host 0 failing late, host 1 holding a queued
+//     zero-page launch that Admit rejects in the worker, and host 2
+//     failing before its queued launch is applied; at one worker the
+//     pool never starts hosts 1 and 2, whose queues must still close.
+//   - admit: the same epoch without host 0's failure reports host 1's
+//     Admit error, naming the host.
+func TestFleetErrorNamesHost(t *testing.T) {
+	good := func(name string) sim.Enclave {
+		e := enclaves(1)[0]
+		e.Name = name
+		return e
+	}
+	bad := func(name string, delay int) sim.Enclave {
+		return sim.Enclave{Name: name, Stream: slowFailStream(delay, 8), Pages: 8, Scheme: sim.Baseline}
+	}
+	epoch := func(host0 sim.Enclave) []Arrival {
+		zero := good("y/1")
+		zero.Pages = 0
+		return []Arrival{
+			{At: 0, Enclave: host0},
+			{At: 0, Enclave: good("y/0")},
+			{At: 0, Enclave: bad("z/0", 0)},
+			{At: 1000, Enclave: zero},
+			{At: 2000, Enclave: good("z/1")},
+			{At: 1 << 40, Enclave: good("w/0")},
+			{At: 1 << 41, Enclave: good("v/0")},
+		}
+	}
+	cases := []struct {
+		name     string
+		policy   Policy
+		hosts    int
+		arrivals func() []Arrival
+		want     []string
+	}{
+		{"drain", RoundRobin, 4, func() []Arrival {
+			return atTimeZero([]sim.Enclave{bad("bad/0", 50_000), good("a"), good("b"), bad("bad/1", 0)})
+		}, []string{"fleet: host 0:", "bad/0"}},
+		{"drain-late", RoundRobin, 4, func() []Arrival {
+			arr := atTimeZero([]sim.Enclave{bad("bad/0", 50_000), good("a"), good("b"), bad("bad/1", 0)})
+			return append(arr, Arrival{At: 1 << 40, Enclave: good("late")})
+		}, []string{"fleet: host 0:", "bad/0"}},
+		{"epoch", Affinity, 3, func() []Arrival { return epoch(bad("x/0", 50_000)) },
+			[]string{"fleet: host 0:", "x/0"}},
+		{"admit", Affinity, 3, func() []Arrival { return epoch(good("x/0")) },
+			[]string{"fleet: host 1:", "y/1", "zero pages"}},
+	}
+	for _, c := range cases {
+		var first string
 		for _, workers := range []int{1, 2, 4, 8, 0} {
-			arr := atTimeZero([]sim.Enclave{bad(50_000), enclaves(1)[0], enclaves(1)[0], bad(0)})
-			if barrier {
-				arr = append(arr, Arrival{At: 1 << 40, Enclave: enclaves(1)[0]})
-			}
-			_, err := Run(arr, Config{Hosts: 4, Policy: RoundRobin,
+			arr := c.arrivals()
+			closes := probeArrivals(arr)
+			_, err := Run(arr, Config{Hosts: c.hosts, Policy: c.policy,
 				Platform: sim.SharedConfig{EPCPages: 64}, Workers: workers})
-			if err == nil || !strings.Contains(err.Error(), "fleet: host 0:") {
-				t.Errorf("barrier=%v workers=%d: want host 0's error, got %v", barrier, workers, err)
+			if err == nil {
+				t.Fatalf("%s workers=%d: run succeeded", c.name, workers)
+			}
+			for _, want := range c.want {
+				if !strings.Contains(err.Error(), want) {
+					t.Errorf("%s workers=%d: error %q does not name %q", c.name, workers, err, want)
+				}
+			}
+			if first == "" {
+				first = err.Error()
+			} else if err.Error() != first {
+				t.Errorf("%s workers=%d: error %q differs from workers=1's %q", c.name, workers, err, first)
+			}
+			for i, n := range closes {
+				if n != 1 {
+					t.Errorf("%s workers=%d: arrival %d (%s) closed %d times, want once",
+						c.name, workers, i, arr[i].Enclave.Name, n)
+				}
 			}
 		}
 	}
 }
 
-// closeProbe is an empty stream that records Close — for asserting that
-// shed and rejected arrivals release their streams.
+// closeProbe is a stream that records Close — for asserting that shed,
+// rejected and abandoned arrivals release their streams. A nil Stream
+// makes it an empty stream.
 type closeProbe struct {
+	mem.Stream
 	onClose func()
 }
 
-func (s closeProbe) Next() (mem.Access, bool) { return mem.Access{}, false }
-func (s closeProbe) Close()                   { s.onClose() }
+func (s closeProbe) Next() (mem.Access, bool) {
+	if s.Stream == nil {
+		return mem.Access{}, false
+	}
+	return s.Stream.Next()
+}
+func (s closeProbe) Close() { s.onClose() }
 
 // TestFleetRejectsEvictPolicy: a platform with an unknown eviction
 // policy fails while the hosts are built, with the engine's own

@@ -298,3 +298,33 @@ func (s *closeProbeStream) Next() (mem.Access, bool) {
 }
 
 func (s *closeProbeStream) Close() { s.onClose() }
+
+// TestCloseOnce: Close releases each stream once. A failed RunUntil
+// closes the engine, and its owner's Close after that closes nothing
+// again — neither the failing enclave's stream nor a finished one's.
+func TestCloseOnce(t *testing.T) {
+	eng, err := NewDynamic(SharedConfig{EPCPages: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	closes := make([]int, 2)
+	streams := []*closeProbeStream{
+		{acc: []mem.Access{{Page: 1, Compute: 10}}, onClose: func() { closes[0]++ }},
+		{acc: []mem.Access{{Page: 2, Compute: 100}, {Page: 9, Compute: 100}}, onClose: func() { closes[1]++ }},
+	}
+	for i, s := range streams {
+		if err := eng.Admit(Enclave{Name: "e", Stream: s, Pages: 4, Scheme: Baseline}, 0); err != nil {
+			t.Fatalf("admit %d: %v", i, err)
+		}
+	}
+	if err := eng.RunUntil(math.MaxUint64); err == nil {
+		t.Fatal("an access outside the enclave's range ran without error")
+	}
+	eng.Close()
+	eng.Close()
+	for i, n := range closes {
+		if n != 1 {
+			t.Errorf("enclave %d stream closed %d times, want once", i, n)
+		}
+	}
+}

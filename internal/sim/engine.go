@@ -427,8 +427,8 @@ func (e *Engine) Done() bool { return e.sched.len() == 0 }
 // NextKey returns the virtual time of the engine's next scheduled event
 // (the clock-plus-compute key of the earliest runnable enclave) and
 // whether any enclave is still runnable. Only tests read it, to check
-// the scheduler's key against the drivers; the fleet layer barriers
-// with RunUntil at each arrival instead.
+// the scheduler's key against the drivers; the fleet layer settles
+// hosts with RunUntil instead.
 func (e *Engine) NextKey() (uint64, bool) {
 	if e.sched.len() == 0 {
 		return 0, false
@@ -514,7 +514,9 @@ func (e *Engine) Result(i int) SharedResult {
 
 // Close releases enclave streams that hold resources (generator
 // coroutines). Runs that drain to completion release them implicitly;
-// Close covers abandoned engines and error paths. Safe to call twice.
+// Close covers abandoned engines and error paths. It closes each stream
+// once: a second call, such as an owner's after a failed RunUntil
+// closed the engine, closes nothing.
 func (e *Engine) Close() {
 	for _, st := range e.states {
 		if st == nil {
@@ -524,7 +526,7 @@ func (e *Engine) Close() {
 			c.Close()
 			// The stream is over, and its chunk may be a buffer that
 			// Close released.
-			st.chunk, st.pos = nil, 0
+			st.src, st.chunk, st.pos = nil, nil, 0
 		}
 	}
 }
